@@ -186,8 +186,9 @@ def _cmd_shoot(cfg: RunConfig, jobs: int = 1) -> int:
         print(f"search failed: {exc}")
         return EXIT_NUMERICAL
 
-    result = exit_map(d_star, shoot_cfg, params)
-    csv_path = write_trajectory_csv(result.record, params, out / "survivor-trajectory.csv")
+    csv_path = write_trajectory_csv(
+        cert.survivor.record, params, out / "survivor-trajectory.csv"
+    )
     cert_dict = {"failed": False, **cert.to_dict()}
     if jobs > 1:
         probes = _perturbation_probes(d_star, shoot_cfg, params, jobs)
@@ -396,10 +397,34 @@ def _write_series_csv(path, header, *columns) -> None:
             writer.writerow([fmt(v) for v in row])
 
 
+def _is_number_list(text: str) -> bool:
+    try:
+        [float(x) for x in text.split(",")]
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_seed_values(argv) -> list[str]:
+    """Rewrite `--d <list>` as `--d=<list>`.
+
+    argparse takes a separate token that starts with '-' for an option unless
+    it is a single negative number, so `--d -0.87,0.55,-0.77,-0.32` would
+    leave --d without its value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--d" and _is_number_list(tok):
+            out[-1] = f"--d={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def run_experiment(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_seed_values(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -18,7 +18,12 @@ classical RK4 but by different mechanisms:
   is the constant-coefficient operator d_zz - (z/2) d_z + 1, and the
   sources come in the cancellation-free form of remainder_source(). It
   alone feeds the remainder back into the tracked modes and measures the
-  unstable-range debris removed after every step. An outer grid over
+  unstable-range debris removed after every step. Because its nodes and
+  the Gauss nodes sit at fixed z, every operator on it is independent of s
+  and built once per process (projection.z_frame): d_zz - (z/2) d_z + 1,
+  the stacked interpolation [S; S D] to the Gauss nodes, the derivative and
+  the basis table h_0..h_J. A stage applies them as matrix products and
+  hands the grid's values over as a projection.ZRemainder. An outer grid over
   |y| <= y_max, with pointwise sources, carries the remainder where the
   weighted sup |q_-|_s looks, far outside the weight.
 
@@ -45,9 +50,9 @@ from .hermite import (
     SpectralDecomposition,
     gauss_rule,
     hermite_series,
+    hermite_y_table,
     power_in_hermite,
     project_modes_from_samples,
-    recompose,
     remainder_seminorm,
 )
 from .operators import (
@@ -58,7 +63,17 @@ from .operators import (
     residual_values,
 )
 from .params import ModelParams, eval_profile, scale_factor
-from .projection import projected_sources, remainder_source
+from .projection import (
+    Z_MAX,
+    Z_NODES,
+    ZFrame,
+    ZRemainder,
+    default_jet_order,
+    inner_nodes,
+    projected_sources,
+    remainder_source,
+    z_frame,
+)
 
 __all__ = [
     "FlowOptions",
@@ -78,12 +93,10 @@ __all__ = [
 
 D_BOX_LIMIT = 2.0
 
-# inner remainder grid in z = I(s) y: the weight exp(-z^2/4) is below 1e-27
-# at the edge, and |z| <= 6 spans 72 cells at every s
-Z_MAX = 16.0
-Z_NODES = 193
-# the outer grid copies the inner values on |z| <= Z_OVERLAP, clear of the
-# inner grid's one-sided edge closures
+# the inner remainder grid in z = I(s) y (Z_MAX, Z_NODES, inner_nodes) is
+# defined in projection, beside its cached operators; the outer grid copies
+# the inner values on |z| <= Z_OVERLAP, clear of the inner grid's one-sided
+# edge closures
 Z_OVERLAP = 12.0
 
 
@@ -131,10 +144,6 @@ class FlowOptions:
         return min(limits)
 
 
-def inner_nodes() -> np.ndarray:
-    return uniform_grid(Z_MAX, Z_NODES)
-
-
 @dataclass(frozen=True)
 class SimState:
     """Flow state; dec.remainder is the outer y-grid remainder.
@@ -162,6 +171,7 @@ class MembershipReport:
     violations: list[tuple[str, float]]
     worst_margin: float
     margins: dict[str, float]
+    qminus_seminorm: float
 
 
 @dataclass(frozen=True)
@@ -243,6 +253,10 @@ def _lambda(params: ModelParams) -> np.ndarray:
     return 1.0 - np.arange(params.n_modes) / (2.0 * params.k)
 
 
+def _frame(params: ModelParams, quad: QuadratureRule) -> ZFrame:
+    return z_frame(quad.order, default_jet_order(params.n_modes))
+
+
 def _stage(
     x: tuple[np.ndarray, np.ndarray, np.ndarray, float],
     s: float,
@@ -253,7 +267,9 @@ def _stage(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """One RK stage: d/ds of (modes, outer remainder, inner remainder, b).
 
-    The last entry is b', which is the stage's b-derivative.
+    The last entry is b', which is the stage's b-derivative. The inner
+    remainder reaches the projections as a ZRemainder, through the cached
+    z-frame operators; the outer grid's three basis sums share one table.
     """
     modes, rem_vals, inner_vals, b = x
     k = params.k
@@ -274,14 +290,8 @@ def _stage(
     if opts.linear_only:
         return lam * modes, Ls_rem, np.zeros_like(inner_vals), 0.0
 
-    z = inner_nodes()
-    hz = z[1] - z[0]
-    Lz_inner = (
-        laplacian_compact(inner_vals, hz)
-        - 0.5 * z * upwind_gradient(inner_vals, hz, z)
-        + inner_vals
-    )
-    inner = GridFunction(z / I, inner_vals)
+    frame = _frame(params, quad)
+    inner = ZRemainder(frame, inner_vals)
     proj = projected_sources(modes, inner, b, s, params, quad, variant=opts.variant)
     bprime = proj.bprime(params, opts.variant)
 
@@ -290,9 +300,9 @@ def _stage(
     dmodes[2 * k] = 0.0
 
     # pointwise sources on the outer grid minus their tracked-mode content
-    q_grid = hermite_series(modes, nodes, s, k) + rem_vals
-    dq_grid = hermite_series(modes[1:] * np.arange(1, params.n_modes), nodes, s, k) \
-        + derivative(rem_vals, h)
+    H = hermite_y_table(nodes, params.n_modes - 1, s, k)
+    q_grid = modes @ H + rem_vals
+    dq_grid = (modes[1:] * np.arange(1, params.n_modes)) @ H[:-1] + derivative(rem_vals, h)
     _, e = eval_profile(nodes, b, params)
     S = (
         nonlinear_values(q_grid, e, params.p)
@@ -300,8 +310,8 @@ def _stage(
         + residual_values(q_grid, nodes, e, b, I2inv, params, opts.variant)
         + bprime * modulation_values(q_grid, nodes, e, params, opts.variant)
     )
-    drem = Ls_rem + S - hermite_series(src_proj, nodes, s, k)
-    dinner = Lz_inner + remainder_source(
+    drem = Ls_rem + S - src_proj @ H
+    dinner = frame.L @ inner_vals + remainder_source(
         proj, bprime, modes, inner, b, s, params, opts.variant
     )
     return dmodes, drem, dinner, bprime
@@ -309,6 +319,7 @@ def _stage(
 
 def _unstable_leak(
     inner_vals: np.ndarray, s: float, params: ModelParams, quad: QuadratureRule,
+    frame: ZFrame,
 ) -> np.ndarray:
     """Unstable-range debris q_0..q_{2k-1} of the remainder, from the inner grid.
 
@@ -316,7 +327,7 @@ def _unstable_leak(
     debris would grow (rates 1 - n/2k > 0). Debris in the neutral and stable
     tracked modes decays by itself.
     """
-    r_q = sample(inner_nodes(), inner_vals, quad.nodes)
+    r_q = frame.SD[: quad.order] @ inner_vals
     return project_modes_from_samples(r_q, s, params.k, 2 * params.k, quad)
 
 
@@ -375,14 +386,15 @@ def _step_core(
 
     if not opts.linear_only:
         I = float(scale_factor(s_new, params.k))
-        leak = _unstable_leak(inner, s_new, params, quad)
+        frame = _frame(params, quad)
+        leak = _unstable_leak(inner, s_new, params, quad, frame)
         rem = rem - hermite_series(leak, nodes, s_new, params.k)
-        inner = inner - hermite_series(leak, inner_nodes() / I, s_new, params.k)
+        inner = inner - (leak * I ** -np.arange(leak.size, dtype=float)) @ frame.ztab[: leak.size]
         # where both grids overlap the outer one takes the resolved values:
         # once it under-resolves the weight, its own near-origin evolution
         # seeds unstable-range debris that only the inner grid can measure
         overlap = np.abs(I * nodes) <= Z_OVERLAP
-        rem[overlap] = sample(inner_nodes(), inner, I * nodes[overlap])
+        rem[overlap] = sample(frame.z, inner, I * nodes[overlap])
         modes = modes.copy()
         modes[2 * params.k] = 0.0
     dec = SpectralDecomposition(s_new, modes, GridFunction(nodes, rem))
@@ -428,6 +440,7 @@ def membership(
         violations=violations,
         worst_margin=min(margins.values()),
         margins=margins,
+        qminus_seminorm=sem,
     )
 
 
@@ -451,19 +464,13 @@ def mode_ode_rhs(
     return dmodes
 
 
-def _sample_of(
-    state: SimState, bprime: float, report: MembershipReport,
-    params: ModelParams, opts: FlowOptions,
-) -> TrajectorySample:
+def _sample_of(state: SimState, bprime: float, report: MembershipReport) -> TrajectorySample:
     return TrajectorySample(
         s=state.s,
         b=state.b,
         bprime=bprime,
         modes=state.dec.modes.copy(),
-        qminus_seminorm=remainder_seminorm(
-            state.dec.remainder, state.s, params,
-            floor=opts.sem_floor, rel_floor=opts.sem_rel_floor,
-        ),
+        qminus_seminorm=report.qminus_seminorm,
         inside=report.inside,
     )
 
@@ -487,7 +494,7 @@ def run(
     record = TrajectoryRecord()
     state = state0
     report = membership(state, delta, b0, params, opts)
-    record.samples.append(_sample_of(state, 0.0, report, params, opts))
+    record.samples.append(_sample_of(state, 0.0, report))
     while report.worst_margin >= -opts.exit_hysteresis and state.s < s_max - 1e-12:
         this_ds = min(ds, s_max - state.s)
         try:
@@ -502,7 +509,7 @@ def run(
             return record
         state = state_new
         report = membership(state, delta, b0, params, opts)
-        record.samples.append(_sample_of(state, bp, report, params, opts))
+        record.samples.append(_sample_of(state, bp, report))
 
     if report.worst_margin < -opts.exit_hysteresis:
         bound = _exit_bound(report, params)

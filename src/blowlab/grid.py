@@ -22,6 +22,7 @@ __all__ = [
     "second_derivative",
     "laplacian_compact",
     "sample",
+    "sample_matrix",
 ]
 
 _MIN_NODES = 6
@@ -134,15 +135,8 @@ def laplacian_compact(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def sample(nodes: np.ndarray, values: np.ndarray, points) -> np.ndarray:
-    """Evaluate grid data at arbitrary points by local cubic Lagrange.
-
-    Assumes uniform nodes. Out-of-range points are clamped to the boundary
-    cell (nearest-edge cubic extension).
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    pts = np.asarray(points, dtype=float)
+def _cubic_stencil(nodes: np.ndarray, pts: np.ndarray):
+    """Base index and the four Lagrange weights of sample()'s local cubic."""
     n = nodes.size
     if n < 4:
         raise ValueError("need at least 4 nodes to interpolate")
@@ -155,9 +149,33 @@ def sample(nodes: np.ndarray, values: np.ndarray, points) -> np.ndarray:
     w1 = t * (t - 2.0) * (t - 3.0) / 2.0
     w2 = -t * (t - 1.0) * (t - 3.0) / 2.0
     w3 = t * (t - 1.0) * (t - 2.0) / 6.0
+    return base, (w0, w1, w2, w3)
+
+
+def sample(nodes: np.ndarray, values: np.ndarray, points) -> np.ndarray:
+    """Evaluate grid data at arbitrary points by local cubic Lagrange.
+
+    Assumes uniform nodes. Out-of-range points are clamped to the boundary
+    cell (nearest-edge cubic extension).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    base, (w0, w1, w2, w3) = _cubic_stencil(nodes, np.asarray(points, dtype=float))
     return (
         w0 * values[base]
         + w1 * values[base + 1]
         + w2 * values[base + 2]
         + w3 * values[base + 3]
     )
+
+
+def sample_matrix(nodes: np.ndarray, points) -> np.ndarray:
+    """The linear map values -> sample(nodes, values, points) as a dense matrix."""
+    nodes = np.asarray(nodes, dtype=float)
+    pts = np.asarray(points, dtype=float).ravel()
+    base, weights = _cubic_stencil(nodes, pts)
+    out = np.zeros((pts.size, nodes.size))
+    rows = np.arange(pts.size)
+    for c, w in enumerate(weights):
+        out[rows, base + c] = w
+    return out

@@ -39,6 +39,8 @@ __all__ = [
     "hermite_explicit_sum",
     "hermite_derivative",
     "hermite_z_table",
+    "hermite_y_table",
+    "hermite_series",
     "mode_norm_sq",
     "inner_product",
     "project_modes_from_samples",
@@ -124,13 +126,7 @@ def eval_scaled_hermite(m: int, y, s: float, k: int):
         raise ValueError("mode index must be >= 0")
     if m <= 10:
         return hermite_explicit_sum(m, y, s, k)
-    I2inv = float(scale_factor(s, k)) ** -2
-    y = np.asarray(y, dtype=float)
-    prev = np.ones_like(y)
-    cur = y.copy()
-    for n in range(1, m):
-        prev, cur = cur, y * cur - 2.0 * n * I2inv * prev
-    return cur
+    return hermite_y_table(y, m, s, k)[m]
 
 
 def hermite_derivative(m: int, y, s: float, k: int):
@@ -174,12 +170,13 @@ def project_modes_from_samples(
 
     Uses <f, H_n> = I^{-n} sum_i w_i f_i h_n(z_i) / sqrt(4 pi) and the exact
     mode norms, so only one factor of I^n appears (no overflow for desk-scale
-    s and n <= M_floor).
+    s and n <= M_floor). f_quad may stack several functions along its leading
+    axes; the projections keep those axes, with the mode index last.
     """
     if z_table is None:
         z_table = quad_hermite_table(quad, n_modes - 1)
     I = float(scale_factor(s, k))
-    raw = z_table[:n_modes] @ (quad.weights * f_quad) / math.sqrt(4.0 * math.pi)
+    raw = (quad.weights * f_quad) @ z_table[:n_modes].T / math.sqrt(4.0 * math.pi)
     n = np.arange(n_modes)
     scale = I**n / (2.0**n * _factorials(n_modes))
     return raw * scale
@@ -229,25 +226,24 @@ def decompose(
     return SpectralDecomposition(s=float(s), modes=modes, remainder=GridFunction(nodes, rem))
 
 
-def hermite_series(coeffs: np.ndarray, y, s: float, k: int) -> np.ndarray:
-    """sum_n coeffs[n] H_n(y, s) via the y-space recurrence."""
+def hermite_y_table(y, n_max: int, s: float, k: int) -> np.ndarray:
+    """H_0..H_{n_max} at the points y (rows), via the y-space recurrence."""
     y = np.asarray(y, dtype=float)
     I2inv = float(scale_factor(s, k)) ** -2
-    total = np.zeros_like(y)
-    prev = np.ones_like(y)
-    cur = None
-    for n, c in enumerate(np.asarray(coeffs, dtype=float)):
-        if n == 0:
-            base = prev
-        elif n == 1:
-            cur = y.copy()
-            base = cur
-        else:
-            prev, cur = cur, y * cur - 2.0 * (n - 1) * I2inv * prev
-            base = cur
-        if c != 0.0:
-            total = total + c * base
-    return total
+    out = np.empty((n_max + 1,) + y.shape)
+    if n_max >= 0:
+        out[0] = 1.0
+    if n_max >= 1:
+        out[1] = y
+    for n in range(1, n_max):
+        out[n + 1] = y * out[n] - 2.0 * n * I2inv * out[n - 1]
+    return out
+
+
+def hermite_series(coeffs: np.ndarray, y, s: float, k: int) -> np.ndarray:
+    """sum_n coeffs[n] H_n(y, s), contracted against hermite_y_table."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return np.tensordot(coeffs, hermite_y_table(y, coeffs.size - 1, s, k), axes=1)
 
 
 def recompose(dec: SpectralDecomposition, params: ModelParams) -> GridFunction:

@@ -133,7 +133,8 @@ def drift_values(
     dq: np.ndarray, y: np.ndarray, e: np.ndarray, b: float, I2inv: float, params: ModelParams
 ) -> np.ndarray:
     p, k = params.p, params.k
-    return -4.0 * p * k * b / (p - 1.0) * I2inv * e * y ** (2 * k - 1) * dq
+    # |y|^{2k-2} y: a power of a negative base takes libm's slow path
+    return -4.0 * p * k * b / (p - 1.0) * I2inv * e * (np.abs(y) ** (2 * k - 2) * y) * dq
 
 
 def residual_values(

@@ -75,6 +75,12 @@ class ExitMapResult:
 
 @dataclass(frozen=True)
 class SurvivorCertificate:
+    """A surviving seed and the evidence for it.
+
+    survivor is the search's own integration of d_star, so callers write its
+    trajectory without running it again; to_dict leaves it out.
+    """
+
     d_star: np.ndarray
     s_end: float
     final_margins: dict[str, float]
@@ -83,6 +89,7 @@ class SurvivorCertificate:
     n_trajectories: int
     anomalies: list[dict]
     breakdowns: list[dict] = field(default_factory=list)
+    survivor: ExitMapResult | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -224,6 +231,7 @@ def search(cfg: ShootConfig, params: ModelParams) -> tuple[np.ndarray, SurvivorC
                 n_trajectories=n_traj,
                 anomalies=anomalies,
                 breakdowns=breakdowns,
+                survivor=result,
             )
             return d, cert
 
@@ -366,6 +374,7 @@ def search_nested(
                 n_trajectories=state["n"],
                 anomalies=state["anomalies"],
                 breakdowns=state["breakdowns"],
+                survivor=result,
             )
             return d.copy(), cert
         if best_overall is None or result.s_star > best_overall[0].s_star:

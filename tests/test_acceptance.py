@@ -35,6 +35,9 @@ from blowlab.params import eval_profile, make_params, scale_factor
 from blowlab.shooting import ShootConfig, search
 from blowlab.verify import verify_mehler, verify_spectral
 
+# minutes of work: `pytest -m "not slow"` leaves the suite out
+pytestmark = pytest.mark.slow
+
 DELTA, B0, S0, HORIZON = 0.1, 1.0, 20.0, 10.0
 
 

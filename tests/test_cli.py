@@ -177,3 +177,41 @@ def test_cli_shoot_failure_without_best_result(tmp_path, monkeypatch):
     assert cert["failed"] is True
     assert cert["best_s_star"] is None
     assert cert["best_d"] == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_cli_simulate_accepts_negative_first_seed_coordinate(tmp_path):
+    seed = "-0.87,0.55,-0.77,-0.32"
+    spaced = ["simulate", "--outdir", str(tmp_path / "a"), "--horizon", "0.05", "--d", seed]
+    joined = ["simulate", "--outdir", str(tmp_path / "b"), "--horizon", "0.05", f"--d={seed}"]
+    assert run_experiment(spaced) == 0
+    assert run_experiment(joined) == 0
+    man = load_json(tmp_path / "a" / "manifest-simulate.json")
+    assert man["config"]["d"] == [-0.87, 0.55, -0.77, -0.32]
+    csv_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
+    assert csv_a == (tmp_path / "b" / "trajectory.csv").read_bytes()
+
+
+def test_cli_shoot_writes_the_searched_survivor(tmp_path):
+    # the survivor CSV comes from the search's own trajectory, and matches a
+    # fresh integration of d* byte for byte; at delta = 1 the centre seed
+    # exits before s0 + 4.5, so the survivor is not the first trajectory
+    from blowlab.shooting import exit_map
+
+    overrides = {
+        "delta": 1.0, "horizon": 4.5, "ds": 0.05, "shoot_depth": 12,
+        "outdir": str(tmp_path / "s"),
+    }
+    argv = ["shoot"] + [
+        tok for key, val in overrides.items()
+        for tok in (f"--{key.replace('_', '-')}", str(val))
+    ]
+    assert run_experiment(argv) == 0
+    cert = load_json(tmp_path / "s" / "certificate.json")
+    assert cert["n_trajectories"] > 1
+    assert "survivor" not in cert
+
+    cfg = RunConfig.from_dict(overrides)
+    fresh = exit_map(np.array(cert["d_star"]), cfg.shoot_config(), cfg.params())
+    assert fresh.survived
+    path = write_trajectory_csv(fresh.record, cfg.params(), tmp_path / "fresh.csv")
+    assert path.read_bytes() == (tmp_path / "s" / "survivor-trajectory.csv").read_bytes()

@@ -137,6 +137,24 @@ def test_membership_reference_cases(params3, opts):
     assert rep2.violations[0][0] == "b_high"
 
 
+def test_membership_reports_the_recorded_seminorm(params3, opts):
+    # run records the seminorm that membership measured, computed once a step
+    from blowlab.hermite import remainder_seminorm
+
+    st = init_state(np.array([0.1, -0.2, 0.15, 0.05]), DELTA, B0, S0, params3, opts)
+    rec = run(st, S0 + 0.05, DELTA, B0, params3, ds=0.01, opts=opts)
+    final = rec.final_state
+    rep = membership(final, DELTA, B0, params3, opts)
+    want = remainder_seminorm(
+        final.dec.remainder, final.s, params3,
+        floor=opts.sem_floor, rel_floor=opts.sem_rel_floor,
+    )
+    assert want > 0.0
+    assert rep.qminus_seminorm == want
+    assert rec.samples[-1].qminus_seminorm == want
+    assert rep.margins["qminus"] == float(scale_factor(final.s, 2)) ** -DELTA - want
+
+
 def test_membership_monotone_in_delta(params3, opts):
     amp = float(scale_factor(S0, 2)) ** -DELTA
     modes = np.zeros(6)

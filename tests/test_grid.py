@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowlab.grid import (
     GridFunction,
     derivative,
     laplacian_compact,
     sample,
+    sample_matrix,
     second_derivative,
     uniform_grid,
     upwind_gradient,
@@ -89,3 +91,28 @@ def test_sample_convergence_order():
         nodes = uniform_grid(1.0, n)
         errs.append(np.max(np.abs(sample(nodes, f(nodes), pts) - f(pts))))
     assert errs[0] / errs[1] > 10.0  # 4-point Lagrange: ~x16
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+    n=st.integers(4, 80),
+    lo=st.floats(-20.0, 20.0),
+    width=st.floats(0.01, 40.0),
+    frac=st.lists(st.floats(-0.25, 1.25), min_size=1, max_size=16),
+)
+def test_sample_exact_on_cubics(coeffs, n, lo, width, frac):
+    # a local cubic reproduces any cubic, inside the range and clamped to
+    # the edge cells outside it; the matrix form applies the same stencil
+    nodes = np.linspace(lo, lo + width, n)
+    pts = lo + width * np.array(frac)
+    cubic = np.polynomial.Polynomial(coeffs)
+    want = cubic(pts)
+    M = sample_matrix(nodes, pts)
+    # roundoff bound: the largest value times the stencil's weight sum, which
+    # grows far outside the nodes
+    scale = np.polynomial.Polynomial(np.abs(coeffs))(np.abs(lo) + 1.25 * width)
+    tol = 1e-14 * (1.0 + scale) * np.max(np.sum(np.abs(M), axis=1))
+    got = sample(nodes, cubic(nodes), pts)
+    assert np.max(np.abs(got - want)) <= tol
+    assert np.max(np.abs(M @ cubic(nodes) - got)) <= tol
