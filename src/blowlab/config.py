@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dynamics import FlowOptions
-from .operators import VARIANTS
+from .dynamics import D_BOX_LIMIT, FlowOptions
 from .params import ModelParams, make_params
 from .shooting import ShootConfig
 
@@ -33,10 +32,9 @@ class RunConfig:
     y_max: float = 0.15
     n_nodes: int = 257
     quad_order: int = 96
-    variant: str = "derived"
     sem_floor: float = 1e-10
     # shooting
-    shoot_box: float = 2.0
+    shoot_box: float = D_BOX_LIMIT
     shoot_depth: int = 40
     even_only: bool = False
     linear_only: bool = False
@@ -52,7 +50,6 @@ class RunConfig:
     y_fit: float = 2.0
     y_window: float = 3.0
     # bookkeeping
-    seed: int = 0
     outdir: str = "runs"
 
     def __post_init__(self):
@@ -67,9 +64,8 @@ class RunConfig:
             (self.y_max > 0, "y_max must be > 0"),
             (self.n_nodes >= 16, "n_nodes must be >= 16"),
             (self.quad_order >= 8, "quad_order must be >= 8"),
-            (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
             (self.sem_floor >= 0, "sem_floor must be >= 0"),
-            (0 < self.shoot_box <= 2.0, "shoot_box must lie in (0, 2]"),
+            (0 < self.shoot_box <= D_BOX_LIMIT, f"shoot_box must lie in (0, {D_BOX_LIMIT}]"),
             (self.shoot_depth >= 1, "shoot_depth must be >= 1"),
             (self.direct_y_max > 0, "direct_y_max must be > 0"),
             (self.direct_n_nodes >= 16, "direct_n_nodes must be >= 16"),
@@ -88,6 +84,8 @@ class RunConfig:
         if self.d is not None:
             if len(self.d) != 2 * self.k:
                 raise ConfigError(f"d must have length 2k = {2 * self.k}")
+            if not all(abs(x) <= D_BOX_LIMIT + 1e-12 for x in self.d):
+                raise ConfigError(f"seed d must satisfy |d_i| <= {D_BOX_LIMIT}")
 
     # -- derived objects ----------------------------------------------------
 
@@ -99,7 +97,6 @@ class RunConfig:
             y_max=self.y_max,
             n_nodes=self.n_nodes,
             quad_order=self.quad_order,
-            variant=self.variant,
             linear_only=self.linear_only if linear_only is None else linear_only,
             sem_floor=self.sem_floor,
         )

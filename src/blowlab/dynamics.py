@@ -51,7 +51,6 @@ from .hermite import (
     gauss_rule,
     hermite_series,
     hermite_y_table,
-    power_in_hermite,
     project_modes_from_samples,
     remainder_seminorm,
 )
@@ -70,6 +69,7 @@ from .projection import (
     ZRemainder,
     default_jet_order,
     inner_nodes,
+    monomial_table,
     projected_sources,
     remainder_source,
     z_frame,
@@ -83,6 +83,7 @@ __all__ = [
     "ExitInfo",
     "TrajectoryRecord",
     "AprioriReport",
+    "gamma_map",
     "init_state",
     "step",
     "membership",
@@ -220,6 +221,28 @@ class TrajectoryRecord:
         }
 
 
+def gamma_map(d, s0: float, delta: float, params: ModelParams) -> np.ndarray:
+    """Exact basis coefficients (psi_0..psi_{2k-1}) of the seed polynomial.
+
+    Linear in d; diagonal I^{-delta}(s0) plus I^{-delta-2} corrections from
+    converting even monomials into the basis (rows of monomial_table).
+    """
+    d = np.asarray(d, dtype=float)
+    if d.shape != (2 * params.k,):
+        raise ValueError(f"d must have length 2k = {2 * params.k}")
+    n = 2 * params.k
+    I = float(scale_factor(s0, params.k))
+    amp = I ** (-delta)
+    C = monomial_table(n, I**-2, n - 1)
+    psi = np.zeros(n)
+    # summed row by row in index order, not as a matrix product, which would
+    # round each mode differently
+    for i, di in enumerate(d):
+        if di != 0.0:
+            psi += di * amp * C[i]
+    return psi
+
+
 def init_state(
     d, delta: float, b0: float, s0: float, params: ModelParams,
     opts: FlowOptions = FlowOptions(),
@@ -227,20 +250,13 @@ def init_state(
     """State seeded by the polynomial sum_i d_i I^{-delta}(s0) y^i, b = b0.
 
     The seed has degree <= 2k-1, so its tracked coefficients above 2k-1 and
-    its remainder vanish identically; modes are computed in closed form.
+    its remainder vanish identically; modes are gamma_map(d), zero-padded.
     """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (2 * params.k,):
-        raise ValueError(f"d must have length 2k = {2 * params.k}")
+    psi = gamma_map(d, s0, delta, params)
     if np.max(np.abs(d)) > D_BOX_LIMIT + 1e-12:
         raise ValueError(f"|d_i| <= {D_BOX_LIMIT} required")
-    amp = float(scale_factor(s0, params.k)) ** (-delta)
     modes = np.zeros(params.n_modes)
-    for i, di in enumerate(d):
-        if di == 0.0:
-            continue
-        for n, c in power_in_hermite(i, s0, params.k).items():
-            modes[n] += di * amp * c
+    modes[: psi.size] = psi
     nodes = opts.nodes()
     rem = GridFunction(nodes, np.zeros_like(nodes))
     return SimState(

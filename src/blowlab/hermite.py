@@ -49,7 +49,6 @@ __all__ = [
     "norms",
     "remainder_seminorm",
     "multiply_identity",
-    "power_in_hermite",
 ]
 
 MIN_QUAD_ORDER = 8
@@ -110,7 +109,7 @@ def quad_hermite_table(quad: "QuadratureRule", n_max: int) -> np.ndarray:
 
 
 def hermite_explicit_sum(m: int, y, s: float, k: int):
-    """H_m from the closed-form coefficient sum (validation path, small m)."""
+    """H_m from the closed-form coefficient sum (small m; the tests' reference)."""
     I2inv = float(scale_factor(s, k)) ** -2
     y = np.asarray(y, dtype=float)
     total = np.zeros_like(y)
@@ -121,11 +120,9 @@ def hermite_explicit_sum(m: int, y, s: float, k: int):
 
 
 def eval_scaled_hermite(m: int, y, s: float, k: int):
-    """H_m(y, s); recurrence in y above m = 10 for numerical stability."""
+    """H_m(y, s): the last row of hermite_y_table."""
     if m < 0:
         raise ValueError("mode index must be >= 0")
-    if m <= 10:
-        return hermite_explicit_sum(m, y, s, k)
     return hermite_y_table(y, m, s, k)[m]
 
 
@@ -310,12 +307,3 @@ def multiply_identity(ell: int, n: int, s: float, k: int) -> dict[int, float]:
         coeffs = nxt
     return coeffs
 
-
-def power_in_hermite(m: int, s: float, k: int) -> dict[int, float]:
-    """Exact basis coefficients of the monomial y^m: {mode index: coefficient}."""
-    I2inv = float(scale_factor(s, k)) ** -2
-    out: dict[int, float] = {}
-    for ell in range(m // 2 + 1):
-        c = math.factorial(m) / (math.factorial(ell) * math.factorial(m - 2 * ell))
-        out[m - 2 * ell] = c * I2inv**ell
-    return out

@@ -35,7 +35,6 @@ from .hermite import (
     QuadratureRule,
     SpectralDecomposition,
     hermite_series,
-    hermite_z_table,
     project_modes_from_samples,
 )
 from .params import ModelParams, alpha_consts, eval_profile, q_to_w, scale_factor, signed_power
@@ -47,6 +46,7 @@ __all__ = [
     "eval_N",
     "eval_DR",
     "eval_M",
+    "modulation_rate",
     "solve_bprime",
     "assemble_rhs",
     "w_rhs",
@@ -211,6 +211,29 @@ def _project_single(f_quad: np.ndarray, s: float, k: int, n: int, quad: Quadratu
     return float(project_modes_from_samples(f_quad, s, k, n + 1, quad)[n])
 
 
+def modulation_rate(
+    P_sum: float, P_coupling: float, p: float, variant: str, threshold: float,
+) -> float:
+    """b' from P_2k of N + D_s + R_s (P_sum) and of y^{2k} e_b q (P_coupling).
+
+    P_2k(M) = (1 + p P_coupling)/(p - 1) in the derived form and
+    p (1 + P_coupling)/(p - 1) in the paper form; b' cancels the rest of
+    dq_{2k}/ds. Raises ModulationBreakdownError when the denominator (the
+    bracket of P_2k(M)) is below threshold in magnitude.
+    """
+    if variant == "derived":
+        denom = 1.0 + p * P_coupling
+        scale = -(p - 1.0)
+    else:
+        denom = 1.0 + P_coupling
+        scale = -(p - 1.0) / p
+    if abs(denom) < threshold:
+        raise ModulationBreakdownError(
+            f"modulation denominator {denom:.3g} below threshold {threshold}"
+        )
+    return scale * P_sum / denom
+
+
 def solve_bprime(
     state: SpectralDecomposition | GridFunction,
     b: float,
@@ -239,17 +262,7 @@ def solve_bprime(
         + _project_single(residual_values(q, y, e, b, I2inv, params, variant), s, k, n, quad)
     )
     coupling = _project_single(np.abs(y) ** (2 * k) * e * q, s, k, n, quad)
-    if variant == "derived":
-        denom = 1.0 + p * coupling
-        scale = -(p - 1.0)
-    else:
-        denom = 1.0 + coupling
-        scale = -(p - 1.0) / p
-    if abs(denom) < denom_threshold:
-        raise ModulationBreakdownError(
-            f"modulation denominator {denom:.3g} below threshold {denom_threshold}"
-        )
-    return scale * proj_sum / denom
+    return modulation_rate(proj_sum, coupling, p, variant, denom_threshold)
 
 
 def assemble_rhs(

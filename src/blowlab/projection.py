@@ -54,10 +54,7 @@ from .hermite import (
     quad_hermite_table,
 )
 from .params import ModelParams, alpha_consts, eval_profile, scale_factor
-from .operators import (
-    ModulationBreakdownError,
-    drift_values,
-)
+from .operators import DENOM_THRESHOLD, drift_values, modulation_rate
 
 __all__ = [
     "Z_MAX",
@@ -67,6 +64,7 @@ __all__ = [
     "ZFrame",
     "z_frame",
     "ZRemainder",
+    "monomial_table",
     "SourceProjections",
     "projected_sources",
     "remainder_source",
@@ -234,8 +232,11 @@ def _modes_to_jet(modes: np.ndarray, I2inv: float, J: int) -> np.ndarray:
     return modes @ (hc * I2inv**he)
 
 
-def _monomial_projection_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
-    """C[j, n] = coefficient of H_n in y^j (zero when j < n or parity differs)."""
+def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
+    """C[j, n] = coefficient of H_n in y^j (zero when j < n or parity differs).
+
+    Rows j = 0..J, columns n = 0..n_modes-1, at I^{-2} = I2inv.
+    """
     _, _, mc, me = _basis_structure(n_modes, J)
     return mc * I2inv**me
 
@@ -353,21 +354,14 @@ class SourceProjections:
         self.Pcoupling = Pcoupling
         self.PN, self.PD, self.PR, self.PM = jets[:, : inc.shape[1]] + inc
 
-    def bprime(self, params: ModelParams, variant: str, denom_threshold: float = 0.1) -> float:
-        p = params.p
+    def bprime(
+        self, params: ModelParams, variant: str, denom_threshold: float = DENOM_THRESHOLD,
+    ) -> float:
         n = 2 * params.k
-        total = self.PN[n] + self.PD[n] + self.PR[n]
-        if variant == "derived":
-            denom = 1.0 + p * self.Pcoupling[n]
-            scale = -(p - 1.0)
-        else:
-            denom = 1.0 + self.Pcoupling[n]
-            scale = -(p - 1.0) / p
-        if abs(denom) < denom_threshold:
-            raise ModulationBreakdownError(
-                f"modulation denominator {denom:.3g} below threshold {denom_threshold}"
-            )
-        return scale * total / denom
+        return modulation_rate(
+            self.PN[n] + self.PD[n] + self.PR[n], self.Pcoupling[n], params.p, variant,
+            denom_threshold,
+        )
 
 
 def projected_sources(
@@ -402,7 +396,7 @@ def projected_sources(
             "expansion parameter exceeds 1/2 on the quadrature support"
         )
 
-    coeffs = _source_jets(modes, b, I2inv, params, J, variant) @ _monomial_projection_table(
+    coeffs = _source_jets(modes, b, I2inv, params, J, variant) @ monomial_table(
         J + 1, I2inv, J
     )
     inc = np.zeros((5, n_modes))
@@ -468,7 +462,7 @@ def solve_bprime_projected(
     params: ModelParams,
     quad: QuadratureRule,
     variant: str = "derived",
-    denom_threshold: float = 0.1,
+    denom_threshold: float = DENOM_THRESHOLD,
 ) -> float:
     """Modulation rate via the jet-based projections (conditioned at large s)."""
     proj = projected_sources(modes, rem, b, s, params, quad, variant)

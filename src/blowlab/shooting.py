@@ -26,11 +26,11 @@ from .dynamics import (
     D_BOX_LIMIT,
     FlowOptions,
     TrajectoryRecord,
+    gamma_map,
     init_state,
     membership,
     run,
 )
-from .hermite import power_in_hermite
 from .params import ModelParams, scale_factor
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "gamma_map",
     "exit_map",
     "search",
-    "search_nested",
 ]
 
 
@@ -113,25 +112,6 @@ class SearchFailureError(RuntimeError):
         super().__init__(message)
         self.best_d = best_d
         self.best_result = best_result
-
-
-def gamma_map(d, s0: float, delta: float, params: ModelParams) -> np.ndarray:
-    """Exact basis coefficients (psi_0..psi_{2k-1}) of the seed polynomial.
-
-    Linear in d; diagonal I^{-delta}(s0) plus I^{-delta-2} corrections from
-    converting even monomials into the basis.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (2 * params.k,):
-        raise ValueError(f"d must have length 2k = {2 * params.k}")
-    amp = float(scale_factor(s0, params.k)) ** (-delta)
-    psi = np.zeros(2 * params.k)
-    for i, di in enumerate(d):
-        if di == 0.0:
-            continue
-        for n, c in power_in_hermite(i, s0, params.k).items():
-            psi[n] += di * amp * c
-    return psi
 
 
 def exit_map(d, cfg: ShootConfig, params: ModelParams) -> ExitMapResult:
@@ -268,123 +248,3 @@ def search(cfg: ShootConfig, params: ModelParams) -> tuple[np.ndarray, SurvivorC
             )
         center = 0.5 * (lo + hi)
 
-
-def search_nested(
-    cfg: ShootConfig, params: ModelParams
-) -> tuple[np.ndarray, SurvivorCertificate]:
-    """Nested bisection: fastest unstable coordinate innermost.
-
-    The flat exit-mode loop can stall once a slow coordinate's error drives
-    the fast mode through quadratic coupling: the fast mode dominates every
-    exit, yet its own bracket is exhausted. Nesting respects the rate
-    separation: each level bisects one coordinate on the sign of *its* mode
-    at the exit of the inner-optimized trajectory, warm-starting the inner
-    brackets (the inner optimum moves quadratically in an outer move). Cost
-    grows with dimension, so this is the refinement tool - the flat search
-    remains the default for full-box, short-horizon work.
-    """
-    dim = 2 * params.k
-    active = [j for j in range(dim) if not (cfg.even_only and j % 2 == 1)]
-    # growth rate 1 - j/2k is largest for j = 0: innermost
-    order = sorted(active)  # order[0] innermost, refined at every level above
-    tol = 1e-14
-    state = {"n": 0, "anomalies": [], "breakdowns": []}
-    centers = np.zeros(dim)
-    inner_width = {j: 2.0 * cfg.box for j in active}
-
-    def evaluate(d: np.ndarray):
-        if state["n"] >= cfg.max_trajectories:
-            raise SearchFailureError(
-                f"no survivor within {cfg.max_trajectories} trajectories",
-                d.copy(), None,
-            )
-        state["n"] += 1
-        result = exit_map(d, cfg, params)
-        info = result.record.exit
-        if info is not None and info.bound == BOUND_MODULATION:
-            state["breakdowns"].append({"d": d.tolist(), "error": info.reason})
-        return result
-
-    def exit_sign(result, coord: int) -> int:
-        info = result.record.exit
-        if info is not None and info.bound not in (f"mode_{coord}", BOUND_MODULATION):
-            state["anomalies"].append(
-                {"bound": info.bound, "s_star": info.s_star}
-            )
-        # a modulation exit carries omega = sign(q_0) of the last sample
-        q = result.record.samples[-1].modes[coord]
-        return 1 if q >= 0 else -1
-
-    def solve(level: int, d: np.ndarray):
-        """Bisect coordinate order[level], optimizing all inner levels."""
-        coord = order[level]
-        half = 0.5 * inner_width[coord]
-        lo = max(centers[coord] - half, -cfg.box)
-        hi = min(centers[coord] + half, cfg.box)
-        best = None
-        while True:
-            d = d.copy()
-            d[coord] = 0.5 * (lo + hi)
-            if level == 0:
-                result = evaluate(d)
-            else:
-                result, d = solve(level - 1, d)
-            if result.survived:
-                centers[coord] = d[coord]
-                return result, d
-            if best is None or result.s_star > best[0].s_star:
-                best = (result, d.copy())
-            if hi - lo <= max(tol, 8e-16 * abs(d[coord])):
-                centers[coord] = d[coord]
-                inner_width[coord] = max(64.0 * tol, 0.25 * (hi - lo) + 64.0 * tol)
-                return best
-            if exit_sign(result, coord) > 0:
-                hi = d[coord]
-            else:
-                lo = d[coord]
-
-    top = len(order) - 1
-    coord_top = order[top]
-    lo = -cfg.box
-    hi = cfg.box
-    d0 = np.zeros(dim)
-    best_overall = None
-    while True:
-        centers[coord_top] = 0.5 * (lo + hi)
-        inner_width[coord_top] = 0.0  # pinned at this level's midpoint
-        # widen inner levels around their warm centers after an outer move
-        for j in order[:top]:
-            inner_width[j] = max(inner_width[j], 0.25 * (hi - lo) ** 2, 1e-12)
-        result, d = solve(top, d0) if top > 0 else solve(0, d0)
-        if result.survived:
-            arr = result.record.arrays()
-            s = arr["s"]
-            b = arr["b"]
-            i_mid = int(np.searchsorted(s, cfg.s0 + cfg.horizon / 2.0))
-            b_drift = abs(float(b[-1] - b[min(i_mid, len(b) - 1)]))
-            final = membership(
-                result.record.final_state, cfg.delta, cfg.b0, params, cfg.flow
-            )
-            cert = SurvivorCertificate(
-                d_star=d.copy(),
-                s_end=float(s[-1]),
-                final_margins=final.margins,
-                b_drift=b_drift,
-                brackets=[(float(lo), float(hi))] * 1,
-                n_trajectories=state["n"],
-                anomalies=state["anomalies"],
-                breakdowns=state["breakdowns"],
-                survivor=result,
-            )
-            return d.copy(), cert
-        if best_overall is None or result.s_star > best_overall[0].s_star:
-            best_overall = (result, d.copy())
-        if hi - lo <= tol:
-            raise SearchFailureError(
-                "outer bracket exhausted without a survivor",
-                best_overall[1], best_overall[0],
-            )
-        if exit_sign(result, coord_top) > 0:
-            hi = centers[coord_top]
-        else:
-            lo = centers[coord_top]

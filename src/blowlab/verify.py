@@ -20,10 +20,9 @@ from .hermite import (
     inner_product,
     mode_norm_sq,
     multiply_identity,
-    weight,
 )
 from .mehler import kernel_eval, mode_multiplier, propagate
-from .params import make_params, scale_factor
+from .params import scale_factor
 
 __all__ = ["SpectralReport", "MehlerReport", "verify_spectral", "verify_mehler"]
 

@@ -32,6 +32,7 @@ def test_config_rejects_unknown_keys():
         {"variant": "bogus"},
         {"d": [1.0, 2.0]},
         {"shoot_depth": 0},
+        {"d": [0.0, 2.5, 0.0, 0.0]},
     ],
 )
 def test_config_rejects_bad_values(patch):

@@ -146,15 +146,3 @@ def test_exit_sign_coherence(params3):
         checked += 1
     assert checked >= 2
 
-
-def test_nested_search_linear_mode(params3):
-    from blowlab.shooting import search_nested
-
-    flow = FlowOptions(linear_only=True, n_nodes=129)
-    cfg = ShootConfig(
-        delta=DELTA, b0=B0, s0=S0, horizon=40.0, box=2.0, depth=45, ds=0.04,
-        even_only=True, flow=flow,
-    )
-    d_star, cert = search_nested(cfg, params3)
-    assert np.max(np.abs(d_star)) < 1e-6
-    assert cert.n_trajectories >= 1
