@@ -27,6 +27,11 @@ classical RK4 but by different mechanisms:
   |y| <= y_max, with pointwise sources, carries the remainder where the
   weighted sup |q_-|_s looks, far outside the weight.
 
+What a stage needs that depends only on the outer nodes (their powers, the
+wind, the mode rates) is built once per node set, and their basis table
+once per scale time, like projection.scale_tables: an RK4 step meets three
+distinct scale times, and its last is the next step's first.
+
 The modulation rate b' is solved at every stage so dq_{2k}/ds = 0; the
 neutral mode therefore stays exactly zero along trajectories.
 
@@ -41,6 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,7 +56,6 @@ from .hermite import (
     QuadratureRule,
     SpectralDecomposition,
     gauss_rule,
-    hermite_series,
     hermite_y_table,
     project_modes_from_samples,
     remainder_seminorm,
@@ -61,17 +67,19 @@ from .operators import (
     nonlinear_values,
     residual_values,
 )
-from .params import ModelParams, eval_profile, scale_factor
+from .params import ModelParams, scale_factor
 from .projection import (
     Z_MAX,
     Z_NODES,
     ZFrame,
     ZRemainder,
+    ScaleTables,
     default_jet_order,
     inner_nodes,
     monomial_table,
     projected_sources,
     remainder_source,
+    scale_tables,
     z_frame,
 )
 
@@ -265,18 +273,60 @@ def init_state(
     )
 
 
-def _lambda(params: ModelParams) -> np.ndarray:
-    return 1.0 - np.arange(params.n_modes) / (2.0 * params.k)
-
-
 def _frame(params: ModelParams, quad: QuadratureRule) -> ZFrame:
     return z_frame(quad.order, default_jet_order(params.n_modes))
+
+
+def _scale_tables(s: float, params: ModelParams, quad: QuadratureRule) -> ScaleTables:
+    return scale_tables(s, params.k, params.n_modes, default_jet_order(params.n_modes), quad.order)
+
+
+class _OuterGrid(NamedTuple):
+    """The s-independent data of an outer node set, for one model.
+
+    key is the nodes' bytes, the cache key of this grid and of its
+    per-scale-time tables.
+    """
+
+    key: bytes
+    nodes: np.ndarray
+    h: float
+    wind: np.ndarray  # y / 2k, the transport speed
+    y2k: np.ndarray  # |y|^{2k}
+    yM: np.ndarray  # |y|^M, the seminorm's weight
+    lam: np.ndarray  # 1 - n/2k, the tracked modes' linear rates
+
+
+@lru_cache(maxsize=8)
+def _outer_grid_of(key: bytes, params: ModelParams) -> _OuterGrid:
+    nodes = np.frombuffer(key)  # read-only
+    k = params.k
+    grid = _OuterGrid(
+        key=key, nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
+        y2k=np.abs(nodes) ** (2 * k), yM=np.abs(nodes) ** params.M,
+        lam=1.0 - np.arange(params.n_modes) / (2.0 * k),
+    )
+    for arr in (grid.wind, grid.y2k, grid.yM, grid.lam):
+        arr.flags.writeable = False  # one cached copy serves every caller
+    return grid
+
+
+def _outer_grid(nodes: np.ndarray, params: ModelParams) -> _OuterGrid:
+    return _outer_grid_of(np.ascontiguousarray(nodes, dtype=float).tobytes(), params)
+
+
+@lru_cache(maxsize=8)
+def _outer_basis(s: float, key: bytes, params: ModelParams) -> np.ndarray:
+    """hermite_y_table of an outer node set at one scale time."""
+    H = hermite_y_table(_outer_grid_of(key, params).nodes, params.n_modes - 1, s, params.k)
+    H.flags.writeable = False  # one cached copy serves every caller
+    return H
 
 
 def _stage(
     x: tuple[np.ndarray, np.ndarray, np.ndarray, float],
     s: float,
-    nodes: np.ndarray,
+    grid: _OuterGrid,
     params: ModelParams,
     quad: QuadratureRule,
     opts: FlowOptions,
@@ -289,22 +339,19 @@ def _stage(
     """
     modes, rem_vals, inner_vals, b = x
     k = params.k
-    h = nodes[1] - nodes[0]
-    I = float(scale_factor(s, k))
-    I2inv = I**-2
-    lam = _lambda(params)
+    h = grid.h
+    I2inv = float(scale_factor(s, k)) ** -2
 
     # remainder transport-diffusion: upwinded transport keeps the stiff-free
     # late-s regime stable once diffusion no longer damps grid noise
-    wind = nodes / (2.0 * k)
     Ls_rem = (
         I2inv * laplacian_compact(rem_vals, h)
-        - wind * upwind_gradient(rem_vals, h, wind)
+        - grid.wind * upwind_gradient(rem_vals, h, grid.wind)
         + rem_vals
     )
 
     if opts.linear_only:
-        return lam * modes, Ls_rem, np.zeros_like(inner_vals), 0.0
+        return grid.lam * modes, Ls_rem, np.zeros_like(inner_vals), 0.0
 
     frame = _frame(params, quad)
     inner = ZRemainder(frame, inner_vals)
@@ -312,14 +359,14 @@ def _stage(
     bprime = proj.bprime(params, opts.variant)
 
     src_proj = proj.PN + proj.PD + proj.PR + bprime * proj.PM
-    dmodes = lam * modes + src_proj
+    dmodes = grid.lam * modes + src_proj
     dmodes[2 * k] = 0.0
 
     # pointwise sources on the outer grid minus their tracked-mode content
-    H = hermite_y_table(nodes, params.n_modes - 1, s, k)
+    nodes, H = grid.nodes, _outer_basis(s, grid.key, params)
     q_grid = modes @ H + rem_vals
     dq_grid = (modes[1:] * np.arange(1, params.n_modes)) @ H[:-1] + derivative(rem_vals, h)
-    _, e = eval_profile(nodes, b, params)
+    e = 1.0 / (params.p - 1.0 + b * grid.y2k)  # e_b
     S = (
         nonlinear_values(q_grid, e, params.p)
         + drift_values(dq_grid, nodes, e, b, I2inv, params)
@@ -344,20 +391,22 @@ def _unstable_leak(
     tracked modes decays by itself.
     """
     r_q = frame.SD[: quad.order] @ inner_vals
-    return project_modes_from_samples(r_q, s, params.k, 2 * params.k, quad)
+    return project_modes_from_samples(
+        r_q, s, params.k, 2 * params.k, quad, scale=_scale_tables(s, params, quad).proj_scale,
+    )
 
 
 def _rk4(
-    x0: tuple, s0: float, ds: float, nodes: np.ndarray, params: ModelParams,
+    x0: tuple, s0: float, ds: float, grid: _OuterGrid, params: ModelParams,
     quad: QuadratureRule, opts: FlowOptions,
 ) -> tuple[tuple, float]:
     def shifted(dx, c):
         return tuple(xi + c * di for xi, di in zip(x0, dx))
 
-    k1 = _stage(x0, s0, nodes, params, quad, opts)
-    k2 = _stage(shifted(k1, 0.5 * ds), s0 + 0.5 * ds, nodes, params, quad, opts)
-    k3 = _stage(shifted(k2, 0.5 * ds), s0 + 0.5 * ds, nodes, params, quad, opts)
-    k4 = _stage(shifted(k3, ds), s0 + ds, nodes, params, quad, opts)
+    k1 = _stage(x0, s0, grid, params, quad, opts)
+    k2 = _stage(shifted(k1, 0.5 * ds), s0 + 0.5 * ds, grid, params, quad, opts)
+    k3 = _stage(shifted(k2, 0.5 * ds), s0 + 0.5 * ds, grid, params, quad, opts)
+    k4 = _stage(shifted(k3, ds), s0 + ds, grid, params, quad, opts)
     x = tuple(
         xi + ds / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         for xi, d1, d2, d3, d4 in zip(x0, k1, k2, k3, k4)
@@ -371,9 +420,9 @@ def _step_core(
     if ds < 0 or ds > opts.max_ds:
         raise ValueError(f"ds must lie in [0, {opts.max_ds}]")
     if not (
-        np.all(np.isfinite(state.dec.modes))
-        and np.all(np.isfinite(state.dec.remainder.values))
-        and np.all(np.isfinite(state.inner_values()))
+        np.isfinite(state.dec.modes).all()
+        and np.isfinite(state.dec.remainder.values).all()
+        and np.isfinite(state.inner_values()).all()
         and math.isfinite(state.b)
     ):
         raise ValueError("state with non-finite values rejected")
@@ -381,6 +430,7 @@ def _step_core(
         return state, 0.0
 
     nodes = state.dec.remainder.nodes
+    grid = _outer_grid(nodes, params)
     quad = opts.quad()
     x = (state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b)
     s_new = state.s
@@ -388,29 +438,27 @@ def _step_core(
     bp_first = None
     while s_new < target - 1e-14:
         sub = min(opts.stable_ds(s_new, params.k), target - s_new)
-        x, bp = _rk4(x, s_new, sub, nodes, params, quad, opts)
+        x, bp = _rk4(x, s_new, sub, grid, params, quad, opts)
         s_new += sub
         if bp_first is None:
             bp_first = bp
     s_new = target
     modes, rem, inner, b_new = x
-    if not (
-        np.all(np.isfinite(modes)) and np.all(np.isfinite(rem))
-        and np.all(np.isfinite(inner))
-    ):
+    if not (np.isfinite(modes).all() and np.isfinite(rem).all() and np.isfinite(inner).all()):
         raise ValueError("time step produced non-finite values")
 
     if not opts.linear_only:
-        I = float(scale_factor(s_new, params.k))
+        tab = _scale_tables(s_new, params, quad)
         frame = _frame(params, quad)
         leak = _unstable_leak(inner, s_new, params, quad, frame)
-        rem = rem - hermite_series(leak, nodes, s_new, params.k)
-        inner = inner - (leak * I ** -np.arange(leak.size, dtype=float)) @ frame.ztab[: leak.size]
+        n = leak.size
+        rem = rem - np.tensordot(leak, _outer_basis(s_new, grid.key, params)[:n], axes=1)
+        inner = inner - (leak * tab.iexp[:n]) @ frame.ztab[:n]
         # where both grids overlap the outer one takes the resolved values:
         # once it under-resolves the weight, its own near-origin evolution
         # seeds unstable-range debris that only the inner grid can measure
-        overlap = np.abs(I * nodes) <= Z_OVERLAP
-        rem[overlap] = sample(frame.z, inner, I * nodes[overlap])
+        overlap = np.abs(tab.I * nodes) <= Z_OVERLAP
+        rem[overlap] = sample(frame.z, inner, tab.I * nodes[overlap])
         modes = modes.copy()
         modes[2 * params.k] = 0.0
     dec = SpectralDecomposition(s_new, modes, GridFunction(nodes, rem))
@@ -446,6 +494,7 @@ def membership(
     sem = remainder_seminorm(
         state.dec.remainder, state.s, params,
         floor=opts.sem_floor, rel_floor=opts.sem_rel_floor,
+        nodes_pow_M=_outer_grid(state.dec.remainder.nodes, params).yM,
     )
     margins[_BOUND_QMINUS] = mode_bound - sem
     margins[_BOUND_B_LOW] = state.b - 0.5 * b0
@@ -476,7 +525,8 @@ def mode_ode_rhs(
 ) -> np.ndarray:
     """dq_n/ds for the tracked modes at this state."""
     x = (state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b)
-    dmodes, _, _, _ = _stage(x, state.s, state.dec.remainder.nodes, params, opts.quad(), opts)
+    grid = _outer_grid(state.dec.remainder.nodes, params)
+    dmodes, _, _, _ = _stage(x, state.s, grid, params, opts.quad(), opts)
     return dmodes
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "mode_norm_sq",
     "inner_product",
     "project_modes_from_samples",
+    "mode_projection_scale",
     "decompose",
     "recompose",
     "norms",
@@ -139,7 +140,7 @@ def mode_norm_sq(n: int, s: float, k: int) -> float:
     return I ** (-2 * n) * 2.0**n * math.factorial(n)
 
 
-def _values_at(f, y, nodes_hint=None):
+def _values_at(f, y):
     if isinstance(f, GridFunction):
         return sample(f.nodes, f.values, y)
     return np.asarray(f(y), dtype=float)
@@ -161,31 +162,36 @@ def inner_product(f, g, s: float, k: int, quad: QuadratureRule) -> float:
 
 def project_modes_from_samples(
     f_quad: np.ndarray, s: float, k: int, n_modes: int, quad: QuadratureRule,
-    z_table: np.ndarray | None = None,
+    z_table: np.ndarray | None = None, scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """Projections P_0..P_{n_modes-1} from samples of f at the quadrature nodes.
 
     Uses <f, H_n> = I^{-n} sum_i w_i f_i h_n(z_i) / sqrt(4 pi) and the exact
     mode norms, so only one factor of I^n appears (no overflow for desk-scale
     s and n <= M_floor). f_quad may stack several functions along its leading
-    axes; the projections keep those axes, with the mode index last.
+    axes; the projections keep those axes, with the mode index last. z_table
+    and scale, when given, are the cached h_n at the nodes and
+    mode_projection_scale at s.
     """
     if z_table is None:
         z_table = quad_hermite_table(quad, n_modes - 1)
-    I = float(scale_factor(s, k))
+    if scale is None:
+        scale = mode_projection_scale(float(scale_factor(s, k)), n_modes)
     raw = (quad.weights * f_quad) @ z_table[:n_modes].T / math.sqrt(4.0 * math.pi)
-    n = np.arange(n_modes)
-    scale = I**n / (2.0**n * _factorials(n_modes))
-    return raw * scale
+    return raw * scale[:n_modes]
+
+
+def mode_projection_scale(I: float, n_modes: int) -> np.ndarray:
+    """I^n / (2^n n!), n = 0..n_modes-1: the factor project_modes_from_samples applies."""
+    return I ** np.arange(n_modes) / _mode_norm_factors(n_modes)
 
 
 @lru_cache(maxsize=32)
-def _factorials_cached(n: int) -> tuple[float, ...]:
-    return tuple(float(math.factorial(i)) for i in range(n))
-
-
-def _factorials(n: int) -> np.ndarray:
-    return np.array(_factorials_cached(n))
+def _mode_norm_factors(n: int) -> np.ndarray:
+    """2^n n! for the first n mode indices."""
+    out = 2.0 ** np.arange(n) * np.array([float(math.factorial(i)) for i in range(n)])
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,7 @@ def recompose(dec: SpectralDecomposition, params: ModelParams) -> GridFunction:
 
 def remainder_seminorm(
     rem: GridFunction, s: float, params: ModelParams,
-    floor: float = 0.0, rel_floor: float = 0.0,
+    floor: float = 0.0, rel_floor: float = 0.0, nodes_pow_M: np.ndarray | None = None,
 ) -> float:
     """Grid sup of |q_-| / (I^{-M} + |y|^M + floor + rel_floor * max|q_-|).
 
@@ -261,12 +267,15 @@ def remainder_seminorm(
     plus a cushion proportional to the remainder's own amplitude, which
     biases genuine readings by at most ~rel_floor while ignoring content the
     Gaussian weight cannot see. floor = 0 keeps the pure definition for the
-    norm contracts.
+    norm contracts. nodes_pow_M, when given, is the cached |y|^M at rem's
+    nodes.
     """
     I = float(scale_factor(s, params.k))
     vals = np.abs(rem.values)
     cushion = floor + rel_floor * float(np.max(vals)) if vals.size else floor
-    denom = I ** (-params.M) + np.abs(rem.nodes) ** params.M + cushion
+    if nodes_pow_M is None:
+        nodes_pow_M = np.abs(rem.nodes) ** params.M
+    denom = I ** (-params.M) + nodes_pow_M + cushion
     return float(np.max(vals / denom))
 
 

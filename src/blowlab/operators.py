@@ -115,11 +115,11 @@ def nonlinear_values(q: np.ndarray, e: np.ndarray, p: float) -> np.ndarray:
     """
     u = e * np.asarray(q, dtype=float)
     base = 1.0 + u
-    out = np.where(
-        base > 0.0,
-        np.expm1(p * np.log1p(np.where(base > 0.0, u, 0.0))) - p * u,
-        signed_power(base, p) - 1.0 - p * u,
-    )
+    pos = base > 0.0
+    out = np.expm1(p * np.log1p(np.where(pos, u, 0.0))) - p * u
+    if not pos.all():
+        neg = ~pos
+        out[neg] = signed_power(base[neg], p) - 1.0 - p * u[neg]
     return out
 
 
@@ -144,7 +144,8 @@ def residual_values(
     a = alpha_consts(b, params)
     y2k = np.abs(y) ** (2 * params.k)
     qweight = e if variant == "derived" else 1.0
-    return I2inv * y ** (2 * params.k - 2) * (
+    # even powers of |y|: a power of a negative base takes libm's slow path
+    return I2inv * np.abs(y) ** (2 * params.k - 2) * (
         a.alpha1 + a.alpha2 * y2k * e + qweight * (a.alpha3 + a.alpha4 * y2k * e) * q
     )
 

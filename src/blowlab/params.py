@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,7 +110,8 @@ def profile_second_derivative(y, b: float, params: ModelParams):
     y = np.asarray(y, dtype=float)
     f, e = eval_profile(y, b, params)
     y2k = np.abs(y) ** (2 * params.k)
-    return y ** (2 * params.k - 2) * (a.alpha1 + a.alpha2 * y2k * e) * f**params.p
+    # even powers of |y|: a power of a negative base takes libm's slow path
+    return np.abs(y) ** (2 * params.k - 2) * (a.alpha1 + a.alpha2 * y2k * e) * f**params.p
 
 
 def e_b_series(y, b: float, params: ModelParams, depth: int):
@@ -127,7 +129,10 @@ def e_b_series(y, b: float, params: ModelParams, depth: int):
     return total / (params.p - 1.0)
 
 
+@lru_cache(maxsize=8)
 def alpha_consts(b: float, params: ModelParams) -> AlphaConstants:
+    """Curvature-source coefficients at b (cached: a flow stage asks for them
+    from its jets, its increments and the outer grid's residual)."""
     p, k = params.p, params.k
     return AlphaConstants(
         alpha1=-2.0 * k * (2 * k - 1) * b / (p - 1.0),

@@ -27,6 +27,16 @@ nodes in one product (S from grid.sample's own stencil, D from
 grid.derivative's), D itself, h_0..h_J at the inner nodes, and the inner
 grid's d_zz - (z/2) d_z + 1. A remainder handed over as a ZRemainder is
 read through them; any other GridFunction is sampled point by point.
+
+What depends on s but not on the state is built once per scale time by
+scale_tables(): I and its powers, the points y = z / I at the Gauss and the
+inner nodes with the powers of |y| the sources need, the basis/monomial
+conversion tables and the projection scale. An RK4 step asks for three
+distinct scale times and shares its last with the next step's first, so a
+handful of cached entries serves a trajectory. With a ZRemainder the source
+increments are evaluated once, at the Gauss and the inner nodes together:
+projected_sources() projects the first part and carries the second on its
+SourceProjections for remainder_source().
 """
 
 from __future__ import annotations
@@ -50,11 +60,12 @@ from .hermite import (
     QuadratureRule,
     gauss_rule,
     hermite_z_table,
+    mode_projection_scale,
     project_modes_from_samples,
     quad_hermite_table,
 )
-from .params import ModelParams, alpha_consts, eval_profile, scale_factor
-from .operators import DENOM_THRESHOLD, drift_values, modulation_rate
+from .params import ModelParams, alpha_consts, scale_factor
+from .operators import DENOM_THRESHOLD, modulation_rate
 
 __all__ = [
     "Z_MAX",
@@ -64,6 +75,10 @@ __all__ = [
     "ZFrame",
     "z_frame",
     "ZRemainder",
+    "NodePowers",
+    "node_powers",
+    "ScaleTables",
+    "scale_tables",
     "monomial_table",
     "SourceProjections",
     "projected_sources",
@@ -145,25 +160,15 @@ class ZRemainder(NamedTuple):
     values: np.ndarray
 
 
-def _at_quadrature(rem, y: np.ndarray, I: float) -> tuple[np.ndarray, np.ndarray]:
-    """r and dr/dy of the remainder at the Gauss nodes y = z_i / I."""
-    if isinstance(rem, ZRemainder):
-        if rem.frame.quad_order != y.size:
-            raise ValueError("z-frame built for another quadrature order")
-        rd = rem.frame.SD @ rem.values
-        return rd[: y.size], I * rd[y.size:]
-    dr = derivative(rem.values, rem.spacing)
-    return sample(rem.nodes, rem.values, y), sample(rem.nodes, dr, y)
-
-
 # -- jet arithmetic ----------------------------------------------------------
-
-_ZERO = np.zeros(1)
-
 
 @lru_cache(maxsize=8)
 def _toeplitz_index(J: int) -> np.ndarray:
-    """idx[i, j] = i - j on and below the diagonal, J + 1 (a zero pad) above."""
+    """idx[i, j] = i - j on and below the diagonal, J + 1 (a zero pad) above.
+
+    For a jet a stored with one trailing zero, a[idx] is its lower-triangular
+    Toeplitz matrix: a[idx] @ b is the jet of a b.
+    """
     i = np.arange(J + 1)
     d = i[:, None] - i[None, :]
     idx = np.where(d >= 0, d, J + 1)
@@ -171,9 +176,13 @@ def _toeplitz_index(J: int) -> np.ndarray:
     return idx
 
 
-def _jet_matrix(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular Toeplitz matrix of a jet: _jet_matrix(a) @ b is the jet of a b."""
-    return np.concatenate((a, _ZERO))[_toeplitz_index(a.size - 1)]
+@lru_cache(maxsize=8)
+def _binomial_coefficients(expo: float, n_terms: int) -> np.ndarray:
+    """binom(expo, m) for m = 0..n_terms."""
+    m = np.arange(1, n_terms + 1)
+    coeff = np.cumprod(np.concatenate(([1.0], (expo - (m - 1)) / m)))
+    coeff.flags.writeable = False
+    return coeff
 
 
 def _jet_binomial_power(u: np.ndarray, expo: float) -> np.ndarray:
@@ -188,17 +197,16 @@ def _jet_binomial_power(u: np.ndarray, expo: float) -> np.ndarray:
     if base <= 0.0:
         raise ValueError("jet composition requires 1 + u(0) > 0")
     J = u.size - 1
-    w = u / base
+    w = np.zeros(J + 2)
+    np.divide(u, base, out=w[: J + 1])
     w[0] = 0.0
     n_terms = min(J, int(expo)) if float(expo).is_integer() and expo >= 0 else J
-    T = _jet_matrix(w)
+    T = w[_toeplitz_index(J)]
     powers = np.zeros((n_terms + 1, J + 1))
     powers[0, 0] = 1.0
     for m in range(1, n_terms + 1):
         powers[m] = T @ powers[m - 1]
-    m = np.arange(1, n_terms + 1)
-    coeff = np.cumprod(np.concatenate(([1.0], (expo - (m - 1)) / m)))
-    return base**expo * (coeff @ powers)
+    return base**expo * (_binomial_coefficients(expo, n_terms) @ powers)
 
 
 @lru_cache(maxsize=16)
@@ -227,11 +235,6 @@ def _basis_structure(n_modes: int, J: int):
     return hc, he, mc, me
 
 
-def _modes_to_jet(modes: np.ndarray, I2inv: float, J: int) -> np.ndarray:
-    hc, he, _, _ = _basis_structure(modes.size, J)
-    return modes @ (hc * I2inv**he)
-
-
 def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
     """C[j, n] = coefficient of H_n in y^j (zero when j < n or parity differs).
 
@@ -241,52 +244,134 @@ def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
     return mc * I2inv**me
 
 
+# -- per-scale-time tables ----------------------------------------------------
+
+class NodePowers(NamedTuple):
+    """Points y with the powers of |y| that the sources use.
+
+    Even powers are taken of |y|: a power of a negative base takes libm's
+    slow path.
+    """
+
+    y: np.ndarray
+    y2k: np.ndarray  # |y|^{2k}
+    ydrift: np.ndarray  # |y|^{2k-2} y
+    yres: np.ndarray  # |y|^{2k-2}
+
+
+def node_powers(y: np.ndarray, k: int) -> NodePowers:
+    ay = np.abs(y)
+    yres = ay ** (2 * k - 2)
+    return NodePowers(y, ay ** (2 * k), yres * y, yres)
+
+
+class ScaleTables(NamedTuple):
+    """What the projections need at one scale time, independent of the state.
+
+    pw holds the Gauss nodes, then the inner nodes, divided by I. conv maps
+    modes to their jet (H_n = sum c (-I^{-2})^ell y^{n-2 ell}), mono is
+    monomial_table(J + 1, I^{-2}, J) and proj_scale I^n / (2^n n!). low is
+    the inner-node basis block H_n(z / I) = I^{-n} h_n(z) of the tracked
+    modes, and y_edge the largest |y| of the Gauss nodes.
+    """
+
+    I: float
+    I2inv: float
+    iexp: np.ndarray  # I^{-n}, n = 0..J
+    pw: NodePowers
+    conv: np.ndarray
+    mono: np.ndarray
+    proj_scale: np.ndarray
+    low: np.ndarray
+    y_edge: float
+
+
+@lru_cache(maxsize=8)
+def _fixed_points(quad_order: int, n_modes: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The s-independent parts of scale_tables.
+
+    The Gauss nodes, then the inner nodes, in z; h_0..h_{n_modes-1} at the
+    inner nodes; the largest |z| of the Gauss nodes.
+    """
+    nodes = gauss_rule(quad_order).nodes
+    z = inner_nodes()
+    return np.concatenate((nodes, z)), hermite_z_table(z, n_modes - 1), float(np.max(np.abs(nodes)))
+
+
+@lru_cache(maxsize=8)
+def scale_tables(s: float, k: int, n_modes: int, J: int, quad_order: int) -> ScaleTables:
+    """Build, once per scale time and sizes, the state-independent tables."""
+    I = float(scale_factor(s, k))
+    I2inv = I**-2
+    iexp = I ** (-np.arange(J + 1, dtype=float))
+    zq, ztab_inner, z_edge = _fixed_points(quad_order, n_modes)
+    pw = node_powers(zq / I, k)
+    hc, he, _, _ = _basis_structure(n_modes, J)
+    tables = ScaleTables(
+        I=I, I2inv=I2inv, iexp=iexp, pw=pw,
+        conv=hc * I2inv**he,
+        mono=monomial_table(J + 1, I2inv, J),
+        proj_scale=mode_projection_scale(I, n_modes),
+        low=ztab_inner * iexp[:n_modes, None],
+        y_edge=z_edge / I,
+    )
+    for arr in (*pw, iexp, tables.conv, tables.mono, tables.proj_scale, tables.low):
+        arr.flags.writeable = False  # one cached copy serves every caller
+    return tables
+
+
 # -- source jets -------------------------------------------------------------
 
 def _source_jets(
-    modes: np.ndarray, b: float, I2inv: float, params: ModelParams, J: int, variant: str
+    modes: np.ndarray, b: float, tab: ScaleTables, params: ModelParams, J: int, variant: str
 ) -> np.ndarray:
-    """Exact jets of N, D_s, R_s, M, and the coupling y^{2k} e_b q at q = q_+ (rows)."""
+    """Exact jets of N, D_s, R_s, M, and the coupling y^{2k} e_b q at q = q_+ (rows).
+
+    Each Toeplitz matrix is a gather from a jet kept with one trailing zero;
+    a source that carries a factor y^m is written into its row shifted by m.
+    """
     p, k = params.p, params.k
+    m = 2 * k
     a = alpha_consts(b, params)
+    idx = _toeplitz_index(J)
+    out = np.zeros((5, J + 1))
+    nonlin, drift, resid, modul, coupling = out
 
-    q = _modes_to_jet(modes, I2inv, J)
+    q = modes @ tab.conv
     dq = np.zeros(J + 1)
-    dq[:-1] = q[1:] * np.arange(1, J + 1)
+    np.multiply(q[1:], np.arange(1, J + 1), out=dq[:-1])
 
-    # e_b = (p-1)^{-1} sum_l (-b/(p-1))^l y^{2kl}, exact through degree J
-    e = np.zeros(J + 1)
-    e[:: 2 * k] = (-b / (p - 1.0)) ** np.arange(J // (2 * k) + 1) / (p - 1.0)
-    Te = _jet_matrix(e)
+    # e_b = (p-1)^{-1} sum_l (-b/(p-1))^l y^{2kl}, exact through degree J,
+    # stored after m zeros and before one: ext[m:] is e_b padded for its
+    # Toeplitz gather, ext[: J + 1] the jet of y^{2k} e_b
+    ext = np.zeros(J + 2 + m)
+    ext[m : J + 1 + m : m] = (-b / (p - 1.0)) ** np.arange(J // m + 1) / (p - 1.0)
+    ye = ext[: J + 1]
+    Te = ext[m:][idx]
 
     u = Te @ q
-    nonlin = _jet_binomial_power(u, p)
+    nonlin[:] = _jet_binomial_power(u, p)
     nonlin[0] -= 1.0
     nonlin -= p * u
 
-    def shift(jet: np.ndarray, m: int) -> np.ndarray:
-        out = np.zeros(J + 1)
-        out[m:] = jet[: J + 1 - m]
-        return out
-
-    drift = -4.0 * p * k * b / (p - 1.0) * I2inv * shift(Te @ dq, 2 * k - 1)
+    drift[m - 1:] = (Te @ dq)[: J + 2 - m]
+    drift *= -4.0 * p * k * b / (p - 1.0) * tab.I2inv
 
     resid_inner = np.zeros(J + 1)
     resid_inner[0] = a.alpha1
-    resid_inner += a.alpha2 * shift(e, 2 * k)
-    qpart = np.zeros(J + 1)
+    resid_inner += a.alpha2 * ye
+    qpart = np.zeros(J + 2)
     qpart[0] = a.alpha3
-    qpart += a.alpha4 * shift(e, 2 * k)
+    qpart[: J + 1] += a.alpha4 * ye
     if variant == "derived":
-        qpart = Te @ qpart
-    resid = I2inv * shift(resid_inner + _jet_matrix(qpart) @ q, 2 * k - 2)
+        qpart[: J + 1] = Te @ qpart[: J + 1]
+    resid[m - 2:] = (resid_inner + qpart[idx] @ q)[: J + 3 - m]
+    resid *= tab.I2inv
 
-    coupling = shift(u, 2 * k)  # y^{2k} e_b q
-    modul = np.zeros(J + 1)
-    modul[2 * k] = 1.0 / (p - 1.0) if variant == "derived" else p / (p - 1.0)
+    coupling[m:] = u[: J + 1 - m]  # y^{2k} e_b q
+    modul[m] = 1.0 / (p - 1.0) if variant == "derived" else p / (p - 1.0)
     modul += p / (p - 1.0) * coupling
-
-    return np.array([nonlin, drift, resid, modul, coupling])
+    return out
 
 
 # Gauss-Legendre nodes/weights on [0, 1]; exact through degree 15, so the
@@ -310,10 +395,10 @@ def _nonlinear_increment(qp: np.ndarray, r: np.ndarray, e: np.ndarray, p: float)
 
 
 def _increments(
-    qp: np.ndarray, r: np.ndarray, dr: np.ndarray, y: np.ndarray, b: float,
+    qp: np.ndarray, r: np.ndarray, dr: np.ndarray, pw: NodePowers, b: float,
     I2inv: float, params: ModelParams, variant: str,
 ) -> np.ndarray:
-    """Remainder-coupled source increments at the points y.
+    """Remainder-coupled source increments at the points pw.y.
 
     Returns the rows N, D_s, R_s, M of S(q_+ + r) - S(q_+), given q_+, r and
     dr/dy there, and as a fifth row the coupling increment y^{2k} e_b r.
@@ -323,18 +408,16 @@ def _increments(
     the projection conditioning.
     """
     p, k = params.p, params.k
-    _, e = eval_profile(y, b, params)
-    y2k = np.abs(y) ** (2 * k)
+    e = 1.0 / (p - 1.0 + b * pw.y2k)
     a = alpha_consts(b, params)
     qweight = e if variant == "derived" else 1.0
-    dC = y2k * e * r
-    return np.array([
-        _nonlinear_increment(qp, r, e, p),
-        drift_values(dr, y, e, b, I2inv, params),
-        I2inv * y ** (2 * k - 2) * qweight * (a.alpha3 + a.alpha4 * y2k * e) * r,
-        (p / (p - 1.0)) * dC,
-        dC,
-    ])
+    out = np.empty((5, r.size))
+    out[0] = _nonlinear_increment(qp, r, e, p)
+    out[1] = -4.0 * p * k * b / (p - 1.0) * I2inv * e * pw.ydrift * dr
+    out[2] = I2inv * pw.yres * qweight * (a.alpha3 + a.alpha4 * pw.y2k * e) * r
+    np.multiply(pw.y2k * e, r, out=out[4])
+    np.multiply(p / (p - 1.0), out[4], out=out[3])
+    return out
 
 
 # -- combined projections -----------------------------------------------------
@@ -345,13 +428,20 @@ class SourceProjections:
     Rows of jets and inc are the sources N, D_s, R_s, M. jets[:, n] holds the
     coefficient of H_n (n = 0..J) in each source's polynomial part, inc the
     projections of its remainder-coupled increment on the tracked modes, so
-    P_n = jets[:, n] + inc[:, n] for the tracked n.
+    P_n = jets[:, n] + inc[:, n] for the tracked n. When the remainder was a
+    ZRemainder, zrem is that remainder and zinc the increments N, D_s, R_s,
+    M at its inner nodes (None when the remainder is zero).
     """
 
-    def __init__(self, jets: np.ndarray, inc: np.ndarray, Pcoupling: np.ndarray):
+    def __init__(
+        self, jets: np.ndarray, inc: np.ndarray, Pcoupling: np.ndarray,
+        zrem: ZRemainder | None = None, zinc: np.ndarray | None = None,
+    ):
         self.jets = jets
         self.inc = inc
         self.Pcoupling = Pcoupling
+        self.zrem = zrem
+        self.zinc = zinc
         self.PN, self.PD, self.PR, self.PM = jets[:, : inc.shape[1]] + inc
 
     def bprime(
@@ -380,35 +470,49 @@ def projected_sources(
     product with the monomial table; the remainder enters through source
     increments evaluated at the quadrature nodes, where it is small, and
     projected together. A ZRemainder is brought to those nodes by its
-    frame's [S; S D], any other GridFunction by grid.sample.
+    frame's [S; S D], and its increments are evaluated in the same pass at
+    its own nodes, for remainder_source(); any other GridFunction is
+    sampled by grid.sample.
     """
     p, k = params.p, params.k
     n_modes = params.n_modes
     J = jet_order if jet_order is not None else default_jet_order(n_modes)
-    I = float(scale_factor(s, k))
-    I2inv = I**-2
+    tab = scale_tables(s, k, n_modes, J, quad.order)
 
     # the truncated e_b expansion must converge across the weight's support
-    y_edge = float(np.max(np.abs(quad.nodes))) / I
-    if b * y_edge ** (2 * k) / (p - 1.0) > 0.5:
+    if b * tab.y_edge ** (2 * k) / (p - 1.0) > 0.5:
         raise ValueError(
             "scale time too small for the jet projection route: the profile "
             "expansion parameter exceeds 1/2 on the quadrature support"
         )
 
-    coeffs = _source_jets(modes, b, I2inv, params, J, variant) @ monomial_table(
-        J + 1, I2inv, J
-    )
+    coeffs = _source_jets(modes, b, tab, params, J, variant) @ tab.mono
     inc = np.zeros((5, n_modes))
-    if np.any(rem.values != 0.0):
+    zinc = None
+    if (rem.values != 0.0).any():
+        nq = quad.order
         ztab = quad_hermite_table(quad, n_modes - 1)
-        y = quad.nodes / I
-        qp = (modes * I ** -np.arange(n_modes, dtype=float)) @ ztab
-        r, dr = _at_quadrature(rem, y, I)
-        incs = _increments(qp, r, dr, y, b, I2inv, params, variant)
-        inc = project_modes_from_samples(incs, s, k, n_modes, quad, ztab)
+        qp = (modes * tab.iexp[:n_modes]) @ ztab
+        if isinstance(rem, ZRemainder):
+            if rem.frame.quad_order != nq:
+                raise ValueError("z-frame built for another quadrature order")
+            rd = rem.frame.SD @ rem.values
+            qp = np.concatenate((qp, modes @ tab.low))
+            r = np.concatenate((rd[:nq], rem.values))
+            dr = tab.I * np.concatenate((rd[nq:], rem.frame.D @ rem.values))
+            incs = _increments(qp, r, dr, tab.pw, b, tab.I2inv, params, variant)
+            zinc = incs[:4, nq:]
+        else:
+            pw = NodePowers(*(a[:nq] for a in tab.pw))  # the Gauss nodes
+            r = sample(rem.nodes, rem.values, pw.y)
+            dr = sample(rem.nodes, derivative(rem.values, rem.spacing), pw.y)
+            incs = _increments(qp, r, dr, pw, b, tab.I2inv, params, variant)
+        inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, ztab, tab.proj_scale)
 
-    return SourceProjections(coeffs[:4], inc[:4], coeffs[4, :n_modes] + inc[4])
+    return SourceProjections(
+        coeffs[:4], inc[:4], coeffs[4, :n_modes] + inc[4],
+        zrem=rem if isinstance(rem, ZRemainder) else None, zinc=zinc,
+    )
 
 
 def remainder_source(
@@ -428,28 +532,34 @@ def remainder_source(
     the remainder-coupled increment minus its projections. Nothing is
     subtracted from an O(1) value, so the result keeps its relative accuracy
     where the remainder is of size I^{-M}; the direct difference S - Pi S
-    would bury it under the roundoff of S. A ZRemainder reads the basis and
-    the derivative from its frame; the nodes of any other GridFunction get
-    their own.
+    would bury it under the roundoff of S. A ZRemainder reads the basis from
+    the scale-time tables and its increments from proj, which must come from
+    projected_sources() on that same ZRemainder; the nodes of any other
+    GridFunction get their own basis and increments.
     """
     n_modes = params.n_modes
     J = proj.jets.shape[1] - 1
-    I = float(scale_factor(s, params.k))
     if isinstance(rem, ZRemainder):
-        y, ztab = rem.frame.z / I, rem.frame.ztab[: J + 1]
+        if proj.zrem is not rem:
+            raise ValueError("proj must come from projected_sources() on this ZRemainder")
+        tab = scale_tables(s, params.k, n_modes, J, rem.frame.quad_order)
+        iexp, ztab, low = tab.iexp, rem.frame.ztab[: J + 1], tab.low
     else:
-        y, ztab = rem.nodes, hermite_z_table(I * rem.nodes, J)
-    iexp = I ** (-np.arange(J + 1, dtype=float))
+        I = float(scale_factor(s, params.k))
+        ztab = hermite_z_table(I * rem.nodes, J)
+        iexp = I ** (-np.arange(J + 1, dtype=float))
+        low = ztab[:n_modes] * iexp[:n_modes, None]
     w = np.array([1.0, 1.0, 1.0, bprime])
     out = ((w @ proj.jets[:, n_modes:]) * iexp[n_modes:]) @ ztab[n_modes:]
-    if np.any(rem.values != 0.0):
+    if (rem.values != 0.0).any():
         if isinstance(rem, ZRemainder):
-            dr = I * (rem.frame.D @ rem.values)
+            incs = proj.zinc
         else:
             dr = derivative(rem.values, rem.spacing)
-        low = ztab[:n_modes] * iexp[:n_modes, None]
-        qp = modes @ low
-        incs = _increments(qp, rem.values, dr, y, b, I**-2, params, variant)
+            incs = _increments(
+                modes @ low, rem.values, dr, node_powers(rem.nodes, params.k), b, I**-2,
+                params, variant,
+            )
         out = out + w @ incs[:4] - (w @ proj.inc) @ low
     return out
 

@@ -28,10 +28,10 @@ from blowlab.dynamics import (
     run,
 )
 from blowlab.grid import GridFunction, uniform_grid
-from blowlab.hermite import decompose, gauss_rule, remainder_seminorm
+from blowlab.hermite import decompose, remainder_seminorm
 from blowlab.mehler import propagate
 from blowlab.operators import consistency_residual
-from blowlab.params import eval_profile, make_params, scale_factor
+from blowlab.params import eval_profile, scale_factor
 from blowlab.shooting import ShootConfig, search
 from blowlab.verify import verify_mehler, verify_spectral
 

@@ -7,7 +7,6 @@ import pytest
 from blowlab.cli import run_experiment
 from blowlab.config import ConfigError, RunConfig
 from blowlab.dynamics import FlowOptions, init_state, run
-from blowlab.params import make_params
 from blowlab.serialize import load_json, save_json, write_trajectory_csv
 
 

@@ -4,7 +4,6 @@ import pytest
 from blowlab.direct import (
     PdeRun,
     USolverOptions,
-    WSolverOptions,
     compare_profile,
     estimate_blowup_time,
     fit_profile_b,
@@ -16,7 +15,6 @@ from blowlab.direct import (
 from blowlab.grid import GridFunction, uniform_grid
 from blowlab.params import (
     eval_profile,
-    make_params,
     profile_second_derivative,
     scale_factor,
 )

@@ -13,9 +13,10 @@ from blowlab.dynamics import (
     run,
     step,
 )
-from blowlab.hermite import SpectralDecomposition
-from blowlab.grid import GridFunction
-from blowlab.params import make_params, scale_factor
+from blowlab import dynamics
+from blowlab.hermite import SpectralDecomposition, hermite_series, hermite_y_table
+from blowlab.params import alpha_consts, eval_profile, scale_factor
+from blowlab.projection import _fixed_points, scale_tables
 
 DELTA, B0, S0 = 0.1, 1.0, 20.0
 
@@ -299,3 +300,65 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
     scaled = np.abs(rec.final_state.inner) / (1.0 + np.abs(z)) ** params3.M
     # roundoff of the O(1e-2) sources would leave ~1e-18 here
     assert 0.0 < np.max(scaled) < I**-params3.M
+
+
+# every cache a flow stage reads that depends on s or on the outer grid
+FLOW_CACHES = (
+    scale_tables, _fixed_points, alpha_consts, dynamics._outer_grid_of, dynamics._outer_basis,
+)
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("s", [20.0, 28.005])
+def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
+    nodes = opts.nodes()
+    grid = dynamics._outer_grid(nodes, params3)
+    H = dynamics._outer_basis(s, grid.key, params3)
+    assert _same(grid.nodes, nodes)
+    assert _same(H, hermite_y_table(nodes, params3.n_modes - 1, s, 2))
+    # the step tail's leak series, from the stage's table
+    leak = np.array([3e-9, -1e-9, 2e-10, -5e-11])
+    assert _same(np.tensordot(leak, H[:4], axes=1), hermite_series(leak, nodes, s, 2))
+    b = 1.3
+    assert _same(1.0 / (params3.p - 1.0 + b * grid.y2k), eval_profile(nodes, b, params3)[1])
+    assert _same(grid.yM, np.abs(nodes) ** params3.M)
+    assert _same(grid.lam, 1.0 - np.arange(params3.n_modes) / 4.0)
+    assert not H.flags.writeable
+    # the key is the nodes themselves: another node set gets its own grid
+    other = dynamics._outer_grid(FlowOptions(n_nodes=201).nodes(), params3)
+    assert other.nodes.size == 201 and other.key != grid.key
+
+
+def test_trajectory_does_not_depend_on_cache_history(params3):
+    seed = np.array([0.2, -0.1, 0.15, 0.05])
+
+    def traj(opts, s0=S0):
+        st = init_state(seed, DELTA, B0, s0, params3, opts)
+        return run(st, s0 + 0.06, DELTA, B0, params3, ds=0.01, opts=opts)
+
+    for cache in FLOW_CACHES:
+        cache.cache_clear()
+    cold = traj(FlowOptions())
+    # other scale times, outer grids, a linear-only flow, another quadrature order
+    traj(FlowOptions(), s0=S0 + 0.005)
+    traj(FlowOptions(n_nodes=201))
+    traj(FlowOptions(linear_only=True, n_nodes=129))
+    traj(FlowOptions(quad_order=64))
+    warm = traj(FlowOptions())
+    for key, arr in cold.arrays().items():
+        assert _same(arr, warm.arrays()[key]), key
+    assert _same(cold.final_state.inner, warm.final_state.inner)
+    assert _same(cold.final_state.dec.remainder.values, warm.final_state.dec.remainder.values)
+
+
+def test_flow_caches_stay_bounded(params3, opts):
+    st = init_state(np.array([0.1, 0.1, -0.1, 0.05]), DELTA, B0, S0, params3, opts)
+    run(st, S0 + 0.2, DELTA, B0, params3, ds=0.01, opts=opts)  # 40 scale times
+    for cache in FLOW_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 16
+        assert info.currsize <= info.maxsize

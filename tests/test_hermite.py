@@ -19,7 +19,7 @@ from blowlab.hermite import (
     weight,
 )
 from blowlab.hermite import SpectralDecomposition
-from blowlab.params import make_params, scale_factor
+from blowlab.params import scale_factor
 from blowlab.projection import monomial_table
 
 

@@ -7,7 +7,7 @@ from scipy.integrate import quad as scipy_quad
 from blowlab.grid import GridFunction, uniform_grid
 from blowlab.hermite import decompose, eval_scaled_hermite, gauss_rule, remainder_seminorm
 from blowlab.mehler import kernel_eval, mode_multiplier, propagate
-from blowlab.params import make_params, scale_factor
+from blowlab.params import scale_factor
 
 
 def test_kernel_positivity_and_mass(params3):

@@ -72,6 +72,60 @@ def test_nonlinear_term_zero_and_cubic(params3):
     assert np.max(np.abs(out.values - oracle)) < 1e-14
 
 
+@pytest.mark.parametrize("p", [3.0, 2.5])
+def test_nonlinear_sign_changed_branch(p):
+    # 1 + e q <= 0 only far outside the set; there N is the direct form
+    from blowlab.operators import nonlinear_values
+    from blowlab.params import signed_power
+
+    rng = np.random.default_rng(17)
+    q = rng.uniform(-6.0, 2.0, size=257)
+    e = rng.uniform(0.2, 0.5, size=257)
+    u = e * q
+    base = 1.0 + u
+    assert np.any(base <= 0.0) and np.any(base > 0.0)
+    want = np.where(
+        base > 0.0,
+        np.expm1(p * np.log1p(np.where(base > 0.0, u, 0.0))) - p * u,
+        signed_power(base, p) - 1.0 - p * u,
+    )
+    got = nonlinear_values(q, e, p)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_even_powers_of_negative_points(k):
+    # |y|^{2k-2} in place of y^{2k-2}: the same values, off libm's slow path
+    # for negative bases. At k = 2 both are squares and agree bit for bit; at
+    # k = 3 numpy's vectorised power of a positive base rounds differently
+    # from the scalar path of a negative one by at most one ulp.
+    from blowlab.operators import residual_values
+    from blowlab.projection import _increments, node_powers
+
+    P = make_params(3.0, k)
+    y = uniform_grid(0.15, 257)
+    assert np.any(y < 0.0)
+    ulps = 0 if k == 2 else 1
+    assert np.all(np.abs(np.abs(y) ** (2 * k - 2) - y ** (2 * k - 2)) <= ulps * np.spacing(y ** (2 * k - 2)))
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 4 * ulps * np.finfo(float).eps * np.abs(want))
+
+    b, I2inv = 1.2, 2.5e-3
+    a = alpha_consts(b, P)
+    f, e = eval_profile(y, b, P)
+    y2k = np.abs(y) ** (2 * k)
+    yeven = y ** (2 * k - 2)
+    q = np.cos(7.0 * y)
+    want = I2inv * yeven * (a.alpha1 + a.alpha2 * y2k * e + e * (a.alpha3 + a.alpha4 * y2k * e) * q)
+    assert close(residual_values(q, y, e, b, I2inv, P, "derived"), want)
+    want = yeven * (a.alpha1 + a.alpha2 * y2k * e) * f**P.p
+    assert close(profile_second_derivative(y, b, P), want)
+    r = 1e-6 * np.sin(5.0 * y)
+    row = _increments(q, r, r, node_powers(y, k), b, I2inv, P, "derived")[2]
+    assert close(row, I2inv * yeven * e * (a.alpha3 + a.alpha4 * y2k * e) * r)
+
+
 def test_nonlinear_quadratic_coefficient():
     # N / (e_b q)^2 -> p(p-1)/2 as q -> 0, via a Richardson pair
     P = make_params(2.5, 2)

@@ -1,4 +1,7 @@
-"""The cached z-frame operators and jet products against the routines they stand for."""
+"""The cached z-frame operators, per-scale-time tables and jet products against
+the routines they stand for."""
+
+import math
 
 import numpy as np
 import pytest
@@ -11,18 +14,24 @@ from blowlab.hermite import (
     hermite_series,
     hermite_y_table,
     hermite_z_table,
+    quad_hermite_table,
 )
 from blowlab.operators import nonlinear_values
 from blowlab.params import scale_factor
 from blowlab.projection import (
     ZRemainder,
+    _basis_structure,
+    _increments,
     _jet_binomial_power,
-    _jet_matrix,
     _nonlinear_increment,
+    _toeplitz_index,
     default_jet_order,
     inner_nodes,
+    monomial_table,
+    node_powers,
     projected_sources,
     remainder_source,
+    scale_tables,
     z_frame,
 )
 
@@ -97,7 +106,9 @@ def test_z_remainder_gives_the_grid_function_results(params3, quad96, frame, s):
 def test_jet_matrix_product_is_truncated_convolution():
     rng = np.random.default_rng(7)
     a, b = rng.normal(size=18), rng.normal(size=18)
-    assert np.max(np.abs(_jet_matrix(a) @ b - np.convolve(a, b)[:18])) < 1e-14
+    # a jet kept with one trailing zero gathers into its Toeplitz matrix
+    T = np.concatenate((a, [0.0]))[_toeplitz_index(17)]
+    assert np.max(np.abs(T @ b - np.convolve(a, b)[:18])) < 1e-14
 
 
 @pytest.mark.parametrize("p", [3.0, 2.5])
@@ -142,3 +153,89 @@ def test_nonlinear_increment_matches_difference_of_sources(p):
     e = rng.uniform(0.3, 0.5, size=50)
     want = nonlinear_values(qp + r, e, p) - nonlinear_values(qp, e, p)
     assert np.max(np.abs(_nonlinear_increment(qp, r, e, p) - want)) <= 1e-14
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
+def test_scale_tables_equal_the_routines_they_replace(params3, quad96, frame, s):
+    n, J = params3.n_modes, frame.J
+    tab = scale_tables(s, K, n, J, 96)
+    I = float(scale_factor(s, K))
+    assert tab.I == I and tab.I2inv == I**-2
+    # each call site used to build these for itself
+    assert _same(tab.iexp, I ** (-np.arange(J + 1, dtype=float)))
+    assert _same(tab.iexp[:n], I ** -np.arange(n, dtype=float))
+    norms = 2.0 ** np.arange(n) * np.array([float(math.factorial(i)) for i in range(n)])
+    assert _same(tab.proj_scale, I ** np.arange(n) / norms)
+    hc, he, _, _ = _basis_structure(n, J)
+    assert _same(tab.conv, hc * (I**-2) ** he)  # the modes-to-jet table
+    assert _same(tab.mono, monomial_table(J + 1, I**-2, J))
+    assert _same(tab.low, frame.ztab[:n] * tab.iexp[:n, None])
+    yq, yi = quad96.nodes / I, frame.z / I
+    y, pw = np.concatenate((yq, yi)), tab.pw
+    assert _same(pw.y, y)
+    assert _same(pw.y2k, np.abs(y) ** 4)
+    assert _same(pw.ydrift, np.abs(y) ** 2 * y)
+    assert _same(pw.yres, y**2)
+    assert tab.y_edge == float(np.max(np.abs(quad96.nodes))) / I
+    # one cached copy serves every caller, so none may write to it
+    assert not any(a.flags.writeable for a in (*tab.pw, tab.iexp, tab.conv, tab.mono, tab.low))
+    assert scale_tables(s, K, n, J, 96) is tab
+
+
+@pytest.mark.parametrize("variant", ["derived", "paper"])
+@pytest.mark.parametrize("s", [20.0, 45.0])
+def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s, variant):
+    n = params3.n_modes
+    tab = scale_tables(s, K, n, frame.J, 96)
+    I = tab.I
+    vals = _inner_values(I)
+    modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15]) * I**-0.1
+    b = 1.1
+    rd = frame.SD @ vals
+    dri = frame.D @ vals
+    qpq = (modes * I ** -np.arange(n, dtype=float)) @ quad_hermite_table(quad96, n - 1)
+    qpi = modes @ tab.low
+    args = (b, I**-2, params3, variant)
+    gauss = _increments(qpq, rd[:96], I * rd[96:], node_powers(quad96.nodes / I, K), *args)
+    inner = _increments(qpi, vals, I * dri, node_powers(frame.z / I, K), *args)
+    fused = _increments(
+        np.concatenate((qpq, qpi)), np.concatenate((rd[:96], vals)),
+        I * np.concatenate((rd[96:], dri)), tab.pw, *args,
+    )
+    assert _same(fused[:, :96], gauss)
+    assert _same(fused[:, 96:], inner)
+    proj = projected_sources(modes, ZRemainder(frame, vals), b, s, params3, quad96, variant)
+    assert _same(proj.zinc, inner[:4])
+
+
+@pytest.mark.parametrize("s", [20.0, 45.0])
+def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
+    n = params3.n_modes
+    I = float(scale_factor(s, K))
+    vals = _inner_values(I)
+    modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15]) * I**-0.1
+    b = 1.1
+    rem = ZRemainder(frame, vals)
+    proj = projected_sources(modes, rem, b, s, params3, quad96)
+    bp = proj.bprime(params3, "derived")
+    got = remainder_source(proj, bp, modes, rem, b, s, params3)
+    # the same source with the increments evaluated at the inner nodes alone
+    iexp = I ** (-np.arange(frame.J + 1, dtype=float))
+    low = frame.ztab[:n] * iexp[:n, None]
+    incs = _increments(
+        modes @ low, vals, I * (frame.D @ vals), node_powers(frame.z / I, K), b, I**-2,
+        params3, "derived",
+    )
+    w = np.array([1.0, 1.0, 1.0, bp])
+    want = ((w @ proj.jets[:, n:]) * iexp[n:]) @ frame.ztab[n:]
+    want = want + w @ incs[:4] - (w @ proj.inc) @ low
+    assert _same(got, want)
+    # the rows belong to the remainder they were evaluated for
+    with pytest.raises(ValueError):
+        remainder_source(proj, bp, modes, ZRemainder(frame, vals.copy()), b, s, params3)

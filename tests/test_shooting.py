@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blowlab.dynamics import FlowOptions
-from blowlab.params import make_params, scale_factor
+from blowlab.params import scale_factor
 from blowlab.shooting import (
     SearchFailureError,
     ShootConfig,
