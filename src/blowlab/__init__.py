@@ -8,7 +8,6 @@ from .hermite import (  # noqa: F401
     SpectralDecomposition,
     decompose,
     gauss_rule,
-    norms,
     recompose,
 )
 from .dynamics import FlowOptions, SimState, init_state, membership, run, step  # noqa: F401

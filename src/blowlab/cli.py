@@ -9,9 +9,9 @@ error, 3 numerical failure, 4 failed checks.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +19,18 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig
 from .direct import (
+    PdeRun,
+    compare_profile,
     estimate_blowup_time,
     profile_distance_series,
     solve_u_physical,
     solve_w_direct,
-    USolverOptions,
 )
-from .dynamics import D_BOX_LIMIT, init_state, run
+from .dynamics import init_state, run
 from .grid import GridFunction, uniform_grid
 from .params import eval_profile, scale_factor
 from .serialize import fmt, load_json, save_json, write_trajectory_csv
-from .shooting import SearchFailureError, exit_map, search
+from .shooting import SearchFailureError, search
 from .verify import verify_mehler, verify_spectral
 
 EXIT_OK = 0
@@ -62,7 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("verify-spectral", help="run the basis/propagator identity suites"))
     add_common(sub.add_parser("simulate", help="integrate one modulated trajectory"))
     shoot_p = add_common(sub.add_parser("shoot", help="search for a surviving seed"))
-    shoot_p.add_argument("--jobs", type=int, default=1, help="workers for post-search probes")
     shoot_p.add_argument("--even-only", action="store_true", dest="even_only")
     shoot_p.add_argument("--linear-only", action="store_true", dest="linear_only")
     add_common(sub.add_parser("direct", help="run the direct PDE solvers"))
@@ -159,7 +159,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_shoot(cfg: RunConfig, jobs: int = 1) -> int:
+def _cmd_shoot(cfg: RunConfig) -> int:
     t0 = time.time()
     out = _outdir(cfg)
     params = cfg.params()
@@ -184,11 +184,7 @@ def _cmd_shoot(cfg: RunConfig, jobs: int = 1) -> int:
     csv_path = write_trajectory_csv(
         cert.survivor.record, params, out / "survivor-trajectory.csv"
     )
-    cert_dict = {"failed": False, **cert.to_dict()}
-    if jobs > 1:
-        probes = _perturbation_probes(d_star, shoot_cfg, params, jobs)
-        cert_dict["perturbation_probes"] = probes
-    cert_path = save_json(cert_dict, out / "certificate.json")
+    cert_path = save_json({"failed": False, **cert.to_dict()}, out / "certificate.json")
     save_json(
         _manifest(
             cfg, "shoot",
@@ -201,31 +197,6 @@ def _cmd_shoot(cfg: RunConfig, jobs: int = 1) -> int:
     return EXIT_OK
 
 
-def _perturbation_probes(d_star, cfg, params, jobs: int) -> list[dict]:
-    """Fan out one bumped trajectory per coordinate; report exit behavior."""
-    dim = d_star.size
-    candidates = []
-    for i in range(dim):
-        d = d_star.copy()
-        d[i] += 0.25
-        candidates.append((i, d))
-
-    def probe(item):
-        i, d = item
-        res = exit_map(np.clip(d, -D_BOX_LIMIT, D_BOX_LIMIT), cfg, params)
-        info = res.record.exit
-        return {
-            "coordinate": i,
-            "survived": res.survived,
-            "s_star": res.s_star,
-            "bound": None if info is None else info.bound,
-            "omega": None if info is None else info.omega,
-        }
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(probe, candidates))
-
-
 def _cmd_direct(cfg: RunConfig) -> int:
     t0 = time.time()
     out = _outdir(cfg)
@@ -235,14 +206,11 @@ def _cmd_direct(cfg: RunConfig) -> int:
     xg = uniform_grid(cfg.u_x_max, cfg.u_n_nodes)
     amp = params.kappa * cfg.u_T ** (-1.0 / (params.p - 1.0))
     u0 = GridFunction(xg, np.full_like(xg, amp))
-    urun = solve_u_physical(
-        u0, cfg.u_t_max, params, USolverOptions(blowup_threshold=cfg.blowup_threshold)
-    )
+    urun = solve_u_physical(u0, cfg.u_t_max, params, blowup_threshold=cfg.blowup_threshold)
     fit = estimate_blowup_time(urun, params)
     _write_series_csv(out / "u-sup-series.csv", ("t", "sup_u"), urun.sup_times, urun.sup_series)
 
     # self-similar-frame run seeded by the configured d
-    params_opts = cfg.flow_options()
     d = np.asarray(cfg.seed_vector())
     yg = uniform_grid(cfg.direct_y_max, cfg.direct_n_nodes)
     w0_vals = _seeded_profile(yg, d, cfg, params)
@@ -313,8 +281,6 @@ def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
         source = from_path
 
     # (a) manufactured solution: distances and fitted b must be exact
-    from .direct import PdeRun, compare_profile
-
     T, b_star = cfg.u_T, cfg.b0
     xg = uniform_grid(cfg.u_x_max, cfg.u_n_nodes)
     ts = T - T * np.exp(-np.linspace(0.0, 6.0, 25))
@@ -346,7 +312,7 @@ def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
     ds_half = series.distances[mask]
     checkpoints = np.linspace(half, cfg.s0 + s_len, 6)
     d_checks = np.interp(checkpoints, series.times, series.distances)
-    non_increasing = bool(np.all(np.diff(d_checks) <= 1e-12 + 0.0 * d_checks[:-1]))
+    non_increasing = bool(np.all(np.diff(d_checks) <= 1e-12))
 
     s_dyadic = cfg.s0 + np.log(2.0) * np.arange(6)
     b_dyadic = np.interp(s_dyadic, series.times, series.b_series)
@@ -383,10 +349,8 @@ def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
 
 
 def _write_series_csv(path, header, *columns) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in zip(*columns):
             writer.writerow([fmt(v) for v in row])
@@ -434,7 +398,7 @@ def run_experiment(argv) -> int:
         if args.command == "simulate":
             return _cmd_simulate(cfg)
         if args.command == "shoot":
-            return _cmd_shoot(cfg, jobs=getattr(args, "jobs", 1))
+            return _cmd_shoot(cfg)
         if args.command == "direct":
             return _cmd_direct(cfg)
         if args.command == "compare":

@@ -22,16 +22,12 @@ from .params import ModelParams, eval_profile, scale_factor, signed_power
 
 __all__ = [
     "PdeRun",
-    "WSolverOptions",
-    "USolverOptions",
     "BlowupFit",
     "ProfileFit",
     "ProfileComparison",
     "solve_w_direct",
     "solve_u_physical",
     "estimate_blowup_time",
-    "fit_profile_b",
-    "fit_profile_w",
     "compare_profile",
     "profile_distance_series",
 ]
@@ -39,6 +35,19 @@ __all__ = [
 TERM_HORIZON = "horizon"
 TERM_BLOWUP = "blowup-threshold"
 TERM_INSTABILITY = "instability"
+
+# w-solver: step as a fraction of each stability limit, snapshot spacing in s,
+# and the sup norm that ends a run
+W_CFL = 0.4
+W_SNAPSHOT_DS = 0.05
+W_BLOWUP_THRESHOLD = 1e6
+# u-solver: diffusive step as a fraction of h^2, reaction step as a fraction of
+# ||u||^{-(p-1)}, and a snapshot whenever the sup norm grows by the factor or
+# after the stride of steps
+U_CFL_DIFF = 0.35
+U_REACT_SAFETY = 0.02
+U_SNAPSHOT_GROWTH = 1.1
+U_MAX_SNAPSHOT_STRIDE = 2000
 
 
 @dataclass
@@ -53,27 +62,10 @@ class PdeRun:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class WSolverOptions:
-    cfl: float = 0.4
-    snapshot_ds: float = 0.05
-    blowup_threshold: float = 1e6
-
-
-@dataclass(frozen=True)
-class USolverOptions:
-    cfl_diff: float = 0.35
-    react_safety: float = 0.02
-    blowup_threshold: float = 1e8
-    snapshot_growth: float = 1.1
-    max_snapshot_stride: int = 2000
-
-
 def solve_w_direct(
     w0: GridFunction,
     s_range: tuple[float, float],
     params: ModelParams,
-    options: WSolverOptions = WSolverOptions(),
 ) -> PdeRun:
     """Integrate the self-similar frame equation with outflow boundaries."""
     s0, s1 = float(s_range[0]), float(s_range[1])
@@ -100,14 +92,14 @@ def solve_w_direct(
     snaps = [w.copy()]
     sup_t = [s0]
     sups = [float(np.max(np.abs(w)))]
-    next_snap = s0 + options.snapshot_ds
+    next_snap = s0 + W_SNAPSHOT_DS
     termination = TERM_HORIZON
     while s < s1 - 1e-12:
         I2 = float(scale_factor(s, k)) ** 2
         wmax = float(np.max(np.abs(w)))
-        dt_diff = options.cfl * h * h * I2
-        dt_adv = options.cfl * h / max(cmax, 1e-12)
-        dt_react = options.cfl / (1.0 / (p - 1.0) + p * max(wmax, 1e-12) ** (p - 1.0))
+        dt_diff = W_CFL * h * h * I2
+        dt_adv = W_CFL * h / max(cmax, 1e-12)
+        dt_react = W_CFL / (1.0 / (p - 1.0) + p * max(wmax, 1e-12) ** (p - 1.0))
         dt = min(dt_diff, dt_adv, dt_react, s1 - s, next_snap - s + 1e-15)
 
         k1 = rhs(w, s)
@@ -123,7 +115,7 @@ def solve_w_direct(
         wmax = float(np.max(np.abs(w)))
         sup_t.append(s)
         sups.append(wmax)
-        if wmax >= options.blowup_threshold:
+        if wmax >= W_BLOWUP_THRESHOLD:
             termination = TERM_BLOWUP
             times.append(s)
             snaps.append(w.copy())
@@ -131,7 +123,7 @@ def solve_w_direct(
         if s >= next_snap - 1e-12:
             times.append(s)
             snaps.append(w.copy())
-            next_snap += options.snapshot_ds
+            next_snap += W_SNAPSHOT_DS
     if termination == TERM_HORIZON and times[-1] < s:
         times.append(s)
         snaps.append(w.copy())
@@ -152,14 +144,16 @@ def solve_u_physical(
     u0: GridFunction,
     t_max: float,
     params: ModelParams,
-    options: USolverOptions = USolverOptions(),
+    *,
+    blowup_threshold: float = 1e8,
 ) -> PdeRun:
     """Method-of-lines integration of the reaction-diffusion equation.
 
     Homogeneous Dirichlet walls (endpoint values pinned to zero); adaptive
     time step limited by both the diffusive CFL and the reaction timescale
     ||u||_inf^{-(p-1)}. Time is accumulated in compensated arithmetic so the
-    final approach to blowup stays resolved.
+    final approach to blowup stays resolved. The run ends once the sup norm
+    reaches blowup_threshold.
     """
     nodes = u0.nodes
     h = u0.spacing
@@ -185,8 +179,8 @@ def solve_u_physical(
     termination = TERM_HORIZON
     while t < t_max:
         umax = float(np.max(np.abs(u)))
-        dt_diff = options.cfl_diff * h * h
-        dt_react = options.react_safety * max(umax, 1e-12) ** (-(p - 1.0))
+        dt_diff = U_CFL_DIFF * h * h
+        dt_react = U_REACT_SAFETY * max(umax, 1e-12) ** (-(p - 1.0))
         dt = min(dt_diff, dt_react, t_max - t)
 
         k1 = rhs(u)
@@ -207,12 +201,12 @@ def solve_u_physical(
         sup_t.append(t)
         sups.append(umax)
         stride += 1
-        if umax >= options.blowup_threshold:
+        if umax >= blowup_threshold:
             times.append(t)
             snaps.append(u.copy())
             termination = TERM_BLOWUP
             break
-        if umax >= options.snapshot_growth * last_snap_sup or stride >= options.max_snapshot_stride:
+        if umax >= U_SNAPSHOT_GROWTH * last_snap_sup or stride >= U_MAX_SNAPSHOT_STRIDE:
             times.append(t)
             snaps.append(u.copy())
             last_snap_sup = umax
@@ -301,26 +295,6 @@ def _fit_core(y: np.ndarray, w: np.ndarray, params: ModelParams, y_fit: float) -
     f_fit, _ = eval_profile(yy, max(b_hat, 0.0), params)
     residual = float(np.sqrt(np.mean((ww - f_fit) ** 2)))
     return ProfileFit(b=b_hat, flat=False, residual=residual, n_points=int(yy.size))
-
-
-def fit_profile_b(
-    snapshot: GridFunction, t: float, T_hat: float, params: ModelParams,
-    y_fit: float = 2.0,
-) -> ProfileFit:
-    """Rescale a physical snapshot to the profile frame and fit b over the core."""
-    if not t < T_hat:
-        raise ValueError("snapshot time must precede the blowup time")
-    tau = T_hat - t
-    y = snapshot.nodes * tau ** (-1.0 / (2 * params.k))
-    w = tau ** (1.0 / (params.p - 1.0)) * snapshot.values
-    return _fit_core(y, w, params, y_fit)
-
-
-def fit_profile_w(
-    w: GridFunction, params: ModelParams, y_fit: float = 2.0
-) -> ProfileFit:
-    """Fit b directly on a self-similar-frame snapshot."""
-    return _fit_core(w.nodes, w.values, params, y_fit)
 
 
 @dataclass(frozen=True)

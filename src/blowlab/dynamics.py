@@ -101,6 +101,14 @@ __all__ = [
 ]
 
 D_BOX_LIMIT = 2.0
+# the largest step a caller may ask for; substeps keep to stable_ds below it
+MAX_DS = 0.05
+# diffusive substep ceiling: CFL_SAFETY h^2 I^2 on the outer grid, h_z^2 on the inner
+CFL_SAFETY = 0.45
+# membership's remainder cushion, relative to the remainder's own amplitude
+SEM_REL_FLOOR = 0.05
+# a margin must fall below minus this to end a trajectory
+EXIT_HYSTERESIS = 1e-12
 
 # the inner remainder grid in z = I(s) y (Z_MAX, Z_NODES, inner_nodes) is
 # defined in projection, beside its cached operators; the outer grid copies
@@ -128,10 +136,6 @@ class FlowOptions:
     variant: str = "derived"
     linear_only: bool = False
     sem_floor: float = 1e-10
-    sem_rel_floor: float = 0.05
-    max_ds: float = 0.05
-    cfl_safety: float = 0.45
-    exit_hysteresis: float = 1e-12
 
     def nodes(self) -> np.ndarray:
         return uniform_grid(self.y_max, self.n_nodes)
@@ -143,13 +147,13 @@ class FlowOptions:
         h = 2.0 * self.y_max / (self.n_nodes - 1)
         I2 = float(scale_factor(s, k)) ** 2
         limits = [
-            self.max_ds,
-            self.cfl_safety * h * h * I2,
+            MAX_DS,
+            CFL_SAFETY * h * h * I2,
             1.2 * h / (self.y_max / (2.0 * k)),
         ]
         if not self.linear_only:
             hz = 2.0 * Z_MAX / (Z_NODES - 1)
-            limits += [self.cfl_safety * hz * hz, 1.2 * hz / (Z_MAX / 2.0)]
+            limits += [CFL_SAFETY * hz * hz, 1.2 * hz / (Z_MAX / 2.0)]
         return min(limits)
 
 
@@ -417,8 +421,8 @@ def _rk4(
 def _step_core(
     state: SimState, ds: float, params: ModelParams, opts: FlowOptions,
 ) -> tuple[SimState, float]:
-    if ds < 0 or ds > opts.max_ds:
-        raise ValueError(f"ds must lie in [0, {opts.max_ds}]")
+    if ds < 0 or ds > MAX_DS:
+        raise ValueError(f"ds must lie in [0, {MAX_DS}]")
     if not (
         np.isfinite(state.dec.modes).all()
         and np.isfinite(state.dec.remainder.values).all()
@@ -493,7 +497,7 @@ def membership(
         margins[f"mode_{m}"] = bound - abs(float(state.dec.modes[m]))
     sem = remainder_seminorm(
         state.dec.remainder, state.s, params,
-        floor=opts.sem_floor, rel_floor=opts.sem_rel_floor,
+        floor=opts.sem_floor, rel_floor=SEM_REL_FLOOR,
         nodes_pow_M=_outer_grid(state.dec.remainder.nodes, params).yM,
     )
     margins[_BOUND_QMINUS] = mode_bound - sem
@@ -561,7 +565,7 @@ def run(
     state = state0
     report = membership(state, delta, b0, params, opts)
     record.samples.append(_sample_of(state, 0.0, report))
-    while report.worst_margin >= -opts.exit_hysteresis and state.s < s_max - 1e-12:
+    while report.worst_margin >= -EXIT_HYSTERESIS and state.s < s_max - 1e-12:
         this_ds = min(ds, s_max - state.s)
         try:
             state_new, bp = _step_core(state, this_ds, params, opts)
@@ -577,7 +581,7 @@ def run(
         report = membership(state, delta, b0, params, opts)
         record.samples.append(_sample_of(state, bp, report))
 
-    if report.worst_margin < -opts.exit_hysteresis:
+    if report.worst_margin < -EXIT_HYSTERESIS:
         bound = _exit_bound(report, params)
         mode = int(bound.split("_")[1]) if bound.startswith("mode_") else None
         dqds, transversal = None, None

@@ -1,4 +1,4 @@
-"""Scaled Hermite basis, Gaussian weight, quadrature, projections and norms.
+"""Scaled Hermite basis, Gaussian quadrature, projections and the remainder seminorm.
 
 The weight is rho_s(y) = I(s)/sqrt(4 pi) * exp(-I(s)^2 y^2 / 4) with
 I(s) = exp((s/2)(1-1/k)); it has unit mass. The basis polynomials are
@@ -34,7 +34,6 @@ __all__ = [
     "QuadratureRule",
     "SpectralDecomposition",
     "gauss_rule",
-    "weight",
     "eval_scaled_hermite",
     "hermite_explicit_sum",
     "hermite_derivative",
@@ -47,7 +46,6 @@ __all__ = [
     "mode_projection_scale",
     "decompose",
     "recompose",
-    "norms",
     "remainder_seminorm",
     "multiply_identity",
 ]
@@ -75,13 +73,6 @@ def gauss_rule(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
         raise ValueError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
     x, w = hermgauss(order)
     return QuadratureRule(order=order, nodes=2.0 * x, weights=2.0 * w)
-
-
-def weight(y, s: float, k: int):
-    """Unit-mass Gaussian weight rho_s(y)."""
-    I = scale_factor(s, k)
-    y = np.asarray(y, dtype=float)
-    return I / math.sqrt(4.0 * math.pi) * np.exp(-((I * y) ** 2) / 4.0)
 
 
 def hermite_z_table(z, n_max: int) -> np.ndarray:
@@ -277,17 +268,6 @@ def remainder_seminorm(
         nodes_pow_M = np.abs(rem.nodes) ** params.M
     denom = I ** (-params.M) + nodes_pow_M + cushion
     return float(np.max(vals / denom))
-
-
-def norms(
-    dec: SpectralDecomposition, params: ModelParams, floor: float = 0.0
-) -> tuple[float, float, float]:
-    """Return (sum_m |q_m| + |q_-|_s, |q_-|_s, L^infty_M norm of the recomposition)."""
-    sem = remainder_seminorm(dec.remainder, dec.s, params, floor)
-    total = float(np.sum(np.abs(dec.modes))) + sem
-    g = recompose(dec, params)
-    linf = float(np.max(np.abs(g.values) / (1.0 + np.abs(g.nodes) ** params.M)))
-    return total, sem, linf
 
 
 def multiply_identity(ell: int, n: int, s: float, k: int) -> dict[int, float]:

@@ -26,8 +26,6 @@ R_s is kept for comparison and for the q = 0 contracts it satisfies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import GridFunction, derivative, sample, second_derivative
@@ -41,14 +39,12 @@ from .params import ModelParams, alpha_consts, eval_profile, q_to_w, scale_facto
 
 __all__ = [
     "ModulationBreakdownError",
-    "RhsBundle",
     "apply_Ls",
     "eval_N",
     "eval_DR",
     "eval_M",
     "modulation_rate",
     "solve_bprime",
-    "assemble_rhs",
     "w_rhs",
     "consistency_residual",
     "nonlinear_values",
@@ -68,28 +64,6 @@ class ModulationBreakdownError(RuntimeError):
 def _check_variant(variant: str) -> None:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-@dataclass(frozen=True)
-class RhsBundle:
-    """All RHS terms of one state, on the state's grid."""
-
-    linear: GridFunction
-    nonlinear: GridFunction
-    drift: GridFunction
-    residual: GridFunction
-    modulation: GridFunction
-    bprime: float
-
-    def total(self) -> GridFunction:
-        vals = (
-            self.linear.values
-            + self.nonlinear.values
-            + self.drift.values
-            + self.residual.values
-            + self.bprime * self.modulation.values
-        )
-        return self.linear.with_values(vals)
 
 
 def apply_Ls(f: GridFunction, s: float, params: ModelParams) -> GridFunction:
@@ -183,23 +157,17 @@ def eval_M(
 
 
 def _state_at_quad(
-    state: SpectralDecomposition | GridFunction, s: float, params: ModelParams,
-    quad: QuadratureRule,
+    state: SpectralDecomposition, s: float, params: ModelParams, quad: QuadratureRule,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(y_quad, q, grad q) at the quadrature nodes."""
     I = float(scale_factor(s, params.k))
     y = quad.nodes / I
-    if isinstance(state, SpectralDecomposition):
-        q = hermite_series(state.modes, y, s, params.k)
-        dq = _series_derivative(state.modes, y, s, params.k)
-        rem = state.remainder
-        q = q + sample(rem.nodes, rem.values, y)
-        drem = derivative(rem.values, rem.spacing)
-        dq = dq + sample(rem.nodes, drem, y)
-    else:
-        q = sample(state.nodes, state.values, y)
-        dq_grid = derivative(state.values, state.spacing)
-        dq = sample(state.nodes, dq_grid, y)
+    q = hermite_series(state.modes, y, s, params.k)
+    dq = _series_derivative(state.modes, y, s, params.k)
+    rem = state.remainder
+    q = q + sample(rem.nodes, rem.values, y)
+    drem = derivative(rem.values, rem.spacing)
+    dq = dq + sample(rem.nodes, drem, y)
     return y, q, dq
 
 
@@ -212,15 +180,13 @@ def _project_single(f_quad: np.ndarray, s: float, k: int, n: int, quad: Quadratu
     return float(project_modes_from_samples(f_quad, s, k, n + 1, quad)[n])
 
 
-def modulation_rate(
-    P_sum: float, P_coupling: float, p: float, variant: str, threshold: float,
-) -> float:
+def modulation_rate(P_sum: float, P_coupling: float, p: float, variant: str) -> float:
     """b' from P_2k of N + D_s + R_s (P_sum) and of y^{2k} e_b q (P_coupling).
 
     P_2k(M) = (1 + p P_coupling)/(p - 1) in the derived form and
     p (1 + P_coupling)/(p - 1) in the paper form; b' cancels the rest of
     dq_{2k}/ds. Raises ModulationBreakdownError when the denominator (the
-    bracket of P_2k(M)) is below threshold in magnitude.
+    bracket of P_2k(M)) is below DENOM_THRESHOLD in magnitude.
     """
     if variant == "derived":
         denom = 1.0 + p * P_coupling
@@ -228,21 +194,20 @@ def modulation_rate(
     else:
         denom = 1.0 + P_coupling
         scale = -(p - 1.0) / p
-    if abs(denom) < threshold:
+    if abs(denom) < DENOM_THRESHOLD:
         raise ModulationBreakdownError(
-            f"modulation denominator {denom:.3g} below threshold {threshold}"
+            f"modulation denominator {denom:.3g} below threshold {DENOM_THRESHOLD}"
         )
     return scale * P_sum / denom
 
 
 def solve_bprime(
-    state: SpectralDecomposition | GridFunction,
+    state: SpectralDecomposition,
     b: float,
     s: float,
     params: ModelParams,
     quad: QuadratureRule,
     variant: str = "derived",
-    denom_threshold: float = DENOM_THRESHOLD,
 ) -> float:
     """b'(s) that keeps the neutral mode q_{2k} = 0 to first order.
 
@@ -263,34 +228,7 @@ def solve_bprime(
         + _project_single(residual_values(q, y, e, b, I2inv, params, variant), s, k, n, quad)
     )
     coupling = _project_single(np.abs(y) ** (2 * k) * e * q, s, k, n, quad)
-    return modulation_rate(proj_sum, coupling, p, variant, denom_threshold)
-
-
-def assemble_rhs(
-    q: GridFunction,
-    b: float,
-    s: float,
-    params: ModelParams,
-    quad: QuadratureRule,
-    variant: str = "derived",
-    bprime: float | None = None,
-) -> RhsBundle:
-    """Evaluate every RHS term on q's grid; b' solved unless supplied."""
-    _check_variant(variant)
-    linear = apply_Ls(q, s, params)
-    nonlinear = eval_N(q, b, params)
-    drift, residual = eval_DR(q, b, s, params, variant)
-    modulation = eval_M(q, b, params, variant)
-    if bprime is None:
-        bprime = solve_bprime(q, b, s, params, quad, variant)
-    return RhsBundle(
-        linear=linear,
-        nonlinear=nonlinear,
-        drift=drift,
-        residual=residual,
-        modulation=modulation,
-        bprime=float(bprime),
-    )
+    return modulation_rate(proj_sum, coupling, p, variant)
 
 
 def w_rhs(w: GridFunction, s: float, params: ModelParams) -> GridFunction:
@@ -325,9 +263,14 @@ def consistency_residual(
     the "derived" modulation form by construction). The gap over the grid
     interior is the derivation-consistency residual.
     """
-    _check_variant(variant)
-    bundle = assemble_rhs(q, b, s, params, quad=None, variant=variant, bprime=bprime)
-    assembled = bundle.total().values
+    drift, residual = eval_DR(q, b, s, params, variant)
+    assembled = (
+        apply_Ls(q, s, params).values
+        + eval_N(q, b, params).values
+        + drift.values
+        + residual.values
+        + bprime * eval_M(q, b, params, variant).values
+    )
 
     w = q.with_values(q_to_w(q.values, q.nodes, b, params))
     wr = w_rhs(w, s, params)

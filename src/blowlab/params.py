@@ -1,4 +1,4 @@
-"""Model constants, the flat profile family, and frame changes.
+"""Model constants and the flat profile family.
 
 The physical problem is u_t = u_xx + |u|^{p-1} u with p > 1 and a flatness
 index k >= 2. The self-similar frame is
@@ -30,12 +30,8 @@ __all__ = [
     "scale_factor",
     "eval_profile",
     "profile_second_derivative",
-    "e_b_series",
     "alpha_consts",
-    "physical_to_selfsimilar",
-    "selfsimilar_to_physical",
     "q_to_w",
-    "w_to_q",
     "signed_power",
 ]
 
@@ -114,21 +110,6 @@ def profile_second_derivative(y, b: float, params: ModelParams):
     return np.abs(y) ** (2 * params.k - 2) * (a.alpha1 + a.alpha2 * y2k * e) * f**params.p
 
 
-def e_b_series(y, b: float, params: ModelParams, depth: int):
-    """Geometric expansion of e_b truncated at the given depth.
-
-    Partial sum of (p-1)^{-1} sum_l (-b y^{2k}/(p-1))^l; the truncation error
-    is |b y^{2k}/(p-1)|^{depth+1} e_b, small where the expansion ratio is < 1.
-    """
-    x = -b * np.abs(np.asarray(y, dtype=float)) ** (2 * params.k) / (params.p - 1.0)
-    total = np.zeros_like(x)
-    term = np.ones_like(x)
-    for _ in range(depth + 1):
-        total = total + term
-        term = term * x
-    return total / (params.p - 1.0)
-
-
 @lru_cache(maxsize=8)
 def alpha_consts(b: float, params: ModelParams) -> AlphaConstants:
     """Curvature-source coefficients at b (cached: a flow stage asks for them
@@ -142,41 +123,10 @@ def alpha_consts(b: float, params: ModelParams) -> AlphaConstants:
     )
 
 
-def physical_to_selfsimilar(x, t, u, T: float, params: ModelParams):
-    """Map (x, t, u) to (y, s, w); requires t < T."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t >= T):
-        raise ValueError("physical time must satisfy t < T")
-    tau = T - t
-    y = np.asarray(x, dtype=float) * tau ** (-1.0 / (2 * params.k))
-    s = -np.log(tau)
-    w = tau ** (1.0 / (params.p - 1.0)) * np.asarray(u, dtype=float)
-    return y, s, w
-
-
-def selfsimilar_to_physical(y, s, w, T: float, params: ModelParams):
-    """Inverse of physical_to_selfsimilar; requires s >= -ln T."""
-    s = np.asarray(s, dtype=float)
-    if np.any(s < -np.log(T)):
-        raise ValueError("scale time must satisfy s >= -ln T")
-    tau = np.exp(-s)
-    x = np.asarray(y, dtype=float) * tau ** (1.0 / (2 * params.k))
-    t = T - tau
-    u = tau ** (-1.0 / (params.p - 1.0)) * np.asarray(w, dtype=float)
-    return x, t, u
-
-
 def q_to_w(q, y, b: float, params: ModelParams):
     """w = f_b (1 + e_b q) on the given nodes."""
     f, e = eval_profile(y, b, params)
     return f * (1.0 + e * np.asarray(q, dtype=float))
-
-
-def w_to_q(w, y, b: float, params: ModelParams):
-    """q = w f_b^{-p} - (p - 1 + b y^{2k}), the exact inverse of q_to_w."""
-    f, _ = eval_profile(y, b, params)
-    F = params.p - 1.0 + b * np.abs(np.asarray(y, dtype=float)) ** (2 * params.k)
-    return np.asarray(w, dtype=float) * f ** (-params.p) - F
 
 
 def signed_power(x, p: float):

@@ -65,7 +65,7 @@ from .hermite import (
     quad_hermite_table,
 )
 from .params import ModelParams, alpha_consts, scale_factor
-from .operators import DENOM_THRESHOLD, modulation_rate
+from .operators import modulation_rate
 
 __all__ = [
     "Z_MAX",
@@ -444,13 +444,10 @@ class SourceProjections:
         self.zinc = zinc
         self.PN, self.PD, self.PR, self.PM = jets[:, : inc.shape[1]] + inc
 
-    def bprime(
-        self, params: ModelParams, variant: str, denom_threshold: float = DENOM_THRESHOLD,
-    ) -> float:
+    def bprime(self, params: ModelParams, variant: str) -> float:
         n = 2 * params.k
         return modulation_rate(
             self.PN[n] + self.PD[n] + self.PR[n], self.Pcoupling[n], params.p, variant,
-            denom_threshold,
         )
 
 
@@ -462,7 +459,6 @@ def projected_sources(
     params: ModelParams,
     quad: QuadratureRule,
     variant: str = "derived",
-    jet_order: int | None = None,
 ) -> SourceProjections:
     """Tracked-mode projections of N, D_s, R_s, M and the modulation coupling.
 
@@ -476,7 +472,7 @@ def projected_sources(
     """
     p, k = params.p, params.k
     n_modes = params.n_modes
-    J = jet_order if jet_order is not None else default_jet_order(n_modes)
+    J = default_jet_order(n_modes)
     tab = scale_tables(s, k, n_modes, J, quad.order)
 
     # the truncated e_b expansion must converge across the weight's support
@@ -572,8 +568,7 @@ def solve_bprime_projected(
     params: ModelParams,
     quad: QuadratureRule,
     variant: str = "derived",
-    denom_threshold: float = DENOM_THRESHOLD,
 ) -> float:
     """Modulation rate via the jet-based projections (conditioned at large s)."""
     proj = projected_sources(modes, rem, b, s, params, quad, variant)
-    return proj.bprime(params, variant, denom_threshold)
+    return proj.bprime(params, variant)

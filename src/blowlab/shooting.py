@@ -43,6 +43,9 @@ __all__ = [
     "search",
 ]
 
+# the search's trajectory budget
+MAX_TRAJECTORIES = 400
+
 
 @dataclass(frozen=True)
 class ShootConfig:
@@ -54,7 +57,6 @@ class ShootConfig:
     depth: int = 40
     ds: float = 0.01
     even_only: bool = False
-    max_trajectories: int = 400
     flow: FlowOptions = field(default_factory=FlowOptions)
 
     def __post_init__(self):
@@ -183,11 +185,11 @@ def search(cfg: ShootConfig, params: ModelParams) -> tuple[np.ndarray, SurvivorC
         halvings[mode] += 1
 
     while True:
-        if n_traj >= cfg.max_trajectories:
+        if n_traj >= MAX_TRAJECTORIES:
             if best is None:
                 raise SearchFailureError("trajectory budget exhausted", seed(center), None)
             raise SearchFailureError(
-                f"no survivor within {cfg.max_trajectories} trajectories",
+                f"no survivor within {MAX_TRAJECTORIES} trajectories",
                 best[1], best[2],
             )
         n_traj += 1

@@ -14,6 +14,9 @@ def test_config_defaults_and_round_trip():
     cfg = RunConfig()
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
+    integral = RunConfig.from_dict({"k": 3.0, "n_nodes": 129.0})
+    assert (integral.k, integral.n_nodes) == (3, 129)
+    assert type(integral.k) is int and type(integral.n_nodes) is int
 
 
 def test_config_rejects_unknown_keys():
@@ -32,6 +35,10 @@ def test_config_rejects_unknown_keys():
         {"d": [1.0, 2.0]},
         {"shoot_depth": 0},
         {"d": [0.0, 2.5, 0.0, 0.0]},
+        {"k": 2.5},
+        {"n_nodes": 200.5},
+        {"quad_order": 64.5},
+        {"shoot_depth": 3.5},
     ],
 )
 def test_config_rejects_bad_values(patch):
@@ -86,6 +93,9 @@ def test_cli_unknown_and_bad_config(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"mystery": 1}))
     assert run_experiment(["simulate", "--config", str(cfgfile)]) == 2
+    cfgfile.write_text(json.dumps({"n_nodes": 200.5}))
+    assert run_experiment(["simulate", "--config", str(cfgfile)]) == 2
+    assert run_experiment(["shoot", "--outdir", str(tmp_path), "--jobs", "2"]) == 2
 
 
 def test_cli_simulate_out_of_box(tmp_path):

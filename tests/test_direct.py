@@ -3,11 +3,9 @@ import pytest
 
 from blowlab.direct import (
     PdeRun,
-    USolverOptions,
+    _fit_core,
     compare_profile,
     estimate_blowup_time,
-    fit_profile_b,
-    fit_profile_w,
     profile_distance_series,
     solve_u_physical,
     solve_w_direct,
@@ -119,29 +117,18 @@ def test_estimate_blowup_time_rejects_flat_series(params3):
 def test_fit_profile_reference_cases(params3):
     nodes = uniform_grid(6.0, 1201)
     f1, _ = eval_profile(nodes, 1.0, params3)
-    fit = fit_profile_w(GridFunction(nodes, f1), params3)
+    fit = _fit_core(nodes, f1, params3, 2.0)
     assert fit.b == pytest.approx(1.0, abs=1e-8)
     assert not fit.flat
 
     rng = np.random.default_rng(40)
     noisy = f1 + 1e-3 * rng.uniform(-1, 1, size=nodes.size)
-    fit_n = fit_profile_w(GridFunction(nodes, noisy), params3)
+    fit_n = _fit_core(nodes, noisy, params3, 2.0)
     assert abs(fit_n.b - 1.0) < 1e-2
 
-    flat = fit_profile_w(GridFunction(nodes, np.full_like(nodes, params3.kappa)), params3)
+    flat = _fit_core(nodes, np.full_like(nodes, params3.kappa), params3, 2.0)
     assert flat.b == 0.0
     assert flat.flat
-
-
-def test_fit_profile_b_physical_frame(params3):
-    T, b_star, t = 0.1, 0.8, 0.07
-    xg = uniform_grid(10.0, 1001)
-    tau = T - t
-    u = tau**-0.5 * eval_profile(xg * tau**-0.25, b_star, params3)[0]
-    fit = fit_profile_b(GridFunction(xg, u), t, T, params3)
-    assert fit.b == pytest.approx(b_star, abs=1e-12)
-    with pytest.raises(ValueError):
-        fit_profile_b(GridFunction(xg, u), T + 0.1, T, params3)
 
 
 def _manufactured_run(params, T, b_star, n_snap=25):
@@ -173,7 +160,7 @@ def test_compare_profile_generic_bump_control(params3):
     """Control experiment: unprepared data gives a drifting fit (reported)."""
     xg = uniform_grid(10.0, 1001)
     u0 = GridFunction(xg, 3.0 * np.exp(-(xg**2)))
-    run = solve_u_physical(u0, 1.0, params3, USolverOptions(blowup_threshold=1e6))
+    run = solve_u_physical(u0, 1.0, params3, blowup_threshold=1e6)
     assert run.termination == "blowup-threshold"
     fit = estimate_blowup_time(run, params3)
     cmp_ = compare_profile(run, fit.T_hat, params3, min_snapshots=5)
@@ -203,9 +190,7 @@ def test_solver_agreement_between_frames(params3):
     xg = yg * T**0.25
     u0 = T**-0.5 * w0
     t_end = T - np.exp(-(s0 + s_len))
-    urun = solve_u_physical(
-        GridFunction(xg, u0), t_end, params3, USolverOptions(blowup_threshold=1e12)
-    )
+    urun = solve_u_physical(GridFunction(xg, u0), t_end, params3, blowup_threshold=1e12)
     assert urun.termination == "horizon"
 
     # compare at the final common time, over the core in rescaled variables

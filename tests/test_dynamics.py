@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blowlab.dynamics import (
+    SEM_REL_FLOOR,
     Z_MAX,
     FlowOptions,
     SimState,
@@ -148,7 +149,7 @@ def test_membership_reports_the_recorded_seminorm(params3, opts):
     rep = membership(final, DELTA, B0, params3, opts)
     want = remainder_seminorm(
         final.dec.remainder, final.s, params3,
-        floor=opts.sem_floor, rel_floor=opts.sem_rel_floor,
+        floor=opts.sem_floor, rel_floor=SEM_REL_FLOOR,
     )
     assert want > 0.0
     assert rep.qminus_seminorm == want

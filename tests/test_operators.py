@@ -13,7 +13,6 @@ from blowlab.hermite import (
 from blowlab.operators import (
     ModulationBreakdownError,
     apply_Ls,
-    assemble_rhs,
     consistency_residual,
     eval_DR,
     eval_M,
@@ -383,23 +382,6 @@ def test_projection_smallness_patterns(params3, quad96, term):
     vals = np.array(vals)
     # boundedness: the second half of the sweep does not outgrow the first
     assert np.max(vals[5:]) <= 2.0 * max(np.max(vals[:5]), 1e-12)
-
-
-def test_assemble_rhs_bundle(params3, quad96):
-    rng = np.random.default_rng(14)
-    nodes = uniform_grid(1.0, 513)
-    q = GridFunction(nodes, 0.1 * np.exp(-(nodes / 0.3) ** 2))
-    bundle = assemble_rhs(q, 1.0, 5.0, params3, quad96)
-    total = bundle.total()
-    manual = (
-        bundle.linear.values
-        + bundle.nonlinear.values
-        + bundle.drift.values
-        + bundle.residual.values
-        + bundle.bprime * bundle.modulation.values
-    )
-    assert np.array_equal(total.values, manual)
-    assert np.isfinite(bundle.bprime)
 
 
 def test_remainder_source_matches_direct_difference(params3, quad96):

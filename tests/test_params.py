@@ -3,16 +3,12 @@ import pytest
 
 from blowlab.params import (
     alpha_consts,
-    e_b_series,
     eval_profile,
     make_params,
-    physical_to_selfsimilar,
     profile_second_derivative,
     q_to_w,
     scale_factor,
-    selfsimilar_to_physical,
     signed_power,
-    w_to_q,
 )
 
 
@@ -104,18 +100,6 @@ def test_profile_second_derivative_closed_form():
     assert np.allclose(profile_second_derivative(y, 1.3, P), fd, atol=1e-6)
 
 
-def test_e_b_geometric_expansion():
-    P = make_params(3.0, 2)
-    b = 1.0
-    # |b y^{2k}/(p-1)| <= 1/2 on this window
-    y = np.linspace(-1.0, 1.0, 201)
-    _, e = eval_profile(y, b, P)
-    for depth in (2, 5, 9):
-        approx = e_b_series(y, b, P, depth)
-        bound = 0.5 ** (depth + 1) * np.max(e)
-        assert np.max(np.abs(approx - e)) <= bound + 1e-15
-
-
 def test_alpha_consts_values():
     P = make_params(3.0, 2)
     a = alpha_consts(1.0, P)
@@ -124,39 +108,6 @@ def test_alpha_consts_values():
     assert (a0.alpha1, a0.alpha2, a0.alpha3, a0.alpha4) == (0.0, 0.0, 0.0, 0.0)
     ah = alpha_consts(0.5, P)
     assert (ah.alpha1, ah.alpha2, ah.alpha3, ah.alpha4) == (-3.0, 3.0, -9.0, 15.0)
-
-
-def test_selfsimilar_map_space_independent_solution():
-    P = make_params(3.0, 2)
-    T = 0.25
-    t = np.linspace(0.0, 0.2, 17)
-    u = P.kappa * (T - t) ** (-0.5)
-    y, s, w = physical_to_selfsimilar(np.zeros_like(t), t, u, T, P)
-    assert np.allclose(w, P.kappa, rtol=1e-14)
-    assert np.allclose(y, 0.0)
-    assert np.allclose(s, -np.log(T - t))
-
-
-def test_selfsimilar_map_round_trip():
-    rng = np.random.default_rng(1)
-    P = make_params(2.4, 2)
-    T = 0.7
-    x = rng.uniform(-3, 3, 50)
-    t = rng.uniform(0, 0.6, 50)
-    u = rng.normal(size=50)
-    y, s, w = physical_to_selfsimilar(x, t, u, T, P)
-    x2, t2, u2 = selfsimilar_to_physical(y, s, w, T, P)
-    assert np.max(np.abs(x2 - x)) < 1e-14
-    assert np.max(np.abs(t2 - t)) < 1e-14
-    assert np.max(np.abs(u2 - u)) < 1e-13
-
-
-def test_selfsimilar_map_rejects_late_times():
-    P = make_params(3.0, 2)
-    with pytest.raises(ValueError):
-        physical_to_selfsimilar(0.0, 0.5, 1.0, 0.5, P)
-    with pytest.raises(ValueError):
-        selfsimilar_to_physical(0.0, 0.0, 1.0, 0.5, P)
 
 
 def test_q_w_maps():
@@ -168,13 +119,12 @@ def test_q_w_maps():
     w = q_to_w(np.zeros_like(y), y, b, P)
     assert np.allclose(w, f, rtol=1e-15)
 
-    q = w_to_q(f * (1 + e), y, b, P)
-    assert np.allclose(q, 1.0, atol=1e-12)
+    assert np.allclose(q_to_w(np.ones_like(y), y, b, P), f * (1 + e), rtol=1e-15)
 
+    # f_b e_b = f_b^p, so the perturbation of w is f_b^p q
     rng = np.random.default_rng(2)
     q0 = rng.normal(scale=0.5, size=y.size)
-    back = w_to_q(q_to_w(q0, y, b, P), y, b, P)
-    assert np.max(np.abs(back - q0)) < 1e-13
+    assert np.max(np.abs(q_to_w(q0, y, b, P) - f - f**P.p * q0)) < 1e-13
 
 
 def test_signed_power():
