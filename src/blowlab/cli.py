@@ -17,9 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig
+from .config import (
+    DIRECT_N_NODES, DIRECT_S_LEN, DIRECT_Y_MAX, U_N_NODES, U_T_MAX, U_X_MAX, ConfigError, RunConfig,
+)
 from .direct import (
     PdeRun,
+    ProfileComparison,
     compare_profile,
     estimate_blowup_time,
     profile_distance_series,
@@ -203,21 +206,15 @@ def _cmd_direct(cfg: RunConfig) -> int:
     params = cfg.params()
 
     # physical-frame blowup experiment from space-independent data
-    xg = uniform_grid(cfg.u_x_max, cfg.u_n_nodes)
+    xg = uniform_grid(U_X_MAX, U_N_NODES)
     amp = params.kappa * cfg.u_T ** (-1.0 / (params.p - 1.0))
     u0 = GridFunction(xg, np.full_like(xg, amp))
-    urun = solve_u_physical(u0, cfg.u_t_max, params, blowup_threshold=cfg.blowup_threshold)
+    urun = solve_u_physical(u0, U_T_MAX, params)
     fit = estimate_blowup_time(urun, params)
     _write_series_csv(out / "u-sup-series.csv", ("t", "sup_u"), urun.sup_times, urun.sup_series)
 
     # self-similar-frame run seeded by the configured d
-    d = np.asarray(cfg.seed_vector())
-    yg = uniform_grid(cfg.direct_y_max, cfg.direct_n_nodes)
-    w0_vals = _seeded_profile(yg, d, cfg, params)
-    wrun = solve_w_direct(
-        GridFunction(yg, w0_vals), (cfg.s0, cfg.s0 + cfg.direct_s_len), params
-    )
-    series = profile_distance_series(wrun, params, y_fit=cfg.y_fit, y_window=cfg.y_window)
+    wrun, series = _seeded_w_run(np.asarray(cfg.seed_vector()), cfg, params)
     _write_series_csv(
         out / "w-profile-series.csv", ("s", "b_fit", "sup_distance"),
         series.times, series.b_series, series.distances,
@@ -255,13 +252,18 @@ def _cmd_direct(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _seeded_profile(yg: np.ndarray, d: np.ndarray, cfg: RunConfig, params) -> np.ndarray:
+def _seeded_w_run(d: np.ndarray, cfg: RunConfig, params) -> tuple[PdeRun, ProfileComparison]:
+    """The w-run from f_b0 (1 + e_b0 sum_i d_i I^{-delta}(s0) y^i) over DIRECT_S_LEN
+    units of s, and its profile series."""
+    yg = uniform_grid(DIRECT_Y_MAX, DIRECT_N_NODES)
     f, e = eval_profile(yg, cfg.b0, params)
     amp = float(scale_factor(cfg.s0, params.k)) ** (-cfg.delta)
     psi = np.zeros_like(yg)
     for i, di in enumerate(d):
         psi += di * amp * yg**i
-    return f * (1.0 + e * psi)
+    w0 = GridFunction(yg, f * (1.0 + e * psi))
+    wrun = solve_w_direct(w0, (cfg.s0, cfg.s0 + DIRECT_S_LEN), params)
+    return wrun, profile_distance_series(wrun, params)
 
 
 def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
@@ -282,7 +284,7 @@ def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
 
     # (a) manufactured solution: distances and fitted b must be exact
     T, b_star = cfg.u_T, cfg.b0
-    xg = uniform_grid(cfg.u_x_max, cfg.u_n_nodes)
+    xg = uniform_grid(U_X_MAX, U_N_NODES)
     ts = T - T * np.exp(-np.linspace(0.0, 6.0, 25))
     snaps = np.array(
         [
@@ -296,21 +298,18 @@ def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
         sup_series=np.array([float(np.max(np.abs(s))) for s in snaps]),
         termination="blowup-threshold", frame="u",
     )
-    man = compare_profile(man_run, T, params, y_fit=cfg.y_fit, y_window=cfg.y_window)
+    man = compare_profile(man_run, T, params)
     man_dist = float(np.max(man.distances))
     man_berr = float(np.max(np.abs(man.b_series - b_star)))
 
-    # (b) survivor-seeded self-similar run: trend checks
-    yg = uniform_grid(cfg.direct_y_max, cfg.direct_n_nodes)
-    w0 = GridFunction(yg, _seeded_profile(yg, d, cfg, params))
-    s_len = max(cfg.direct_s_len, 5.0 * np.log(2.0) + 0.5)
-    wrun = solve_w_direct(w0, (cfg.s0, cfg.s0 + s_len), params)
-    series = profile_distance_series(wrun, params, y_fit=cfg.y_fit, y_window=cfg.y_window)
+    # (b) survivor-seeded self-similar run: trend checks; DIRECT_S_LEN
+    # covers the five dyadic b increments below
+    _, series = _seeded_w_run(d, cfg, params)
 
-    half = cfg.s0 + s_len / 2.0
+    half = cfg.s0 + DIRECT_S_LEN / 2.0
     mask = series.times >= half - 1e-9
     ds_half = series.distances[mask]
-    checkpoints = np.linspace(half, cfg.s0 + s_len, 6)
+    checkpoints = np.linspace(half, cfg.s0 + DIRECT_S_LEN, 6)
     d_checks = np.interp(checkpoints, series.times, series.distances)
     non_increasing = bool(np.all(np.diff(d_checks) <= 1e-12))
 

@@ -12,6 +12,15 @@ from .shooting import ShootConfig
 
 __all__ = ["RunConfig", "ConfigError"]
 
+# the fixed grids of the direct and compare experiments: the w-run over
+# DIRECT_S_LEN units of s, the u-run up to t = U_T_MAX, before which u_T lies
+DIRECT_Y_MAX = 6.0
+DIRECT_N_NODES = 1201
+DIRECT_S_LEN = 7.0
+U_X_MAX = 10.0
+U_N_NODES = 1001
+U_T_MAX = 1.0
+
 
 class ConfigError(ValueError):
     """Invalid configuration file or key."""
@@ -29,26 +38,14 @@ class RunConfig:
     ds: float = 0.01
     horizon: float = 10.0
     d: list[float] | None = None
-    y_max: float = 0.15
-    n_nodes: int = 257
     quad_order: int = 96
-    sem_floor: float = 1e-10
     # shooting
     shoot_box: float = D_BOX_LIMIT
     shoot_depth: int = 40
     even_only: bool = False
     linear_only: bool = False
     # direct solvers
-    direct_y_max: float = 6.0
-    direct_n_nodes: int = 1201
-    direct_s_len: float = 7.0
-    u_x_max: float = 10.0
-    u_n_nodes: int = 1001
-    u_t_max: float = 1.0
     u_T: float = 0.1
-    blowup_threshold: float = 1e8
-    y_fit: float = 2.0
-    y_window: float = 3.0
     # bookkeeping
     outdir: str = "runs"
 
@@ -61,22 +58,10 @@ class RunConfig:
             (self.s0 > 0, "s0 must be > 0"),
             (0 < self.ds <= MAX_DS, f"ds must lie in (0, {MAX_DS}]"),
             (self.horizon > 0, "horizon must be > 0"),
-            (self.y_max > 0, "y_max must be > 0"),
-            (self.n_nodes >= 16, "n_nodes must be >= 16"),
             (self.quad_order >= 8, "quad_order must be >= 8"),
-            (self.sem_floor >= 0, "sem_floor must be >= 0"),
             (0 < self.shoot_box <= D_BOX_LIMIT, f"shoot_box must lie in (0, {D_BOX_LIMIT}]"),
             (self.shoot_depth >= 1, "shoot_depth must be >= 1"),
-            (self.direct_y_max > 0, "direct_y_max must be > 0"),
-            (self.direct_n_nodes >= 16, "direct_n_nodes must be >= 16"),
-            (self.direct_s_len > 0, "direct_s_len must be > 0"),
-            (self.u_x_max > 0, "u_x_max must be > 0"),
-            (self.u_n_nodes >= 16, "u_n_nodes must be >= 16"),
-            (self.u_t_max > 0, "u_t_max must be > 0"),
-            (self.u_T > 0, "u_T must be > 0"),
-            (self.blowup_threshold > 1, "blowup_threshold must be > 1"),
-            (self.y_fit > 0, "y_fit must be > 0"),
-            (self.y_window > 0, "y_window must be > 0"),
+            (0 < self.u_T < U_T_MAX, f"u_T must lie in (0, {U_T_MAX})"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -93,13 +78,7 @@ class RunConfig:
         return make_params(self.p, self.k)
 
     def flow_options(self) -> FlowOptions:
-        return FlowOptions(
-            y_max=self.y_max,
-            n_nodes=self.n_nodes,
-            quad_order=self.quad_order,
-            linear_only=self.linear_only,
-            sem_floor=self.sem_floor,
-        )
+        return FlowOptions(quad_order=self.quad_order, linear_only=self.linear_only)
 
     def shoot_config(self) -> ShootConfig:
         return ShootConfig(

@@ -48,6 +48,9 @@ U_CFL_DIFF = 0.35
 U_REACT_SAFETY = 0.02
 U_SNAPSHOT_GROWTH = 1.1
 U_MAX_SNAPSHOT_STRIDE = 2000
+# profile fits: b is fitted on |y| <= Y_FIT, distances are taken on |y| <= Y_WINDOW
+Y_FIT = 2.0
+Y_WINDOW = 3.0
 
 
 @dataclass
@@ -307,79 +310,8 @@ class ProfileComparison:
     n_used: int
 
 
-def compare_profile(
-    run: PdeRun,
-    T_hat: float,
-    params: ModelParams,
-    y_fit: float = 2.0,
-    y_window: float = 3.0,
-    min_snapshots: int = 10,
-) -> ProfileComparison:
-    """Per-snapshot profile fit and sup distance for a physical blowup run.
-
-    Each usable snapshot is rescaled, b is fitted, and the sup distance to
-    the fitted profile over |y| <= y_window is recorded, together with the
-    slope of log(distance) against log(T_hat - t).
-    """
-    if run.frame != "u":
-        raise ValueError("compare_profile expects a physical-frame run")
-    times, taus, bs, ds = [], [], [], []
-    for t, snap in zip(run.times, run.snapshots):
-        tau = T_hat - t
-        if tau <= 0.0:
-            continue
-        scale = tau ** (-1.0 / (2 * params.k))
-        if float(np.max(np.abs(run.nodes))) * scale < y_window:
-            continue  # rescaled grid does not cover the comparison window yet
-        y = run.nodes * scale
-        w = tau ** (1.0 / (params.p - 1.0)) * snap
-        try:
-            fit = _fit_core(y, w, params, y_fit)
-        except ValueError:
-            continue
-        mask = np.abs(y) <= y_window
-        f_ref, _ = eval_profile(y[mask], max(fit.b, 0.0), params)
-        dist = float(np.max(np.abs(w[mask] - f_ref)))
-        times.append(float(t))
-        taus.append(float(tau))
-        bs.append(fit.b)
-        ds.append(dist)
-    if len(times) < min_snapshots:
-        raise ValueError(
-            f"only {len(times)} usable snapshots; need >= {min_snapshots}"
-        )
-    taus_a = np.array(taus)
-    ds_a = np.array(ds)
-    good = ds_a > 0.0
-    if int(np.sum(good)) >= 2:
-        slope = float(np.polyfit(np.log(taus_a[good]), np.log(ds_a[good]), 1)[0])
-    else:
-        slope = math.nan
-    return ProfileComparison(
-        times=np.array(times),
-        tau=taus_a,
-        b_series=np.array(bs),
-        distances=ds_a,
-        loglog_slope=slope,
-        n_used=len(times),
-    )
-
-
-def profile_distance_series(
-    run: PdeRun, params: ModelParams, y_fit: float = 2.0, y_window: float = 3.0
-) -> ProfileComparison:
-    """Profile fits and sup distances along a self-similar-frame run."""
-    if run.frame != "w":
-        raise ValueError("profile_distance_series expects a self-similar run")
-    times, taus, bs, ds = [], [], [], []
-    mask = np.abs(run.nodes) <= y_window
-    for s, snap in zip(run.times, run.snapshots):
-        fit = _fit_core(run.nodes, snap, params, y_fit)
-        f_ref, _ = eval_profile(run.nodes[mask], max(fit.b, 0.0), params)
-        times.append(float(s))
-        taus.append(math.exp(-s))
-        bs.append(fit.b)
-        ds.append(float(np.max(np.abs(snap[mask] - f_ref))))
+def _comparison(times: list, taus: list, bs: list, ds: list) -> ProfileComparison:
+    """The record of a profile series, with its slope of log(distance) against log(tau)."""
     taus_a = np.array(taus)
     ds_a = np.array(ds)
     good = ds_a > 0.0
@@ -396,3 +328,61 @@ def profile_distance_series(
         loglog_slope=slope,
         n_used=len(times),
     )
+
+
+def compare_profile(
+    run: PdeRun,
+    T_hat: float,
+    params: ModelParams,
+    min_snapshots: int = 10,
+) -> ProfileComparison:
+    """Per-snapshot profile fit and sup distance for a physical blowup run.
+
+    Each usable snapshot is rescaled, b is fitted, and the sup distance to
+    the fitted profile over |y| <= Y_WINDOW is recorded, together with the
+    slope of log(distance) against log(T_hat - t).
+    """
+    if run.frame != "u":
+        raise ValueError("compare_profile expects a physical-frame run")
+    times, taus, bs, ds = [], [], [], []
+    for t, snap in zip(run.times, run.snapshots):
+        tau = T_hat - t
+        if tau <= 0.0:
+            continue
+        scale = tau ** (-1.0 / (2 * params.k))
+        if float(np.max(np.abs(run.nodes))) * scale < Y_WINDOW:
+            continue  # rescaled grid does not cover the comparison window yet
+        y = run.nodes * scale
+        w = tau ** (1.0 / (params.p - 1.0)) * snap
+        try:
+            fit = _fit_core(y, w, params, Y_FIT)
+        except ValueError:
+            continue
+        mask = np.abs(y) <= Y_WINDOW
+        f_ref, _ = eval_profile(y[mask], max(fit.b, 0.0), params)
+        dist = float(np.max(np.abs(w[mask] - f_ref)))
+        times.append(float(t))
+        taus.append(float(tau))
+        bs.append(fit.b)
+        ds.append(dist)
+    if len(times) < min_snapshots:
+        raise ValueError(
+            f"only {len(times)} usable snapshots; need >= {min_snapshots}"
+        )
+    return _comparison(times, taus, bs, ds)
+
+
+def profile_distance_series(run: PdeRun, params: ModelParams) -> ProfileComparison:
+    """Profile fits and sup distances along a self-similar-frame run."""
+    if run.frame != "w":
+        raise ValueError("profile_distance_series expects a self-similar run")
+    times, taus, bs, ds = [], [], [], []
+    mask = np.abs(run.nodes) <= Y_WINDOW
+    for s, snap in zip(run.times, run.snapshots):
+        fit = _fit_core(run.nodes, snap, params, Y_FIT)
+        f_ref, _ = eval_profile(run.nodes[mask], max(fit.b, 0.0), params)
+        times.append(float(s))
+        taus.append(math.exp(-s))
+        bs.append(fit.b)
+        ds.append(float(np.max(np.abs(snap[mask] - f_ref))))
+    return _comparison(times, taus, bs, ds)

@@ -24,7 +24,7 @@ classical RK4 but by different mechanisms:
   the stacked interpolation [S; S D] to the Gauss nodes, the derivative and
   the basis table h_0..h_J. A stage applies them as matrix products and
   hands the grid's values over as a projection.ZRemainder. An outer grid over
-  |y| <= y_max, with pointwise sources, carries the remainder where the
+  |y| <= Y_MAX, with pointwise sources, carries the remainder where the
   weighted sup |q_-|_s looks, far outside the weight.
 
 What a stage needs that depends only on the outer nodes (their powers, the
@@ -67,7 +67,7 @@ from .operators import (
     nonlinear_values,
     residual_values,
 )
-from .params import ModelParams, scale_factor
+from .params import ModelParams, NodePowers, node_powers, scale_factor
 from .projection import (
     Z_MAX,
     Z_NODES,
@@ -105,7 +105,11 @@ D_BOX_LIMIT = 2.0
 MAX_DS = 0.05
 # diffusive substep ceiling: CFL_SAFETY h^2 I^2 on the outer grid, h_z^2 on the inner
 CFL_SAFETY = 0.45
-# membership's remainder cushion, relative to the remainder's own amplitude
+# the outer remainder grid spans |y| <= Y_MAX
+Y_MAX = 0.15
+# membership's remainder cushion: an absolute floor, and one relative to the
+# remainder's own amplitude
+SEM_FLOOR = 1e-10
 SEM_REL_FLOOR = 0.05
 # a margin must fall below minus this to end a trajectory
 EXIT_HYSTERESIS = 1e-12
@@ -130,26 +134,24 @@ class FlowOptions:
     ceiling.
     """
 
-    y_max: float = 0.15
     n_nodes: int = 257
     quad_order: int = 96
     variant: str = "derived"
     linear_only: bool = False
-    sem_floor: float = 1e-10
 
     def nodes(self) -> np.ndarray:
-        return uniform_grid(self.y_max, self.n_nodes)
+        return uniform_grid(Y_MAX, self.n_nodes)
 
     def quad(self) -> QuadratureRule:
         return gauss_rule(self.quad_order)
 
     def stable_ds(self, s: float, k: int) -> float:
-        h = 2.0 * self.y_max / (self.n_nodes - 1)
+        h = 2.0 * Y_MAX / (self.n_nodes - 1)
         I2 = float(scale_factor(s, k)) ** 2
         limits = [
             MAX_DS,
             CFL_SAFETY * h * h * I2,
-            1.2 * h / (self.y_max / (2.0 * k)),
+            1.2 * h / (Y_MAX / (2.0 * k)),
         ]
         if not self.linear_only:
             hz = 2.0 * Z_MAX / (Z_NODES - 1)
@@ -296,7 +298,7 @@ class _OuterGrid(NamedTuple):
     nodes: np.ndarray
     h: float
     wind: np.ndarray  # y / 2k, the transport speed
-    y2k: np.ndarray  # |y|^{2k}
+    pw: NodePowers  # the nodes' powers that the pointwise sources use
     yM: np.ndarray  # |y|^M, the seminorm's weight
     lam: np.ndarray  # 1 - n/2k, the tracked modes' linear rates
 
@@ -307,10 +309,10 @@ def _outer_grid_of(key: bytes, params: ModelParams) -> _OuterGrid:
     k = params.k
     grid = _OuterGrid(
         key=key, nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
-        y2k=np.abs(nodes) ** (2 * k), yM=np.abs(nodes) ** params.M,
+        pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
         lam=1.0 - np.arange(params.n_modes) / (2.0 * k),
     )
-    for arr in (grid.wind, grid.y2k, grid.yM, grid.lam):
+    for arr in (grid.wind, *grid.pw[1:], grid.yM, grid.lam):
         arr.flags.writeable = False  # one cached copy serves every caller
     return grid
 
@@ -367,15 +369,15 @@ def _stage(
     dmodes[2 * k] = 0.0
 
     # pointwise sources on the outer grid minus their tracked-mode content
-    nodes, H = grid.nodes, _outer_basis(s, grid.key, params)
+    H = _outer_basis(s, grid.key, params)
     q_grid = modes @ H + rem_vals
     dq_grid = (modes[1:] * np.arange(1, params.n_modes)) @ H[:-1] + derivative(rem_vals, h)
-    e = 1.0 / (params.p - 1.0 + b * grid.y2k)  # e_b
+    e = 1.0 / (params.p - 1.0 + b * grid.pw.y2k)  # e_b
     S = (
         nonlinear_values(q_grid, e, params.p)
-        + drift_values(dq_grid, nodes, e, b, I2inv, params)
-        + residual_values(q_grid, nodes, e, b, I2inv, params, opts.variant)
-        + bprime * modulation_values(q_grid, nodes, e, params, opts.variant)
+        + drift_values(dq_grid, grid.pw, e, b, I2inv, params)
+        + residual_values(q_grid, grid.pw, e, b, I2inv, params, opts.variant)
+        + bprime * modulation_values(q_grid, grid.pw, e, params, opts.variant)
     )
     drem = Ls_rem + S - src_proj @ H
     dinner = frame.L @ inner_vals + remainder_source(
@@ -497,7 +499,7 @@ def membership(
         margins[f"mode_{m}"] = bound - abs(float(state.dec.modes[m]))
     sem = remainder_seminorm(
         state.dec.remainder, state.s, params,
-        floor=opts.sem_floor, rel_floor=SEM_REL_FLOOR,
+        floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR,
         nodes_pow_M=_outer_grid(state.dec.remainder.nodes, params).yM,
     )
     margins[_BOUND_QMINUS] = mode_bound - sem

@@ -35,7 +35,10 @@ from .hermite import (
     hermite_series,
     project_modes_from_samples,
 )
-from .params import ModelParams, alpha_consts, eval_profile, q_to_w, scale_factor, signed_power
+from .params import (
+    ModelParams, NodePowers, alpha_consts, eval_profile, node_powers, q_to_w, scale_factor,
+    signed_power,
+)
 
 __all__ = [
     "ModulationBreakdownError",
@@ -104,23 +107,20 @@ def eval_N(q: GridFunction, b: float, params: ModelParams) -> GridFunction:
 
 
 def drift_values(
-    dq: np.ndarray, y: np.ndarray, e: np.ndarray, b: float, I2inv: float, params: ModelParams
+    dq: np.ndarray, pw: NodePowers, e: np.ndarray, b: float, I2inv: float, params: ModelParams
 ) -> np.ndarray:
     p, k = params.p, params.k
-    # |y|^{2k-2} y: a power of a negative base takes libm's slow path
-    return -4.0 * p * k * b / (p - 1.0) * I2inv * e * (np.abs(y) ** (2 * k - 2) * y) * dq
+    return -4.0 * p * k * b / (p - 1.0) * I2inv * e * pw.ydrift * dq
 
 
 def residual_values(
-    q: np.ndarray, y: np.ndarray, e: np.ndarray, b: float, I2inv: float,
+    q: np.ndarray, pw: NodePowers, e: np.ndarray, b: float, I2inv: float,
     params: ModelParams, variant: str,
 ) -> np.ndarray:
     a = alpha_consts(b, params)
-    y2k = np.abs(y) ** (2 * params.k)
     qweight = e if variant == "derived" else 1.0
-    # even powers of |y|: a power of a negative base takes libm's slow path
-    return I2inv * np.abs(y) ** (2 * params.k - 2) * (
-        a.alpha1 + a.alpha2 * y2k * e + qweight * (a.alpha3 + a.alpha4 * y2k * e) * q
+    return I2inv * pw.yres * (
+        a.alpha1 + a.alpha2 * pw.y2k * e + qweight * (a.alpha3 + a.alpha4 * pw.y2k * e) * q
     )
 
 
@@ -131,20 +131,20 @@ def eval_DR(
     _check_variant(variant)
     I2inv = float(scale_factor(s, params.k)) ** -2
     _, e = eval_profile(q.nodes, b, params)
+    pw = node_powers(q.nodes, params.k)
     dq = derivative(q.values, q.spacing)
-    d_vals = drift_values(dq, q.nodes, e, b, I2inv, params)
-    r_vals = residual_values(q.values, q.nodes, e, b, I2inv, params, variant)
+    d_vals = drift_values(dq, pw, e, b, I2inv, params)
+    r_vals = residual_values(q.values, pw, e, b, I2inv, params, variant)
     return q.with_values(d_vals), q.with_values(r_vals)
 
 
 def modulation_values(
-    q: np.ndarray, y: np.ndarray, e: np.ndarray, params: ModelParams, variant: str
+    q: np.ndarray, pw: NodePowers, e: np.ndarray, params: ModelParams, variant: str
 ) -> np.ndarray:
     p = params.p
-    y2k = np.abs(y) ** (2 * params.k)
     if variant == "derived":
-        return y2k / (p - 1.0) * (1.0 + p * e * q)
-    return p / (p - 1.0) * y2k * (1.0 + e * q)
+        return pw.y2k / (p - 1.0) * (1.0 + p * e * q)
+    return p / (p - 1.0) * pw.y2k * (1.0 + e * q)
 
 
 def eval_M(
@@ -153,7 +153,8 @@ def eval_M(
     """Profile-parameter sensitivity term; defaults to the literal form."""
     _check_variant(variant)
     _, e = eval_profile(q.nodes, b, params)
-    return q.with_values(modulation_values(q.values, q.nodes, e, params, variant))
+    pw = node_powers(q.nodes, params.k)
+    return q.with_values(modulation_values(q.values, pw, e, params, variant))
 
 
 def _state_at_quad(
@@ -221,13 +222,14 @@ def solve_bprime(
     I2inv = float(scale_factor(s, params.k)) ** -2
     y, q, dq = _state_at_quad(state, s, params, quad)
     _, e = eval_profile(y, b, params)
+    pw = node_powers(y, k)
 
     proj_sum = (
         _project_single(nonlinear_values(q, e, p), s, k, n, quad)
-        + _project_single(drift_values(dq, y, e, b, I2inv, params), s, k, n, quad)
-        + _project_single(residual_values(q, y, e, b, I2inv, params, variant), s, k, n, quad)
+        + _project_single(drift_values(dq, pw, e, b, I2inv, params), s, k, n, quad)
+        + _project_single(residual_values(q, pw, e, b, I2inv, params, variant), s, k, n, quad)
     )
-    coupling = _project_single(np.abs(y) ** (2 * k) * e * q, s, k, n, quad)
+    coupling = _project_single(pw.y2k * e * q, s, k, n, quad)
     return modulation_rate(proj_sum, coupling, p, variant)
 
 
@@ -274,8 +276,8 @@ def consistency_residual(
 
     w = q.with_values(q_to_w(q.values, q.nodes, b, params))
     wr = w_rhs(w, s, params)
-    f, e = eval_profile(q.nodes, b, params)
-    chain = modulation_values(q.values, q.nodes, e, params, "derived")
+    f, _ = eval_profile(q.nodes, b, params)
+    chain = eval_M(q, b, params, "derived").values
     direct = f ** (-params.p) * wr.values + bprime * chain
 
     sl = slice(n_edge, len(q) - n_edge)

@@ -20,12 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ModelParams",
     "AlphaConstants",
+    "NodePowers",
+    "node_powers",
     "make_params",
     "scale_factor",
     "eval_profile",
@@ -64,6 +67,25 @@ class AlphaConstants:
     alpha2: float
     alpha3: float
     alpha4: float
+
+
+class NodePowers(NamedTuple):
+    """Points y with the powers of |y| that the sources use.
+
+    Even powers are taken of |y|: a power of a negative base takes libm's
+    slow path.
+    """
+
+    y: np.ndarray
+    y2k: np.ndarray  # |y|^{2k}
+    ydrift: np.ndarray  # |y|^{2k-2} y
+    yres: np.ndarray  # |y|^{2k-2}
+
+
+def node_powers(y: np.ndarray, k: int) -> NodePowers:
+    ay = np.abs(y)
+    yres = ay ** (2 * k - 2)
+    return NodePowers(y, ay ** (2 * k), yres * y, yres)
 
 
 def make_params(p: float, k: int) -> ModelParams:

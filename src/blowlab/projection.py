@@ -64,7 +64,7 @@ from .hermite import (
     project_modes_from_samples,
     quad_hermite_table,
 )
-from .params import ModelParams, alpha_consts, scale_factor
+from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor
 from .operators import modulation_rate
 
 __all__ = [
@@ -75,8 +75,6 @@ __all__ = [
     "ZFrame",
     "z_frame",
     "ZRemainder",
-    "NodePowers",
-    "node_powers",
     "ScaleTables",
     "scale_tables",
     "monomial_table",
@@ -245,25 +243,6 @@ def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
 
 
 # -- per-scale-time tables ----------------------------------------------------
-
-class NodePowers(NamedTuple):
-    """Points y with the powers of |y| that the sources use.
-
-    Even powers are taken of |y|: a power of a negative base takes libm's
-    slow path.
-    """
-
-    y: np.ndarray
-    y2k: np.ndarray  # |y|^{2k}
-    ydrift: np.ndarray  # |y|^{2k-2} y
-    yres: np.ndarray  # |y|^{2k-2}
-
-
-def node_powers(y: np.ndarray, k: int) -> NodePowers:
-    ay = np.abs(y)
-    yres = ay ** (2 * k - 2)
-    return NodePowers(y, ay ** (2 * k), yres * y, yres)
-
 
 class ScaleTables(NamedTuple):
     """What the projections need at one scale time, independent of the state.

@@ -34,12 +34,12 @@ class SpectralReport:
     product_identity_err: float
     weight_mass_err: float
 
-    def passed(self, tol_orth=1e-8, tol_jordan=1e-8, tol_prod=1e-10, tol_mass=1e-12) -> bool:
+    def passed(self) -> bool:
         return (
-            self.orthogonality_rel_err < tol_orth
-            and self.jordan_rel_err < tol_jordan
-            and self.product_identity_err < tol_prod
-            and self.weight_mass_err < tol_mass
+            self.orthogonality_rel_err < 1e-8
+            and self.jordan_rel_err < 1e-8
+            and self.product_identity_err < 1e-10
+            and self.weight_mass_err < 1e-12
         )
 
     def to_dict(self) -> dict:
@@ -52,11 +52,11 @@ class MehlerReport:
     semigroup_err: float
     mass_rel_err: float
 
-    def passed(self, tol_mult=1e-5, tol_semi=1e-4, tol_mass=1e-8) -> bool:
+    def passed(self) -> bool:
         return (
-            self.multiplier_rel_err < tol_mult
-            and self.semigroup_err < tol_semi
-            and self.mass_rel_err < tol_mass
+            self.multiplier_rel_err < 1e-5
+            and self.semigroup_err < 1e-4
+            and self.mass_rel_err < 1e-8
         )
 
     def to_dict(self) -> dict:

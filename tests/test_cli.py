@@ -14,14 +14,29 @@ def test_config_defaults_and_round_trip():
     cfg = RunConfig()
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
-    integral = RunConfig.from_dict({"k": 3.0, "n_nodes": 129.0})
-    assert (integral.k, integral.n_nodes) == (3, 129)
-    assert type(integral.k) is int and type(integral.n_nodes) is int
+    integral = RunConfig.from_dict({"k": 3.0, "shoot_depth": 12.0})
+    assert (integral.k, integral.shoot_depth) == (3, 12)
+    assert type(integral.k) is int and type(integral.shoot_depth) is int
 
 
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys: not_a_key"):
         RunConfig.from_dict({"not_a_key": 1})
+
+
+# settings with one value in use, now constants of the flow and the direct
+# experiments; a config that still names one is rejected, not ignored
+RETIRED_KEYS = [
+    "y_max", "n_nodes", "sem_floor", "blowup_threshold", "y_fit", "y_window",
+    "direct_y_max", "direct_n_nodes", "direct_s_len", "u_x_max", "u_n_nodes", "u_t_max",
+]
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_config_rejects_retired_keys(key):
+    assert key not in RunConfig().to_dict()
+    with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+        RunConfig.from_dict({key: 1})
 
 
 @pytest.mark.parametrize(
@@ -36,9 +51,11 @@ def test_config_rejects_unknown_keys():
         {"shoot_depth": 0},
         {"d": [0.0, 2.5, 0.0, 0.0]},
         {"k": 2.5},
-        {"n_nodes": 200.5},
+        {"quad_order": True},
         {"quad_order": 64.5},
         {"shoot_depth": 3.5},
+        {"u_T": 1.0},
+        {"u_T": 2.0},
     ],
 )
 def test_config_rejects_bad_values(patch):
@@ -93,9 +110,16 @@ def test_cli_unknown_and_bad_config(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"mystery": 1}))
     assert run_experiment(["simulate", "--config", str(cfgfile)]) == 2
-    cfgfile.write_text(json.dumps({"n_nodes": 200.5}))
+    cfgfile.write_text(json.dumps({"quad_order": 200.5}))
     assert run_experiment(["simulate", "--config", str(cfgfile)]) == 2
     assert run_experiment(["shoot", "--outdir", str(tmp_path), "--jobs", "2"]) == 2
+
+
+def test_cli_direct_rejects_blowup_time_past_the_run(tmp_path):
+    # the u-run ends at t = 1, so a blowup time of 2 is a config error, not a
+    # run that integrates to its end and then fails to find the blowup
+    assert run_experiment(["direct", "--outdir", str(tmp_path), "--u-T", "2"]) == 2
+    assert not (tmp_path / "u-sup-series.csv").exists()
 
 
 def test_cli_simulate_out_of_box(tmp_path):

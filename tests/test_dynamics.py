@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from blowlab.dynamics import (
+    SEM_FLOOR,
     SEM_REL_FLOOR,
     Z_MAX,
     FlowOptions,
@@ -16,7 +17,7 @@ from blowlab.dynamics import (
 )
 from blowlab import dynamics
 from blowlab.hermite import SpectralDecomposition, hermite_series, hermite_y_table
-from blowlab.params import alpha_consts, eval_profile, scale_factor
+from blowlab.params import alpha_consts, eval_profile, node_powers, scale_factor
 from blowlab.projection import _fixed_points, scale_tables
 
 DELTA, B0, S0 = 0.1, 1.0, 20.0
@@ -149,7 +150,7 @@ def test_membership_reports_the_recorded_seminorm(params3, opts):
     rep = membership(final, DELTA, B0, params3, opts)
     want = remainder_seminorm(
         final.dec.remainder, final.s, params3,
-        floor=opts.sem_floor, rel_floor=SEM_REL_FLOOR,
+        floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR,
     )
     assert want > 0.0
     assert rep.qminus_seminorm == want
@@ -325,7 +326,8 @@ def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     leak = np.array([3e-9, -1e-9, 2e-10, -5e-11])
     assert _same(np.tensordot(leak, H[:4], axes=1), hermite_series(leak, nodes, s, 2))
     b = 1.3
-    assert _same(1.0 / (params3.p - 1.0 + b * grid.y2k), eval_profile(nodes, b, params3)[1])
+    assert all(_same(x, y) for x, y in zip(grid.pw, node_powers(nodes, 2)))
+    assert _same(1.0 / (params3.p - 1.0 + b * grid.pw.y2k), eval_profile(nodes, b, params3)[1])
     assert _same(grid.yM, np.abs(nodes) ** params3.M)
     assert _same(grid.lam, 1.0 - np.arange(params3.n_modes) / 4.0)
     assert not H.flags.writeable

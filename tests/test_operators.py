@@ -24,6 +24,7 @@ from blowlab.params import (
     alpha_consts,
     eval_profile,
     make_params,
+    node_powers,
     profile_second_derivative,
     scale_factor,
 )
@@ -99,7 +100,7 @@ def test_even_powers_of_negative_points(k):
     # k = 3 numpy's vectorised power of a positive base rounds differently
     # from the scalar path of a negative one by at most one ulp.
     from blowlab.operators import residual_values
-    from blowlab.projection import _increments, node_powers
+    from blowlab.projection import _increments
 
     P = make_params(3.0, k)
     y = uniform_grid(0.15, 257)
@@ -117,7 +118,7 @@ def test_even_powers_of_negative_points(k):
     yeven = y ** (2 * k - 2)
     q = np.cos(7.0 * y)
     want = I2inv * yeven * (a.alpha1 + a.alpha2 * y2k * e + e * (a.alpha3 + a.alpha4 * y2k * e) * q)
-    assert close(residual_values(q, y, e, b, I2inv, P, "derived"), want)
+    assert close(residual_values(q, node_powers(y, k), e, b, I2inv, P, "derived"), want)
     want = yeven * (a.alpha1 + a.alpha2 * y2k * e) * f**P.p
     assert close(profile_second_derivative(y, b, P), want)
     r = 1e-6 * np.sin(5.0 * y)
@@ -358,20 +359,21 @@ def test_projection_smallness_patterns(params3, quad96, term):
             dec.remainder.nodes, dec.remainder.values, y_q
         )
         _, e = eval_profile(y_q, b0, params3)
+        pw = node_powers(y_q, 2)
         I2inv = I**-2
         if term == "N":
             f = nonlinear_values(qv, e, 3.0)
             resc = I ** (2 * delta)
         elif term == "M":
-            f = modulation_values(qv, y_q, e, params3, "paper")
+            f = modulation_values(qv, pw, e, params3, "paper")
             resc = I**delta
         elif term == "D":
             coef = dec.modes[1:] * np.arange(1, params3.n_modes)
             dqv = hermite_series(coef, y_q, s, 2)
-            f = drift_values(dqv, y_q, e, b0, I2inv, params3)
+            f = drift_values(dqv, pw, e, b0, I2inv, params3)
             resc = I ** (2 * delta)
         else:
-            f = residual_values(qv, y_q, e, b0, I2inv, params3, "derived")
+            f = residual_values(qv, pw, e, b0, I2inv, params3, "derived")
             resc = I ** (2 * delta)
         proj = project_modes_from_samples(f, s, 2, params3.n_modes, quad96)
         if term == "M":
@@ -416,11 +418,12 @@ def test_remainder_source_matches_direct_difference(params3, quad96):
         q = hermite_series(modes, pts, s, k) + rv
         dq = hermite_series(modes[1:] * np.arange(1, 6), pts, s, k) + drv
         _, e = eval_profile(pts, b, params3)
+        pw = node_powers(pts, k)
         return (
             nonlinear_values(q, e, params3.p)
-            + drift_values(dq, pts, e, b, I**-2, params3)
-            + residual_values(q, pts, e, b, I**-2, params3, "derived")
-            + bp * modulation_values(q, pts, e, params3, "derived")
+            + drift_values(dq, pw, e, b, I**-2, params3)
+            + residual_values(q, pw, e, b, I**-2, params3, "derived")
+            + bp * modulation_values(q, pw, e, params3, "derived")
         )
 
     dr = derivative(r, y[1] - y[0])
@@ -455,7 +458,7 @@ def _bprime_via_w(modes, b, s, params, quad):
     q = hermite_series(modes, y, s, k)
     f, e = eval_profile(y, b, params)
     rate = f ** (-p) * w_rhs(GridFunction(y, f * (1.0 + e * q)), s, params).values
-    M = modulation_values(q, y, e, params, "derived")
+    M = modulation_values(q, node_powers(y, k), e, params, "derived")
 
     def P4(vals, sigma):
         yq = quad.nodes / float(scale_factor(sigma, k))

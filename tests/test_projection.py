@@ -17,7 +17,7 @@ from blowlab.hermite import (
     quad_hermite_table,
 )
 from blowlab.operators import nonlinear_values
-from blowlab.params import scale_factor
+from blowlab.params import node_powers, scale_factor
 from blowlab.projection import (
     ZRemainder,
     _basis_structure,
@@ -28,7 +28,6 @@ from blowlab.projection import (
     default_jet_order,
     inner_nodes,
     monomial_table,
-    node_powers,
     projected_sources,
     remainder_source,
     scale_tables,

@@ -117,7 +117,7 @@ def test_search_failure_on_tiny_box(params3):
 
 def test_search_linear_mode_converges_to_origin(params3):
     # pure-linear flow: growth rates 1 - j/2k make d = 0 the only survivor
-    flow = FlowOptions(linear_only=True, n_nodes=129, y_max=0.15)
+    flow = FlowOptions(linear_only=True, n_nodes=129)
     cfg = ShootConfig(
         delta=DELTA, b0=B0, s0=S0, horizon=60.0, box=2.0, depth=45, ds=0.04, flow=flow
     )
