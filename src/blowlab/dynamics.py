@@ -3,7 +3,7 @@
 A state holds the scale time s, the profile parameter b, and the spectral
 split of q: tracked mode coefficients q_0..q_{M_floor} plus a remainder that
 is orthogonal to the tracked range. The two parts are advanced together by
-classical RK4 but by different mechanisms:
+one Lawson RK4 scheme but by different mechanisms:
 
 * tracked modes obey dq_n/ds = (1 - n/2k) q_n + P_n(N + D_s + R_s + b' M).
   The generator's off-diagonal (Jordan) coupling cancels exactly against the
@@ -15,17 +15,27 @@ classical RK4 but by different mechanisms:
   content) and is carried on two grids, both with finite differences
   (outflow-biased at the edges). An inner grid at fixed z = I(s) y resolves
   the Gaussian weight uniformly in s; there L_s plus the moving-frame term
-  is the constant-coefficient operator d_zz - (z/2) d_z + 1, and the
+  is the constant-coefficient operator L = d_zz - (z/2) d_z + 1, and the
   sources come in the cancellation-free form of remainder_source(). It
   alone feeds the remainder back into the tracked modes and measures the
   unstable-range debris removed after every step. Because its nodes and
   the Gauss nodes sit at fixed z, every operator on it is independent of s
-  and built once per process (projection.z_frame): d_zz - (z/2) d_z + 1,
-  the stacked interpolation [S; S D] to the Gauss nodes, the derivative and
-  the basis table h_0..h_J. A stage applies them as matrix products and
-  hands the grid's values over as a projection.ZRemainder. An outer grid over
+  and built once per process (projection.z_frame): L, the stacked
+  interpolation [S; S D] to the Gauss nodes, the derivative and the basis
+  table h_0..h_J. A stage applies them as matrix products and hands the
+  grid's values over as a projection.ZRemainder. An outer grid over
   |y| <= Y_MAX, with pointwise sources, carries the remainder where the
   weighted sup |q_-|_s looks, far outside the weight.
+
+The time scheme is Lawson's RK4 (Hochbruck & Ostermann, Acta Numerica 19,
+2010): the inner remainder is stepped in the variable e^{-(s - s0) L} u, so
+L is integrated exactly through e^{hL/2} and its square, and RK4 sees only
+the sources; the modes, the outer remainder and b take classical RK4, which
+is Lawson's scheme where the exponential is the identity. The step is
+therefore bounded by the outer grid alone (stable_ds), and run() takes
+steps of as many whole output intervals as that bound allows, with the
+samples inside a step read off a cubic Hermite interpolant of the step's
+end states and derivatives.
 
 What a stage needs that depends only on the outer nodes (their powers, the
 wind, the mode rates) is built once per node set, and their basis table
@@ -69,7 +79,6 @@ from .operators import (
 )
 from .params import ModelParams, NodePowers, node_powers, scale_factor
 from .projection import (
-    Z_MAX,
     Z_NODES,
     ZFrame,
     ZRemainder,
@@ -101,9 +110,10 @@ __all__ = [
 ]
 
 D_BOX_LIMIT = 2.0
-# the largest step a caller may ask for; substeps keep to stable_ds below it
+# the largest step a caller may ask for, and the ceiling of stable_ds
 MAX_DS = 0.05
-# diffusive substep ceiling: CFL_SAFETY h^2 I^2 on the outer grid, h_z^2 on the inner
+# the outer grid's diffusive step ceiling is CFL_SAFETY h^2 I^2; the inner
+# grid has none, its operator being integrated exactly
 CFL_SAFETY = 0.45
 # the outer remainder grid spans |y| <= Y_MAX
 Y_MAX = 0.15
@@ -114,7 +124,7 @@ SEM_REL_FLOOR = 0.05
 # a margin must fall below minus this to end a trajectory
 EXIT_HYSTERESIS = 1e-12
 
-# the inner remainder grid in z = I(s) y (Z_MAX, Z_NODES, inner_nodes) is
+# the inner remainder grid in z = I(s) y (Z_NODES, inner_nodes) is
 # defined in projection, beside its cached operators; the outer grid copies
 # the inner values on |z| <= Z_OVERLAP, clear of the inner grid's one-sided
 # edge closures
@@ -127,11 +137,12 @@ class FlowOptions:
 
     The default outer grid is deliberately coarse: the remainder is smooth on
     O(1) scales in y, while the explicit diffusion I^{-2} d_yy imposes a step
-    ceiling ~ 0.5 h^2 I^2(s), so resolution is paid for cubically. The inner
-    z-grid has an s-independent ceiling ~ 0.45 h_z^2. Steps larger than the
-    ceilings are split into stable substeps automatically. The linear-only
-    flow never reads the inner grid, so it neither advances it nor obeys its
-    ceiling.
+    ceiling ~ 0.5 h^2 I^2(s), so resolution is paid for cubically; its
+    transport y/2k adds an s-independent ceiling. stable_ds is the smaller
+    of the two and MAX_DS. The inner z-grid's operator is integrated
+    exactly and sets no ceiling. Steps larger than stable_ds are split into
+    equal stable substeps automatically. The linear-only flow leaves the
+    inner grid at zero.
     """
 
     n_nodes: int = 257
@@ -148,15 +159,7 @@ class FlowOptions:
     def stable_ds(self, s: float, k: int) -> float:
         h = 2.0 * Y_MAX / (self.n_nodes - 1)
         I2 = float(scale_factor(s, k)) ** 2
-        limits = [
-            MAX_DS,
-            CFL_SAFETY * h * h * I2,
-            1.2 * h / (Y_MAX / (2.0 * k)),
-        ]
-        if not self.linear_only:
-            hz = 2.0 * Z_MAX / (Z_NODES - 1)
-            limits += [CFL_SAFETY * hz * hz, 1.2 * hz / (Z_MAX / 2.0)]
-        return min(limits)
+        return min(MAX_DS, CFL_SAFETY * h * h * I2, 1.2 * h / (Y_MAX / (2.0 * k)))
 
 
 @dataclass(frozen=True)
@@ -203,10 +206,11 @@ class TrajectorySample:
 class ExitInfo:
     """How a trajectory left the set.
 
-    bound is a membership bound name, or "modulation" when the b' solve broke
-    down; then s_star is the last completed step, omega the sign of q_0 there
+    bound is a membership bound name, "modulation" when the b' solve broke
+    down, or "nonfinite" when a step produced non-finite values. For those
+    two, s_star is the last recorded sample, omega the sign of q_0 there
     (the denominator 1 + p P_2k(y^2k e_b q) only degenerates as q_0 is driven
-    negative), and reason carries the solver's message.
+    negative), and reason carries the message.
     """
 
     s_star: float
@@ -337,11 +341,13 @@ def _stage(
     quad: QuadratureRule,
     opts: FlowOptions,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """One RK stage: d/ds of (modes, outer remainder, inner remainder, b).
+    """One RK stage: d/ds of (modes, outer remainder, b), and the inner source.
 
-    The last entry is b', which is the stage's b-derivative. The inner
-    remainder reaches the projections as a ZRemainder, through the cached
-    z-frame operators; the outer grid's three basis sums share one table.
+    The third entry is the inner remainder's source N, its derivative minus
+    frame.L @ inner_vals, which the Lawson step integrates exactly; the last
+    is b', the stage's b-derivative. The inner remainder reaches the
+    projections as a ZRemainder, through the cached z-frame operators; the
+    outer grid's three basis sums share one table.
     """
     modes, rem_vals, inner_vals, b = x
     k = params.k
@@ -380,10 +386,8 @@ def _stage(
         + bprime * modulation_values(q_grid, grid.pw, e, params, opts.variant)
     )
     drem = Ls_rem + S - src_proj @ H
-    dinner = frame.L @ inner_vals + remainder_source(
-        proj, bprime, modes, inner, b, s, params, opts.variant
-    )
-    return dmodes, drem, dinner, bprime
+    inner_src = remainder_source(proj, bprime, modes, inner, b, s, params, opts.variant)
+    return dmodes, drem, inner_src, bprime
 
 
 def _unstable_leak(
@@ -402,87 +406,162 @@ def _unstable_leak(
     )
 
 
-def _rk4(
-    x0: tuple, s0: float, ds: float, grid: _OuterGrid, params: ModelParams,
-    quad: QuadratureRule, opts: FlowOptions,
-) -> tuple[tuple, float]:
-    def shifted(dx, c):
-        return tuple(xi + c * di for xi, di in zip(x0, dx))
+# e^A is summed as the Taylor polynomial of this degree in A / 2^j, scaled
+# to a 1-norm at most EXPM_NORM; its first neglected term is then below
+# 0.5^15 / 15! = 2.3e-17 of the sum
+EXPM_DEGREE = 14
+EXPM_NORM = 0.5
 
-    k1 = _stage(x0, s0, grid, params, quad, opts)
-    k2 = _stage(shifted(k1, 0.5 * ds), s0 + 0.5 * ds, grid, params, quad, opts)
-    k3 = _stage(shifted(k2, 0.5 * ds), s0 + 0.5 * ds, grid, params, quad, opts)
-    k4 = _stage(shifted(k3, ds), s0 + ds, grid, params, quad, opts)
-    x = tuple(
-        xi + ds / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """e^A by scaling and squaring of its Taylor polynomial, in Horner form.
+
+    Three matrices are alive at a time, so building it raises a run's peak
+    memory by little more than the result.
+    """
+    squarings = max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / EXPM_NORM)))
+    A = A / 2.0**squarings
+    E = np.eye(A.shape[0])
+    diag = np.arange(A.shape[0])
+    for j in range(EXPM_DEGREE, 0, -1):
+        E = A @ E
+        E /= j
+        E[diag, diag] += 1.0
+    for _ in range(squarings):
+        E = E @ E
+    return E
+
+
+@lru_cache(maxsize=8)
+def _half_exp_of(h: float, quad_order: int, J: int) -> np.ndarray:
+    E = _expm(0.5 * h * z_frame(quad_order, J).L)
+    E.flags.writeable = False  # one cached copy serves every caller
+    return E
+
+
+def _half_exp(h: float, frame: ZFrame) -> np.ndarray:
+    """e^{hL/2} of the inner operator L = frame.L, built once per step size.
+
+    h is rounded to 12 significant digits first, so step sizes that differ
+    in the last bits, as differences of sample times do, share one entry; a
+    run at a fixed output interval meets at most three sizes.
+    """
+    return _half_exp_of(float(f"{h:.12g}"), frame.quad_order, frame.J)
+
+
+def _lawson_step(
+    x0: tuple, k1: tuple, s0: float, s1: float, grid: _OuterGrid, params: ModelParams,
+    quad: QuadratureRule, opts: FlowOptions,
+) -> tuple:
+    """One Lawson RK4 step from x0 at s0 to s1; k1 is the stage at x0.
+
+    With E = e^{hL/2}, the inner remainder u takes the stages E(u0 + h/2 N1),
+    E u0 + h/2 N2 and E^2 u0 + h E N3, and ends at
+    E^2 u0 + h/6 (E^2 N1 + 2 E (N2 + N3) + N4); everything else takes
+    classical RK4.
+    """
+    h = s1 - s0
+    E = _half_exp(h, _frame(params, quad))
+
+    def shifted(dx, c, inner):
+        return x0[0] + c * dx[0], x0[1] + c * dx[1], inner, x0[3] + c * dx[3]
+
+    Eu0 = E @ x0[2]
+    EN1 = E @ k1[2]
+    k2 = _stage(shifted(k1, 0.5 * h, Eu0 + 0.5 * h * EN1), s0 + 0.5 * h, grid, params, quad, opts)
+    k3 = _stage(shifted(k2, 0.5 * h, Eu0 + 0.5 * h * k2[2]), s0 + 0.5 * h, grid, params, quad, opts)
+    EEu0 = E @ Eu0
+    k4 = _stage(shifted(k3, h, EEu0 + h * (E @ k3[2])), s1, grid, params, quad, opts)
+    modes, rem, _, b = (
+        xi + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
         for xi, d1, d2, d3, d4 in zip(x0, k1, k2, k3, k4)
     )
-    return x, k1[3]
+    inner = EEu0 + h / 6.0 * (E @ (EN1 + 2.0 * (k2[2] + k3[2])) + k4[2])
+    return modes, rem, inner, b
 
 
-def _step_core(
-    state: SimState, ds: float, params: ModelParams, opts: FlowOptions,
-) -> tuple[SimState, float]:
-    if ds < 0 or ds > MAX_DS:
-        raise ValueError(f"ds must lie in [0, {MAX_DS}]")
-    if not (
-        np.isfinite(state.dec.modes).all()
-        and np.isfinite(state.dec.remainder.values).all()
-        and np.isfinite(state.inner_values()).all()
-        and math.isfinite(state.b)
-    ):
-        raise ValueError("state with non-finite values rejected")
-    if ds == 0.0:
-        return state, 0.0
+def _step_tail(
+    x: tuple, s: float, grid: _OuterGrid, params: ModelParams, quad: QuadratureRule,
+    opts: FlowOptions,
+) -> tuple:
+    """Remove the remainder's unstable-range debris and copy the inner values out."""
+    if opts.linear_only:
+        return x
+    modes, rem, inner, b = x
+    tab = _scale_tables(s, params, quad)
+    frame = _frame(params, quad)
+    leak = _unstable_leak(inner, s, params, quad, frame)
+    n = leak.size
+    rem = rem - np.tensordot(leak, _outer_basis(s, grid.key, params)[:n], axes=1)
+    inner = inner - (leak * tab.iexp[:n]) @ frame.ztab[:n]
+    # where both grids overlap the outer one takes the resolved values:
+    # once it under-resolves the weight, its own near-origin evolution
+    # seeds unstable-range debris that only the inner grid can measure
+    overlap = np.abs(tab.I * grid.nodes) <= Z_OVERLAP
+    rem[overlap] = sample(frame.z, inner, tab.I * grid.nodes[overlap])
+    modes = modes.copy()
+    modes[2 * params.k] = 0.0
+    return modes, rem, inner, b
 
-    nodes = state.dec.remainder.nodes
-    grid = _outer_grid(nodes, params)
-    quad = opts.quad()
-    x = (state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b)
-    s_new = state.s
-    target = state.s + ds
-    bp_first = None
-    while s_new < target - 1e-14:
-        sub = min(opts.stable_ds(s_new, params.k), target - s_new)
-        x, bp = _rk4(x, s_new, sub, grid, params, quad, opts)
-        s_new += sub
-        if bp_first is None:
-            bp_first = bp
-    s_new = target
-    modes, rem, inner, b_new = x
-    if not (np.isfinite(modes).all() and np.isfinite(rem).all() and np.isfinite(inner).all()):
-        raise ValueError("time step produced non-finite values")
 
-    if not opts.linear_only:
-        tab = _scale_tables(s_new, params, quad)
-        frame = _frame(params, quad)
-        leak = _unstable_leak(inner, s_new, params, quad, frame)
-        n = leak.size
-        rem = rem - np.tensordot(leak, _outer_basis(s_new, grid.key, params)[:n], axes=1)
-        inner = inner - (leak * tab.iexp[:n]) @ frame.ztab[:n]
-        # where both grids overlap the outer one takes the resolved values:
-        # once it under-resolves the weight, its own near-origin evolution
-        # seeds unstable-range debris that only the inner grid can measure
-        overlap = np.abs(tab.I * nodes) <= Z_OVERLAP
-        rem[overlap] = sample(frame.z, inner, tab.I * nodes[overlap])
-        modes = modes.copy()
-        modes[2 * params.k] = 0.0
-    dec = SpectralDecomposition(s_new, modes, GridFunction(nodes, rem))
-    return SimState(s=s_new, b=b_new, dec=dec, inner=inner), float(bp_first)
+def _advance(
+    x: tuple, k1: tuple | None, s0: float, s1: float, grid: _OuterGrid, params: ModelParams,
+    quad: QuadratureRule, opts: FlowOptions,
+) -> tuple:
+    """x at s1 > s0: equal Lawson steps within stable_ds, each with its tail.
+
+    k1 is the first stage at x, or None to evaluate it here.
+    """
+    n_sub = max(1, math.ceil((s1 - s0) / opts.stable_ds(s0, params.k) - 1e-9))
+    for i in range(n_sub):
+        sa = s0 + i * (s1 - s0) / n_sub
+        sb = s1 if i == n_sub - 1 else s0 + (i + 1) * (s1 - s0) / n_sub
+        if k1 is None:
+            k1 = _stage(x, sa, grid, params, quad, opts)
+        x = _lawson_step(x, k1, sa, sb, grid, params, quad, opts)
+        x = _step_tail(x, sb, grid, params, quad, opts)
+        k1 = None
+    return x
+
+
+def _values(state: SimState) -> tuple:
+    return state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b
+
+
+def _finite(x: tuple) -> bool:
+    return all(np.isfinite(xi).all() for xi in x)
+
+
+def _state_at(x: tuple, s: float, nodes: np.ndarray) -> SimState:
+    modes, rem, inner, b = x
+    dec = SpectralDecomposition(s, modes, GridFunction(nodes, rem))
+    return SimState(s=s, b=float(b), dec=dec, inner=inner)
 
 
 def step(
     state: SimState, ds: float, params: ModelParams, opts: FlowOptions = FlowOptions(),
 ) -> SimState:
-    """Advance (q, b) by one RK4 step; q_{2k} stays zero by construction."""
-    new_state, _ = _step_core(state, ds, params, opts)
-    return new_state
+    """Advance (q, b) by ds with Lawson RK4; q_{2k} stays zero by construction."""
+    if ds < 0 or ds > MAX_DS:
+        raise ValueError(f"ds must lie in [0, {MAX_DS}]")
+    x = _values(state)
+    if not _finite(x):
+        raise ValueError("state with non-finite values rejected")
+    if ds == 0.0:
+        return state
+    nodes = state.dec.remainder.nodes
+    s1 = state.s + ds
+    x = _advance(x, None, state.s, s1, _outer_grid(nodes, params), params, opts.quad(), opts)
+    if not _finite(x):
+        raise ValueError("time step produced non-finite values")
+    return _state_at(x, s1, nodes)
 
 
 _BOUND_B_LOW = "b_low"
 _BOUND_B_HIGH = "b_high"
 _BOUND_QMINUS = "qminus"
 BOUND_MODULATION = "modulation"
+BOUND_NONFINITE = "nonfinite"
 
 
 def membership(
@@ -530,9 +609,8 @@ def mode_ode_rhs(
     state: SimState, params: ModelParams, opts: FlowOptions = FlowOptions(),
 ) -> np.ndarray:
     """dq_n/ds for the tracked modes at this state."""
-    x = (state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b)
     grid = _outer_grid(state.dec.remainder.nodes, params)
-    dmodes, _, _, _ = _stage(x, state.s, grid, params, opts.quad(), opts)
+    dmodes, _, _, _ = _stage(_values(state), state.s, grid, params, opts.quad(), opts)
     return dmodes
 
 
@@ -547,6 +625,20 @@ def _sample_of(state: SimState, bprime: float, report: MembershipReport) -> Traj
     )
 
 
+def _hermite(x0: tuple, f0: tuple, x1: tuple, f1: tuple, h: float, t: float) -> tuple:
+    """The cubic Hermite interpolant of (x0, f0) and (x1, f1), h apart, at fraction t."""
+    t2, t3 = t * t, t * t * t
+    a0, a1 = 2.0 * t3 - 3.0 * t2 + 1.0, h * (t3 - 2.0 * t2 + t)
+    c0, c1 = 3.0 * t2 - 2.0 * t3, h * (t3 - t2)
+    return tuple(a0 * p + a1 * dp + c0 * q + c1 * dq for p, dp, q, dq in zip(x0, f0, x1, f1))
+
+
+def _hermite_slope(y0: float, g0: float, y1: float, g1: float, h: float, t: float) -> float:
+    """The derivative of the cubic Hermite interpolant of (y0, g0) and (y1, g1) at t."""
+    return (6.0 * t * t - 6.0 * t) * (y0 - y1) / h + (3.0 * t * t - 4.0 * t + 1.0) * g0 + (
+        3.0 * t * t - 2.0 * t) * g1
+
+
 def run(
     state0: SimState,
     s_max: float,
@@ -558,30 +650,76 @@ def run(
 ) -> TrajectoryRecord:
     """Integrate until the trajectory leaves the shrinking set or reaches s_max.
 
-    A modulation breakdown inside a step ends the record at the last
-    completed step with a "modulation" exit instead of raising.
+    The samples sit at s0 + i ds, the last at s_max. Each step spans as many
+    whole intervals as stable_ds allows, and the samples inside it come from
+    the cubic Hermite interpolant of its end states and derivatives; the
+    derivative at the end is the next step's first stage. Membership is
+    checked at every sample, and an exit ends the record at the first sample
+    outside. A modulation breakdown or a non-finite value inside a step ends
+    the record at the last recorded sample with a "modulation" or
+    "nonfinite" exit instead of raising.
     """
     if not s_max > state0.s:
         raise ValueError("s_max must exceed the initial scale time")
+    if not 0.0 < ds <= MAX_DS:
+        raise ValueError(f"ds must lie in (0, {MAX_DS}]")
+    x = _values(state0)
+    if not _finite(x):
+        raise ValueError("state with non-finite values rejected")
+    nodes = state0.dec.remainder.nodes
+    grid = _outer_grid(nodes, params)
+    quad = opts.quad()
+    L = _frame(params, quad).L
+    s0 = state0.s
+    n = max(1, math.ceil((s_max - s0) / ds - 1e-9))
+
+    def s_at(i: int) -> float:
+        return s_max if i == n else s0 + i * ds
+
     record = TrajectoryRecord()
     state = state0
     report = membership(state, delta, b0, params, opts)
     record.samples.append(_sample_of(state, 0.0, report))
-    while report.worst_margin >= -EXIT_HYSTERESIS and state.s < s_max - 1e-12:
-        this_ds = min(ds, s_max - state.s)
+    i, k1 = 0, None
+    while report.worst_margin >= -EXIT_HYSTERESIS and i < n:
+        sa = s_at(i)
+        m = min(n - i, max(1, int(opts.stable_ds(sa, params.k) / ds)))
+        sb = s_at(i + m)
+        failure, k_end = None, None
         try:
-            state_new, bp = _step_core(state, this_ds, params, opts)
+            if k1 is None:
+                k1 = _stage(x, sa, grid, params, quad, opts)
+            x1 = _advance(x, k1, sa, sb, grid, params, quad, opts)
+            if m > 1:
+                k_end = _stage(x1, sb, grid, params, quad, opts)
         except ModulationBreakdownError as exc:
+            failure = (BOUND_MODULATION, str(exc))
+        if failure is None and not (_finite(x1) and (k_end is None or _finite(k_end))):
+            failure = (BOUND_NONFINITE, "time step produced non-finite values")
+        if failure is not None:
             record.exit = ExitInfo(
-                s_star=state.s, bound=BOUND_MODULATION, mode=None,
+                s_star=state.s, bound=failure[0], mode=None,
                 omega=1 if state.dec.modes[0] >= 0 else -1,
-                dqds=None, transversal=None, reason=str(exc),
+                dqds=None, transversal=None, reason=failure[1],
             )
             record.final_state = state
             return record
-        state = state_new
-        report = membership(state, delta, b0, params, opts)
-        record.samples.append(_sample_of(state, bp, report))
+        if m > 1:
+            # full derivatives at both ends, the inner one with L restored
+            f0 = (k1[0], k1[1], L @ x[2] + k1[2], k1[3])
+            f1 = (k_end[0], k_end[1], L @ x1[2] + k_end[2], k_end[3])
+        for j in range(i + 1, i + m + 1):
+            s = s_at(j)
+            # b' at the start of the interval that ends at this sample
+            t_prev = (s_at(j - 1) - sa) / (sb - sa)
+            bp = k1[3] if j == i + 1 else _hermite_slope(x[3], f0[3], x1[3], f1[3], sb - sa, t_prev)
+            xj = x1 if j == i + m else _hermite(x, f0, x1, f1, sb - sa, (s - sa) / (sb - sa))
+            state = _state_at(xj, s, nodes)
+            report = membership(state, delta, b0, params, opts)
+            record.samples.append(_sample_of(state, bp, report))
+            if report.worst_margin < -EXIT_HYSTERESIS:
+                break
+        x, k1, i = x1, k_end, i + m
 
     if report.worst_margin < -EXIT_HYSTERESIS:
         bound = _exit_bound(report, params)

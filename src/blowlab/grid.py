@@ -100,18 +100,25 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
 def upwind_gradient(values: np.ndarray, h: float, wind: np.ndarray) -> np.ndarray:
     """3rd-order upwind-biased first derivative; 2nd-order one-sided edges.
 
-    wind > 0 biases the stencil to the left (information moves right). The
+    wind >= 0 biases the stencil to the left (information moves right). The
     built-in O(h^3) dissipation keeps transport-dominated explicit stepping
-    stable where diffusion is too weak to damp grid noise.
+    stable where diffusion is too weak to damp grid noise. The wind must be
+    non-decreasing, as y/2k and z/2 are, so that it changes sign at most
+    once: each interior node then takes one stencil, split at that change.
     """
     f = np.asarray(values, dtype=float)
     n = f.size
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes for differentiation")
     out = np.empty_like(f)
-    pos = (f[:-4] - 6.0 * f[1:-3] + 3.0 * f[2:-2] + 2.0 * f[3:-1]) / (6.0 * h)
-    neg = (-2.0 * f[1:-3] - 3.0 * f[2:-2] + 6.0 * f[3:-1] - f[4:]) / (6.0 * h)
-    out[2:-2] = np.where(np.asarray(wind)[2:-2] >= 0.0, pos, neg)
+    # the interior nodes before c have wind < 0, the rest wind >= 0
+    c = 2 + int(np.count_nonzero(np.asarray(wind)[2:-2] < 0.0))
+    out[2:c] = (
+        -2.0 * f[1 : c - 1] - 3.0 * f[2:c] + 6.0 * f[3 : c + 1] - f[4 : c + 2]
+    ) / (6.0 * h)
+    out[c:-2] = (
+        f[c - 2 : -4] - 6.0 * f[c - 1 : -3] + 3.0 * f[c:-2] + 2.0 * f[c + 1 : -1]
+    ) / (6.0 * h)
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
     out[1] = (f[2] - f[0]) / (2.0 * h)
     out[-2] = (f[-1] - f[-3]) / (2.0 * h)

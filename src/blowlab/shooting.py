@@ -230,7 +230,8 @@ def search(cfg: ShootConfig, params: ModelParams) -> tuple[np.ndarray, SurvivorC
             mode = 0
         elif mode is None or mode >= dim or (cfg.even_only and mode % 2 == 1):
             # a q_-, b, or high-mode breach is a downstream symptom of the
-            # largest unstable mode; bisect that coordinate instead
+            # largest unstable mode, and a non-finite step names no
+            # coordinate; bisect that mode's coordinate instead
             anomalies.append(
                 {"d": d.tolist(), "s_star": info.s_star, "bound": info.bound}
             )

@@ -249,3 +249,7 @@ def test_cli_shoot_writes_the_searched_survivor(tmp_path):
     assert fresh.survived
     path = write_trajectory_csv(fresh.record, cfg.params(), tmp_path / "fresh.csv")
     assert path.read_bytes() == (tmp_path / "s" / "survivor-trajectory.csv").read_bytes()
+    # sample times come from an integer count, so the last is s0 + horizon
+    s = [row.s for row in fresh.record.samples]
+    assert s == [20.0 + i * 0.05 for i in range(len(s))]
+    assert s[-1] == 20.0 + 4.5

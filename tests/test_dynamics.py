@@ -4,7 +4,6 @@ import pytest
 from blowlab.dynamics import (
     SEM_FLOOR,
     SEM_REL_FLOOR,
-    Z_MAX,
     FlowOptions,
     SimState,
     a_priori_diagnostics,
@@ -17,8 +16,8 @@ from blowlab.dynamics import (
 )
 from blowlab import dynamics
 from blowlab.hermite import SpectralDecomposition, hermite_series, hermite_y_table
-from blowlab.params import alpha_consts, eval_profile, node_powers, scale_factor
-from blowlab.projection import _fixed_points, scale_tables
+from blowlab.params import alpha_consts, eval_profile, make_params, node_powers, scale_factor
+from blowlab.projection import Z_MAX, _fixed_points, scale_tables
 
 DELTA, B0, S0 = 0.1, 1.0, 20.0
 
@@ -304,9 +303,11 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
     assert 0.0 < np.max(scaled) < I**-params3.M
 
 
-# every cache a flow stage reads that depends on s or on the outer grid
+# every cache a flow step reads that depends on s, on the outer grid or on
+# the step size
 FLOW_CACHES = (
     scale_tables, _fixed_points, alpha_consts, dynamics._outer_grid_of, dynamics._outer_basis,
+    dynamics._half_exp_of,
 )
 
 
@@ -365,3 +366,149 @@ def test_flow_caches_stay_bounded(params3, opts):
         info = cache.cache_info()
         assert info.maxsize is not None and info.maxsize <= 16
         assert info.currsize <= info.maxsize
+
+
+# -- the Lawson step and its dense output -------------------------------------
+
+def _frame():
+    return dynamics._frame(make_params(3.0, 2), FlowOptions().quad())
+
+
+@pytest.mark.parametrize("h", [0.005, 0.01, 0.02, 0.03])
+def test_half_exp_matches_scipy_expm(h):
+    from scipy.linalg import expm
+
+    frame = _frame()
+    E = dynamics._half_exp(h, frame)
+    want_half, want = expm(0.5 * h * frame.L), expm(h * frame.L)
+    assert np.linalg.norm(E - want_half) <= 1e-12 * np.linalg.norm(want_half)
+    assert np.linalg.norm(E @ E - want) <= 1e-12 * np.linalg.norm(want)
+    # a step size off in its last bits reads the same entry
+    assert dynamics._half_exp(h * (1.0 + 4e-16), frame) is E
+    assert not E.flags.writeable
+
+
+def test_lawson_step_without_sources_is_the_exponential(params3, opts, monkeypatch):
+    from scipy.linalg import expm
+
+    def no_sources(x, s, grid, params, quad, opts):
+        return tuple(np.zeros_like(np.asarray(xi)) for xi in x[:3]) + (0.0,)
+
+    monkeypatch.setattr(dynamics, "_stage", no_sources)
+    st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
+    u0 = np.exp(-(inner_nodes() ** 2) / 8.0) * np.cos(inner_nodes())
+    x0 = (st.dec.modes, st.dec.remainder.values, u0, st.b)
+    grid = dynamics._outer_grid(opts.nodes(), params3)
+    h = 0.03
+    k1 = no_sources(x0, S0, grid, params3, None, opts)
+    x1 = dynamics._lawson_step(x0, k1, S0, S0 + h, grid, params3, opts.quad(), opts)
+    want = expm(h * _frame().L) @ u0
+    assert np.max(np.abs(x1[2] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(x1[0], x0[0]) and x1[3] == x0[3]
+
+
+def test_dense_output_meets_the_step_states(params3, opts):
+    # from s = 22 each step spans three output intervals: the samples at step
+    # ends are the states of the step routine itself, and the modulation
+    # holds q_4 at exactly zero at every sample, interpolated ones included
+    s0 = 22.0
+    assert int(opts.stable_ds(s0, 2) / 0.01) == 3
+    st = init_state(np.array([0.1, -0.05, 0.08, 0.02]), DELTA, B0, s0, params3, opts)
+    rec = run(st, s0 + 0.15, DELTA, B0, params3, ds=0.01, opts=opts)
+    assert rec.exit is None and len(rec.samples) == 16
+    grid = dynamics._outer_grid(opts.nodes(), params3)
+    x = dynamics._values(st)
+    for i in range(0, 15, 3):
+        x = dynamics._advance(
+            x, None, s0 + i * 0.01, s0 + (i + 3) * 0.01, grid, params3, opts.quad(), opts,
+        )
+        smp = rec.samples[i + 3]
+        assert np.array_equal(smp.modes, x[0]) and smp.b == x[3]
+    assert all(smp.modes[4] == 0.0 for smp in rec.samples)
+    assert np.array_equal(rec.final_state.inner, x[2])
+    assert np.array_equal(rec.final_state.dec.remainder.values, x[1])
+
+
+def test_lawson_step_agrees_with_quarter_steps(params3, opts):
+    # the centre seed over s in [20, 22], with the run's step sizes: one step
+    # of h against four of h / 4, both through the step routine; modes agree
+    # within 1e-7 I^{-delta}(s) and b within 1e-9 relative
+    grid = dynamics._outer_grid(opts.nodes(), params3)
+    quad = opts.quad()
+    st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
+    coarse = fine = dynamics._values(st)
+    i = 0
+    worst_q = worst_b = 0.0
+    while i < 200:
+        sa = S0 + i * 0.01
+        m = min(200 - i, max(1, int(opts.stable_ds(sa, 2) / 0.01)))
+        sb = S0 + (i + m) * 0.01
+        coarse = dynamics._advance(coarse, None, sa, sb, grid, params3, quad, opts)
+        for q in range(4):
+            fine = dynamics._advance(
+                fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4,
+                grid, params3, quad, opts,
+            )
+        amp = float(scale_factor(sb, 2)) ** -DELTA
+        worst_q = max(worst_q, float(np.max(np.abs(coarse[0] - fine[0]))) / amp)
+        worst_b = max(worst_b, abs(coarse[3] - fine[3]) / abs(fine[3]))
+        i += m
+    assert worst_q < 1e-7 and worst_b < 1e-9
+
+
+def test_sample_times_come_from_an_integer_count(params3):
+    # 25 units of s at ds = 0.01: accumulating s + ds ended at 44.99999999999929
+    flow = FlowOptions(linear_only=True, n_nodes=129)
+    modes0 = np.array([1e-12, 0.0, 0.0, 0.0, 0.0, 0.0])
+    st = _loaded_linear_state(params3, flow, modes0)
+    rec = run(st, S0 + 25.0, DELTA, B0, params3, ds=0.01, opts=flow)
+    s = rec.arrays()["s"]
+    assert rec.exit is None and s.size == 2501
+    assert s.tolist() == [S0 + i * 0.01 for i in range(2501)]
+    assert s[-1] == S0 + 25.0
+
+
+def _failing_stage(monkeypatch, after: int, times: int):
+    """Make dynamics._stage return NaN on calls after..after + times - 1."""
+    real = dynamics._stage
+    calls = [0]
+
+    def stage(x, s, grid, params, quad, opts):
+        calls[0] += 1
+        out = real(x, s, grid, params, quad, opts)
+        if after <= calls[0] < after + times:
+            return tuple(np.full_like(np.asarray(o, dtype=float), np.nan) for o in out)
+        return out
+
+    monkeypatch.setattr(dynamics, "_stage", stage)
+
+
+def test_run_records_nonfinite_step_as_exit(params3, opts, monkeypatch):
+    _failing_stage(monkeypatch, after=10, times=10**9)
+    st = init_state(np.array([0.1, -0.2, 0.15, 0.05]), DELTA, B0, S0, params3, opts)
+    rec = run(st, S0 + 1.0, DELTA, B0, params3, ds=0.01, opts=opts)
+    assert rec.exit is not None
+    assert rec.exit.bound == "nonfinite" and rec.exit.mode is None
+    assert rec.exit.reason == "time step produced non-finite values"
+    assert rec.exit.dqds is None and rec.exit.transversal is None
+    # the record ends at the last finite sample, which is the final state
+    assert rec.samples[-1].s == rec.exit.s_star == rec.final_state.s
+    assert rec.exit.s_star < S0 + 0.05
+    assert all(np.isfinite(smp.modes).all() and np.isfinite(smp.b) for smp in rec.samples)
+    assert np.isfinite(rec.final_state.inner).all()
+
+
+def test_search_keeps_going_past_a_nonfinite_step(params3, monkeypatch):
+    from blowlab.shooting import ShootConfig, search
+
+    # one bad stage in the first trajectory: it exits as "nonfinite", the
+    # search logs it as an anomaly and bisects on to its survivor
+    _failing_stage(monkeypatch, after=5, times=1)
+    flow = FlowOptions(linear_only=True, n_nodes=129)
+    cfg = ShootConfig(
+        delta=DELTA, b0=B0, s0=S0, horizon=10.0, box=2.0, depth=45, ds=0.04, flow=flow,
+    )
+    d_star, cert = search(cfg, params3)
+    assert cert.anomalies and cert.anomalies[0]["bound"] == "nonfinite"
+    assert cert.n_trajectories > 1
+    assert np.max(np.abs(d_star)) < 1e-3

@@ -67,6 +67,52 @@ def test_upwind_gradient_exact_on_cubics():
     assert np.max(np.abs(out[2:-2] - df[2:-2])) < 1e-12
 
 
+def _upwind_both_stencils(values, h, wind):
+    """The interior of upwind_gradient as both stencils on every node, one kept by np.where."""
+    f = values
+    pos = (f[:-4] - 6.0 * f[1:-3] + 3.0 * f[2:-2] + 2.0 * f[3:-1]) / (6.0 * h)
+    neg = (-2.0 * f[1:-3] - 3.0 * f[2:-2] + 6.0 * f[3:-1] - f[4:]) / (6.0 * h)
+    return np.where(wind[2:-2] >= 0.0, pos, neg)
+
+
+def _z_operator_with_both_stencils():
+    """The inner operator d_zz - (z/2) d_z + 1 built with _upwind_both_stencils."""
+    from blowlab.projection import inner_nodes
+
+    z = inner_nodes()
+    hz = float(z[1] - z[0])
+    L = np.empty((z.size, z.size))
+    unit = np.zeros(z.size)
+    for j in range(z.size):
+        unit[j] = 1.0
+        grad = upwind_gradient(unit, hz, z)
+        grad[2:-2] = _upwind_both_stencils(unit, hz, z)
+        L[:, j] = laplacian_compact(unit, hz) - 0.5 * z * grad + unit
+        unit[j] = 0.0
+    return L
+
+
+@pytest.mark.parametrize("wind", ["y/2k", "z/2", "positive", "negative", "zero"])
+def test_upwind_gradient_split_is_bitwise_the_masked_form(wind):
+    from blowlab.projection import inner_nodes
+
+    nodes = {"y/2k": uniform_grid(0.15, 257), "z/2": inner_nodes()}.get(wind, uniform_grid(1.0, 41))
+    w = {
+        "y/2k": nodes / 4.0, "z/2": nodes / 2.0, "positive": 1.0 + np.abs(nodes),
+        "negative": -1.0 - np.abs(nodes), "zero": np.zeros_like(nodes),
+    }[wind]
+    h = nodes[1] - nodes[0]
+    f = np.random.default_rng(7).standard_normal(nodes.size)
+    got = upwind_gradient(f, h, w)
+    assert got[2:-2].tobytes() == _upwind_both_stencils(f, h, w).tobytes()
+
+
+def test_z_operator_is_bitwise_unchanged():
+    from blowlab.projection import z_frame
+
+    assert z_frame(96, 17).L.tobytes() == _z_operator_with_both_stencils().tobytes()
+
+
 def test_laplacian_compact_exact_on_quadratics():
     nodes = uniform_grid(1.0, 21)
     h = nodes[1] - nodes[0]
