@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .dynamics import D_BOX_LIMIT, MAX_DS, FlowOptions
@@ -107,10 +108,15 @@ class RunConfig:
         unknown = sorted(set(data) - set(types))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        checks = {"int": _integer, "float": _finite}
         data = {
-            key: _integer(key, val) if types[key] == "int" else val
+            key: checks[types[key]](key, val) if types[key] in checks else val
             for key, val in data.items()
         }
+        if data.get("d") is not None:
+            if not isinstance(data["d"], list):
+                raise ConfigError(f"d must be a list of numbers, got {data['d']!r}")
+            data["d"] = [_finite("d", x) for x in data["d"]]
         try:
             return cls(**data)
         except TypeError as exc:
@@ -137,3 +143,14 @@ def _integer(key: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
+def _finite(key: str, value):
+    """A float field's value: a finite int or float; bools, NaN and infinities are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")

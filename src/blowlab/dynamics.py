@@ -21,11 +21,11 @@ one Lawson RK4 scheme but by different mechanisms:
   unstable-range debris removed after every step. Because its nodes and
   the Gauss nodes sit at fixed z, every operator on it is independent of s
   and built once per process (projection.z_frame): L, the stacked
-  interpolation [S; S D] to the Gauss nodes, the derivative and the basis
-  table h_0..h_J. A stage applies them as matrix products and hands the
-  grid's values over as a projection.ZRemainder. An outer grid over
-  |y| <= Y_MAX, with pointwise sources, carries the remainder where the
-  weighted sup |q_-|_s looks, far outside the weight.
+  interpolation and derivative [S; S D; D] and the basis table h_0..h_J. A
+  stage applies them as matrix products and hands the grid's values over
+  as a projection.ZRemainder. An outer grid over |y| <= Y_MAX, with
+  pointwise sources, carries the remainder where the weighted sup |q_-|_s
+  looks, far outside the weight.
 
 The time scheme is Lawson's RK4 (Hochbruck & Ostermann, Acta Numerica 19,
 2010): the inner remainder is stepped in the variable e^{-(s - s0) L} u, so
@@ -37,10 +37,11 @@ steps of as many whole output intervals as that bound allows, with the
 samples inside a step read off a cubic Hermite interpolant of the step's
 end states and derivatives.
 
-What a stage needs that depends only on the outer nodes (their powers, the
-wind, the mode rates) is built once per node set, and their basis table
-once per scale time, like projection.scale_tables: an RK4 step meets three
-distinct scale times, and its last is the next step's first.
+What a stage needs at the outer nodes (their powers, the wind, the
+monomials y^j of the tracked degrees) is built once per node set. A
+series in the basis reaches them as its power series in y, whose
+coefficients come from projection.scale_tables' conversion table, times the
+monomials: no table of the basis at the outer nodes depends on s.
 
 The modulation rate b' is solved at every stage so dq_{2k}/ds = 0; the
 neutral mode therefore stays exactly zero along trajectories.
@@ -66,7 +67,6 @@ from .hermite import (
     QuadratureRule,
     SpectralDecomposition,
     gauss_rule,
-    hermite_y_table,
     project_modes_from_samples,
     remainder_seminorm,
 )
@@ -287,15 +287,14 @@ def _frame(params: ModelParams, quad: QuadratureRule) -> ZFrame:
     return z_frame(quad.order, default_jet_order(params.n_modes))
 
 
-def _scale_tables(s: float, params: ModelParams, quad: QuadratureRule) -> ScaleTables:
-    return scale_tables(s, params.k, params.n_modes, default_jet_order(params.n_modes), quad.order)
+def _scale_tables(s: float, params: ModelParams) -> ScaleTables:
+    return scale_tables(s, params.k, params.n_modes, default_jet_order(params.n_modes))
 
 
 class _OuterGrid(NamedTuple):
     """The s-independent data of an outer node set, for one model.
 
-    key is the nodes' bytes, the cache key of this grid and of its
-    per-scale-time tables.
+    key is the nodes' bytes, the cache key of this grid.
     """
 
     key: bytes
@@ -305,6 +304,7 @@ class _OuterGrid(NamedTuple):
     pw: NodePowers  # the nodes' powers that the pointwise sources use
     yM: np.ndarray  # |y|^M, the seminorm's weight
     lam: np.ndarray  # 1 - n/2k, the tracked modes' linear rates
+    mono: np.ndarray  # y^j at the nodes, j = 0..M_floor
 
 
 @lru_cache(maxsize=8)
@@ -315,22 +315,15 @@ def _outer_grid_of(key: bytes, params: ModelParams) -> _OuterGrid:
         key=key, nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
         lam=1.0 - np.arange(params.n_modes) / (2.0 * k),
+        mono=np.vander(nodes, params.n_modes, increasing=True).T,
     )
-    for arr in (grid.wind, *grid.pw[1:], grid.yM, grid.lam):
+    for arr in (grid.wind, *grid.pw[1:], grid.yM, grid.lam, grid.mono):
         arr.flags.writeable = False  # one cached copy serves every caller
     return grid
 
 
 def _outer_grid(nodes: np.ndarray, params: ModelParams) -> _OuterGrid:
     return _outer_grid_of(np.ascontiguousarray(nodes, dtype=float).tobytes(), params)
-
-
-@lru_cache(maxsize=8)
-def _outer_basis(s: float, key: bytes, params: ModelParams) -> np.ndarray:
-    """hermite_y_table of an outer node set at one scale time."""
-    H = hermite_y_table(_outer_grid_of(key, params).nodes, params.n_modes - 1, s, params.k)
-    H.flags.writeable = False  # one cached copy serves every caller
-    return H
 
 
 def _stage(
@@ -346,18 +339,18 @@ def _stage(
     The third entry is the inner remainder's source N, its derivative minus
     frame.L @ inner_vals, which the Lawson step integrates exactly; the last
     is b', the stage's b-derivative. The inner remainder reaches the
-    projections as a ZRemainder, through the cached z-frame operators; the
-    outer grid's three basis sums share one table.
+    projections as a ZRemainder, through the cached z-frame operators; on
+    the outer grid q_+, dq_+/dy and the sources' tracked projection are
+    three power series in y, summed by one product with its monomials.
     """
     modes, rem_vals, inner_vals, b = x
-    k = params.k
+    tab = _scale_tables(s, params)
     h = grid.h
-    I2inv = float(scale_factor(s, k)) ** -2
 
     # remainder transport-diffusion: upwinded transport keeps the stiff-free
     # late-s regime stable once diffusion no longer damps grid noise
     Ls_rem = (
-        I2inv * laplacian_compact(rem_vals, h)
+        tab.I2inv * laplacian_compact(rem_vals, h)
         - grid.wind * upwind_gradient(rem_vals, h, grid.wind)
         + rem_vals
     )
@@ -371,21 +364,27 @@ def _stage(
     bprime = proj.bprime(params, opts.variant)
 
     src_proj = proj.PN + proj.PD + proj.PR + bprime * proj.PM
+    n = params.n_modes
     dmodes = grid.lam * modes + src_proj
-    dmodes[2 * k] = 0.0
+    dmodes[2 * params.k] = 0.0
 
     # pointwise sources on the outer grid minus their tracked-mode content
-    H = _outer_basis(s, grid.key, params)
-    q_grid = modes @ H + rem_vals
-    dq_grid = (modes[1:] * np.arange(1, params.n_modes)) @ H[:-1] + derivative(rem_vals, h)
+    series = np.empty((3, n))
+    np.matmul(modes, tab.conv[:, :n], out=series[0])
+    np.multiply(series[0, 1:], np.arange(1, n), out=series[1, :-1])  # d/dy y^j = j y^{j-1}
+    series[1, -1] = 0.0
+    np.matmul(src_proj, tab.conv[:, :n], out=series[2])
+    q_plus, dq_plus, tracked = series @ grid.mono
+    q_grid = q_plus + rem_vals
+    dq_grid = dq_plus + derivative(rem_vals, h)
     e = 1.0 / (params.p - 1.0 + b * grid.pw.y2k)  # e_b
     S = (
         nonlinear_values(q_grid, e, params.p)
-        + drift_values(dq_grid, grid.pw, e, b, I2inv, params)
-        + residual_values(q_grid, grid.pw, e, b, I2inv, params, opts.variant)
+        + drift_values(dq_grid, grid.pw, e, b, tab.I2inv, params)
+        + residual_values(q_grid, grid.pw, e, b, tab.I2inv, params, opts.variant)
         + bprime * modulation_values(q_grid, grid.pw, e, params, opts.variant)
     )
-    drem = Ls_rem + S - src_proj @ H
+    drem = Ls_rem + S - tracked
     inner_src = remainder_source(proj, bprime, modes, inner, b, s, params, opts.variant)
     return dmodes, drem, inner_src, bprime
 
@@ -400,9 +399,9 @@ def _unstable_leak(
     debris would grow (rates 1 - n/2k > 0). Debris in the neutral and stable
     tracked modes decays by itself.
     """
-    r_q = frame.SD[: quad.order] @ inner_vals
+    r_q = frame.SDD[: quad.order] @ inner_vals
     return project_modes_from_samples(
-        r_q, s, params.k, 2 * params.k, quad, scale=_scale_tables(s, params, quad).proj_scale,
+        r_q, s, params.k, 2 * params.k, quad, scale=_scale_tables(s, params).proj_scale,
     )
 
 
@@ -488,17 +487,18 @@ def _step_tail(
     if opts.linear_only:
         return x
     modes, rem, inner, b = x
-    tab = _scale_tables(s, params, quad)
+    tab = _scale_tables(s, params)
     frame = _frame(params, quad)
     leak = _unstable_leak(inner, s, params, quad, frame)
     n = leak.size
-    rem = rem - np.tensordot(leak, _outer_basis(s, grid.key, params)[:n], axes=1)
+    rem = rem - (leak @ tab.conv[:n, :n]) @ grid.mono[:n]
     inner = inner - (leak * tab.iexp[:n]) @ frame.ztab[:n]
     # where both grids overlap the outer one takes the resolved values:
     # once it under-resolves the weight, its own near-origin evolution
     # seeds unstable-range debris that only the inner grid can measure
-    overlap = np.abs(tab.I * grid.nodes) <= Z_OVERLAP
-    rem[overlap] = sample(frame.z, inner, tab.I * grid.nodes[overlap])
+    z = tab.I * grid.nodes  # increasing, so |z| <= Z_OVERLAP is one slice
+    lo, hi = z.searchsorted(-Z_OVERLAP, "left"), z.searchsorted(Z_OVERLAP, "right")
+    rem[lo:hi] = sample(frame.z, inner, z[lo:hi])
     modes = modes.copy()
     modes[2 * params.k] = 0.0
     return modes, rem, inner, b
@@ -532,9 +532,10 @@ def _finite(x: tuple) -> bool:
     return all(np.isfinite(xi).all() for xi in x)
 
 
-def _state_at(x: tuple, s: float, nodes: np.ndarray) -> SimState:
+def _state_at(x: tuple, s: float, like: GridFunction) -> SimState:
+    """The state of x at s, its outer remainder on the nodes of like."""
     modes, rem, inner, b = x
-    dec = SpectralDecomposition(s, modes, GridFunction(nodes, rem))
+    dec = SpectralDecomposition(s, modes, like.with_values(rem))
     return SimState(s=s, b=float(b), dec=dec, inner=inner)
 
 
@@ -549,12 +550,12 @@ def step(
         raise ValueError("state with non-finite values rejected")
     if ds == 0.0:
         return state
-    nodes = state.dec.remainder.nodes
+    rem = state.dec.remainder
     s1 = state.s + ds
-    x = _advance(x, None, state.s, s1, _outer_grid(nodes, params), params, opts.quad(), opts)
+    x = _advance(x, None, state.s, s1, _outer_grid(rem.nodes, params), params, opts.quad(), opts)
     if not _finite(x):
         raise ValueError("time step produced non-finite values")
-    return _state_at(x, s1, nodes)
+    return _state_at(x, s1, rem)
 
 
 _BOUND_B_LOW = "b_low"
@@ -666,8 +667,8 @@ def run(
     x = _values(state0)
     if not _finite(x):
         raise ValueError("state with non-finite values rejected")
-    nodes = state0.dec.remainder.nodes
-    grid = _outer_grid(nodes, params)
+    rem0 = state0.dec.remainder
+    grid = _outer_grid(rem0.nodes, params)
     quad = opts.quad()
     L = _frame(params, quad).L
     s0 = state0.s
@@ -714,7 +715,7 @@ def run(
             t_prev = (s_at(j - 1) - sa) / (sb - sa)
             bp = k1[3] if j == i + 1 else _hermite_slope(x[3], f0[3], x1[3], f1[3], sb - sa, t_prev)
             xj = x1 if j == i + m else _hermite(x, f0, x1, f1, sb - sa, (s - sa) / (sb - sa))
-            state = _state_at(xj, s, nodes)
+            state = _state_at(xj, s, rem0)
             report = membership(state, delta, b0, params, opts)
             record.samples.append(_sample_of(state, bp, report))
             if report.worst_margin < -EXIT_HYSTERESIS:

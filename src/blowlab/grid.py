@@ -56,7 +56,14 @@ class GridFunction:
         return float(h[0])
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.nodes, values)
+        """The same nodes with other values; the nodes are not checked again."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.nodes.shape:
+            raise ValueError("nodes and values must have equal length")
+        out = object.__new__(GridFunction)
+        object.__setattr__(out, "nodes", self.nodes)
+        object.__setattr__(out, "values", values)
+        return out
 
 
 def uniform_grid(y_max: float, n: int) -> np.ndarray:
@@ -111,8 +118,9 @@ def upwind_gradient(values: np.ndarray, h: float, wind: np.ndarray) -> np.ndarra
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes for differentiation")
     out = np.empty_like(f)
-    # the interior nodes before c have wind < 0, the rest wind >= 0
-    c = 2 + int(np.count_nonzero(np.asarray(wind)[2:-2] < 0.0))
+    # the interior nodes before c have wind < 0, the rest wind >= 0; the
+    # wind is sorted, so a binary search finds c
+    c = 2 + int(np.asarray(wind)[2:-2].searchsorted(0.0))
     out[2:c] = (
         -2.0 * f[1 : c - 1] - 3.0 * f[2:c] + 6.0 * f[3 : c + 1] - f[4 : c + 2]
     ) / (6.0 * h)
@@ -149,13 +157,14 @@ def _cubic_stencil(nodes: np.ndarray, pts: np.ndarray):
         raise ValueError("need at least 4 nodes to interpolate")
     h = (nodes[-1] - nodes[0]) / (n - 1)
     # base index of the 4-point stencil; target cell is [base+1, base+2]
-    j = np.floor((pts - nodes[0]) / h).astype(int)
-    base = np.clip(j - 1, 0, n - 4)
+    base = np.floor((pts - nodes[0]) / h).astype(int) - 1
+    np.minimum(np.maximum(base, 0, out=base), n - 4, out=base)
     t = (pts - nodes[base]) / h
-    w0 = -(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0
-    w1 = t * (t - 2.0) * (t - 3.0) / 2.0
-    w2 = -t * (t - 1.0) * (t - 3.0) / 2.0
-    w3 = t * (t - 1.0) * (t - 2.0) / 6.0
+    t1, t2, t3 = t - 1.0, t - 2.0, t - 3.0
+    w0 = -t1 * t2 * t3 / 6.0
+    w1 = t * t2 * t3 / 2.0
+    w2 = -t * t1 * t3 / 2.0
+    w3 = t * t1 * t2 / 6.0
     return base, (w0, w1, w2, w3)
 
 

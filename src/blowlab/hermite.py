@@ -160,16 +160,28 @@ def project_modes_from_samples(
     Uses <f, H_n> = I^{-n} sum_i w_i f_i h_n(z_i) / sqrt(4 pi) and the exact
     mode norms, so only one factor of I^n appears (no overflow for desk-scale
     s and n <= M_floor). f_quad may stack several functions along its leading
-    axes; the projections keep those axes, with the mode index last. z_table
-    and scale, when given, are the cached h_n at the nodes and
-    mode_projection_scale at s.
+    axes; the projections keep those axes, with the mode index last. The
+    weights w_i h_n(z_i) / sqrt(4 pi) of a Gauss rule are built once per
+    process; z_table, when given, is another table of h_n at the nodes to
+    weigh with instead. scale, when given, is mode_projection_scale at s.
     """
     if z_table is None:
-        z_table = quad_hermite_table(quad, n_modes - 1)
+        weights = _projector(quad.order, n_modes)
+    else:
+        weights = (quad.weights[:, None] * z_table[:n_modes].T) / math.sqrt(4.0 * math.pi)
     if scale is None:
         scale = mode_projection_scale(float(scale_factor(s, k)), n_modes)
-    raw = (quad.weights * f_quad) @ z_table[:n_modes].T / math.sqrt(4.0 * math.pi)
-    return raw * scale[:n_modes]
+    return (f_quad @ weights) * scale[:n_modes]
+
+
+@lru_cache(maxsize=8)
+def _projector(quad_order: int, n_modes: int) -> np.ndarray:
+    """w_i h_n(z_i) / sqrt(4 pi) at the nodes of gauss_rule(quad_order), n < n_modes."""
+    quad = gauss_rule(quad_order)
+    table = quad_hermite_table(quad, n_modes - 1)
+    out = (quad.weights[:, None] * table.T) / math.sqrt(4.0 * math.pi)
+    out.flags.writeable = False  # one cached copy serves every caller
+    return out
 
 
 def mode_projection_scale(I: float, n_modes: int) -> np.ndarray:

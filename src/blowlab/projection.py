@@ -22,21 +22,23 @@ The flow carries its remainder on an inner grid at fixed z = I(s) y, and
 the Gauss nodes also sit at fixed z, so every map between that grid, the
 quadrature nodes and the basis is independent of s. z_frame() builds those
 operators once per (quadrature order, J) and caches them: the stacked
-matrix [S; S D] that gives the remainder and its z-derivative at the Gauss
-nodes in one product (S from grid.sample's own stencil, D from
-grid.derivative's), D itself, h_0..h_J at the inner nodes, and the inner
-grid's d_zz - (z/2) d_z + 1. A remainder handed over as a ZRemainder is
-read through them; any other GridFunction is sampled point by point.
+matrix [S; S D; D] that gives the remainder at the Gauss nodes and its
+z-derivative at the Gauss and the inner nodes in one product (S from
+grid.sample's own stencil, D from grid.derivative's), h_0..h_J at the inner
+nodes, and the inner grid's d_zz - (z/2) d_z + 1. A remainder handed over as
+a ZRemainder is read through them; any other GridFunction is sampled point
+by point.
 
-What depends on s but not on the state is built once per scale time by
-scale_tables(): I and its powers, the points y = z / I at the Gauss and the
-inner nodes with the powers of |y| the sources need, the basis/monomial
-conversion tables and the projection scale. An RK4 step asks for three
-distinct scale times and shares its last with the next step's first, so a
-handful of cached entries serves a trajectory. With a ZRemainder the source
-increments are evaluated once, at the Gauss and the inner nodes together:
-projected_sources() projects the first part and carries the second on its
-SourceProjections for remainder_source().
+No array a stage reads at the nodes depends on s either. The Gauss and the
+inner nodes' powers of |z| and h_0..h_{M_floor} there are built once per
+process (_fixed_points); a power of y = z / I is a power of z times a power
+of I, and the sources take those powers of I as scalar factors. What does
+depend on s is O(J) in size and built once per scale time by
+scale_tables(): I and its powers, the basis/monomial conversion tables and
+the projection scale. With a ZRemainder the source increments are evaluated
+once, at the Gauss and the inner nodes together: projected_sources()
+projects the first part and carries the second on its SourceProjections for
+remainder_source().
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from .hermite import (
     hermite_z_table,
     mode_projection_scale,
     project_modes_from_samples,
-    quad_hermite_table,
 )
 from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor
 from .operators import modulation_rate
@@ -105,19 +106,19 @@ class ZFrame(NamedTuple):
     """The s-independent operators of the inner grid, for one (quad order, J).
 
     The Gauss nodes sit at fixed z, so interpolation from the inner nodes to
-    them does not depend on s. SD = [S; S D] gives r and dr/dz there in one
-    product, with S the matrix of grid.sample's local cubic and D that of
-    grid.derivative's 4th-order stencils; dr/dy = I dr/dz. ztab holds
-    h_0..h_J at the nodes, so H_n(z / I, s) = I^{-n} ztab[n]. L is the
-    inner grid's L_s plus moving-frame term, d_zz - (z/2) d_z + 1, from
-    grid.laplacian_compact and grid.upwind_gradient.
+    them does not depend on s. SDD = [S; S D; D] gives r at the Gauss nodes,
+    then dr/dz at the Gauss and at the inner nodes, in one product, with S
+    the matrix of grid.sample's local cubic and D that of grid.derivative's
+    4th-order stencils; dr/dy = I dr/dz. ztab holds h_0..h_J at the nodes,
+    so H_n(z / I, s) = I^{-n} ztab[n]. L is the inner grid's L_s plus
+    moving-frame term, d_zz - (z/2) d_z + 1, from grid.laplacian_compact and
+    grid.upwind_gradient.
     """
 
     quad_order: int
     J: int
     z: np.ndarray
-    SD: np.ndarray
-    D: np.ndarray
+    SDD: np.ndarray
     ztab: np.ndarray
     L: np.ndarray
 
@@ -139,9 +140,9 @@ def z_frame(quad_order: int, J: int) -> ZFrame:
     S = sample_matrix(z, gauss_rule(quad_order).nodes)
     frame = ZFrame(
         quad_order=quad_order, J=J, z=z,
-        SD=np.vstack([S, S @ D]), D=D, ztab=hermite_z_table(z, J), L=L,
+        SDD=np.vstack([S, S @ D, D]), ztab=hermite_z_table(z, J), L=L,
     )
-    for arr in (frame.z, frame.SD, frame.D, frame.ztab, frame.L):
+    for arr in (frame.z, frame.SDD, frame.ztab, frame.L):
         arr.flags.writeable = False  # one cached copy serves every caller
     return frame
 
@@ -247,54 +248,63 @@ def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
 class ScaleTables(NamedTuple):
     """What the projections need at one scale time, independent of the state.
 
-    pw holds the Gauss nodes, then the inner nodes, divided by I. conv maps
-    modes to their jet (H_n = sum c (-I^{-2})^ell y^{n-2 ell}), mono is
-    monomial_table(J + 1, I^{-2}, J) and proj_scale I^n / (2^n n!). low is
-    the inner-node basis block H_n(z / I) = I^{-n} h_n(z) of the tracked
-    modes, and y_edge the largest |y| of the Gauss nodes.
+    Every entry is a scalar or an O(J) table: conv maps modes to their jet
+    (H_n = sum c (-I^{-2})^ell y^{n-2 ell}), mono is monomial_table(J + 1,
+    I^{-2}, J) and proj_scale I^n / (2^n n!). i2k = I^{-2k} turns powers of
+    z into powers of y: |y|^{2k} = i2k |z|^{2k}, and as I dr/dz = dr/dy,
+    the drift's |y|^{2k-2} y dr/dy and the residual's I^{-2} |y|^{2k-2} r
+    are i2k |z|^{2k-2} z dr/dz and i2k |z|^{2k-2} r.
     """
 
     I: float
     I2inv: float
+    i2k: float
     iexp: np.ndarray  # I^{-n}, n = 0..J
-    pw: NodePowers
     conv: np.ndarray
     mono: np.ndarray
     proj_scale: np.ndarray
-    low: np.ndarray
-    y_edge: float
 
 
-@lru_cache(maxsize=8)
-def _fixed_points(quad_order: int, n_modes: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The s-independent parts of scale_tables.
+class _NodeTables(NamedTuple):
+    """The s-independent arrays at the Gauss nodes, then the inner nodes.
 
-    The Gauss nodes, then the inner nodes, in z; h_0..h_{n_modes-1} at the
-    inner nodes; the largest |z| of the Gauss nodes.
+    pw holds the nodes in z with their powers of |z|, htab h_0..h_{M_floor}
+    there, and z_edge is the largest |z| of the Gauss nodes.
     """
-    nodes = gauss_rule(quad_order).nodes
-    z = inner_nodes()
-    return np.concatenate((nodes, z)), hermite_z_table(z, n_modes - 1), float(np.max(np.abs(nodes)))
+
+    pw: NodePowers
+    htab: np.ndarray
+    z_edge: float
 
 
 @lru_cache(maxsize=8)
-def scale_tables(s: float, k: int, n_modes: int, J: int, quad_order: int) -> ScaleTables:
+def _fixed_points(quad_order: int, n_modes: int, k: int) -> _NodeTables:
+    """Build, once per process, the node tables of a quadrature order."""
+    nodes = gauss_rule(quad_order).nodes
+    z = np.concatenate((nodes, inner_nodes()))
+    tables = _NodeTables(
+        pw=node_powers(z, k), htab=hermite_z_table(z, n_modes - 1),
+        z_edge=float(np.max(np.abs(nodes))),
+    )
+    for arr in (*tables.pw, tables.htab):
+        arr.flags.writeable = False  # one cached copy serves every caller
+    return tables
+
+
+@lru_cache(maxsize=8)
+def scale_tables(s: float, k: int, n_modes: int, J: int) -> ScaleTables:
     """Build, once per scale time and sizes, the state-independent tables."""
     I = float(scale_factor(s, k))
     I2inv = I**-2
-    iexp = I ** (-np.arange(J + 1, dtype=float))
-    zq, ztab_inner, z_edge = _fixed_points(quad_order, n_modes)
-    pw = node_powers(zq / I, k)
     hc, he, _, _ = _basis_structure(n_modes, J)
     tables = ScaleTables(
-        I=I, I2inv=I2inv, iexp=iexp, pw=pw,
+        I=I, I2inv=I2inv, i2k=I ** (-2 * k),
+        iexp=I ** (-np.arange(J + 1, dtype=float)),
         conv=hc * I2inv**he,
         mono=monomial_table(J + 1, I2inv, J),
         proj_scale=mode_projection_scale(I, n_modes),
-        low=ztab_inner * iexp[:n_modes, None],
-        y_edge=z_edge / I,
     )
-    for arr in (*pw, iexp, tables.conv, tables.mono, tables.proj_scale, tables.low):
+    for arr in (tables.iexp, tables.conv, tables.mono, tables.proj_scale):
         arr.flags.writeable = False  # one cached copy serves every caller
     return tables
 
@@ -353,11 +363,23 @@ def _source_jets(
     return out
 
 
-# Gauss-Legendre nodes/weights on [0, 1]; exact through degree 15, so the
-# nonlinear increment below is exact for integer p <= 16
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(8)
-_GL_T = 0.5 * (_GL_T + 1.0)
-_GL_W = 0.5 * _GL_W
+# for integer p <= 16 the nonlinear increment's integrand is a polynomial of
+# degree p - 1 in t, which ceil(p / 2) Gauss-Legendre nodes integrate exactly
+_GL_EXACT_MAX_P = 16
+_GL_NODES = 8
+
+
+@lru_cache(maxsize=8)
+def _legendre_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1] for the t-integral at exponent p.
+
+    ceil(p / 2) nodes for integer p <= 16, where they are exact, 8 otherwise.
+    """
+    exact = float(p).is_integer() and p <= _GL_EXACT_MAX_P
+    t, w = np.polynomial.legendre.leggauss(math.ceil(p / 2) if exact else _GL_NODES)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False  # one cached copy serves every caller
+    return t, w
 
 
 def _nonlinear_increment(qp: np.ndarray, r: np.ndarray, e: np.ndarray, p: float) -> np.ndarray:
@@ -367,34 +389,38 @@ def _nonlinear_increment(qp: np.ndarray, r: np.ndarray, e: np.ndarray, p: float)
     integrand evaluated as expm1((p-1) log1p(.)) at all Gauss-Legendre nodes
     at once; accurate uniformly in the size of v and exact in t for integer p.
     """
+    t, w = _legendre_rule(p)
     u = e * qp
     v = e * r
-    x = u + _GL_T[:, None] * v
-    return p * v * (_GL_W @ np.expm1((p - 1.0) * np.log1p(x)))
+    x = u + t[:, None] * v
+    return p * v * (w @ np.expm1((p - 1.0) * np.log1p(x)))
 
 
 def _increments(
     qp: np.ndarray, r: np.ndarray, dr: np.ndarray, pw: NodePowers, b: float,
-    I2inv: float, params: ModelParams, variant: str,
+    tab: ScaleTables, params: ModelParams, variant: str,
 ) -> np.ndarray:
-    """Remainder-coupled source increments at the points pw.y.
+    """Remainder-coupled source increments at the points y = pw.y / I.
 
-    Returns the rows N, D_s, R_s, M of S(q_+ + r) - S(q_+), given q_+, r and
-    dr/dy there, and as a fifth row the coupling increment y^{2k} e_b r.
-    Each is formed without subtracting nearly equal values: the remainder is
-    many orders below the polynomial part on the weight support, and
-    differences of evaluated sources would be amplified into O(1) noise by
-    the projection conditioning.
+    Takes q_+ and r there, the z-derivative dr = dr/dz and the powers of z
+    in pw; tab.i2k turns those into the powers of y. Returns the rows N,
+    D_s, R_s, M of S(q_+ + r) - S(q_+), and as a fifth row the coupling
+    increment y^{2k} e_b r. Each is formed without subtracting nearly equal
+    values: the remainder is many orders below the polynomial part on the
+    weight support, and differences of evaluated sources would be amplified
+    into O(1) noise by the projection conditioning.
     """
     p, k = params.p, params.k
-    e = 1.0 / (p - 1.0 + b * pw.y2k)
+    y2k = tab.i2k * pw.y2k
+    e = 1.0 / (p - 1.0 + b * y2k)
+    ye = y2k * e
     a = alpha_consts(b, params)
     qweight = e if variant == "derived" else 1.0
     out = np.empty((5, r.size))
     out[0] = _nonlinear_increment(qp, r, e, p)
-    out[1] = -4.0 * p * k * b / (p - 1.0) * I2inv * e * pw.ydrift * dr
-    out[2] = I2inv * pw.yres * qweight * (a.alpha3 + a.alpha4 * pw.y2k * e) * r
-    np.multiply(pw.y2k * e, r, out=out[4])
+    out[1] = -4.0 * p * k * b / (p - 1.0) * tab.i2k * e * pw.ydrift * dr
+    out[2] = tab.i2k * pw.yres * qweight * (a.alpha3 + a.alpha4 * ye) * r
+    np.multiply(ye, r, out=out[4])
     np.multiply(p / (p - 1.0), out[4], out=out[3])
     return out
 
@@ -445,17 +471,19 @@ def projected_sources(
     product with the monomial table; the remainder enters through source
     increments evaluated at the quadrature nodes, where it is small, and
     projected together. A ZRemainder is brought to those nodes by its
-    frame's [S; S D], and its increments are evaluated in the same pass at
-    its own nodes, for remainder_source(); any other GridFunction is
+    frame's [S; S D; D], and its increments are evaluated in the same pass
+    at its own nodes, for remainder_source(); any other GridFunction is
     sampled by grid.sample.
     """
     p, k = params.p, params.k
     n_modes = params.n_modes
     J = default_jet_order(n_modes)
-    tab = scale_tables(s, k, n_modes, J, quad.order)
+    tab = scale_tables(s, k, n_modes, J)
+    nq = quad.order
+    fixed = _fixed_points(nq, n_modes, k)
 
     # the truncated e_b expansion must converge across the weight's support
-    if b * tab.y_edge ** (2 * k) / (p - 1.0) > 0.5:
+    if b * (fixed.z_edge / tab.I) ** (2 * k) / (p - 1.0) > 0.5:
         raise ValueError(
             "scale time too small for the jet projection route: the profile "
             "expansion parameter exceeds 1/2 on the quadrature support"
@@ -465,24 +493,22 @@ def projected_sources(
     inc = np.zeros((5, n_modes))
     zinc = None
     if (rem.values != 0.0).any():
-        nq = quad.order
-        ztab = quad_hermite_table(quad, n_modes - 1)
-        qp = (modes * tab.iexp[:n_modes]) @ ztab
+        scaled = modes * tab.iexp[:n_modes]  # H_n(z / I) = I^{-n} h_n(z)
         if isinstance(rem, ZRemainder):
             if rem.frame.quad_order != nq:
                 raise ValueError("z-frame built for another quadrature order")
-            rd = rem.frame.SD @ rem.values
-            qp = np.concatenate((qp, modes @ tab.low))
+            # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
+            rd = rem.frame.SDD @ rem.values
             r = np.concatenate((rd[:nq], rem.values))
-            dr = tab.I * np.concatenate((rd[nq:], rem.frame.D @ rem.values))
-            incs = _increments(qp, r, dr, tab.pw, b, tab.I2inv, params, variant)
+            incs = _increments(scaled @ fixed.htab, r, rd[nq:], fixed.pw, b, tab, params, variant)
             zinc = incs[:4, nq:]
         else:
-            pw = NodePowers(*(a[:nq] for a in tab.pw))  # the Gauss nodes
-            r = sample(rem.nodes, rem.values, pw.y)
-            dr = sample(rem.nodes, derivative(rem.values, rem.spacing), pw.y)
-            incs = _increments(qp, r, dr, pw, b, tab.I2inv, params, variant)
-        inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, ztab, tab.proj_scale)
+            pw = NodePowers(*(a[:nq] for a in fixed.pw))  # the Gauss nodes
+            y = pw.y / tab.I
+            r = sample(rem.nodes, rem.values, y)
+            dr = sample(rem.nodes, derivative(rem.values, tab.I * rem.spacing), y)
+            incs = _increments(scaled @ fixed.htab[:, :nq], r, dr, pw, b, tab, params, variant)
+        inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, scale=tab.proj_scale)
 
     return SourceProjections(
         coeffs[:4], inc[:4], coeffs[4, :n_modes] + inc[4],
@@ -507,35 +533,36 @@ def remainder_source(
     the remainder-coupled increment minus its projections. Nothing is
     subtracted from an O(1) value, so the result keeps its relative accuracy
     where the remainder is of size I^{-M}; the direct difference S - Pi S
-    would bury it under the roundoff of S. A ZRemainder reads the basis from
-    the scale-time tables and its increments from proj, which must come from
-    projected_sources() on that same ZRemainder; the nodes of any other
-    GridFunction get their own basis and increments.
+    would bury it under the roundoff of S. Both basis parts are summed as one
+    series in h_n(z). A ZRemainder reads h_n from its frame and its
+    increments from proj, which must come from projected_sources() on that
+    same ZRemainder; the nodes of any other GridFunction get their own
+    table and increments.
     """
     n_modes = params.n_modes
     J = proj.jets.shape[1] - 1
+    tab = scale_tables(s, params.k, n_modes, J)
+    nonzero = (rem.values != 0.0).any()
     if isinstance(rem, ZRemainder):
         if proj.zrem is not rem:
             raise ValueError("proj must come from projected_sources() on this ZRemainder")
-        tab = scale_tables(s, params.k, n_modes, J, rem.frame.quad_order)
-        iexp, ztab, low = tab.iexp, rem.frame.ztab[: J + 1], tab.low
+        ztab, incs = rem.frame.ztab[: J + 1], proj.zinc
     else:
-        I = float(scale_factor(s, params.k))
-        ztab = hermite_z_table(I * rem.nodes, J)
-        iexp = I ** (-np.arange(J + 1, dtype=float))
-        low = ztab[:n_modes] * iexp[:n_modes, None]
-    w = np.array([1.0, 1.0, 1.0, bprime])
-    out = ((w @ proj.jets[:, n_modes:]) * iexp[n_modes:]) @ ztab[n_modes:]
-    if (rem.values != 0.0).any():
-        if isinstance(rem, ZRemainder):
-            incs = proj.zinc
-        else:
-            dr = derivative(rem.values, rem.spacing)
+        z = tab.I * rem.nodes
+        ztab = hermite_z_table(z, J)
+        if nonzero:
+            dr = derivative(rem.values, tab.I * rem.spacing)
             incs = _increments(
-                modes @ low, rem.values, dr, node_powers(rem.nodes, params.k), b, I**-2,
-                params, variant,
+                (modes * tab.iexp[:n_modes]) @ ztab[:n_modes], rem.values, dr,
+                node_powers(z, params.k), b, tab, params, variant,
             )
-        out = out + w @ incs[:4] - (w @ proj.inc) @ low
+    w = np.array([1.0, 1.0, 1.0, bprime])
+    coef = np.empty(J + 1)
+    coef[n_modes:] = w @ proj.jets[:, n_modes:]
+    coef[:n_modes] = -(w @ proj.inc)
+    out = (coef * tab.iexp) @ ztab
+    if nonzero:
+        out += w @ incs[:4]
     return out
 
 

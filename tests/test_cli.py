@@ -56,11 +56,29 @@ def test_config_rejects_retired_keys(key):
         {"shoot_depth": 3.5},
         {"u_T": 1.0},
         {"u_T": 2.0},
+        # float keys take finite numbers only: no bools, no infinities
+        {"horizon": float("inf")},
+        {"p": float("inf")},
+        {"b0": float("inf")},
+        {"s0": float("inf")},
+        {"horizon": True},
+        {"b0": True},
+        {"delta": True},
+        {"shoot_box": True},
+        {"d": [True, 0.0, 0.0, 0.0]},
     ],
 )
 def test_config_rejects_bad_values(patch):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(patch)
+
+
+def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
+    # an infinite horizon is a config error (exit 2), not a crash in the run
+    rc = run_experiment(["simulate", "--horizon", "inf", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "horizon must be a finite number" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_config_file_errors(tmp_path):

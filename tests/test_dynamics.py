@@ -17,7 +17,8 @@ from blowlab.dynamics import (
 from blowlab import dynamics
 from blowlab.hermite import SpectralDecomposition, hermite_series, hermite_y_table
 from blowlab.params import alpha_consts, eval_profile, make_params, node_powers, scale_factor
-from blowlab.projection import Z_MAX, _fixed_points, scale_tables
+from blowlab.hermite import _projector
+from blowlab.projection import Z_MAX, _fixed_points, _legendre_rule, scale_tables
 
 DELTA, B0, S0 = 0.1, 1.0, 20.0
 
@@ -303,11 +304,11 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
     assert 0.0 < np.max(scaled) < I**-params3.M
 
 
-# every cache a flow step reads that depends on s, on the outer grid or on
-# the step size
+# every cache a flow step reads that depends on s, on the outer grid, on the
+# step size or on the model
 FLOW_CACHES = (
-    scale_tables, _fixed_points, alpha_consts, dynamics._outer_grid_of, dynamics._outer_basis,
-    dynamics._half_exp_of,
+    scale_tables, _fixed_points, alpha_consts, dynamics._outer_grid_of, dynamics._half_exp_of,
+    _legendre_rule, _projector,
 )
 
 
@@ -316,22 +317,39 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("s", [20.0, 28.005])
+@pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
 def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     nodes = opts.nodes()
+    n = params3.n_modes
     grid = dynamics._outer_grid(nodes, params3)
-    H = dynamics._outer_basis(s, grid.key, params3)
     assert _same(grid.nodes, nodes)
-    assert _same(H, hermite_y_table(nodes, params3.n_modes - 1, s, 2))
-    # the step tail's leak series, from the stage's table
+    # a basis series on the outer grid is its power series in y times the
+    # monomials: the stage's q_+ and dq_+/dy and the step tail's leak series
+    tab = dynamics._scale_tables(s, params3)
+    H = hermite_y_table(nodes, n - 1, s, 2)
+    modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15])
+    qc = modes @ tab.conv[:, :n]
+    dqc = np.append(qc[1:] * np.arange(1, n), 0.0)
+    for got, want in (
+        (qc @ grid.mono, hermite_series(modes, nodes, s, 2)),
+        (qc @ grid.mono, modes @ H),
+        (dqc @ grid.mono, (modes[1:] * np.arange(1, n)) @ H[:-1]),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     leak = np.array([3e-9, -1e-9, 2e-10, -5e-11])
-    assert _same(np.tensordot(leak, H[:4], axes=1), hermite_series(leak, nodes, s, 2))
+    want = hermite_series(leak, nodes, s, 2)
+    got = (leak @ tab.conv[:4, :4]) @ grid.mono[:4]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     b = 1.3
     assert all(_same(x, y) for x, y in zip(grid.pw, node_powers(nodes, 2)))
     assert _same(1.0 / (params3.p - 1.0 + b * grid.pw.y2k), eval_profile(nodes, b, params3)[1])
     assert _same(grid.yM, np.abs(nodes) ** params3.M)
-    assert _same(grid.lam, 1.0 - np.arange(params3.n_modes) / 4.0)
-    assert not H.flags.writeable
+    assert _same(grid.lam, 1.0 - np.arange(n) / 4.0)
+    want = np.array([nodes**j for j in range(n)])
+    assert np.all(np.abs(grid.mono - want) <= 1e-15 * np.abs(want))
+    # one cached copy serves every caller, so none may write to it
+    assert not any(a.flags.writeable for a in (grid.wind, *grid.pw, grid.yM, grid.lam, grid.mono))
+    assert dynamics._outer_grid(nodes.copy(), params3) is grid
     # the key is the nodes themselves: another node set gets its own grid
     other = dynamics._outer_grid(FlowOptions(n_nodes=201).nodes(), params3)
     assert other.nodes.size == 201 and other.key != grid.key

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,10 @@ def test_even_powers_of_negative_points(k):
     def close(got, want):
         return np.all(np.abs(got - want) <= 4 * ulps * np.finfo(float).eps * np.abs(want))
 
-    b, I2inv = 1.2, 2.5e-3
+    # I = 16: scaling by a power of two is exact, so the increments' powers
+    # of z = I y, times I^{-2k}, are the powers of y bit for bit
+    b, I = 1.2, 16.0
+    I2inv = I**-2
     a = alpha_consts(b, P)
     f, e = eval_profile(y, b, P)
     y2k = np.abs(y) ** (2 * k)
@@ -122,7 +127,8 @@ def test_even_powers_of_negative_points(k):
     want = yeven * (a.alpha1 + a.alpha2 * y2k * e) * f**P.p
     assert close(profile_second_derivative(y, b, P), want)
     r = 1e-6 * np.sin(5.0 * y)
-    row = _increments(q, r, r, node_powers(y, k), b, I2inv, P, "derived")[2]
+    tab = SimpleNamespace(i2k=I ** (-2 * k))
+    row = _increments(q, r, r, node_powers(I * y, k), b, tab, P, "derived")[2]
     assert close(row, I2inv * yeven * e * (a.alpha3 + a.alpha4 * y2k * e) * r)
 
 

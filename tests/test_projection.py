@@ -9,20 +9,24 @@ from numpy.polynomial import polynomial as P
 
 from blowlab.grid import GridFunction, derivative, laplacian_compact, sample, upwind_gradient
 from blowlab.hermite import (
+    _projector,
     eval_scaled_hermite,
     hermite_explicit_sum,
     hermite_series,
     hermite_y_table,
     hermite_z_table,
+    project_modes_from_samples,
     quad_hermite_table,
 )
 from blowlab.operators import nonlinear_values
-from blowlab.params import node_powers, scale_factor
+from blowlab.params import NodePowers, alpha_consts, node_powers, scale_factor
 from blowlab.projection import (
     ZRemainder,
     _basis_structure,
+    _fixed_points,
     _increments,
     _jet_binomial_power,
+    _legendre_rule,
     _nonlinear_increment,
     _toeplitz_index,
     default_jet_order,
@@ -56,11 +60,11 @@ def test_z_frame_interpolation_matches_sample(frame, quad96, s):
     yq = quad96.nodes / I
     want_r = sample(rem.nodes, vals, yq)
     want_dr = sample(rem.nodes, derivative(vals, rem.spacing), yq)
-    rd = frame.SD @ vals
-    r, dr = rd[:96], I * rd[96:]
+    rd = frame.SDD @ vals
+    r, dr = rd[:96], I * rd[96:192]
     # the outermost Gauss nodes lie beyond |z| = Z_MAX, where both routes
     # extrapolate the edge cell and roundoff grows with the stencil's weights
-    amp = np.sum(np.abs(frame.SD[:96]), axis=1)
+    amp = np.sum(np.abs(frame.SDD[:96]), axis=1)
     assert np.all(amp[np.abs(quad96.nodes) <= inner_nodes()[-1]] < 1.3)
     assert np.all(np.abs(r - want_r) <= 1e-13 * amp * np.max(np.abs(want_r)))
     assert np.all(np.abs(dr - want_dr) <= 1e-13 * amp * np.max(np.abs(want_dr)))
@@ -73,7 +77,7 @@ def test_z_frame_node_operators_match_grid_kernels(frame):
     want_L = laplacian_compact(vals, hz) - 0.5 * z * upwind_gradient(vals, hz, z) + vals
     assert np.max(np.abs(frame.L @ vals - want_L)) <= 1e-13 * np.max(np.abs(want_L))
     want_d = derivative(vals, hz)
-    assert np.max(np.abs(frame.D @ vals - want_d)) <= 1e-13 * np.max(np.abs(want_d))
+    assert np.max(np.abs(frame.SDD[192:] @ vals - want_d)) <= 1e-13 * np.max(np.abs(want_d))
 
 
 @pytest.mark.parametrize("s", [20.0, 45.0])
@@ -134,7 +138,7 @@ def test_outer_basis_table_matches_hermite_evaluators(params3, s):
         want = hermite_explicit_sum(n, y, s, K)
         assert np.max(np.abs(H[n] - want)) <= 1e-13 * np.max(np.abs(want))
         assert np.max(np.abs(H[n] - eval_scaled_hermite(n, y, s, K))) <= 1e-13 * np.max(np.abs(want))
-    # the stage's three basis sums, and the derivative rule d/dy H_n = n H_{n-1}
+    # three basis sums of a series, and the derivative rule d/dy H_n = n H_{n-1}
     modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15])
     series = hermite_series(modes, y, s, K)
     assert np.max(np.abs(modes @ H - series)) <= 1e-15 * np.max(np.abs(series))
@@ -154,6 +158,24 @@ def test_nonlinear_increment_matches_difference_of_sources(p):
     assert np.max(np.abs(_nonlinear_increment(qp, r, e, p) - want)) <= 1e-14
 
 
+def test_nonlinear_increment_takes_the_fewest_exact_nodes():
+    # for integer p the t-integrand is a polynomial of degree p - 1, which
+    # ceil(p / 2) nodes integrate exactly; other exponents keep 8 nodes
+    assert [_legendre_rule(p)[0].size for p in (2.0, 3.0, 4.0, 5.0, 16.0)] == [1, 2, 2, 3, 8]
+    assert _legendre_rule(2.5)[0].size == 8 and _legendre_rule(17.0)[0].size == 8
+    rng = np.random.default_rng(9)
+    qp = rng.uniform(-0.4, 0.4, size=200)
+    r = rng.uniform(-0.2, 0.2, size=200)
+    e = rng.uniform(0.3, 0.5, size=200)
+    t8, w8 = np.polynomial.legendre.leggauss(8)
+    x = e * qp + 0.5 * (t8[:, None] + 1.0) * (e * r)
+    want = 3.0 * (e * r) * ((0.5 * w8) @ np.expm1(2.0 * np.log1p(x)))
+    got = _nonlinear_increment(qp, r, e, 3.0)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    t, w = _legendre_rule(3.0)
+    assert not t.flags.writeable and not w.flags.writeable and _legendre_rule(3.0)[0] is t
+
+
 def _same(a, b) -> bool:
     """Equal bit for bit, signed zeros included."""
     a, b = np.asarray(a), np.asarray(b)
@@ -161,11 +183,11 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
-def test_scale_tables_equal_the_routines_they_replace(params3, quad96, frame, s):
+def test_scale_tables_equal_the_routines_they_replace(params3, frame, s):
     n, J = params3.n_modes, frame.J
-    tab = scale_tables(s, K, n, J, 96)
+    tab = scale_tables(s, K, n, J)
     I = float(scale_factor(s, K))
-    assert tab.I == I and tab.I2inv == I**-2
+    assert tab.I == I and tab.I2inv == I**-2 and tab.i2k == I**-4
     # each call site used to build these for itself
     assert _same(tab.iexp, I ** (-np.arange(J + 1, dtype=float)))
     assert _same(tab.iexp[:n], I ** -np.arange(n, dtype=float))
@@ -174,38 +196,85 @@ def test_scale_tables_equal_the_routines_they_replace(params3, quad96, frame, s)
     hc, he, _, _ = _basis_structure(n, J)
     assert _same(tab.conv, hc * (I**-2) ** he)  # the modes-to-jet table
     assert _same(tab.mono, monomial_table(J + 1, I**-2, J))
-    assert _same(tab.low, frame.ztab[:n] * tab.iexp[:n, None])
-    yq, yi = quad96.nodes / I, frame.z / I
-    y, pw = np.concatenate((yq, yi)), tab.pw
-    assert _same(pw.y, y)
-    assert _same(pw.y2k, np.abs(y) ** 4)
-    assert _same(pw.ydrift, np.abs(y) ** 2 * y)
-    assert _same(pw.yres, y**2)
-    assert tab.y_edge == float(np.max(np.abs(quad96.nodes))) / I
     # one cached copy serves every caller, so none may write to it
-    assert not any(a.flags.writeable for a in (*tab.pw, tab.iexp, tab.conv, tab.mono, tab.low))
-    assert scale_tables(s, K, n, J, 96) is tab
+    assert not any(a.flags.writeable for a in (tab.iexp, tab.conv, tab.mono, tab.proj_scale))
+    assert scale_tables(s, K, n, J) is tab
+
+
+@pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
+def test_scale_tables_hold_no_array_at_the_nodes(params3, s):
+    # the arrays at the Gauss and the inner nodes do not depend on s
+    J = default_jet_order(params3.n_modes)
+    tab = scale_tables(s, K, params3.n_modes, J)
+    for name, entry in tab._asdict().items():
+        assert max(np.shape(entry), default=0) <= J + 1, name
+
+
+def test_node_tables_are_built_once(params3, quad96):
+    n = params3.n_modes
+    fixed = _fixed_points(96, n, K)
+    z = np.concatenate((quad96.nodes, inner_nodes()))
+    assert all(_same(x, y) for x, y in zip(fixed.pw, node_powers(z, K)))
+    assert _same(fixed.htab, hermite_z_table(z, n - 1))
+    assert _same(fixed.htab[:, :96], quad_hermite_table(quad96, n - 1))
+    assert fixed.z_edge == float(np.max(np.abs(quad96.nodes)))
+    assert not any(a.flags.writeable for a in (*fixed.pw, fixed.htab))
+    assert _fixed_points(96, n, K) is fixed
+
+
+def _inputs(params3, frame, s):
+    I = float(scale_factor(s, K))
+    vals = _inner_values(I)
+    modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15]) * I**-0.1
+    return I, vals, modes, 1.1
+
+
+@pytest.mark.parametrize("variant", ["derived", "paper"])
+@pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
+def test_folded_increments_equal_the_explicit_y_route(params3, frame, s, variant):
+    # the increments from the powers of z and the scalar I^{-2k}, against
+    # the same sources written out at y = z / I
+    n, p, k = params3.n_modes, params3.p, K
+    I, vals, modes, b = _inputs(params3, frame, s)
+    tab = scale_tables(s, K, n, frame.J)
+    fixed = _fixed_points(96, n, K)
+    rd = frame.SDD @ vals
+    r, drz = np.concatenate((rd[:96], vals)), rd[96:]
+    qp = (modes * tab.iexp[:n]) @ fixed.htab
+    got = _increments(qp, r, drz, fixed.pw, b, tab, params3, variant)
+    y = fixed.pw.y / I
+    e = 1.0 / (p - 1.0 + b * y**4)
+    a = alpha_consts(b, params3)
+    qweight = e if variant == "derived" else 1.0
+    want = np.array([
+        _nonlinear_increment(qp, r, e, p),
+        -4.0 * p * k * b / (p - 1.0) * I**-2 * e * y**3 * (I * drz),
+        I**-2 * y**2 * qweight * (a.alpha3 + a.alpha4 * y**4 * e) * r,
+        p / (p - 1.0) * y**4 * e * r,
+        y**4 * e * r,
+    ])
+    for row, (g, w) in enumerate(zip(got, want)):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), row
 
 
 @pytest.mark.parametrize("variant", ["derived", "paper"])
 @pytest.mark.parametrize("s", [20.0, 45.0])
 def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s, variant):
     n = params3.n_modes
-    tab = scale_tables(s, K, n, frame.J, 96)
-    I = tab.I
-    vals = _inner_values(I)
-    modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15]) * I**-0.1
-    b = 1.1
-    rd = frame.SD @ vals
-    dri = frame.D @ vals
-    qpq = (modes * I ** -np.arange(n, dtype=float)) @ quad_hermite_table(quad96, n - 1)
-    qpi = modes @ tab.low
-    args = (b, I**-2, params3, variant)
-    gauss = _increments(qpq, rd[:96], I * rd[96:], node_powers(quad96.nodes / I, K), *args)
-    inner = _increments(qpi, vals, I * dri, node_powers(frame.z / I, K), *args)
+    tab = scale_tables(s, K, n, frame.J)
+    fixed = _fixed_points(96, n, K)
+    I, vals, modes, b = _inputs(params3, frame, s)
+    rd = frame.SDD @ vals
+    scaled = modes * tab.iexp[:n]
+    qpq = scaled @ quad_hermite_table(quad96, n - 1)
+    qpi = scaled @ hermite_z_table(frame.z, n - 1)
+    gauss_pw = NodePowers(*(a[:96] for a in fixed.pw))
+    inner_pw = NodePowers(*(a[96:] for a in fixed.pw))
+    args = (b, tab, params3, variant)
+    gauss = _increments(qpq, rd[:96], rd[96:192], gauss_pw, *args)
+    inner = _increments(qpi, vals, rd[192:], inner_pw, *args)
     fused = _increments(
-        np.concatenate((qpq, qpi)), np.concatenate((rd[:96], vals)),
-        I * np.concatenate((rd[96:], dri)), tab.pw, *args,
+        scaled @ fixed.htab, np.concatenate((rd[:96], vals)), rd[96:], fixed.pw, *args,
     )
     assert _same(fused[:, :96], gauss)
     assert _same(fused[:, 96:], inner)
@@ -216,25 +285,36 @@ def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s, 
 @pytest.mark.parametrize("s", [20.0, 45.0])
 def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
     n = params3.n_modes
-    I = float(scale_factor(s, K))
-    vals = _inner_values(I)
-    modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15]) * I**-0.1
-    b = 1.1
+    I, vals, modes, b = _inputs(params3, frame, s)
+    tab = scale_tables(s, K, n, frame.J)
     rem = ZRemainder(frame, vals)
     proj = projected_sources(modes, rem, b, s, params3, quad96)
     bp = proj.bprime(params3, "derived")
     got = remainder_source(proj, bp, modes, rem, b, s, params3)
     # the same source with the increments evaluated at the inner nodes alone
-    iexp = I ** (-np.arange(frame.J + 1, dtype=float))
-    low = frame.ztab[:n] * iexp[:n, None]
+    inner_pw = NodePowers(*(a[96:] for a in _fixed_points(96, n, K).pw))
     incs = _increments(
-        modes @ low, vals, I * (frame.D @ vals), node_powers(frame.z / I, K), b, I**-2,
+        (modes * tab.iexp[:n]) @ frame.ztab[:n], vals, frame.SDD[192:] @ vals, inner_pw, b, tab,
         params3, "derived",
     )
     w = np.array([1.0, 1.0, 1.0, bp])
-    want = ((w @ proj.jets[:, n:]) * iexp[n:]) @ frame.ztab[n:]
-    want = want + w @ incs[:4] - (w @ proj.inc) @ low
+    coef = np.concatenate((-(w @ proj.inc), w @ proj.jets[:, n:]))
+    want = (coef * tab.iexp) @ frame.ztab + w @ incs[:4]
     assert _same(got, want)
     # the rows belong to the remainder they were evaluated for
     with pytest.raises(ValueError):
         remainder_source(proj, bp, modes, ZRemainder(frame, vals.copy()), b, s, params3)
+
+
+@pytest.mark.parametrize("n_modes", [4, 6])
+def test_cached_projector_equals_the_table_route(quad96, n_modes):
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=(5, 96))
+    scale = rng.uniform(0.5, 2.0, size=n_modes)
+    got = project_modes_from_samples(f, 20.0, K, n_modes, quad96, scale=scale)
+    want = project_modes_from_samples(
+        f, 20.0, K, n_modes, quad96, z_table=quad_hermite_table(quad96, n_modes - 1), scale=scale,
+    )
+    assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want), axis=1, keepdims=True))
+    P = _projector(96, n_modes)
+    assert P.shape == (96, n_modes) and not P.flags.writeable and _projector(96, n_modes) is P
