@@ -317,7 +317,7 @@ def _same(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
+@pytest.mark.parametrize("s", [20.0, 20.005, 28.005, 45.0])
 def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     nodes = opts.nodes()
     n = params3.n_modes
