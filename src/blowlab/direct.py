@@ -5,9 +5,13 @@ The self-similar solver integrates the w-equation with upwind-biased
 transport and explicit diffusion; the physical solver integrates
 u_t = u_xx + |u|^{p-1} u by the method of lines with a time step that shrinks
 like ||u||_inf^{-(p-1)} so the collapse is resolved uniformly in rescaled
-time. Blowup time is recovered from the line ||u||^{-(p-1)} ~ (p-1)(T - t),
-exact for the space-independent solution, and profiles are fitted in the
-rescaled frame by the linearization w^{-(p-1)} = p - 1 + b y^{2k}.
+time. Both take classical RK4 steps under the stability rule of the flow's
+outer grid: the smaller of the grid kernels' ceilings,
+RK4_TRANSPORT_CFL h / max|wind| and RK4_DIFFUSION_CFL h^2 / diffusivity,
+and a reaction limit that keeps the growth resolved. Blowup time is
+recovered from the line ||u||^{-(p-1)} ~ (p-1)(T - t), exact for the
+space-independent solution, and profiles are fitted in the rescaled frame
+by the linearization w^{-(p-1)} = p - 1 + b y^{2k}.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, laplacian_compact, upwind_gradient
+from .grid import (
+    RK4_DIFFUSION_CFL, RK4_TRANSPORT_CFL, GridFunction, laplacian_compact, upwind_gradient,
+)
 from .params import ModelParams, eval_profile, scale_factor, signed_power
 
 __all__ = [
@@ -36,16 +42,16 @@ TERM_HORIZON = "horizon"
 TERM_BLOWUP = "blowup-threshold"
 TERM_INSTABILITY = "instability"
 
-# w-solver: step as a fraction of each stability limit, snapshot spacing in s,
-# and the sup norm that ends a run
-W_CFL = 0.4
+# the reaction limits bound accuracy as the solution grows, not stability: a
+# step of the fraction W_REACT_SAFETY of 1 / (1/(p-1) + p |w|^{p-1}) and
+# U_REACT_SAFETY of ||u||^{-(p-1)}
+W_REACT_SAFETY = 0.4
+U_REACT_SAFETY = 0.02
+# w-solver: snapshot spacing in s, and the sup norm that ends a run
 W_SNAPSHOT_DS = 0.05
 W_BLOWUP_THRESHOLD = 1e6
-# u-solver: diffusive step as a fraction of h^2, reaction step as a fraction of
-# ||u||^{-(p-1)}, and a snapshot whenever the sup norm grows by the factor or
-# after the stride of steps
-U_CFL_DIFF = 0.35
-U_REACT_SAFETY = 0.02
+# u-solver: a snapshot whenever the sup norm grows by the factor or after the
+# stride of steps
 U_SNAPSHOT_GROWTH = 1.1
 U_MAX_SNAPSHOT_STRIDE = 2000
 # profile fits: b is fitted on |y| <= Y_FIT, distances are taken on |y| <= Y_WINDOW
@@ -80,8 +86,7 @@ def solve_w_direct(
     wind = nodes / (2.0 * k)
     cmax = float(np.max(np.abs(wind)))
 
-    def rhs(w: np.ndarray, s: float) -> np.ndarray:
-        I2inv = float(scale_factor(s, k)) ** -2
+    def rhs(w: np.ndarray, I2inv: float) -> np.ndarray:
         return (
             I2inv * laplacian_compact(w, h)
             - wind * upwind_gradient(w, h, wind)
@@ -94,23 +99,27 @@ def solve_w_direct(
     times = [s0]
     snaps = [w.copy()]
     sup_t = [s0]
-    sups = [float(np.max(np.abs(w)))]
+    wmax = float(np.max(np.abs(w)))
+    sups = [wmax]
     next_snap = s0 + W_SNAPSHOT_DS
     termination = TERM_HORIZON
+    I = float(scale_factor(s, k))
     while s < s1 - 1e-12:
-        I2 = float(scale_factor(s, k)) ** 2
-        wmax = float(np.max(np.abs(w)))
-        dt_diff = W_CFL * h * h * I2
-        dt_adv = W_CFL * h / max(cmax, 1e-12)
-        dt_react = W_CFL / (1.0 / (p - 1.0) + p * max(wmax, 1e-12) ** (p - 1.0))
+        dt_diff = RK4_DIFFUSION_CFL * h * h * I**2
+        dt_adv = RK4_TRANSPORT_CFL * h / max(cmax, 1e-12)
+        dt_react = W_REACT_SAFETY / (1.0 / (p - 1.0) + p * max(wmax, 1e-12) ** (p - 1.0))
         dt = min(dt_diff, dt_adv, dt_react, s1 - s, next_snap - s + 1e-15)
 
-        k1 = rhs(w, s)
-        k2 = rhs(w + 0.5 * dt * k1, s + 0.5 * dt)
-        k3 = rhs(w + 0.5 * dt * k2, s + 0.5 * dt)
-        k4 = rhs(w + dt * k3, s + dt)
+        # I at the stage times s + dt/2 and s + dt; the end's is the next start's
+        I_mid = float(scale_factor(s + 0.5 * dt, k))
+        I_end = float(scale_factor(s + dt, k))
+        k1 = rhs(w, I**-2)
+        k2 = rhs(w + 0.5 * dt * k1, I_mid**-2)
+        k3 = rhs(w + 0.5 * dt * k2, I_mid**-2)
+        k4 = rhs(w + dt * k3, I_end**-2)
         w = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         s += dt
+        I = I_end
 
         if not np.all(np.isfinite(w)):
             termination = TERM_INSTABILITY
@@ -182,7 +191,7 @@ def solve_u_physical(
     termination = TERM_HORIZON
     while t < t_max:
         umax = float(np.max(np.abs(u)))
-        dt_diff = U_CFL_DIFF * h * h
+        dt_diff = RK4_DIFFUSION_CFL * h * h
         dt_react = U_REACT_SAFETY * max(umax, 1e-12) ** (-(p - 1.0))
         dt = min(dt_diff, dt_react, t_max - t)
 

@@ -62,7 +62,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridFunction, derivative, laplacian_compact, sample, uniform_grid, upwind_gradient
+from .grid import (
+    RK4_DIFFUSION_CFL, RK4_TRANSPORT_CFL, GridFunction, derivative, laplacian_compact, sample,
+    uniform_grid, upwind_gradient,
+)
 from .hermite import (
     QuadratureRule,
     SpectralDecomposition,
@@ -112,9 +115,6 @@ __all__ = [
 D_BOX_LIMIT = 2.0
 # the largest step a caller may ask for, and the ceiling of stable_ds
 MAX_DS = 0.05
-# the outer grid's diffusive step ceiling is CFL_SAFETY h^2 I^2; the inner
-# grid has none, its operator being integrated exactly
-CFL_SAFETY = 0.45
 # the outer remainder grid spans |y| <= Y_MAX
 Y_MAX = 0.15
 # membership's remainder cushion: an absolute floor, and one relative to the
@@ -137,12 +137,13 @@ class FlowOptions:
 
     The default outer grid is deliberately coarse: the remainder is smooth on
     O(1) scales in y, while the explicit diffusion I^{-2} d_yy imposes a step
-    ceiling ~ 0.5 h^2 I^2(s), so resolution is paid for cubically; its
-    transport y/2k adds an s-independent ceiling. stable_ds is the smaller
-    of the two and MAX_DS. The inner z-grid's operator is integrated
-    exactly and sets no ceiling. Steps larger than stable_ds are split into
-    equal stable substeps automatically. The linear-only flow leaves the
-    inner grid at zero.
+    ceiling RK4_DIFFUSION_CFL h^2 I^2(s), so resolution is paid for
+    cubically; its transport y/2k adds the s-independent ceiling
+    RK4_TRANSPORT_CFL h 2k / Y_MAX. stable_ds is the smaller of the two and
+    MAX_DS. The inner z-grid's operator is integrated exactly and sets no
+    ceiling. Steps larger than stable_ds are split into equal stable
+    substeps automatically. The linear-only flow leaves the inner grid at
+    zero.
     """
 
     n_nodes: int = 257
@@ -159,7 +160,9 @@ class FlowOptions:
     def stable_ds(self, s: float, k: int) -> float:
         h = 2.0 * Y_MAX / (self.n_nodes - 1)
         I2 = float(scale_factor(s, k)) ** 2
-        return min(MAX_DS, CFL_SAFETY * h * h * I2, 1.2 * h / (Y_MAX / (2.0 * k)))
+        return min(
+            MAX_DS, RK4_DIFFUSION_CFL * h * h * I2, RK4_TRANSPORT_CFL * h / (Y_MAX / (2.0 * k)),
+        )
 
 
 @dataclass(frozen=True)
@@ -322,8 +325,24 @@ def _outer_grid_of(key: bytes, params: ModelParams) -> _OuterGrid:
     return grid
 
 
+# the node array and model of the last _outer_grid call, and its grid
+_last_outer: tuple = (None, None, None)
+
+
 def _outer_grid(nodes: np.ndarray, params: ModelParams) -> _OuterGrid:
-    return _outer_grid_of(np.ascontiguousarray(nodes, dtype=float).tobytes(), params)
+    """The cached grid of these nodes.
+
+    The states of a run share one node array, which nothing writes to, so
+    an array met on the last call maps to the same grid without hashing its
+    values again.
+    """
+    global _last_outer
+    last_nodes, last_params, grid = _last_outer
+    if nodes is last_nodes and params is last_params:
+        return grid
+    grid = _outer_grid_of(np.ascontiguousarray(nodes, dtype=float).tobytes(), params)
+    _last_outer = nodes, params, grid
+    return grid
 
 
 def _stage(
@@ -572,35 +591,37 @@ def membership(
     """Check every shrinking-set bound; margins are bound minus attained value."""
     I = float(scale_factor(state.s, params.k))
     mode_bound = I ** (-delta)
-    neutral_bound = I ** (-2.0 * delta)
-    margins: dict[str, float] = {}
-    for m in range(params.n_modes):
-        bound = neutral_bound if m == 2 * params.k else mode_bound
-        margins[f"mode_{m}"] = bound - abs(float(state.dec.modes[m]))
     sem = remainder_seminorm(
         state.dec.remainder, state.s, params,
         floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR,
         nodes_pow_M=_outer_grid(state.dec.remainder.nodes, params).yM,
     )
-    margins[_BOUND_QMINUS] = mode_bound - sem
-    margins[_BOUND_B_LOW] = state.b - 0.5 * b0
-    margins[_BOUND_B_HIGH] = 2.0 * b0 - state.b
+    # the margins in _bound_names' order; the neutral mode's bound is I^{-2 delta}
+    q = np.abs(state.dec.modes).tolist()
+    values = [mode_bound - a for a in q]
+    values[2 * params.k] = I ** (-2.0 * delta) - q[2 * params.k]
+    values += [mode_bound - sem, state.b - 0.5 * b0, 2.0 * b0 - state.b]
+    margins = dict(zip(_bound_names(params.n_modes), values))
     violations = [(name, m) for name, m in margins.items() if m < 0.0]
     return MembershipReport(
         inside=not violations,
         violations=violations,
-        worst_margin=min(margins.values()),
+        worst_margin=min(values),
         margins=margins,
         qminus_seminorm=sem,
     )
 
 
+@lru_cache(maxsize=4)
+def _bound_names(n_modes: int) -> tuple[str, ...]:
+    """membership's bounds in the order of its margins, the exit's order of choice."""
+    return (*(f"mode_{m}" for m in range(n_modes)), _BOUND_QMINUS, _BOUND_B_LOW, _BOUND_B_HIGH)
+
+
 def _exit_bound(report: MembershipReport, params: ModelParams) -> str:
     """Deterministic violator choice: lowest mode index, then q_-, then b."""
-    names = [f"mode_{m}" for m in range(params.n_modes)]
-    names += [_BOUND_QMINUS, _BOUND_B_LOW, _BOUND_B_HIGH]
     violated = {name for name, _ in report.violations}
-    for name in names:
+    for name in _bound_names(params.n_modes):
         if name in violated:
             return name
     raise ValueError("no violated bound")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blowlab import direct
 from blowlab.direct import (
     PdeRun,
     _fit_core,
@@ -214,3 +215,50 @@ def test_profile_distance_series_smoke(params3):
     series = profile_distance_series(run, params3)
     assert series.n_used == len(run.times)
     assert np.all(np.isfinite(series.b_series))
+
+
+def _seeded_profile(params, n_nodes, s0=20.0, seed=1):
+    """The profile-seeded w-run input of the benchmark's `direct` workload."""
+    nodes = uniform_grid(6.0, n_nodes)
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.09, 0.11)  # the workload draws its blowup time first
+    d = rng.uniform(-0.05, 0.05, size=4)
+    amp = float(scale_factor(s0, params.k)) ** -0.1
+    f, e = eval_profile(nodes, 1.0, params)
+    return GridFunction(nodes, f * (1.0 + e * sum(di * amp * nodes**i for i, di in enumerate(d))))
+
+
+def _step_divided(monkeypatch, div):
+    """Every step limit of the w-run, divided by div."""
+    for name in ("RK4_TRANSPORT_CFL", "RK4_DIFFUSION_CFL", "W_REACT_SAFETY"):
+        monkeypatch.setattr(direct, name, getattr(direct, name) / div)
+
+
+def test_w_run_time_step_error(params3, monkeypatch):
+    w0 = _seeded_profile(params3, 1201)
+    run = solve_w_direct(w0, (20.0, 22.0), params3)
+    _step_divided(monkeypatch, 4)
+    ref = solve_w_direct(w0, (20.0, 22.0), params3)
+    assert ref.sup_times.size > 3 * run.sup_times.size
+    assert run.times.size == ref.times.size == 41
+    assert np.max(np.abs(run.times - ref.times)) < 1e-12
+    assert np.max(np.abs(run.snapshots - ref.snapshots)) < 1e-9
+
+
+@pytest.mark.parametrize("s0", [20.0, 6.0])
+def test_w_run_outflow_edges_stay_stable(params3, monkeypatch, s0):
+    # s0 = 20 is compare's w-run; from s0 = 6 the run crosses s ~ 9, where
+    # the transport and diffusion ceilings of 601 nodes meet
+    nodes = uniform_grid(6.0, 601)
+    f, _ = eval_profile(nodes, 1.0, params3)
+    noisy = f + 1e-8 * np.random.default_rng(3).uniform(-1.0, 1.0, size=nodes.size)
+
+    def growth():
+        clean = solve_w_direct(GridFunction(nodes, f), (s0, s0 + 7.0), params3)
+        run = solve_w_direct(GridFunction(nodes, noisy), (s0, s0 + 7.0), params3)
+        assert run.termination == "horizon"
+        return np.max(np.abs(run.snapshots[-1] - clean.snapshots[-1])) / 1e-8
+
+    g = growth()
+    _step_divided(monkeypatch, 3)
+    assert g == pytest.approx(growth(), rel=0.01)

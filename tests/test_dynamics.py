@@ -170,6 +170,49 @@ def test_membership_monotone_in_delta(params3, opts):
         assert membership(st, smaller, B0, params3, opts).inside
 
 
+def _membership_by_mode(state, delta, b0, params):
+    """membership in its per-mode loop form, the reference for its vector form."""
+    from blowlab.hermite import remainder_seminorm
+
+    I = float(scale_factor(state.s, params.k))
+    mode_bound = I ** (-delta)
+    neutral_bound = I ** (-2.0 * delta)
+    margins = {}
+    for m in range(params.n_modes):
+        bound = neutral_bound if m == 2 * params.k else mode_bound
+        margins[f"mode_{m}"] = bound - abs(float(state.dec.modes[m]))
+    sem = remainder_seminorm(
+        state.dec.remainder, state.s, params, floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR,
+    )
+    margins["qminus"] = mode_bound - sem
+    margins["b_low"] = state.b - 0.5 * b0
+    margins["b_high"] = 2.0 * b0 - state.b
+    violations = [(name, m) for name, m in margins.items() if m < 0.0]
+    return violations, min(margins.values()), margins, sem
+
+
+def test_membership_is_bitwise_its_per_mode_form(params3, opts):
+    # final and exit states of an ensemble like the benchmark's: the centre,
+    # narrow seeds and wide seeds, several of which leave within half a unit
+    rng = np.random.default_rng(7)
+    seeds = [np.zeros(4), *rng.uniform(-0.25, 0.25, (2, 4)), *rng.uniform(-0.95, 0.95, (8, 4))]
+    finals = []
+    for d in seeds:
+        st = init_state(d, DELTA, B0, S0, params3, opts)
+        finals.append(run(st, S0 + 0.5, DELTA, B0, params3, ds=0.01, opts=opts).final_state)
+    reports = [membership(st, DELTA, B0, params3, opts) for st in finals]
+    assert 0 < sum(not rep.inside for rep in reports) < len(reports)
+    for st, rep in zip(finals, reports):
+        violations, worst, margins, sem = _membership_by_mode(st, DELTA, B0, params3)
+        assert [(n, m.hex()) for n, m in rep.margins.items()] == [
+            (n, m.hex()) for n, m in margins.items()]
+        assert all(type(m) is float for m in rep.margins.values())
+        assert [(n, m.hex()) for n, m in rep.violations] == [(n, m.hex()) for n, m in violations]
+        assert rep.worst_margin.hex() == worst.hex()
+        assert rep.qminus_seminorm.hex() == sem.hex()
+        assert rep.inside == (not violations)
+
+
 def test_run_immediate_exit_through_loaded_mode(params3, opts):
     # seed saturating coordinate 1 leaves through mode 1 with positive sign
     st = init_state(np.array([0.0, 1.9, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
