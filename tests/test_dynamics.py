@@ -171,7 +171,7 @@ def test_membership_monotone_in_delta(params3, opts):
 
 
 def _membership_by_mode(state, delta, b0, params):
-    """membership in its per-mode loop form, the reference for its vector form."""
+    """membership in its per-mode loop form, the reference for its one-list form."""
     from blowlab.hermite import remainder_seminorm
 
     I = float(scale_factor(state.s, params.k))
