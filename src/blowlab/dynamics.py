@@ -31,11 +31,14 @@ The time scheme is Lawson's RK4 (Hochbruck & Ostermann, Acta Numerica 19,
 2010): the inner remainder is stepped in the variable e^{-(s - s0) L} u, so
 L is integrated exactly through e^{hL/2} and its square, and RK4 sees only
 the sources; the modes, the outer remainder and b take classical RK4, which
-is Lawson's scheme where the exponential is the identity. The step is
-therefore bounded by the outer grid alone (stable_ds), and run() takes
-steps of as many whole output intervals as that bound allows, with the
-samples inside a step read off a cubic Hermite interpolant of the step's
-end states and derivatives.
+is Lawson's scheme where the exponential is the identity. Stability
+therefore bounds the step by the outer grid alone (stable_ds). run() ends
+its steps on a grid of quarter output intervals: within that bound, each
+step grows as far as a free error estimate of the last one allows (the
+stage at a step's end, which the next step starts from, against its fourth
+stage), but never below whole output intervals. The samples inside a step
+are read off a cubic Hermite interpolant of the step's end states and
+derivatives.
 
 What a stage needs at the outer nodes (their powers, the wind, the
 monomials y^j of the tracked degrees) is built once per node set. A
@@ -123,6 +126,8 @@ SEM_FLOOR = 1e-10
 SEM_REL_FLOOR = 0.05
 # a margin must fall below minus this to end a trajectory
 EXIT_HYSTERESIS = 1e-12
+# the local error run() allows a step, by _step_error's measure
+STEP_TOL = 1e-9
 
 # the inner remainder grid in z = I(s) y (Z_NODES, inner_nodes) is
 # defined in projection, beside its cached operators; the outer grid copies
@@ -450,7 +455,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _half_exp_of(h: float, quad_order: int, J: int) -> np.ndarray:
     E = _expm(0.5 * h * z_frame(quad_order, J).L)
     E.flags.writeable = False  # one cached copy serves every caller
@@ -461,8 +466,10 @@ def _half_exp(h: float, frame: ZFrame) -> np.ndarray:
     """e^{hL/2} of the inner operator L = frame.L, built once per step size.
 
     h is rounded to 12 significant digits first, so step sizes that differ
-    in the last bits, as differences of sample times do, share one entry; a
-    run at a fixed output interval meets at most three sizes.
+    in the last bits, as differences of step times do, share one entry. A
+    run's steps are whole quarters of its output interval within stable_ds,
+    so at ds = 0.01 it meets at most 15 sizes (0.0375 / 0.0025), and one
+    more for a last step cut short at s_max.
     """
     return _half_exp_of(float(f"{h:.12g}"), frame.quad_order, frame.J)
 
@@ -476,7 +483,8 @@ def _lawson_step(
     With E = e^{hL/2}, the inner remainder u takes the stages E(u0 + h/2 N1),
     E u0 + h/2 N2 and E^2 u0 + h E N3, and ends at
     E^2 u0 + h/6 (E^2 N1 + 2 E (N2 + N3) + N4); everything else takes
-    classical RK4.
+    classical RK4. Returns the state at s1 and the fourth stage's mode
+    rates and b', which _step_error weighs against the stage at s1.
     """
     h = s1 - s0
     E = _half_exp(h, _frame(params, quad))
@@ -495,7 +503,7 @@ def _lawson_step(
         for xi, d1, d2, d3, d4 in zip(x0, k1, k2, k3, k4)
     )
     inner = EEu0 + h / 6.0 * (E @ (EN1 + 2.0 * (k2[2] + k3[2])) + k4[2])
-    return modes, rem, inner, b
+    return (modes, rem, inner, b), (k4[0], k4[3])
 
 
 def _step_tail(
@@ -529,7 +537,8 @@ def _advance(
 ) -> tuple:
     """x at s1 > s0: equal Lawson steps within stable_ds, each with its tail.
 
-    k1 is the first stage at x, or None to evaluate it here.
+    k1 is the first stage at x, or None to evaluate it here. Also returns
+    the last step's length and its fourth stage's rates, for _step_error.
     """
     n_sub = max(1, math.ceil((s1 - s0) / opts.stable_ds(s0, params.k) - 1e-9))
     for i in range(n_sub):
@@ -537,10 +546,24 @@ def _advance(
         sb = s1 if i == n_sub - 1 else s0 + (i + 1) * (s1 - s0) / n_sub
         if k1 is None:
             k1 = _stage(x, sa, grid, params, quad, opts)
-        x = _lawson_step(x, k1, sa, sb, grid, params, quad, opts)
+        x, k4 = _lawson_step(x, k1, sa, sb, grid, params, quad, opts)
         x = _step_tail(x, sb, grid, params, quad, opts)
         k1 = None
-    return x
+    return x, sb - sa, k4
+
+
+def _step_error(h: float, k4: tuple, k5: tuple, amp: float, b: float) -> float:
+    """The local error estimate h/6 |k4 - k5| of a step of length h.
+
+    k5 is the stage at the step's end, so y0 + h/6 (k1 + 2 k2 + 2 k3 + k5)
+    is an order-3 companion of the RK4 step (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4) that costs no stage: the end's stage is the next
+    step's first. The modes are measured in units of amp = I^{-delta}, b
+    relative to itself.
+    """
+    dq = float(np.max(np.abs(k4[0] - k5[0]))) / amp
+    db = abs(k4[1] - k5[3]) / abs(b)
+    return h / 6.0 * max(dq, db)
 
 
 def _values(state: SimState) -> tuple:
@@ -571,7 +594,8 @@ def step(
         return state
     rem = state.dec.remainder
     s1 = state.s + ds
-    x = _advance(x, None, state.s, s1, _outer_grid(rem.nodes, params), params, opts.quad(), opts)
+    grid = _outer_grid(rem.nodes, params)
+    x, _, _ = _advance(x, None, state.s, s1, grid, params, opts.quad(), opts)
     if not _finite(x):
         raise ValueError("time step produced non-finite values")
     return _state_at(x, s1, rem)
@@ -594,7 +618,7 @@ def membership(
     sem = remainder_seminorm(
         state.dec.remainder, state.s, params,
         floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR,
-        nodes_pow_M=_outer_grid(state.dec.remainder.nodes, params).yM,
+        nodes_pow_M=_outer_grid(state.dec.remainder.nodes, params).yM, I=I,
     )
     # the margins in _bound_names' order; the neutral mode's bound is I^{-2 delta}
     q = np.abs(state.dec.modes).tolist()
@@ -672,14 +696,19 @@ def run(
 ) -> TrajectoryRecord:
     """Integrate until the trajectory leaves the shrinking set or reaches s_max.
 
-    The samples sit at s0 + i ds, the last at s_max. Each step spans as many
-    whole intervals as stable_ds allows, and the samples inside it come from
-    the cubic Hermite interpolant of its end states and derivatives; the
-    derivative at the end is the next step's first stage. Membership is
-    checked at every sample, and an exit ends the record at the first sample
-    outside. A modulation breakdown or a non-finite value inside a step ends
-    the record at the last recorded sample with a "modulation" or
-    "nonfinite" exit instead of raising.
+    The samples sit at s0 + i ds, the last at s_max; the steps end at
+    s0 + j ds/4. Each step is the longest such span within stable_ds and
+    within what the last step's error estimate allows,
+    0.9 h (STEP_TOL / err)^{1/4} (_step_error), but never shorter than whole
+    output intervals from a sample, as many as stable_ds allows, or the rest
+    of the interval from a point between samples. The first step takes that
+    least span. The samples inside a step come from the cubic Hermite
+    interpolant of its end states and derivatives; the derivative at the end
+    is the next step's first stage. Membership is checked at every sample,
+    and an exit ends the record at the first sample outside. A modulation
+    breakdown or a non-finite value inside a step ends the record at the last
+    recorded sample with a "modulation" or "nonfinite" exit instead of
+    raising.
     """
     if not s_max > state0.s:
         raise ValueError("s_max must exceed the initial scale time")
@@ -694,29 +723,37 @@ def run(
     L = _frame(params, quad).L
     s0 = state0.s
     n = max(1, math.ceil((s_max - s0) / ds - 1e-9))
+    end, quarter = 4 * n, 0.25 * ds
 
-    def s_at(i: int) -> float:
-        return s_max if i == n else s0 + i * ds
+    def s_at(j: int) -> float:
+        """The time j quarter intervals from s0; sample i sits at j = 4 i."""
+        return s_max if j == end else s0 + j * quarter
 
     record = TrajectoryRecord()
     state = state0
     report = membership(state, delta, b0, params, opts)
     record.samples.append(_sample_of(state, 0.0, report))
-    i, k1 = 0, None
-    while report.worst_margin >= -EXIT_HYSTERESIS and i < n:
-        sa = s_at(i)
-        m = min(n - i, max(1, int(opts.stable_ds(sa, params.k) / ds)))
-        sb = s_at(i + m)
-        failure, k_end = None, None
+    # the step's start in quarters, its first stage, the longest step the
+    # last error estimate allows, and b' at the last sample
+    j, k1, h_err, bp = 0, None, 0.0, 0.0
+    while report.worst_margin >= -EXIT_HYSTERESIS and j < end:
+        sa = s_at(j)
+        stable = opts.stable_ds(sa, params.k)
+        least = 4 * max(1, int(stable / ds)) if j % 4 == 0 else 4 - j % 4
+        jb = min(end, j + max(least, int(min(stable, h_err) / quarter)))
+        if s_at(jb) >= s_max:
+            jb = end
+        sb = s_at(jb)
+        failure = None
         try:
             if k1 is None:
                 k1 = _stage(x, sa, grid, params, quad, opts)
-            x1 = _advance(x, k1, sa, sb, grid, params, quad, opts)
-            if m > 1:
-                k_end = _stage(x1, sb, grid, params, quad, opts)
+                bp = k1[3]
+            x1, h, k4 = _advance(x, k1, sa, sb, grid, params, quad, opts)
+            k_end = _stage(x1, sb, grid, params, quad, opts)
         except ModulationBreakdownError as exc:
             failure = (BOUND_MODULATION, str(exc))
-        if failure is None and not (_finite(x1) and (k_end is None or _finite(k_end))):
+        if failure is None and not (_finite(x1) and _finite(k_end)):
             failure = (BOUND_NONFINITE, "time step produced non-finite values")
         if failure is not None:
             record.exit = ExitInfo(
@@ -726,22 +763,30 @@ def run(
             )
             record.final_state = state
             return record
-        if m > 1:
-            # full derivatives at both ends, the inner one with L restored
-            f0 = (k1[0], k1[1], L @ x[2] + k1[2], k1[3])
-            f1 = (k_end[0], k_end[1], L @ x1[2] + k_end[2], k_end[3])
-        for j in range(i + 1, i + m + 1):
-            s = s_at(j)
-            # b' at the start of the interval that ends at this sample
-            t_prev = (s_at(j - 1) - sa) / (sb - sa)
-            bp = k1[3] if j == i + 1 else _hermite_slope(x[3], f0[3], x1[3], f1[3], sb - sa, t_prev)
-            xj = x1 if j == i + m else _hermite(x, f0, x1, f1, sb - sa, (s - sa) / (sb - sa))
-            state = _state_at(xj, s, rem0)
+        amp = _scale_tables(sb, params).I ** -delta
+        err = _step_error(h, k4, k_end, amp, x1[3])
+        h_err = 0.9 * h * (STEP_TOL / err) ** 0.25 if err > 0.0 else math.inf
+        f0 = f1 = None
+        for i in range(j // 4 + 1, jb // 4 + 1):
+            s = s_at(4 * i)
+            if 4 * i == jb:
+                xi, bp_next = x1, k_end[3]
+            else:
+                if f0 is None:
+                    # full derivatives at both ends, the inner one with L restored
+                    f0 = (k1[0], k1[1], L @ x[2] + k1[2], k1[3])
+                    f1 = (k_end[0], k_end[1], L @ x1[2] + k_end[2], k_end[3])
+                t = (s - sa) / (sb - sa)
+                xi = _hermite(x, f0, x1, f1, sb - sa, t)
+                bp_next = _hermite_slope(x[3], f0[3], x1[3], f1[3], sb - sa, t)
+            state = _state_at(xi, s, rem0)
             report = membership(state, delta, b0, params, opts)
+            # b' at the start of the interval that ends at this sample
             record.samples.append(_sample_of(state, bp, report))
+            bp = bp_next
             if report.worst_margin < -EXIT_HYSTERESIS:
                 break
-        x, k1, i = x1, k_end, i + m
+        x, k1, j = x1, k_end, jb
 
     if report.worst_margin < -EXIT_HYSTERESIS:
         bound = _exit_bound(report, params)

@@ -213,17 +213,18 @@ def _basis_structure(n_modes: int, J: int):
     """s-independent integer scaffolding of the basis/monomial conversions.
 
     hermite_counts/hermite_ell: H_n = sum c (-I^{-2})^ell y^{n-2 ell};
-    mono_counts/mono_ell: y^j = sum c (I^{-2})^ell H_{j-2 ell}.
+    mono_counts/mono_ell: y^j = sum c (I^{-2})^ell H_{j-2 ell}. The exponents
+    ell are integers, to gather from _ell_powers.
     """
     hc = np.zeros((n_modes, J + 1))
-    he = np.zeros((n_modes, J + 1))
+    he = np.zeros((n_modes, J + 1), dtype=np.intp)
     for n in range(n_modes):
         for ell in range(n // 2 + 1):
             c = math.factorial(n) / (math.factorial(ell) * math.factorial(n - 2 * ell))
             hc[n, n - 2 * ell] = c * (-1.0) ** ell
             he[n, n - 2 * ell] = ell
     mc = np.zeros((J + 1, n_modes))
-    me = np.zeros((J + 1, n_modes))
+    me = np.zeros((J + 1, n_modes), dtype=np.intp)
     for j in range(J + 1):
         for ell in range(j // 2 + 1):
             n = j - 2 * ell
@@ -234,13 +235,18 @@ def _basis_structure(n_modes: int, J: int):
     return hc, he, mc, me
 
 
+def _ell_powers(I2inv: float, J: int) -> np.ndarray:
+    """(I^{-2})^ell for ell = 0..J/2, every exponent of the degree-J tables."""
+    return I2inv ** np.arange(J // 2 + 1, dtype=float)
+
+
 def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
     """C[j, n] = coefficient of H_n in y^j (zero when j < n or parity differs).
 
     Rows j = 0..J, columns n = 0..n_modes-1, at I^{-2} = I2inv.
     """
     _, _, mc, me = _basis_structure(n_modes, J)
-    return mc * I2inv**me
+    return mc * _ell_powers(I2inv, J)[me]
 
 
 # -- per-scale-time tables ----------------------------------------------------
@@ -300,7 +306,7 @@ def scale_tables(s: float, k: int, n_modes: int, J: int) -> ScaleTables:
     tables = ScaleTables(
         I=I, I2inv=I2inv, i2k=I ** (-2 * k),
         iexp=I ** (-np.arange(J + 1, dtype=float)),
-        conv=hc * I2inv**he,
+        conv=hc * _ell_powers(I2inv, J)[he],
         mono=monomial_table(J + 1, I2inv, J),
         proj_scale=mode_projection_scale(I, n_modes),
     )

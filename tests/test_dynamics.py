@@ -462,25 +462,43 @@ def test_lawson_step_without_sources_is_the_exponential(params3, opts, monkeypat
     grid = dynamics._outer_grid(opts.nodes(), params3)
     h = 0.03
     k1 = no_sources(x0, S0, grid, params3, None, opts)
-    x1 = dynamics._lawson_step(x0, k1, S0, S0 + h, grid, params3, opts.quad(), opts)
+    x1, _ = dynamics._lawson_step(x0, k1, S0, S0 + h, grid, params3, opts.quad(), opts)
     want = expm(h * _frame().L) @ u0
     assert np.max(np.abs(x1[2] - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(x1[0], x0[0]) and x1[3] == x0[3]
 
 
-def test_dense_output_meets_the_step_states(params3, opts):
-    # from s = 22 each step spans three output intervals: the samples at step
-    # ends are the states of the step routine itself, and the modulation
-    # holds q_4 at exactly zero at every sample, interpolated ones included
+def _recorded_steps(monkeypatch) -> list[tuple[float, float]]:
+    """The (s0, s1) of every step that run takes from now on, in order."""
+    steps = []
+    real = dynamics._advance
+
+    def advance(x, k1, s0, s1, *rest):
+        steps.append((s0, s1))
+        return real(x, k1, s0, s1, *rest)
+
+    monkeypatch.setattr(dynamics, "_advance", advance)
+    return steps
+
+
+def test_dense_output_meets_the_step_states(params3, opts, monkeypatch):
+    # from s = 22 the first step spans three output intervals, the least step
+    # from a sample, and the error estimate keeps the next ones there: the
+    # samples at step ends are the states of the step routine itself, and the
+    # modulation holds q_4 at exactly zero at every sample, interpolated ones
+    # included
     s0 = 22.0
     assert int(opts.stable_ds(s0, 2) / 0.01) == 3
+    steps = _recorded_steps(monkeypatch)
     st = init_state(np.array([0.1, -0.05, 0.08, 0.02]), DELTA, B0, s0, params3, opts)
     rec = run(st, s0 + 0.15, DELTA, B0, params3, ds=0.01, opts=opts)
+    monkeypatch.undo()
     assert rec.exit is None and len(rec.samples) == 16
+    assert steps == [(s0 + i * 0.01, s0 + (i + 3) * 0.01) for i in range(0, 15, 3)]
     grid = dynamics._outer_grid(opts.nodes(), params3)
     x = dynamics._values(st)
     for i in range(0, 15, 3):
-        x = dynamics._advance(
+        x, _, _ = dynamics._advance(
             x, None, s0 + i * 0.01, s0 + (i + 3) * 0.01, grid, params3, opts.quad(), opts,
         )
         smp = rec.samples[i + 3]
@@ -504,9 +522,9 @@ def test_lawson_step_agrees_with_quarter_steps(params3, opts):
         sa = S0 + i * 0.01
         m = min(200 - i, max(1, int(opts.stable_ds(sa, 2) / 0.01)))
         sb = S0 + (i + m) * 0.01
-        coarse = dynamics._advance(coarse, None, sa, sb, grid, params3, quad, opts)
+        coarse, _, _ = dynamics._advance(coarse, None, sa, sb, grid, params3, quad, opts)
         for q in range(4):
-            fine = dynamics._advance(
+            fine, _, _ = dynamics._advance(
                 fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4,
                 grid, params3, quad, opts,
             )
@@ -515,6 +533,108 @@ def test_lawson_step_agrees_with_quarter_steps(params3, opts):
         worst_b = max(worst_b, abs(coarse[3] - fine[3]) / abs(fine[3]))
         i += m
     assert worst_q < 1e-7 and worst_b < 1e-9
+
+
+# the centre seed, a narrow seed and a wide one, each to its horizon
+CENTRE = np.zeros(4)
+NARROW = np.array([0.2, -0.1, 0.15, 0.05])
+WIDE = np.array([0.57, -0.7, -0.24, 0.65])
+
+
+@pytest.mark.parametrize("seed", [CENTRE, NARROW], ids=["centre", "narrow"])
+def test_grown_steps_agree_with_quarter_steps(params3, opts, monkeypatch, seed):
+    # the run's own steps over s in [20, 22], replayed: one step of h against
+    # four of h / 4, both through the step routine; modes agree within
+    # 1e-7 I^{-delta}(s) and b within 1e-9 relative, and the replay ends on
+    # the run's final state bit for bit
+    steps = _recorded_steps(monkeypatch)
+    st = init_state(seed, DELTA, B0, S0, params3, opts)
+    rec = run(st, S0 + 2.0, DELTA, B0, params3, ds=0.01, opts=opts)
+    monkeypatch.undo()
+    # the estimate grows the steps past the sample grid
+    assert any(round((sb - sa) / 0.0025) % 4 for sa, sb in steps)
+    grid = dynamics._outer_grid(opts.nodes(), params3)
+    quad = opts.quad()
+    coarse = fine = dynamics._values(st)
+    worst_q = worst_b = 0.0
+    for sa, sb in steps:
+        coarse, _, _ = dynamics._advance(coarse, None, sa, sb, grid, params3, quad, opts)
+        for q in range(4):
+            fine, _, _ = dynamics._advance(
+                fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4,
+                grid, params3, quad, opts,
+            )
+        amp = float(scale_factor(sb, 2)) ** -DELTA
+        worst_q = max(worst_q, float(np.max(np.abs(coarse[0] - fine[0]))) / amp)
+        worst_b = max(worst_b, abs(coarse[3] - fine[3]) / abs(fine[3]))
+    assert worst_q < 1e-7 and worst_b < 1e-9
+    if rec.exit is None:
+        assert np.array_equal(rec.final_state.dec.modes, coarse[0])
+        assert np.array_equal(rec.final_state.inner, coarse[2])
+
+
+def _least_quarters(opts: FlowOptions, j: int, sa: float) -> int:
+    """The least step from j quarter intervals, in quarters: whole output
+    intervals from a sample, as many as stable_ds allows, or the rest of the
+    interval from a point between samples."""
+    return 4 * max(1, int(opts.stable_ds(sa, 2) / 0.01)) if j % 4 == 0 else 4 - j % 4
+
+
+@pytest.mark.parametrize(
+    "seed, length", [(CENTRE, 2.0), (NARROW, 2.0), (WIDE, 0.5)], ids=["centre", "narrow", "wide"],
+)
+def test_grown_steps_sit_on_the_quarter_grid(params3, opts, monkeypatch, seed, length):
+    # every step ends at s0 + j ds/4 with j an integer count, takes at least
+    # the least step, and goes past it only within stable_ds
+    steps = _recorded_steps(monkeypatch)
+    run(init_state(seed, DELTA, B0, S0, params3, opts), S0 + length, DELTA, B0, params3,
+        ds=0.01, opts=opts)
+    end = round(length / 0.0025)
+    j = 0
+    for sa, sb in steps:
+        assert sa == S0 + j * 0.0025
+        jb = round((sb - S0) / 0.0025)
+        assert sb == S0 + jb * 0.0025 or (jb == end and sb == S0 + length)
+        least = _least_quarters(opts, j, sa)
+        assert jb - j >= least or jb == end
+        assert jb - j == least or sb - sa <= opts.stable_ds(sa, 2)
+        j = jb
+
+
+def test_a_wide_seed_keeps_the_least_steps_in_its_transient(params3, opts, monkeypatch):
+    # in the wide seed's transient the estimate allows no more than the least
+    # step, one output interval, where stable_ds would allow five quarters
+    steps = _recorded_steps(monkeypatch)
+    rec = run(init_state(WIDE, DELTA, B0, S0, params3, opts), S0 + 0.5, DELTA, B0, params3,
+              ds=0.01, opts=opts)
+    assert rec.exit is not None and rec.exit.bound == "mode_1"
+    assert len(steps) == len(rec.samples) - 1 > 20
+    assert all(sb - sa == pytest.approx(0.01, rel=1e-9) for sa, sb in steps)
+    assert all(opts.stable_ds(sa, 2) >= 0.0125 for sa, _ in steps)
+
+
+def test_step_error_estimate_costs_no_stage(params3, opts, monkeypatch):
+    # the estimate weighs the fourth stage against the stage at the step's
+    # end, which the next step takes as its first: a trajectory that survives
+    # evaluates four stages a step and one more, the first step's first
+    calls = {"stage": 0, "step": 0}
+    stage, lawson = dynamics._stage, dynamics._lawson_step
+
+    def counted_stage(*args):
+        calls["stage"] += 1
+        return stage(*args)
+
+    def counted_step(*args):
+        calls["step"] += 1
+        return lawson(*args)
+
+    monkeypatch.setattr(dynamics, "_stage", counted_stage)
+    monkeypatch.setattr(dynamics, "_lawson_step", counted_step)
+    rec = run(init_state(CENTRE, DELTA, B0, S0, params3, opts), S0 + 1.0, DELTA, B0, params3,
+              ds=0.01, opts=opts)
+    assert rec.exit is None
+    assert calls["step"] < 100  # fewer steps than output intervals
+    assert calls["stage"] == 4 * calls["step"] + 1
 
 
 def test_sample_times_come_from_an_integer_count(params3):
