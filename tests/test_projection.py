@@ -196,6 +196,9 @@ def test_scale_tables_equal_the_routines_they_replace(params3, frame, s):
     hc, he, _, _ = _basis_structure(n, J)
     assert _same(tab.conv, hc * (I**-2) ** he)  # the modes-to-jet table
     assert _same(tab.mono, monomial_table(J + 1, I**-2, J))
+    # both gather the powers of I^{-2}: each equals its elementwise power form
+    _, _, mc, me = _basis_structure(J + 1, J)
+    assert _same(tab.mono, mc * (I**-2) ** me)
     # one cached copy serves every caller, so none may write to it
     assert not any(a.flags.writeable for a in (tab.iexp, tab.conv, tab.mono, tab.proj_scale))
     assert scale_tables(s, K, n, J) is tab
