@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -138,7 +138,7 @@ Z_OVERLAP = 12.0
 
 @dataclass(frozen=True)
 class FlowOptions:
-    """Numerical knobs of the modulated flow (grid, quadrature, variants).
+    """Numerical knobs of the modulated flow: outer grid, quadrature, linear-only.
 
     The default outer grid is deliberately coarse: the remainder is smooth on
     O(1) scales in y, while the explicit diffusion I^{-2} d_yy imposes a step
@@ -149,11 +149,16 @@ class FlowOptions:
     ceiling. Steps larger than stable_ds are split into equal stable
     substeps automatically. The linear-only flow leaves the inner grid at
     zero.
+
+    variant is not a field: it names the one form of M and R_s the flow
+    solves b' in (operators), for callers that pass it on to
+    SourceProjections.bprime.
     """
+
+    variant: ClassVar[str] = "derived"
 
     n_nodes: int = 257
     quad_order: int = 96
-    variant: str = "derived"
     linear_only: bool = False
 
     def nodes(self) -> np.ndarray:
@@ -300,12 +305,8 @@ def _scale_tables(s: float, params: ModelParams) -> ScaleTables:
 
 
 class _OuterGrid(NamedTuple):
-    """The s-independent data of an outer node set, for one model.
+    """The s-independent data of the outer grid of n nodes, for one model."""
 
-    key is the nodes' bytes, the cache key of this grid.
-    """
-
-    key: bytes
     nodes: np.ndarray
     h: float
     wind: np.ndarray  # y / 2k, the transport speed
@@ -316,37 +317,26 @@ class _OuterGrid(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _outer_grid_of(key: bytes, params: ModelParams) -> _OuterGrid:
-    nodes = np.frombuffer(key)  # read-only
+def _outer_grid(n_nodes: int, params: ModelParams) -> _OuterGrid:
+    """Build, once per process, the outer grid of FlowOptions(n_nodes).nodes()."""
+    nodes = FlowOptions(n_nodes=n_nodes).nodes()
     k = params.k
     grid = _OuterGrid(
-        key=key, nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
+        nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
         lam=1.0 - np.arange(params.n_modes) / (2.0 * k),
         mono=np.vander(nodes, params.n_modes, increasing=True).T,
     )
-    for arr in (grid.wind, *grid.pw[1:], grid.yM, grid.lam, grid.mono):
+    for arr in (grid.nodes, grid.wind, *grid.pw[1:], grid.yM, grid.lam, grid.mono):
         arr.flags.writeable = False  # one cached copy serves every caller
     return grid
 
 
-# the node array and model of the last _outer_grid call, and its grid
-_last_outer: tuple = (None, None, None)
-
-
-def _outer_grid(nodes: np.ndarray, params: ModelParams) -> _OuterGrid:
-    """The cached grid of these nodes.
-
-    The states of a run share one node array, which nothing writes to, so
-    an array met on the last call maps to the same grid without hashing its
-    values again.
-    """
-    global _last_outer
-    last_nodes, last_params, grid = _last_outer
-    if nodes is last_nodes and params is last_params:
-        return grid
-    grid = _outer_grid_of(np.ascontiguousarray(nodes, dtype=float).tobytes(), params)
-    _last_outer = nodes, params, grid
+def _grid_of(state: SimState, params: ModelParams, opts: FlowOptions) -> _OuterGrid:
+    """The outer grid of opts, on whose nodes state's remainder must sit."""
+    grid = _outer_grid(opts.n_nodes, params)
+    if not np.array_equal(state.dec.remainder.nodes, grid.nodes):
+        raise ValueError("the state's outer nodes are not opts.nodes()")
     return grid
 
 
@@ -384,8 +374,8 @@ def _stage(
 
     frame = _frame(params, quad)
     inner = ZRemainder(frame, inner_vals)
-    proj = projected_sources(modes, inner, b, s, params, quad, variant=opts.variant)
-    bprime = proj.bprime(params, opts.variant)
+    proj = projected_sources(modes, inner, b, s, params, quad)
+    bprime = proj.bprime(params)
 
     src_proj = proj.PN + proj.PD + proj.PR + bprime * proj.PM
     n = params.n_modes
@@ -405,11 +395,11 @@ def _stage(
     S = (
         nonlinear_values(q_grid, e, params.p)
         + drift_values(dq_grid, grid.pw, e, b, tab.I2inv, params)
-        + residual_values(q_grid, grid.pw, e, b, tab.I2inv, params, opts.variant)
-        + bprime * modulation_values(q_grid, grid.pw, e, params, opts.variant)
+        + residual_values(q_grid, grid.pw, e, b, tab.I2inv, params)
+        + bprime * modulation_values(q_grid, grid.pw, e, params)
     )
     drem = Ls_rem + S - tracked
-    inner_src = remainder_source(proj, bprime, modes, inner, b, s, params, opts.variant)
+    inner_src = remainder_source(proj, bprime, modes, inner, b, s, params)
     return dmodes, drem, inner_src, bprime
 
 
@@ -584,7 +574,10 @@ def _state_at(x: tuple, s: float, like: GridFunction) -> SimState:
 def step(
     state: SimState, ds: float, params: ModelParams, opts: FlowOptions = FlowOptions(),
 ) -> SimState:
-    """Advance (q, b) by ds with Lawson RK4; q_{2k} stays zero by construction."""
+    """Advance (q, b) by ds with Lawson RK4; q_{2k} stays zero by construction.
+
+    The state's outer nodes must be opts.nodes().
+    """
     if ds < 0 or ds > MAX_DS:
         raise ValueError(f"ds must lie in [0, {MAX_DS}]")
     x = _values(state)
@@ -592,13 +585,12 @@ def step(
         raise ValueError("state with non-finite values rejected")
     if ds == 0.0:
         return state
-    rem = state.dec.remainder
+    grid = _grid_of(state, params, opts)
     s1 = state.s + ds
-    grid = _outer_grid(rem.nodes, params)
     x, _, _ = _advance(x, None, state.s, s1, grid, params, opts.quad(), opts)
     if not _finite(x):
         raise ValueError("time step produced non-finite values")
-    return _state_at(x, s1, rem)
+    return _state_at(x, s1, state.dec.remainder)
 
 
 _BOUND_B_LOW = "b_low"
@@ -618,7 +610,7 @@ def membership(
     sem = remainder_seminorm(
         state.dec.remainder, state.s, params,
         floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR,
-        nodes_pow_M=_outer_grid(state.dec.remainder.nodes, params).yM, I=I,
+        nodes_pow_M=_outer_grid(opts.n_nodes, params).yM, I=I,
     )
     # the margins in _bound_names' order; the neutral mode's bound is I^{-2 delta}
     q = np.abs(state.dec.modes).tolist()
@@ -655,7 +647,7 @@ def mode_ode_rhs(
     state: SimState, params: ModelParams, opts: FlowOptions = FlowOptions(),
 ) -> np.ndarray:
     """dq_n/ds for the tracked modes at this state."""
-    grid = _outer_grid(state.dec.remainder.nodes, params)
+    grid = _grid_of(state, params, opts)
     dmodes, _, _, _ = _stage(_values(state), state.s, grid, params, opts.quad(), opts)
     return dmodes
 
@@ -718,7 +710,7 @@ def run(
     if not _finite(x):
         raise ValueError("state with non-finite values rejected")
     rem0 = state0.dec.remainder
-    grid = _outer_grid(rem0.nodes, params)
+    grid = _grid_of(state0, params, opts)
     quad = opts.quad()
     L = _frame(params, quad).L
     s0 = state0.s

@@ -11,7 +11,8 @@ h_{m+1}(z) = z h_m(z) - 2m h_{m-1}(z)). They satisfy
 
     <H_n, H_m>_{rho_s} = I^{-2n} 2^n n! delta_{nm},
 
-and, in the y variable, H_{m+1} = y H_m - 2m I^{-2} H_{m-1}.
+and d/dy H_m = m H_{m-1}. The package evaluates the basis by one
+recurrence, hermite_z_table's for h_m, at z = I y.
 
 All integrals run in the standardized variable z = I(s) y with a fixed Gauss
 rule for the weight exp(-z^2/4), so accuracy is uniform in s. Functions with
@@ -36,9 +37,7 @@ __all__ = [
     "gauss_rule",
     "eval_scaled_hermite",
     "hermite_explicit_sum",
-    "hermite_derivative",
     "hermite_z_table",
-    "hermite_y_table",
     "hermite_series",
     "mode_norm_sq",
     "inner_product",
@@ -76,9 +75,12 @@ def gauss_rule(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
 
 
 def hermite_z_table(z, n_max: int) -> np.ndarray:
-    """h_0..h_{n_max} at the points z, by the three-term recurrence."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty((n_max + 1, z.size))
+    """h_0..h_{n_max} at the points z, by the three-term recurrence.
+
+    z may have any shape; row m of the result, out[m], has z's shape.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty((n_max + 1,) + z.shape)
     out[0] = 1.0
     if n_max >= 1:
         out[1] = z
@@ -112,17 +114,11 @@ def hermite_explicit_sum(m: int, y, s: float, k: int):
 
 
 def eval_scaled_hermite(m: int, y, s: float, k: int):
-    """H_m(y, s): the last row of hermite_y_table."""
+    """H_m(y, s) = I^{-m} h_m(I y), from the last row of hermite_z_table."""
     if m < 0:
         raise ValueError("mode index must be >= 0")
-    return hermite_y_table(y, m, s, k)[m]
-
-
-def hermite_derivative(m: int, y, s: float, k: int):
-    """d/dy H_m = m H_{m-1}."""
-    if m == 0:
-        return np.zeros_like(np.asarray(y, dtype=float))
-    return m * eval_scaled_hermite(m - 1, y, s, k)
+    I = float(scale_factor(s, k))
+    return I ** (-m) * hermite_z_table(I * np.asarray(y, dtype=float), m)[m]
 
 
 def mode_norm_sq(n: int, s: float, k: int) -> float:
@@ -153,7 +149,7 @@ def inner_product(f, g, s: float, k: int, quad: QuadratureRule) -> float:
 
 def project_modes_from_samples(
     f_quad: np.ndarray, s: float, k: int, n_modes: int, quad: QuadratureRule,
-    z_table: np.ndarray | None = None, scale: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
 ) -> np.ndarray:
     """Projections P_0..P_{n_modes-1} from samples of f at the quadrature nodes.
 
@@ -162,16 +158,11 @@ def project_modes_from_samples(
     s and n <= M_floor). f_quad may stack several functions along its leading
     axes; the projections keep those axes, with the mode index last. The
     weights w_i h_n(z_i) / sqrt(4 pi) of a Gauss rule are built once per
-    process; z_table, when given, is another table of h_n at the nodes to
-    weigh with instead. scale, when given, is mode_projection_scale at s.
+    process. scale, when given, is mode_projection_scale at s.
     """
-    if z_table is None:
-        weights = _projector(quad.order, n_modes)
-    else:
-        weights = (quad.weights[:, None] * z_table[:n_modes].T) / math.sqrt(4.0 * math.pi)
     if scale is None:
         scale = mode_projection_scale(float(scale_factor(s, k)), n_modes)
-    return (f_quad @ weights) * scale[:n_modes]
+    return (f_quad @ _projector(quad.order, n_modes)) * scale[:n_modes]
 
 
 @lru_cache(maxsize=8)
@@ -232,24 +223,12 @@ def decompose(
     return SpectralDecomposition(s=float(s), modes=modes, remainder=GridFunction(nodes, rem))
 
 
-def hermite_y_table(y, n_max: int, s: float, k: int) -> np.ndarray:
-    """H_0..H_{n_max} at the points y (rows), via the y-space recurrence."""
-    y = np.asarray(y, dtype=float)
-    I2inv = float(scale_factor(s, k)) ** -2
-    out = np.empty((n_max + 1,) + y.shape)
-    if n_max >= 0:
-        out[0] = 1.0
-    if n_max >= 1:
-        out[1] = y
-    for n in range(1, n_max):
-        out[n + 1] = y * out[n] - 2.0 * n * I2inv * out[n - 1]
-    return out
-
-
 def hermite_series(coeffs: np.ndarray, y, s: float, k: int) -> np.ndarray:
-    """sum_n coeffs[n] H_n(y, s), contracted against hermite_y_table."""
+    """sum_n coeffs[n] H_n(y, s) = sum_n coeffs[n] I^{-n} h_n(I y), from hermite_z_table."""
     coeffs = np.asarray(coeffs, dtype=float)
-    return np.tensordot(coeffs, hermite_y_table(y, coeffs.size - 1, s, k), axes=1)
+    I = float(scale_factor(s, k))
+    table = hermite_z_table(I * np.asarray(y, dtype=float), coeffs.size - 1)
+    return np.tensordot(coeffs * I ** -np.arange(coeffs.size, dtype=float), table, axes=1)
 
 
 def recompose(dec: SpectralDecomposition, params: ModelParams) -> GridFunction:

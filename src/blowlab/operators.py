@@ -19,9 +19,11 @@ by the chain rule gives
                               + e_b (alpha3 + alpha4 y^{2k} e_b) q),
 
 and consistency_residual() verifies numerically that exactly this variant
-("derived", the default) matches the transformed w-equation; the alternative
-("paper") form M = p/(p-1) y^{2k} (1 + e_b q) with no e_b on the q-part of
-R_s is kept for comparison and for the q = 0 contracts it satisfies.
+("derived") matches the transformed w-equation. The flow and both b' solves
+use it alone; the alternative ("paper") form M = p/(p-1) y^{2k} (1 + e_b q)
+with no e_b on the q-part of R_s is kept only in the pointwise operators
+(residual_values, modulation_values, eval_DR, eval_M), for the oracle to
+measure against. Every one of them defaults to the derived form.
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ __all__ = [
 
 VARIANTS = ("derived", "paper")
 DENOM_THRESHOLD = 0.1
+# the nodes at each edge that consistency_residual leaves out, where the
+# finite differences are one-sided
+N_EDGE = 4
 
 
 class ModulationBreakdownError(RuntimeError):
@@ -115,7 +120,7 @@ def drift_values(
 
 def residual_values(
     q: np.ndarray, pw: NodePowers, e: np.ndarray, b: float, I2inv: float,
-    params: ModelParams, variant: str,
+    params: ModelParams, variant: str = "derived",
 ) -> np.ndarray:
     a = alpha_consts(b, params)
     qweight = e if variant == "derived" else 1.0
@@ -139,7 +144,8 @@ def eval_DR(
 
 
 def modulation_values(
-    q: np.ndarray, pw: NodePowers, e: np.ndarray, params: ModelParams, variant: str
+    q: np.ndarray, pw: NodePowers, e: np.ndarray, params: ModelParams,
+    variant: str = "derived",
 ) -> np.ndarray:
     p = params.p
     if variant == "derived":
@@ -148,9 +154,9 @@ def modulation_values(
 
 
 def eval_M(
-    q: GridFunction, b: float, params: ModelParams, variant: str = "paper"
+    q: GridFunction, b: float, params: ModelParams, variant: str = "derived"
 ) -> GridFunction:
-    """Profile-parameter sensitivity term; defaults to the literal form."""
+    """Profile-parameter sensitivity term M(q), in the derived form by default."""
     _check_variant(variant)
     _, e = eval_profile(q.nodes, b, params)
     pw = node_powers(q.nodes, params.k)
@@ -181,25 +187,20 @@ def _project_single(f_quad: np.ndarray, s: float, k: int, n: int, quad: Quadratu
     return float(project_modes_from_samples(f_quad, s, k, n + 1, quad)[n])
 
 
-def modulation_rate(P_sum: float, P_coupling: float, p: float, variant: str) -> float:
+def modulation_rate(P_sum: float, P_coupling: float, p: float) -> float:
     """b' from P_2k of N + D_s + R_s (P_sum) and of y^{2k} e_b q (P_coupling).
 
-    P_2k(M) = (1 + p P_coupling)/(p - 1) in the derived form and
-    p (1 + P_coupling)/(p - 1) in the paper form; b' cancels the rest of
-    dq_{2k}/ds. Raises ModulationBreakdownError when the denominator (the
-    bracket of P_2k(M)) is below DENOM_THRESHOLD in magnitude.
+    In the derived form P_2k(M) = (1 + p P_coupling)/(p - 1), and b' cancels
+    the rest of dq_{2k}/ds. Raises ModulationBreakdownError when the
+    denominator (the bracket of P_2k(M)) is below DENOM_THRESHOLD in
+    magnitude.
     """
-    if variant == "derived":
-        denom = 1.0 + p * P_coupling
-        scale = -(p - 1.0)
-    else:
-        denom = 1.0 + P_coupling
-        scale = -(p - 1.0) / p
+    denom = 1.0 + p * P_coupling
     if abs(denom) < DENOM_THRESHOLD:
         raise ModulationBreakdownError(
             f"modulation denominator {denom:.3g} below threshold {DENOM_THRESHOLD}"
         )
-    return scale * P_sum / denom
+    return -(p - 1.0) * P_sum / denom
 
 
 def solve_bprime(
@@ -208,7 +209,6 @@ def solve_bprime(
     s: float,
     params: ModelParams,
     quad: QuadratureRule,
-    variant: str = "derived",
 ) -> float:
     """b'(s) that keeps the neutral mode q_{2k} = 0 to first order.
 
@@ -216,7 +216,6 @@ def solve_bprime(
     projected modulation coefficient. Raises ModulationBreakdownError when
     the denominator wanders too close to zero.
     """
-    _check_variant(variant)
     p, k = params.p, params.k
     n = 2 * k
     I2inv = float(scale_factor(s, params.k)) ** -2
@@ -227,10 +226,10 @@ def solve_bprime(
     proj_sum = (
         _project_single(nonlinear_values(q, e, p), s, k, n, quad)
         + _project_single(drift_values(dq, pw, e, b, I2inv, params), s, k, n, quad)
-        + _project_single(residual_values(q, pw, e, b, I2inv, params, variant), s, k, n, quad)
+        + _project_single(residual_values(q, pw, e, b, I2inv, params), s, k, n, quad)
     )
     coupling = _project_single(pw.y2k * e * q, s, k, n, quad)
-    return modulation_rate(proj_sum, coupling, p, variant)
+    return modulation_rate(proj_sum, coupling, p)
 
 
 def w_rhs(w: GridFunction, s: float, params: ModelParams) -> GridFunction:
@@ -255,7 +254,6 @@ def consistency_residual(
     params: ModelParams,
     bprime: float = 0.0,
     variant: str = "derived",
-    n_edge: int = 4,
 ) -> float:
     """Max-norm gap between the assembled q-RHS and the transformed w-RHS.
 
@@ -280,5 +278,5 @@ def consistency_residual(
     chain = eval_M(q, b, params, "derived").values
     direct = f ** (-params.p) * wr.values + bprime * chain
 
-    sl = slice(n_edge, len(q) - n_edge)
+    sl = slice(N_EDGE, len(q) - N_EDGE)
     return float(np.max(np.abs(assembled[sl] - direct[sl])))

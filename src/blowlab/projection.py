@@ -318,7 +318,7 @@ def scale_tables(s: float, k: int, n_modes: int, J: int) -> ScaleTables:
 # -- source jets -------------------------------------------------------------
 
 def _source_jets(
-    modes: np.ndarray, b: float, tab: ScaleTables, params: ModelParams, J: int, variant: str
+    modes: np.ndarray, b: float, tab: ScaleTables, params: ModelParams, J: int
 ) -> np.ndarray:
     """Exact jets of N, D_s, R_s, M, and the coupling y^{2k} e_b q at q = q_+ (rows).
 
@@ -358,13 +358,12 @@ def _source_jets(
     qpart = np.zeros(J + 2)
     qpart[0] = a.alpha3
     qpart[: J + 1] += a.alpha4 * ye
-    if variant == "derived":
-        qpart[: J + 1] = Te @ qpart[: J + 1]
+    qpart[: J + 1] = Te @ qpart[: J + 1]
     resid[m - 2:] = (resid_inner + qpart[idx] @ q)[: J + 3 - m]
     resid *= tab.I2inv
 
     coupling[m:] = u[: J + 1 - m]  # y^{2k} e_b q
-    modul[m] = 1.0 / (p - 1.0) if variant == "derived" else p / (p - 1.0)
+    modul[m] = 1.0 / (p - 1.0)
     modul += p / (p - 1.0) * coupling
     return out
 
@@ -404,7 +403,7 @@ def _nonlinear_increment(qp: np.ndarray, r: np.ndarray, e: np.ndarray, p: float)
 
 def _increments(
     qp: np.ndarray, r: np.ndarray, dr: np.ndarray, pw: NodePowers, b: float,
-    tab: ScaleTables, params: ModelParams, variant: str,
+    tab: ScaleTables, params: ModelParams,
 ) -> np.ndarray:
     """Remainder-coupled source increments at the points y = pw.y / I.
 
@@ -421,11 +420,10 @@ def _increments(
     e = 1.0 / (p - 1.0 + b * y2k)
     ye = y2k * e
     a = alpha_consts(b, params)
-    qweight = e if variant == "derived" else 1.0
     out = np.empty((5, r.size))
     out[0] = _nonlinear_increment(qp, r, e, p)
     out[1] = -4.0 * p * k * b / (p - 1.0) * tab.i2k * e * pw.ydrift * dr
-    out[2] = tab.i2k * pw.yres * qweight * (a.alpha3 + a.alpha4 * ye) * r
+    out[2] = tab.i2k * pw.yres * e * (a.alpha3 + a.alpha4 * ye) * r
     np.multiply(ye, r, out=out[4])
     np.multiply(p / (p - 1.0), out[4], out=out[3])
     return out
@@ -455,11 +453,12 @@ class SourceProjections:
         self.zinc = zinc
         self.PN, self.PD, self.PR, self.PM = jets[:, : inc.shape[1]] + inc
 
-    def bprime(self, params: ModelParams, variant: str) -> float:
+    def bprime(self, params: ModelParams, variant: str = "derived") -> float:
+        """b' from the projections; variant admits only the flow's "derived" form."""
+        if variant != "derived":
+            raise ValueError(f"the flow solves b' in the derived form only, got {variant!r}")
         n = 2 * params.k
-        return modulation_rate(
-            self.PN[n] + self.PD[n] + self.PR[n], self.Pcoupling[n], params.p, variant,
-        )
+        return modulation_rate(self.PN[n] + self.PD[n] + self.PR[n], self.Pcoupling[n], params.p)
 
 
 def projected_sources(
@@ -469,7 +468,6 @@ def projected_sources(
     s: float,
     params: ModelParams,
     quad: QuadratureRule,
-    variant: str = "derived",
 ) -> SourceProjections:
     """Tracked-mode projections of N, D_s, R_s, M and the modulation coupling.
 
@@ -495,7 +493,7 @@ def projected_sources(
             "expansion parameter exceeds 1/2 on the quadrature support"
         )
 
-    coeffs = _source_jets(modes, b, tab, params, J, variant) @ tab.mono
+    coeffs = _source_jets(modes, b, tab, params, J) @ tab.mono
     inc = np.zeros((5, n_modes))
     zinc = None
     if (rem.values != 0.0).any():
@@ -506,14 +504,14 @@ def projected_sources(
             # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
             rd = rem.frame.SDD @ rem.values
             r = np.concatenate((rd[:nq], rem.values))
-            incs = _increments(scaled @ fixed.htab, r, rd[nq:], fixed.pw, b, tab, params, variant)
+            incs = _increments(scaled @ fixed.htab, r, rd[nq:], fixed.pw, b, tab, params)
             zinc = incs[:4, nq:]
         else:
             pw = NodePowers(*(a[:nq] for a in fixed.pw))  # the Gauss nodes
             y = pw.y / tab.I
             r = sample(rem.nodes, rem.values, y)
             dr = sample(rem.nodes, derivative(rem.values, tab.I * rem.spacing), y)
-            incs = _increments(scaled @ fixed.htab[:, :nq], r, dr, pw, b, tab, params, variant)
+            incs = _increments(scaled @ fixed.htab[:, :nq], r, dr, pw, b, tab, params)
         inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, scale=tab.proj_scale)
 
     return SourceProjections(
@@ -530,7 +528,6 @@ def remainder_source(
     b: float,
     s: float,
     params: ModelParams,
-    variant: str = "derived",
 ) -> np.ndarray:
     """(1 - Pi) S at the nodes of rem, with Pi the tracked-mode projection.
 
@@ -560,7 +557,7 @@ def remainder_source(
             dr = derivative(rem.values, tab.I * rem.spacing)
             incs = _increments(
                 (modes * tab.iexp[:n_modes]) @ ztab[:n_modes], rem.values, dr,
-                node_powers(z, params.k), b, tab, params, variant,
+                node_powers(z, params.k), b, tab, params,
             )
     w = np.array([1.0, 1.0, 1.0, bprime])
     coef = np.empty(J + 1)
@@ -579,8 +576,6 @@ def solve_bprime_projected(
     s: float,
     params: ModelParams,
     quad: QuadratureRule,
-    variant: str = "derived",
 ) -> float:
     """Modulation rate via the jet-based projections (conditioned at large s)."""
-    proj = projected_sources(modes, rem, b, s, params, quad, variant)
-    return proj.bprime(params, variant)
+    return projected_sources(modes, rem, b, s, params, quad).bprime(params)

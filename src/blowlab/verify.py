@@ -16,7 +16,6 @@ import numpy as np
 from .hermite import (
     eval_scaled_hermite,
     gauss_rule,
-    hermite_derivative,
     inner_product,
     mode_norm_sq,
     multiply_identity,
@@ -94,7 +93,7 @@ def verify_spectral(
             for m in range(n_max + 1):
                 def gen(y, m=m):
                     d2 = m * (m - 1) * eval_scaled_hermite(max(m - 2, 0), y, s, k) if m >= 2 else 0.0
-                    d1 = hermite_derivative(m, y, s, k)
+                    d1 = m * eval_scaled_hermite(m - 1, y, s, k) if m >= 1 else 0.0
                     return I2inv * d2 - y / (2.0 * k) * d1 + eval_scaled_hermite(m, y, s, k)
 
                 def pred(y, m=m):

@@ -15,10 +15,10 @@ from blowlab.dynamics import (
     step,
 )
 from blowlab import dynamics
-from blowlab.hermite import SpectralDecomposition, hermite_series, hermite_y_table
+from blowlab.hermite import SpectralDecomposition, eval_scaled_hermite, hermite_series
 from blowlab.params import alpha_consts, eval_profile, make_params, node_powers, scale_factor
 from blowlab.hermite import _projector
-from blowlab.projection import Z_MAX, _fixed_points, _legendre_rule, scale_tables
+from blowlab.projection import Z_MAX, _fixed_points, _legendre_rule, projected_sources, scale_tables
 
 DELTA, B0, S0 = 0.1, 1.0, 20.0
 
@@ -350,7 +350,7 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
 # every cache a flow step reads that depends on s, on the outer grid, on the
 # step size or on the model
 FLOW_CACHES = (
-    scale_tables, _fixed_points, alpha_consts, dynamics._outer_grid_of, dynamics._half_exp_of,
+    scale_tables, _fixed_points, alpha_consts, dynamics._outer_grid, dynamics._half_exp_of,
     _legendre_rule, _projector,
 )
 
@@ -364,12 +364,12 @@ def _same(a, b) -> bool:
 def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     nodes = opts.nodes()
     n = params3.n_modes
-    grid = dynamics._outer_grid(nodes, params3)
+    grid = dynamics._outer_grid(opts.n_nodes, params3)
     assert _same(grid.nodes, nodes)
     # a basis series on the outer grid is its power series in y times the
     # monomials: the stage's q_+ and dq_+/dy and the step tail's leak series
     tab = dynamics._scale_tables(s, params3)
-    H = hermite_y_table(nodes, n - 1, s, 2)
+    H = np.array([eval_scaled_hermite(m, nodes, s, 2) for m in range(n)])
     modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15])
     qc = modes @ tab.conv[:, :n]
     dqc = np.append(qc[1:] * np.arange(1, n), 0.0)
@@ -391,11 +391,13 @@ def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     want = np.array([nodes**j for j in range(n)])
     assert np.all(np.abs(grid.mono - want) <= 1e-15 * np.abs(want))
     # one cached copy serves every caller, so none may write to it
-    assert not any(a.flags.writeable for a in (grid.wind, *grid.pw, grid.yM, grid.lam, grid.mono))
-    assert dynamics._outer_grid(nodes.copy(), params3) is grid
-    # the key is the nodes themselves: another node set gets its own grid
-    other = dynamics._outer_grid(FlowOptions(n_nodes=201).nodes(), params3)
-    assert other.nodes.size == 201 and other.key != grid.key
+    assert not any(
+        a.flags.writeable for a in (grid.nodes, grid.wind, *grid.pw, grid.yM, grid.lam, grid.mono)
+    )
+    assert dynamics._outer_grid(opts.n_nodes, params3) is grid
+    # the key is the node count: another count gets its own grid
+    other = dynamics._outer_grid(201, params3)
+    assert other is not grid and _same(other.nodes, FlowOptions(n_nodes=201).nodes())
 
 
 def test_trajectory_does_not_depend_on_cache_history(params3):
@@ -429,6 +431,29 @@ def test_flow_caches_stay_bounded(params3, opts):
         assert info.currsize <= info.maxsize
 
 
+def test_run_and_step_reject_a_state_off_the_options_grid(params3, opts):
+    # the outer grid is keyed on the options, so a state must sit on their nodes
+    st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, FlowOptions(n_nodes=129))
+    with pytest.raises(ValueError, match="outer nodes"):
+        run(st, S0 + 0.02, DELTA, B0, params3, ds=0.01, opts=opts)
+    with pytest.raises(ValueError, match="outer nodes"):
+        step(st, 0.01, params3, opts)
+
+
+def test_variant_stubs_admit_only_the_derived_form(params3, opts, quad96):
+    # benchmarks/workloads.py::per_call_medians is the only reader of
+    # FlowOptions.variant and of bprime's variant argument: it calls
+    # proj.bprime(params, opts.variant). Both go once it no longer does.
+    with pytest.raises(TypeError):
+        FlowOptions(variant="paper")
+    assert FlowOptions().variant == "derived"
+    st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
+    proj = projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
+    assert proj.bprime(params3, "derived") == proj.bprime(params3)
+    with pytest.raises(ValueError):
+        proj.bprime(params3, "paper")
+
+
 # -- the Lawson step and its dense output -------------------------------------
 
 def _frame():
@@ -459,7 +484,7 @@ def test_lawson_step_without_sources_is_the_exponential(params3, opts, monkeypat
     st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
     u0 = np.exp(-(inner_nodes() ** 2) / 8.0) * np.cos(inner_nodes())
     x0 = (st.dec.modes, st.dec.remainder.values, u0, st.b)
-    grid = dynamics._outer_grid(opts.nodes(), params3)
+    grid = dynamics._outer_grid(opts.n_nodes, params3)
     h = 0.03
     k1 = no_sources(x0, S0, grid, params3, None, opts)
     x1, _ = dynamics._lawson_step(x0, k1, S0, S0 + h, grid, params3, opts.quad(), opts)
@@ -495,7 +520,7 @@ def test_dense_output_meets_the_step_states(params3, opts, monkeypatch):
     monkeypatch.undo()
     assert rec.exit is None and len(rec.samples) == 16
     assert steps == [(s0 + i * 0.01, s0 + (i + 3) * 0.01) for i in range(0, 15, 3)]
-    grid = dynamics._outer_grid(opts.nodes(), params3)
+    grid = dynamics._outer_grid(opts.n_nodes, params3)
     x = dynamics._values(st)
     for i in range(0, 15, 3):
         x, _, _ = dynamics._advance(
@@ -512,7 +537,7 @@ def test_lawson_step_agrees_with_quarter_steps(params3, opts):
     # the centre seed over s in [20, 22], with the run's step sizes: one step
     # of h against four of h / 4, both through the step routine; modes agree
     # within 1e-7 I^{-delta}(s) and b within 1e-9 relative
-    grid = dynamics._outer_grid(opts.nodes(), params3)
+    grid = dynamics._outer_grid(opts.n_nodes, params3)
     quad = opts.quad()
     st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
     coarse = fine = dynamics._values(st)
@@ -553,7 +578,7 @@ def test_grown_steps_agree_with_quarter_steps(params3, opts, monkeypatch, seed):
     monkeypatch.undo()
     # the estimate grows the steps past the sample grid
     assert any(round((sb - sa) / 0.0025) % 4 for sa, sb in steps)
-    grid = dynamics._outer_grid(opts.nodes(), params3)
+    grid = dynamics._outer_grid(opts.n_nodes, params3)
     quad = opts.quad()
     coarse = fine = dynamics._values(st)
     worst_q = worst_b = 0.0

@@ -123,12 +123,12 @@ def test_even_powers_of_negative_points(k):
     yeven = y ** (2 * k - 2)
     q = np.cos(7.0 * y)
     want = I2inv * yeven * (a.alpha1 + a.alpha2 * y2k * e + e * (a.alpha3 + a.alpha4 * y2k * e) * q)
-    assert close(residual_values(q, node_powers(y, k), e, b, I2inv, P, "derived"), want)
+    assert close(residual_values(q, node_powers(y, k), e, b, I2inv, P), want)
     want = yeven * (a.alpha1 + a.alpha2 * y2k * e) * f**P.p
     assert close(profile_second_derivative(y, b, P), want)
     r = 1e-6 * np.sin(5.0 * y)
     tab = SimpleNamespace(i2k=I ** (-2 * k))
-    row = _increments(q, r, r, node_powers(I * y, k), b, tab, P, "derived")[2]
+    row = _increments(q, r, r, node_powers(I * y, k), b, tab, P)[2]
     assert close(row, I2inv * yeven * e * (a.alpha3 + a.alpha4 * y2k * e) * r)
 
 
@@ -171,9 +171,13 @@ def test_modulation_term(params3):
     nodes = uniform_grid(2.0, 201)
     b = 1.1
     zero = GridFunction(nodes, np.zeros_like(nodes))
-    M0 = eval_M(zero, b, params3)
+    M0 = eval_M(zero, b, params3, "paper")
     assert np.allclose(M0.values, 1.5 * nodes**4, rtol=1e-14)
     assert M0.values[100] == 0.0  # y = 0
+    # the omitted argument gives the derived form, y^{2k}/(p-1) at q = 0
+    M0 = eval_M(zero, b, params3)
+    assert np.array_equal(M0.values, eval_M(zero, b, params3, "derived").values)
+    assert np.allclose(M0.values, 0.5 * nodes**4, rtol=1e-14)
 
     rng = np.random.default_rng(7)
     q = rng.normal(size=nodes.size)
@@ -196,10 +200,8 @@ def test_solve_bprime_zero_sources(params3, quad96):
 def test_solve_bprime_against_frozen_oracle(params3, quad96):
     nodes = uniform_grid(0.15, 257)
     dec = decompose(lambda y: np.zeros_like(y), 20.0, params3, quad96, nodes)
-    bp_paper = solve_bprime(dec, 1.0, 20.0, params3, quad96, variant="paper")
-    bp_derived = solve_bprime(dec, 1.0, 20.0, params3, quad96, variant="derived")
-    assert bp_paper == pytest.approx(-(2.0 / 3.0) * P4_R0_ORACLE, rel=1e-8)
-    assert bp_derived == pytest.approx(-2.0 * P4_R0_ORACLE, rel=1e-8)
+    bp = solve_bprime(dec, 1.0, 20.0, params3, quad96)
+    assert bp == pytest.approx(-2.0 * P4_R0_ORACLE, rel=1e-8)
 
 
 def test_solve_bprime_agrees_with_projected_route(params3, quad96):
@@ -210,12 +212,9 @@ def test_solve_bprime_agrees_with_projected_route(params3, quad96):
         -((nodes / 0.08) ** 2)
     )
     dec = decompose(GridFunction(nodes, vals), s, params3, quad96)
-    for variant in ("paper", "derived"):
-        a = solve_bprime(dec, b, s, params3, quad96, variant=variant)
-        bproj = solve_bprime_projected(
-            dec.modes, dec.remainder, b, s, params3, quad96, variant=variant
-        )
-        assert a == pytest.approx(bproj, rel=1e-5, abs=1e-9)
+    a = solve_bprime(dec, b, s, params3, quad96)
+    bproj = solve_bprime_projected(dec.modes, dec.remainder, b, s, params3, quad96)
+    assert a == pytest.approx(bproj, rel=1e-5, abs=1e-9)
 
 
 def test_projected_route_rejects_small_scale_times(params3, quad96):
@@ -226,11 +225,11 @@ def test_projected_route_rejects_small_scale_times(params3, quad96):
 
 
 def test_solve_bprime_breakdown(params3, quad96):
-    # constant q = -1.9 makes P_{2k}(y^{2k} e_b q) ~ -0.95: denominator 0.05
+    # constant q = -0.65 makes 1 + p P_{2k}(y^{2k} e_b q) = 0.025
     nodes = uniform_grid(0.15, 257)
-    dec = decompose(lambda y: np.full_like(y, -1.9), 20.0, params3, quad96, nodes)
+    dec = decompose(lambda y: np.full_like(y, -0.65), 20.0, params3, quad96, nodes)
     with pytest.raises(ModulationBreakdownError):
-        solve_bprime(dec, 1.0, 20.0, params3, quad96, variant="paper")
+        solve_bprime(dec, 1.0, 20.0, params3, quad96)
 
 
 def test_w_rhs_reference_states(params3):

@@ -13,7 +13,6 @@ from blowlab.hermite import (
     eval_scaled_hermite,
     hermite_explicit_sum,
     hermite_series,
-    hermite_y_table,
     hermite_z_table,
     project_modes_from_samples,
     quad_hermite_table,
@@ -133,11 +132,10 @@ def test_jet_binomial_power_matches_pointwise_power(p):
 def test_outer_basis_table_matches_hermite_evaluators(params3, s):
     y = np.linspace(-0.15, 0.15, 257)
     n_modes = params3.n_modes
-    H = hermite_y_table(y, n_modes - 1, s, K)
+    H = np.array([eval_scaled_hermite(n, y, s, K) for n in range(n_modes)])
     for n in range(n_modes):
         want = hermite_explicit_sum(n, y, s, K)
         assert np.max(np.abs(H[n] - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.max(np.abs(H[n] - eval_scaled_hermite(n, y, s, K))) <= 1e-13 * np.max(np.abs(want))
     # three basis sums of a series, and the derivative rule d/dy H_n = n H_{n-1}
     modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15])
     series = hermite_series(modes, y, s, K)
@@ -232,9 +230,8 @@ def _inputs(params3, frame, s):
     return I, vals, modes, 1.1
 
 
-@pytest.mark.parametrize("variant", ["derived", "paper"])
 @pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
-def test_folded_increments_equal_the_explicit_y_route(params3, frame, s, variant):
+def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
     # the increments from the powers of z and the scalar I^{-2k}, against
     # the same sources written out at y = z / I
     n, p, k = params3.n_modes, params3.p, K
@@ -244,15 +241,14 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s, variant
     rd = frame.SDD @ vals
     r, drz = np.concatenate((rd[:96], vals)), rd[96:]
     qp = (modes * tab.iexp[:n]) @ fixed.htab
-    got = _increments(qp, r, drz, fixed.pw, b, tab, params3, variant)
+    got = _increments(qp, r, drz, fixed.pw, b, tab, params3)
     y = fixed.pw.y / I
     e = 1.0 / (p - 1.0 + b * y**4)
     a = alpha_consts(b, params3)
-    qweight = e if variant == "derived" else 1.0
     want = np.array([
         _nonlinear_increment(qp, r, e, p),
         -4.0 * p * k * b / (p - 1.0) * I**-2 * e * y**3 * (I * drz),
-        I**-2 * y**2 * qweight * (a.alpha3 + a.alpha4 * y**4 * e) * r,
+        I**-2 * y**2 * e * (a.alpha3 + a.alpha4 * y**4 * e) * r,
         p / (p - 1.0) * y**4 * e * r,
         y**4 * e * r,
     ])
@@ -260,9 +256,8 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s, variant
         assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), row
 
 
-@pytest.mark.parametrize("variant", ["derived", "paper"])
 @pytest.mark.parametrize("s", [20.0, 45.0])
-def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s, variant):
+def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
     n = params3.n_modes
     tab = scale_tables(s, K, n, frame.J)
     fixed = _fixed_points(96, n, K)
@@ -273,7 +268,7 @@ def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s, 
     qpi = scaled @ hermite_z_table(frame.z, n - 1)
     gauss_pw = NodePowers(*(a[:96] for a in fixed.pw))
     inner_pw = NodePowers(*(a[96:] for a in fixed.pw))
-    args = (b, tab, params3, variant)
+    args = (b, tab, params3)
     gauss = _increments(qpq, rd[:96], rd[96:192], gauss_pw, *args)
     inner = _increments(qpi, vals, rd[192:], inner_pw, *args)
     fused = _increments(
@@ -281,7 +276,7 @@ def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s, 
     )
     assert _same(fused[:, :96], gauss)
     assert _same(fused[:, 96:], inner)
-    proj = projected_sources(modes, ZRemainder(frame, vals), b, s, params3, quad96, variant)
+    proj = projected_sources(modes, ZRemainder(frame, vals), b, s, params3, quad96)
     assert _same(proj.zinc, inner[:4])
 
 
@@ -292,13 +287,13 @@ def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
     tab = scale_tables(s, K, n, frame.J)
     rem = ZRemainder(frame, vals)
     proj = projected_sources(modes, rem, b, s, params3, quad96)
-    bp = proj.bprime(params3, "derived")
+    bp = proj.bprime(params3)
     got = remainder_source(proj, bp, modes, rem, b, s, params3)
     # the same source with the increments evaluated at the inner nodes alone
     inner_pw = NodePowers(*(a[96:] for a in _fixed_points(96, n, K).pw))
     incs = _increments(
         (modes * tab.iexp[:n]) @ frame.ztab[:n], vals, frame.SDD[192:] @ vals, inner_pw, b, tab,
-        params3, "derived",
+        params3,
     )
     w = np.array([1.0, 1.0, 1.0, bp])
     coef = np.concatenate((-(w @ proj.inc), w @ proj.jets[:, n:]))
@@ -315,9 +310,10 @@ def test_cached_projector_equals_the_table_route(quad96, n_modes):
     f = rng.normal(size=(5, 96))
     scale = rng.uniform(0.5, 2.0, size=n_modes)
     got = project_modes_from_samples(f, 20.0, K, n_modes, quad96, scale=scale)
-    want = project_modes_from_samples(
-        f, 20.0, K, n_modes, quad96, z_table=quad_hermite_table(quad96, n_modes - 1), scale=scale,
-    )
+    # the weights w_i h_n(z_i) / sqrt(4 pi), written out from the table
+    table = quad_hermite_table(quad96, n_modes - 1)
+    weights = quad96.weights[:, None] * table.T / math.sqrt(4.0 * math.pi)
+    want = (f @ weights) * scale
     assert np.all(np.abs(got - want) <= 1e-14 * np.max(np.abs(want), axis=1, keepdims=True))
     P = _projector(96, n_modes)
     assert P.shape == (96, n_modes) and not P.flags.writeable and _projector(96, n_modes) is P
