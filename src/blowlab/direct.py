@@ -46,7 +46,7 @@ TERM_INSTABILITY = "instability"
 # step of the fraction W_REACT_SAFETY of 1 / (1/(p-1) + p |w|^{p-1}) and
 # U_REACT_SAFETY of ||u||^{-(p-1)}
 W_REACT_SAFETY = 0.4
-U_REACT_SAFETY = 0.02
+U_REACT_SAFETY = 0.05
 # w-solver: snapshot spacing in s, and the sup norm that ends a run
 W_SNAPSHOT_DS = 0.05
 W_BLOWUP_THRESHOLD = 1e6

@@ -30,15 +30,20 @@ one Lawson RK4 scheme but by different mechanisms:
 The time scheme is Lawson's RK4 (Hochbruck & Ostermann, Acta Numerica 19,
 2010): the inner remainder is stepped in the variable e^{-(s - s0) L} u, so
 L is integrated exactly through e^{hL/2} and its square, and RK4 sees only
-the sources; the modes, the outer remainder and b take classical RK4, which
-is Lawson's scheme where the exponential is the identity. Stability
-therefore bounds the step by the outer grid alone (stable_ds). run() ends
-its steps on a grid of quarter output intervals: within that bound, each
-step grows as far as a free error estimate of the last one allows (the
-stage at a step's end, which the next step starts from, against its fourth
-stage), but never below whole output intervals. The samples inside a step
-are read off a cubic Hermite interpolant of the step's end states and
-derivatives.
+the sources. The outer remainder's diffusion I^{-2}(s) D0 is integrated
+exactly too: D0 is grid.laplacian_compact with its two edge rows zeroed
+(the outflow edge nodes take no diffusion), so its propagator from s_a to
+s_b is e^{c D0} with c = int_{s_a}^{s_b} I^{-2}, diagonal in the
+orthogonal sine transform (DST-I) of the interior nodes, and RK4 sees the
+outer grid's transport and sources alone. The modes and b take classical
+RK4, which is Lawson's scheme where the exponential is the identity.
+Stability therefore bounds the step by the outer transport alone
+(stable_ds, independent of s). run() ends its steps on a grid of quarter
+output intervals: within that bound, each step grows as far as a free
+error estimate of the last one allows (the stage at a step's end, which
+the next step starts from, against its fourth stage), but never below one
+output interval from a sample. The samples inside a step are read off a
+cubic Hermite interpolant of the step's end states and derivatives.
 
 What a stage needs at the outer nodes (their powers, the wind, the
 monomials y^j of the tracked degrees) is built once per node set. A
@@ -66,8 +71,8 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .grid import (
-    RK4_DIFFUSION_CFL, RK4_TRANSPORT_CFL, GridFunction, derivative, laplacian_compact, sample,
-    uniform_grid, upwind_gradient,
+    RK4_TRANSPORT_CFL, GridFunction, derivative, laplacian_compact, sample, uniform_grid,
+    upwind_gradient,
 )
 from .hermite import (
     QuadratureRule,
@@ -140,15 +145,14 @@ Z_OVERLAP = 12.0
 class FlowOptions:
     """Numerical knobs of the modulated flow: outer grid, quadrature, linear-only.
 
-    The default outer grid is deliberately coarse: the remainder is smooth on
-    O(1) scales in y, while the explicit diffusion I^{-2} d_yy imposes a step
-    ceiling RK4_DIFFUSION_CFL h^2 I^2(s), so resolution is paid for
-    cubically; its transport y/2k adds the s-independent ceiling
-    RK4_TRANSPORT_CFL h 2k / Y_MAX. stable_ds is the smaller of the two and
-    MAX_DS. The inner z-grid's operator is integrated exactly and sets no
-    ceiling. Steps larger than stable_ds are split into equal stable
-    substeps automatically. The linear-only flow leaves the inner grid at
-    zero.
+    The outer grid is coarse because the remainder is smooth on O(1) scales
+    in y there. Its diffusion I^{-2} d_yy and the inner z-grid's operator are
+    integrated exactly and set no ceiling; the outer transport y/2k sets
+    the s-independent ceiling RK4_TRANSPORT_CFL h 2k / Y_MAX, so the step
+    scales with the outer spacing, not with its square. stable_ds is the
+    smaller of that ceiling and MAX_DS. Steps larger than stable_ds are
+    split into equal stable substeps automatically. The linear-only flow
+    leaves the inner grid at zero.
 
     variant is not a field: it names the one form of M and R_s the flow
     solves b' in (operators), for callers that pass it on to
@@ -167,12 +171,10 @@ class FlowOptions:
     def quad(self) -> QuadratureRule:
         return gauss_rule(self.quad_order)
 
-    def stable_ds(self, s: float, k: int) -> float:
+    def stable_ds(self, k: int) -> float:
+        """The largest stable step: the outer transport's RK4 ceiling, within MAX_DS."""
         h = 2.0 * Y_MAX / (self.n_nodes - 1)
-        I2 = float(scale_factor(s, k)) ** 2
-        return min(
-            MAX_DS, RK4_DIFFUSION_CFL * h * h * I2, RK4_TRANSPORT_CFL * h / (Y_MAX / (2.0 * k)),
-        )
+        return min(MAX_DS, RK4_TRANSPORT_CFL * h / (Y_MAX / (2.0 * k)))
 
 
 @dataclass(frozen=True)
@@ -350,8 +352,9 @@ def _stage(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """One RK stage: d/ds of (modes, outer remainder, b), and the inner source.
 
-    The third entry is the inner remainder's source N, its derivative minus
-    frame.L @ inner_vals, which the Lawson step integrates exactly; the last
+    The outer remainder's entry leaves out its diffusion I^{-2} D0, and the
+    third entry is the inner remainder's source N, its derivative minus
+    frame.L @ inner_vals: the Lawson step integrates both exactly. The last
     is b', the stage's b-derivative. The inner remainder reaches the
     projections as a ZRemainder, through the cached z-frame operators; on
     the outer grid q_+, dq_+/dy and the sources' tracked projection are
@@ -361,13 +364,9 @@ def _stage(
     tab = _scale_tables(s, params)
     h = grid.h
 
-    # remainder transport-diffusion: upwinded transport keeps the stiff-free
-    # late-s regime stable once diffusion no longer damps grid noise
-    Ls_rem = (
-        tab.I2inv * laplacian_compact(rem_vals, h)
-        - grid.wind * upwind_gradient(rem_vals, h, grid.wind)
-        + rem_vals
-    )
+    # remainder transport: upwinded, it stays stable without the damping of
+    # the diffusion, which is integrated apart
+    Ls_rem = rem_vals - grid.wind * upwind_gradient(rem_vals, h, grid.wind)
 
     if opts.linear_only:
         return grid.lam * modes, Ls_rem, np.zeros_like(inner_vals), 0.0
@@ -432,7 +431,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     Three matrices are alive at a time, so building it raises a run's peak
     memory by little more than the result.
     """
-    squarings = max(0, math.ceil(math.log2(np.linalg.norm(A, 1) / EXPM_NORM)))
+    squarings = math.ceil(math.log2(max(1.0, np.linalg.norm(A, 1) / EXPM_NORM)))
     A = A / 2.0**squarings
     E = np.eye(A.shape[0])
     diag = np.arange(A.shape[0])
@@ -458,10 +457,75 @@ def _half_exp(h: float, frame: ZFrame) -> np.ndarray:
     h is rounded to 12 significant digits first, so step sizes that differ
     in the last bits, as differences of step times do, share one entry. A
     run's steps are whole quarters of its output interval within stable_ds,
-    so at ds = 0.01 it meets at most 15 sizes (0.0375 / 0.0025), and one
-    more for a last step cut short at s_max.
+    which does not depend on s, so at ds = 0.01 it may meet all 15 sizes
+    (0.0375 / 0.0025) from its first steps, and one more for a last step cut
+    short at s_max.
     """
     return _half_exp_of(float(f"{h:.12g}"), frame.quad_order, frame.J)
+
+
+class _SineBasis(NamedTuple):
+    """D0 on the outer grid in its eigenbasis (_sine_basis)."""
+
+    sine: np.ndarray  # the orthogonal DST-I of the interior nodes, its own inverse
+    mu: np.ndarray  # the eigenvalues of D0 on the interior, one per sine
+    line: np.ndarray  # sines of D0's steady state for a unit value at each edge
+
+
+@lru_cache(maxsize=8)
+def _sine_basis(n_nodes: int, h: float) -> _SineBasis:
+    """D0's basis on n_nodes nodes of spacing h, built once per process.
+
+    S_ij = sqrt(2/(m+1)) sin(pi i j/(m+1)), i, j = 1..m, over the
+    m = n_nodes - 2 interior nodes, diagonalizes the 3-point interior stencil
+    with zero edge values. An edge value enters the interior's first or
+    last row with weight 1/h^2; D0's steady state for a unit value at one
+    edge and zero at the other is the straight line between them, whose
+    sines are -S e_1 / (h^2 mu) or -S e_m / (h^2 mu). Only a step needs it,
+    so membership's outer grid does not build it.
+    """
+    m = n_nodes - 2
+    j = np.arange(1, m + 1)
+    arg = np.multiply.outer(j, j)
+    arg %= 2 * (m + 1)  # keeps the sine's argument below 2 pi
+    sine = arg * (np.pi / (m + 1))
+    np.sin(sine, out=sine)
+    sine *= math.sqrt(2.0 / (m + 1))
+    mu = -4.0 / (h * h) * np.sin(0.5 * np.pi / (m + 1) * j) ** 2
+    basis = _SineBasis(sine=sine, mu=mu, line=sine[[0, -1]] / (-h * h * mu))
+    for arr in basis:
+        arr.flags.writeable = False  # one cached copy serves every caller
+    return basis
+
+
+def _diffusion_time(sa: float, sb: float, k: int) -> float:
+    """c = int_sa^sb I^{-2}(s) ds, with I^{-2}(s) = e^{-r s} and r = 1 - 1/k."""
+    r = 1.0 - 1.0 / k
+    return -math.exp(-r * sa) * math.expm1(-r * (sb - sa)) / r
+
+
+def _sine(u: np.ndarray, basis: _SineBasis) -> np.ndarray:
+    """Outer values in D0's basis and back, one vector per row.
+
+    The interior's values become their sine coefficients and the edge
+    values stay; the DST-I is orthogonal and symmetric, its own inverse.
+    """
+    a = u.copy()
+    a[..., 1:-1] = u[..., 1:-1] @ basis.sine
+    return a
+
+
+def _diffuse(a: np.ndarray, c: float, basis: _SineBasis) -> np.ndarray:
+    """e^{c D0} on outer values a in D0's basis (_sine), one vector per row.
+
+    D0 keeps the edge values, and the interior relaxes towards its steady
+    state, the straight line between them, by e^{c mu} per sine: the edge
+    values enter as the affine term (e^{c mu} - 1)/mu times their columns
+    of D0.
+    """
+    out = a.copy()
+    out[..., 1:-1] += np.expm1(c * basis.mu) * (a[..., 1:-1] - a[..., [0, -1]] @ basis.line)
+    return out
 
 
 def _lawson_step(
@@ -472,26 +536,45 @@ def _lawson_step(
 
     With E = e^{hL/2}, the inner remainder u takes the stages E(u0 + h/2 N1),
     E u0 + h/2 N2 and E^2 u0 + h E N3, and ends at
-    E^2 u0 + h/6 (E^2 N1 + 2 E (N2 + N3) + N4); everything else takes
-    classical RK4. Returns the state at s1 and the fourth stage's mode
-    rates and b', which _step_error weighs against the stage at s1.
+    E^2 u0 + h/6 (E^2 N1 + 2 E (N2 + N3) + N4). The outer remainder v
+    follows the same formulas with A = e^{c_a D0} in place of the first
+    half step's E and B = e^{c_b D0} in place of the second's, c_a and c_b
+    the integrals of I^{-2} over the two halves (_diffusion_time): the
+    stages A(v0 + h/2 F1), A v0 + h/2 F2 and B(A v0 + h F3), and the end
+    B(A v0 + h/6 (A F1 + 2 (F2 + F3))) + h/6 F4. That bookkeeping runs in
+    D0's sine basis, four transforms each way. The modes and b take
+    classical RK4. Returns the state at s1 and the fourth stage's mode rates
+    and b', which _step_error weighs against the stage at s1.
     """
     h = s1 - s0
+    sm = s0 + 0.5 * h
     E = _half_exp(h, _frame(params, quad))
+    basis = _sine_basis(grid.nodes.size, grid.h)
+    ca, cb = _diffusion_time(s0, sm, params.k), _diffusion_time(sm, s1, params.k)
 
-    def shifted(dx, c, inner):
-        return x0[0] + c * dx[0], x0[1] + c * dx[1], inner, x0[3] + c * dx[3]
+    def shifted(dx, c, outer, inner):
+        return x0[0] + c * dx[0], outer, inner, x0[3] + c * dx[3]
 
     Eu0 = E @ x0[2]
     EN1 = E @ k1[2]
-    k2 = _stage(shifted(k1, 0.5 * h, Eu0 + 0.5 * h * EN1), s0 + 0.5 * h, grid, params, quad, opts)
-    k3 = _stage(shifted(k2, 0.5 * h, Eu0 + 0.5 * h * k2[2]), s0 + 0.5 * h, grid, params, quad, opts)
-    EEu0 = E @ Eu0
-    k4 = _stage(shifted(k3, h, EEu0 + h * (E @ k3[2])), s1, grid, params, quad, opts)
-    modes, rem, _, b = (
-        xi + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        for xi, d1, d2, d3, d4 in zip(x0, k1, k2, k3, k4)
+    # A v0 and A F1 in sines, then the values of the second stage and of A v0
+    Av0, AF1 = _diffuse(_sine(np.stack((x0[1], k1[1])), basis), ca, basis)
+    v2, Av0_y = _sine(np.stack((Av0 + 0.5 * h * AF1, Av0)), basis)
+    k2 = _stage(shifted(k1, 0.5 * h, v2, Eu0 + 0.5 * h * EN1), sm, grid, params, quad, opts)
+    k3 = _stage(
+        shifted(k2, 0.5 * h, Av0_y + 0.5 * h * k2[1], Eu0 + 0.5 * h * k2[2]),
+        sm, grid, params, quad, opts,
     )
+    F2, F3 = _sine(np.stack((k2[1], k3[1])), basis)
+    v4, rem = _sine(_diffuse(
+        np.stack((Av0 + h * F3, Av0 + h / 6.0 * (AF1 + 2.0 * (F2 + F3)))), cb, basis), basis)
+    EEu0 = E @ Eu0
+    k4 = _stage(shifted(k3, h, v4, EEu0 + h * (E @ k3[2])), s1, grid, params, quad, opts)
+    modes, b = (  # classical RK4 on entries 0 and 3
+        xi + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        for xi, d1, d2, d3, d4 in zip(x0[::3], k1[::3], k2[::3], k3[::3], k4[::3])
+    )
+    rem = rem + h / 6.0 * k4[1]
     inner = EEu0 + h / 6.0 * (E @ (EN1 + 2.0 * (k2[2] + k3[2])) + k4[2])
     return (modes, rem, inner, b), (k4[0], k4[3])
 
@@ -530,7 +613,7 @@ def _advance(
     k1 is the first stage at x, or None to evaluate it here. Also returns
     the last step's length and its fourth stage's rates, for _step_error.
     """
-    n_sub = max(1, math.ceil((s1 - s0) / opts.stable_ds(s0, params.k) - 1e-9))
+    n_sub = max(1, math.ceil((s1 - s0) / opts.stable_ds(params.k) - 1e-9))
     for i in range(n_sub):
         sa = s0 + i * (s1 - s0) / n_sub
         sb = s1 if i == n_sub - 1 else s0 + (i + 1) * (s1 - s0) / n_sub
@@ -691,16 +774,15 @@ def run(
     The samples sit at s0 + i ds, the last at s_max; the steps end at
     s0 + j ds/4. Each step is the longest such span within stable_ds and
     within what the last step's error estimate allows,
-    0.9 h (STEP_TOL / err)^{1/4} (_step_error), but never shorter than whole
-    output intervals from a sample, as many as stable_ds allows, or the rest
-    of the interval from a point between samples. The first step takes that
-    least span. The samples inside a step come from the cubic Hermite
-    interpolant of its end states and derivatives; the derivative at the end
-    is the next step's first stage. Membership is checked at every sample,
-    and an exit ends the record at the first sample outside. A modulation
-    breakdown or a non-finite value inside a step ends the record at the last
-    recorded sample with a "modulation" or "nonfinite" exit instead of
-    raising.
+    0.9 h (STEP_TOL / err)^{1/4} (_step_error), but never shorter than one
+    output interval from a sample, or the rest of the interval from a point
+    between samples. The first step takes that least span. The samples
+    inside a step come from the cubic Hermite interpolant of its end states
+    and derivatives; the derivative at the end is the next step's first
+    stage. Membership is checked at every sample, and an exit ends the
+    record at the first sample outside. A modulation breakdown or a
+    non-finite value inside a step ends the record at the last recorded
+    sample with a "modulation" or "nonfinite" exit instead of raising.
     """
     if not s_max > state0.s:
         raise ValueError("s_max must exceed the initial scale time")
@@ -713,6 +795,7 @@ def run(
     grid = _grid_of(state0, params, opts)
     quad = opts.quad()
     L = _frame(params, quad).L
+    stable = opts.stable_ds(params.k)
     s0 = state0.s
     n = max(1, math.ceil((s_max - s0) / ds - 1e-9))
     end, quarter = 4 * n, 0.25 * ds
@@ -720,6 +803,12 @@ def run(
     def s_at(j: int) -> float:
         """The time j quarter intervals from s0; sample i sits at j = 4 i."""
         return s_max if j == end else s0 + j * quarter
+
+    def full_rates(xs: tuple, ks: tuple, s: float) -> tuple:
+        """d/ds at xs from its stage ks, with L and the outer diffusion restored."""
+        lap = laplacian_compact(xs[1], grid.h)
+        lap[[0, -1]] = 0.0  # D0: the outflow edge nodes take no diffusion
+        return ks[0], ks[1] + _scale_tables(s, params).I2inv * lap, L @ xs[2] + ks[2], ks[3]
 
     record = TrajectoryRecord()
     state = state0
@@ -730,9 +819,7 @@ def run(
     j, k1, h_err, bp = 0, None, 0.0, 0.0
     while report.worst_margin >= -EXIT_HYSTERESIS and j < end:
         sa = s_at(j)
-        stable = opts.stable_ds(sa, params.k)
-        least = 4 * max(1, int(stable / ds)) if j % 4 == 0 else 4 - j % 4
-        jb = min(end, j + max(least, int(min(stable, h_err) / quarter)))
+        jb = min(end, j + max(4 - j % 4, int(min(stable, h_err) / quarter)))
         if s_at(jb) >= s_max:
             jb = end
         sb = s_at(jb)
@@ -765,9 +852,7 @@ def run(
                 xi, bp_next = x1, k_end[3]
             else:
                 if f0 is None:
-                    # full derivatives at both ends, the inner one with L restored
-                    f0 = (k1[0], k1[1], L @ x[2] + k1[2], k1[3])
-                    f1 = (k_end[0], k_end[1], L @ x1[2] + k_end[2], k_end[3])
+                    f0, f1 = full_rates(x, k1, sa), full_rates(x1, k_end, sb)
                 t = (s - sa) / (sb - sa)
                 xi = _hermite(x, f0, x1, f1, sb - sa, t)
                 bp_next = _hermite_slope(x[3], f0[3], x1[3], f1[3], sb - sa, t)

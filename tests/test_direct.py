@@ -245,6 +245,24 @@ def test_w_run_time_step_error(params3, monkeypatch):
     assert np.max(np.abs(run.snapshots - ref.snapshots)) < 1e-9
 
 
+def test_u_run_time_step_error(params3, monkeypatch):
+    # the benchmark's u-input for seed 1: space-independent data on 1001
+    # nodes of |x| <= 10, blowing up at T; against steps a quarter as long,
+    # the blowup-time fit agrees within 1e-7 T
+    rng = np.random.default_rng(1)
+    T = float(rng.uniform(0.09, 0.11))
+    nodes = uniform_grid(10.0, 1001)
+    u0 = GridFunction(nodes, np.full_like(nodes, params3.kappa * T ** (-1.0 / (params3.p - 1.0))))
+    run = solve_u_physical(u0, 1.0, params3)
+    for name in ("RK4_DIFFUSION_CFL", "U_REACT_SAFETY"):
+        monkeypatch.setattr(direct, name, getattr(direct, name) / 4)
+    ref = solve_u_physical(u0, 1.0, params3)
+    assert run.termination == ref.termination == "blowup-threshold"
+    assert ref.sup_times.size > 3 * run.sup_times.size
+    T_run, T_ref = (estimate_blowup_time(r, params3).T_hat for r in (run, ref))
+    assert abs(T_run - T_ref) < 1e-7 * T
+
+
 @pytest.mark.parametrize("s0", [20.0, 6.0])
 def test_w_run_outflow_edges_stay_stable(params3, monkeypatch, s0):
     # s0 = 20 is compare's w-run; from s0 = 6 the run crosses s ~ 9, where
