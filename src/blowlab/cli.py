@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .config import (
     DIRECT_N_NODES, DIRECT_S_LEN, DIRECT_Y_MAX, U_N_NODES, U_T_MAX, U_X_MAX, ConfigError, RunConfig,
+    load_object,
 )
 from .direct import (
     PdeRun,
@@ -32,7 +33,7 @@ from .direct import (
 from .dynamics import init_state, run
 from .grid import GridFunction, uniform_grid
 from .params import eval_profile, scale_factor
-from .serialize import fmt, load_json, save_json, write_trajectory_csv
+from .serialize import fmt, save_json, write_trajectory_csv
 from .shooting import SearchFailureError, search
 from .verify import verify_mehler, verify_spectral
 
@@ -87,7 +88,24 @@ def _load_config(args) -> RunConfig:
             data[flag] = True
     if getattr(args, "d", None):
         data["d"] = [float(x) for x in args.d.split(",")]
+    if getattr(args, "from_path", None):  # compare's survivor, under the checks of a seed
+        data["d"] = _survivor_seed(args.from_path)
     return RunConfig.from_dict(data)
+
+
+def _survivor_seed(path: str):
+    """d_star of the shoot certificate at path, or of the one a shoot manifest there names."""
+    data = load_object(path, "a shoot manifest or certificate")
+    if "artifacts" in data:  # a manifest; follow it to the certificate
+        cert = data["artifacts"].get("certificate") if isinstance(data["artifacts"], dict) else None
+        if not isinstance(cert, str):
+            raise ConfigError(f"{path}: the manifest names no certificate")
+        path, data = cert, load_object(cert, "a shoot certificate")
+    if data.get("failed"):
+        raise ConfigError(f"{path}: shoot run failed; no survivor to compare")
+    if "d_star" not in data:
+        raise ConfigError(f"{path}: no d_star in a shoot certificate")
+    return data["d_star"]
 
 
 def _manifest(cfg: RunConfig, command: str, artifacts: dict, t0: float, extra=None) -> dict:
@@ -271,16 +289,8 @@ def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
     out = _outdir(cfg)
     params = cfg.params()
 
-    d = np.asarray(cfg.seed_vector())
-    source = "config"
-    if from_path:
-        data = load_json(from_path)
-        if "artifacts" in data:  # a manifest; follow it to the certificate
-            data = load_json(data["artifacts"]["certificate"])
-        if data.get("failed"):
-            raise ConfigError(f"{from_path}: shoot run failed; no survivor to compare")
-        d = np.asarray(data["d_star"], dtype=float)
-        source = from_path
+    d = np.asarray(cfg.seed_vector())  # the survivor's d_star under --from
+    source = from_path or "config"
 
     # (a) manufactured solution: distances and fitted b must be exact
     T, b_star = cfg.u_T, cfg.b0

@@ -124,16 +124,19 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(
-                    f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-                ) from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(load_object(path, "config"))
+
+
+def load_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; what names it in the error if it is none."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return data
 
 
 def _integer(key: str, value) -> int:

@@ -51,12 +51,15 @@ U_REACT_SAFETY = 0.05
 W_SNAPSHOT_DS = 0.05
 W_BLOWUP_THRESHOLD = 1e6
 # u-solver: a snapshot whenever the sup norm grows by the factor or after the
-# stride of steps
+# stride of steps, and the sup norm that ends a run
 U_SNAPSHOT_GROWTH = 1.1
 U_MAX_SNAPSHOT_STRIDE = 2000
-# profile fits: b is fitted on |y| <= Y_FIT, distances are taken on |y| <= Y_WINDOW
+U_BLOWUP_THRESHOLD = 1e8
+# profile fits: b is fitted on |y| <= Y_FIT, distances are taken on |y| <= Y_WINDOW;
+# a comparison needs MIN_SNAPSHOTS usable snapshots
 Y_FIT = 2.0
 Y_WINDOW = 3.0
+MIN_SNAPSHOTS = 10
 
 
 @dataclass
@@ -152,20 +155,14 @@ def solve_w_direct(
     )
 
 
-def solve_u_physical(
-    u0: GridFunction,
-    t_max: float,
-    params: ModelParams,
-    *,
-    blowup_threshold: float = 1e8,
-) -> PdeRun:
+def solve_u_physical(u0: GridFunction, t_max: float, params: ModelParams) -> PdeRun:
     """Method-of-lines integration of the reaction-diffusion equation.
 
     Homogeneous Dirichlet walls (endpoint values pinned to zero); adaptive
     time step limited by both the diffusive CFL and the reaction timescale
     ||u||_inf^{-(p-1)}. Time is accumulated in compensated arithmetic so the
     final approach to blowup stays resolved. The run ends once the sup norm
-    reaches blowup_threshold.
+    reaches U_BLOWUP_THRESHOLD.
     """
     nodes = u0.nodes
     h = u0.spacing
@@ -213,7 +210,7 @@ def solve_u_physical(
         sup_t.append(t)
         sups.append(umax)
         stride += 1
-        if umax >= blowup_threshold:
+        if umax >= U_BLOWUP_THRESHOLD:
             times.append(t)
             snaps.append(u.copy())
             termination = TERM_BLOWUP
@@ -339,17 +336,13 @@ def _comparison(times: list, taus: list, bs: list, ds: list) -> ProfileCompariso
     )
 
 
-def compare_profile(
-    run: PdeRun,
-    T_hat: float,
-    params: ModelParams,
-    min_snapshots: int = 10,
-) -> ProfileComparison:
+def compare_profile(run: PdeRun, T_hat: float, params: ModelParams) -> ProfileComparison:
     """Per-snapshot profile fit and sup distance for a physical blowup run.
 
     Each usable snapshot is rescaled, b is fitted, and the sup distance to
     the fitted profile over |y| <= Y_WINDOW is recorded, together with the
-    slope of log(distance) against log(T_hat - t).
+    slope of log(distance) against log(T_hat - t). Fewer than
+    MIN_SNAPSHOTS usable snapshots is a ValueError.
     """
     if run.frame != "u":
         raise ValueError("compare_profile expects a physical-frame run")
@@ -374,10 +367,8 @@ def compare_profile(
         taus.append(float(tau))
         bs.append(fit.b)
         ds.append(dist)
-    if len(times) < min_snapshots:
-        raise ValueError(
-            f"only {len(times)} usable snapshots; need >= {min_snapshots}"
-        )
+    if len(times) < MIN_SNAPSHOTS:
+        raise ValueError(f"only {len(times)} usable snapshots; need >= {MIN_SNAPSHOTS}")
     return _comparison(times, taus, bs, ds)
 
 

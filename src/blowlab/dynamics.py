@@ -28,17 +28,16 @@ one Lawson RK4 scheme but by different mechanisms:
   looks, far outside the weight.
 
 The time scheme is Lawson's RK4 (Hochbruck & Ostermann, Acta Numerica 19,
-2010): the inner remainder is stepped in the variable e^{-(s - s0) L} u, so
-L is integrated exactly through e^{hL/2} and its square, and RK4 sees only
-the sources. The outer remainder's diffusion I^{-2}(s) D0 is integrated
-exactly too: D0 is grid.laplacian_compact with its two edge rows zeroed
-(the outflow edge nodes take no diffusion), so its propagator from s_a to
-s_b is e^{c D0} with c = int_{s_a}^{s_b} I^{-2}, diagonal in the
-orthogonal sine transform (DST-I) of the interior nodes, and RK4 sees the
-outer grid's transport and sources alone. The modes and b take classical
-RK4, which is Lawson's scheme where the exponential is the identity.
-Stability therefore bounds the step by the outer transport alone
-(stable_ds, independent of s). run() ends its steps on a grid of quarter
+2010) on one vector x = (modes | outer remainder | inner remainder | b),
+with one block propagator per half step: e^{hL/2} on the inner remainder,
+so L is integrated exactly and RK4 sees only the sources; e^{c D0} on the
+outer one, where D0 is grid.laplacian_compact with its two edge rows
+zeroed (the outflow edge nodes take no diffusion) and c = int I^{-2} over
+the half step, diagonal in the orthogonal sine transform (DST-I) of the
+interior nodes, so RK4 sees the outer transport and sources alone; and the
+identity on the modes and b, where the scheme is classical RK4. Stability
+therefore bounds the step by the outer transport alone (stable_ds,
+independent of s). run() ends its steps on a grid of quarter
 output intervals: within that bound, each step grows as far as a free
 error estimate of the last one allows (the stage at a step's end, which
 the next step starts from, against its fourth stage), but never below one
@@ -307,7 +306,10 @@ def _scale_tables(s: float, params: ModelParams) -> ScaleTables:
 
 
 class _OuterGrid(NamedTuple):
-    """The s-independent data of the outer grid of n nodes, for one model."""
+    """The s-independent data of the outer grid of n nodes, for one model.
+
+    Its slices name the parts of the flow's state vector x; b is x[-1].
+    """
 
     nodes: np.ndarray
     h: float
@@ -316,18 +318,23 @@ class _OuterGrid(NamedTuple):
     yM: np.ndarray  # |y|^M, the seminorm's weight
     lam: np.ndarray  # 1 - n/2k, the tracked modes' linear rates
     mono: np.ndarray  # y^j at the nodes, j = 0..M_floor
+    modes: slice  # x = (modes | outer remainder | inner remainder | b)
+    outer: slice
+    inner: slice
 
 
 @lru_cache(maxsize=8)
 def _outer_grid(n_nodes: int, params: ModelParams) -> _OuterGrid:
     """Build, once per process, the outer grid of FlowOptions(n_nodes).nodes()."""
     nodes = FlowOptions(n_nodes=n_nodes).nodes()
-    k = params.k
+    k, n = params.k, params.n_modes
     grid = _OuterGrid(
         nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
-        lam=1.0 - np.arange(params.n_modes) / (2.0 * k),
-        mono=np.vander(nodes, params.n_modes, increasing=True).T,
+        lam=1.0 - np.arange(n) / (2.0 * k),
+        mono=np.vander(nodes, n, increasing=True).T,
+        modes=slice(0, n), outer=slice(n, n + n_nodes),
+        inner=slice(n + n_nodes, n + n_nodes + Z_NODES),
     )
     for arr in (grid.nodes, grid.wind, *grid.pw[1:], grid.yM, grid.lam, grid.mono):
         arr.flags.writeable = False  # one cached copy serves every caller
@@ -343,33 +350,36 @@ def _grid_of(state: SimState, params: ModelParams, opts: FlowOptions) -> _OuterG
 
 
 def _stage(
-    x: tuple[np.ndarray, np.ndarray, np.ndarray, float],
+    x: np.ndarray,
     s: float,
     grid: _OuterGrid,
     params: ModelParams,
     quad: QuadratureRule,
     opts: FlowOptions,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """One RK stage: d/ds of (modes, outer remainder, b), and the inner source.
+) -> np.ndarray:
+    """One RK stage: d/ds of the state vector x, in x's layout.
 
-    The outer remainder's entry leaves out its diffusion I^{-2} D0, and the
-    third entry is the inner remainder's source N, its derivative minus
-    frame.L @ inner_vals: the Lawson step integrates both exactly. The last
-    is b', the stage's b-derivative. The inner remainder reaches the
-    projections as a ZRemainder, through the cached z-frame operators; on
-    the outer grid q_+, dq_+/dy and the sources' tracked projection are
-    three power series in y, summed by one product with its monomials.
+    The outer remainder's part leaves out its diffusion I^{-2} D0, and the
+    inner remainder's is its source N, its derivative minus
+    frame.L @ inner_vals: the Lawson step integrates both exactly. The
+    inner remainder reaches the projections as a ZRemainder, through the
+    cached z-frame operators; on the outer grid q_+, dq_+/dy and the
+    sources' tracked projection are three power series in y, summed by one
+    product with its monomials.
     """
-    modes, rem_vals, inner_vals, b = x
+    modes, rem_vals, inner_vals = x[grid.modes], x[grid.outer], x[grid.inner]
+    b = float(x[-1])
     tab = _scale_tables(s, params)
     h = grid.h
+    dx = np.zeros_like(x)
 
     # remainder transport: upwinded, it stays stable without the damping of
     # the diffusion, which is integrated apart
     Ls_rem = rem_vals - grid.wind * upwind_gradient(rem_vals, h, grid.wind)
 
     if opts.linear_only:
-        return grid.lam * modes, Ls_rem, np.zeros_like(inner_vals), 0.0
+        dx[grid.modes], dx[grid.outer] = grid.lam * modes, Ls_rem
+        return dx
 
     frame = _frame(params, quad)
     inner = ZRemainder(frame, inner_vals)
@@ -397,9 +407,9 @@ def _stage(
         + residual_values(q_grid, grid.pw, e, b, tab.I2inv, params)
         + bprime * modulation_values(q_grid, grid.pw, e, params)
     )
-    drem = Ls_rem + S - tracked
-    inner_src = remainder_source(proj, bprime, modes, inner, b, s, params)
-    return dmodes, drem, inner_src, bprime
+    dx[grid.modes], dx[grid.outer], dx[-1] = dmodes, Ls_rem + S - tracked, bprime
+    dx[grid.inner] = remainder_source(proj, bprime, modes, inner, b, s, params)
+    return dx
 
 
 def _unstable_leak(
@@ -504,114 +514,90 @@ def _diffusion_time(sa: float, sb: float, k: int) -> float:
     return -math.exp(-r * sa) * math.expm1(-r * (sb - sa)) / r
 
 
-def _sine(u: np.ndarray, basis: _SineBasis) -> np.ndarray:
-    """Outer values in D0's basis and back, one vector per row.
-
-    The interior's values become their sine coefficients and the edge
-    values stay; the DST-I is orthogonal and symmetric, its own inverse.
-    """
-    a = u.copy()
-    a[..., 1:-1] = u[..., 1:-1] @ basis.sine
-    return a
-
-
-def _diffuse(a: np.ndarray, c: float, basis: _SineBasis) -> np.ndarray:
-    """e^{c D0} on outer values a in D0's basis (_sine), one vector per row.
+def _diffuse(v: np.ndarray, c: float, basis: _SineBasis) -> np.ndarray:
+    """e^{c D0} on outer node values v, one vector per row.
 
     D0 keeps the edge values, and the interior relaxes towards its steady
-    state, the straight line between them, by e^{c mu} per sine: the edge
-    values enter as the affine term (e^{c mu} - 1)/mu times their columns
-    of D0.
+    state, the straight line between them, by e^{c mu} per sine of the
+    DST-I, which is its own inverse: the edge values enter as the affine
+    term (e^{c mu} - 1)/mu times their columns of D0.
     """
-    out = a.copy()
-    out[..., 1:-1] += np.expm1(c * basis.mu) * (a[..., 1:-1] - a[..., [0, -1]] @ basis.line)
+    a = v[..., 1:-1] @ basis.sine
+    a += np.expm1(c * basis.mu) * (a - v[..., [0, -1]] @ basis.line)
+    out = v.copy()
+    out[..., 1:-1] = a @ basis.sine
     return out
 
 
 def _lawson_step(
-    x0: tuple, k1: tuple, s0: float, s1: float, grid: _OuterGrid, params: ModelParams,
-    quad: QuadratureRule, opts: FlowOptions,
-) -> tuple:
-    """One Lawson RK4 step from x0 at s0 to s1; k1 is the stage at x0.
+    x0: np.ndarray, k1: np.ndarray, s0: float, s1: float, grid: _OuterGrid,
+    params: ModelParams, quad: QuadratureRule, opts: FlowOptions,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Lawson RK4 step from x0 at s0 to s1; k1 is the stage F(x0).
 
-    With E = e^{hL/2}, the inner remainder u takes the stages E(u0 + h/2 N1),
-    E u0 + h/2 N2 and E^2 u0 + h E N3, and ends at
-    E^2 u0 + h/6 (E^2 N1 + 2 E (N2 + N3) + N4). The outer remainder v
-    follows the same formulas with A = e^{c_a D0} in place of the first
-    half step's E and B = e^{c_b D0} in place of the second's, c_a and c_b
-    the integrals of I^{-2} over the two halves (_diffusion_time): the
-    stages A(v0 + h/2 F1), A v0 + h/2 F2 and B(A v0 + h F3), and the end
-    B(A v0 + h/6 (A F1 + 2 (F2 + F3))) + h/6 F4. That bookkeeping runs in
-    D0's sine basis, four transforms each way. The modes and b take
-    classical RK4. Returns the state at s1 and the fourth stage's mode rates
-    and b', which _step_error weighs against the stage at s1.
+    P and Q, the propagators of the step's two halves, are E = e^{hL/2} on
+    the inner remainder, e^{c D0} on the outer one, c the integral of I^{-2}
+    over the half (_diffusion_time), and the identity on the modes and b.
+    With X, K = P x0, P k1, the stages are k2 = F(X + h/2 K),
+    k3 = F(X + h/2 k2) and k4 = F(Q(X + h k3)), and the step ends at
+    Q(X + h/6 (K + 2 (k2 + k3))) + h/6 k4. Each propagator acts on two
+    stacked rows. Returns the state at s1 and k4, which _step_error weighs
+    against the stage at s1.
     """
     h = s1 - s0
     sm = s0 + 0.5 * h
     E = _half_exp(h, _frame(params, quad))
     basis = _sine_basis(grid.nodes.size, grid.h)
-    ca, cb = _diffusion_time(s0, sm, params.k), _diffusion_time(sm, s1, params.k)
 
-    def shifted(dx, c, outer, inner):
-        return x0[0] + c * dx[0], outer, inner, x0[3] + c * dx[3]
+    def half(rows: np.ndarray, sa: float, sb: float) -> np.ndarray:
+        """The propagator from sa to sb, a half step, on each row of rows."""
+        out = rows.copy()
+        out[:, grid.inner] = rows[:, grid.inner] @ E.T
+        c = _diffusion_time(sa, sb, params.k)
+        out[:, grid.outer] = _diffuse(rows[:, grid.outer], c, basis)
+        return out
 
-    Eu0 = E @ x0[2]
-    EN1 = E @ k1[2]
-    # A v0 and A F1 in sines, then the values of the second stage and of A v0
-    Av0, AF1 = _diffuse(_sine(np.stack((x0[1], k1[1])), basis), ca, basis)
-    v2, Av0_y = _sine(np.stack((Av0 + 0.5 * h * AF1, Av0)), basis)
-    k2 = _stage(shifted(k1, 0.5 * h, v2, Eu0 + 0.5 * h * EN1), sm, grid, params, quad, opts)
-    k3 = _stage(
-        shifted(k2, 0.5 * h, Av0_y + 0.5 * h * k2[1], Eu0 + 0.5 * h * k2[2]),
-        sm, grid, params, quad, opts,
-    )
-    F2, F3 = _sine(np.stack((k2[1], k3[1])), basis)
-    v4, rem = _sine(_diffuse(
-        np.stack((Av0 + h * F3, Av0 + h / 6.0 * (AF1 + 2.0 * (F2 + F3)))), cb, basis), basis)
-    EEu0 = E @ Eu0
-    k4 = _stage(shifted(k3, h, v4, EEu0 + h * (E @ k3[2])), s1, grid, params, quad, opts)
-    modes, b = (  # classical RK4 on entries 0 and 3
-        xi + h / 6.0 * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        for xi, d1, d2, d3, d4 in zip(x0[::3], k1[::3], k2[::3], k3[::3], k4[::3])
-    )
-    rem = rem + h / 6.0 * k4[1]
-    inner = EEu0 + h / 6.0 * (E @ (EN1 + 2.0 * (k2[2] + k3[2])) + k4[2])
-    return (modes, rem, inner, b), (k4[0], k4[3])
+    X, K = half(np.stack((x0, k1)), s0, sm)
+    k2 = _stage(X + 0.5 * h * K, sm, grid, params, quad, opts)
+    k3 = _stage(X + 0.5 * h * k2, sm, grid, params, quad, opts)
+    x4, y = half(np.stack((X + h * k3, X + h / 6.0 * (K + 2.0 * (k2 + k3)))), sm, s1)
+    k4 = _stage(x4, s1, grid, params, quad, opts)
+    return y + h / 6.0 * k4, k4
 
 
 def _step_tail(
-    x: tuple, s: float, grid: _OuterGrid, params: ModelParams, quad: QuadratureRule,
+    x: np.ndarray, s: float, grid: _OuterGrid, params: ModelParams, quad: QuadratureRule,
     opts: FlowOptions,
-) -> tuple:
+) -> np.ndarray:
     """Remove the remainder's unstable-range debris and copy the inner values out."""
     if opts.linear_only:
         return x
-    modes, rem, inner, b = x
+    x = x.copy()
+    rem, inner = x[grid.outer], x[grid.inner]
     tab = _scale_tables(s, params)
     frame = _frame(params, quad)
     leak = _unstable_leak(inner, s, params, quad, frame)
     n = leak.size
-    rem = rem - (leak @ tab.conv[:n, :n]) @ grid.mono[:n]
-    inner = inner - (leak * tab.iexp[:n]) @ frame.ztab[:n]
+    rem -= (leak @ tab.conv[:n, :n]) @ grid.mono[:n]
+    inner -= (leak * tab.iexp[:n]) @ frame.ztab[:n]
     # where both grids overlap the outer one takes the resolved values:
     # once it under-resolves the weight, its own near-origin evolution
     # seeds unstable-range debris that only the inner grid can measure
     z = tab.I * grid.nodes  # increasing, so |z| <= Z_OVERLAP is one slice
     lo, hi = z.searchsorted(-Z_OVERLAP, "left"), z.searchsorted(Z_OVERLAP, "right")
     rem[lo:hi] = sample(frame.z, inner, z[lo:hi])
-    modes = modes.copy()
-    modes[2 * params.k] = 0.0
-    return modes, rem, inner, b
+    x[grid.modes][2 * params.k] = 0.0
+    return x
 
 
 def _advance(
-    x: tuple, k1: tuple | None, s0: float, s1: float, grid: _OuterGrid, params: ModelParams,
-    quad: QuadratureRule, opts: FlowOptions,
-) -> tuple:
+    x: np.ndarray, k1: np.ndarray | None, s0: float, s1: float, grid: _OuterGrid,
+    params: ModelParams, quad: QuadratureRule, opts: FlowOptions,
+) -> tuple[np.ndarray, float, np.ndarray]:
     """x at s1 > s0: equal Lawson steps within stable_ds, each with its tail.
 
     k1 is the first stage at x, or None to evaluate it here. Also returns
-    the last step's length and its fourth stage's rates, for _step_error.
+    the last step's length and its fourth stage, for _step_error.
     """
     n_sub = max(1, math.ceil((s1 - s0) / opts.stable_ds(params.k) - 1e-9))
     for i in range(n_sub):
@@ -625,7 +611,9 @@ def _advance(
     return x, sb - sa, k4
 
 
-def _step_error(h: float, k4: tuple, k5: tuple, amp: float, b: float) -> float:
+def _step_error(
+    h: float, k4: np.ndarray, k5: np.ndarray, grid: _OuterGrid, amp: float, b: float,
+) -> float:
     """The local error estimate h/6 |k4 - k5| of a step of length h.
 
     k5 is the stage at the step's end, so y0 + h/6 (k1 + 2 k2 + 2 k3 + k5)
@@ -634,24 +622,26 @@ def _step_error(h: float, k4: tuple, k5: tuple, amp: float, b: float) -> float:
     step's first. The modes are measured in units of amp = I^{-delta}, b
     relative to itself.
     """
-    dq = float(np.max(np.abs(k4[0] - k5[0]))) / amp
-    db = abs(k4[1] - k5[3]) / abs(b)
+    dk = k4 - k5
+    dq = float(np.max(np.abs(dk[grid.modes]))) / amp
+    db = abs(float(dk[-1])) / abs(b)
     return h / 6.0 * max(dq, db)
 
 
-def _values(state: SimState) -> tuple:
-    return state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b
+def _values(state: SimState, grid: _OuterGrid) -> np.ndarray:
+    """The state's vector x, in grid's layout; a state with non-finite values is rejected."""
+    x = np.empty(grid.inner.stop + 1)
+    x[grid.modes], x[grid.outer], x[grid.inner], x[-1] = (
+        state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b)
+    if not np.isfinite(x).all():
+        raise ValueError("state with non-finite values rejected")
+    return x
 
 
-def _finite(x: tuple) -> bool:
-    return all(np.isfinite(xi).all() for xi in x)
-
-
-def _state_at(x: tuple, s: float, like: GridFunction) -> SimState:
+def _state_at(x: np.ndarray, s: float, grid: _OuterGrid, like: GridFunction) -> SimState:
     """The state of x at s, its outer remainder on the nodes of like."""
-    modes, rem, inner, b = x
-    dec = SpectralDecomposition(s, modes, like.with_values(rem))
-    return SimState(s=s, b=float(b), dec=dec, inner=inner)
+    dec = SpectralDecomposition(s, x[grid.modes], like.with_values(x[grid.outer]))
+    return SimState(s=s, b=float(x[-1]), dec=dec, inner=x[grid.inner])
 
 
 def step(
@@ -663,17 +653,15 @@ def step(
     """
     if ds < 0 or ds > MAX_DS:
         raise ValueError(f"ds must lie in [0, {MAX_DS}]")
-    x = _values(state)
-    if not _finite(x):
-        raise ValueError("state with non-finite values rejected")
+    grid = _grid_of(state, params, opts)
+    x = _values(state, grid)
     if ds == 0.0:
         return state
-    grid = _grid_of(state, params, opts)
     s1 = state.s + ds
     x, _, _ = _advance(x, None, state.s, s1, grid, params, opts.quad(), opts)
-    if not _finite(x):
+    if not np.isfinite(x).all():
         raise ValueError("time step produced non-finite values")
-    return _state_at(x, s1, state.dec.remainder)
+    return _state_at(x, s1, grid, state.dec.remainder)
 
 
 _BOUND_B_LOW = "b_low"
@@ -731,27 +719,28 @@ def mode_ode_rhs(
 ) -> np.ndarray:
     """dq_n/ds for the tracked modes at this state."""
     grid = _grid_of(state, params, opts)
-    dmodes, _, _, _ = _stage(_values(state), state.s, grid, params, opts.quad(), opts)
-    return dmodes
+    return _stage(_values(state, grid), state.s, grid, params, opts.quad(), opts)[grid.modes]
 
 
 def _sample_of(state: SimState, bprime: float, report: MembershipReport) -> TrajectorySample:
     return TrajectorySample(
         s=state.s,
         b=state.b,
-        bprime=bprime,
+        bprime=float(bprime),
         modes=state.dec.modes.copy(),
         qminus_seminorm=report.qminus_seminorm,
         inside=report.inside,
     )
 
 
-def _hermite(x0: tuple, f0: tuple, x1: tuple, f1: tuple, h: float, t: float) -> tuple:
+def _hermite(
+    x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray, h: float, t: float,
+) -> np.ndarray:
     """The cubic Hermite interpolant of (x0, f0) and (x1, f1), h apart, at fraction t."""
     t2, t3 = t * t, t * t * t
     a0, a1 = 2.0 * t3 - 3.0 * t2 + 1.0, h * (t3 - 2.0 * t2 + t)
     c0, c1 = 3.0 * t2 - 2.0 * t3, h * (t3 - t2)
-    return tuple(a0 * p + a1 * dp + c0 * q + c1 * dq for p, dp, q, dq in zip(x0, f0, x1, f1))
+    return a0 * x0 + a1 * f0 + c0 * x1 + c1 * f1
 
 
 def _hermite_slope(y0: float, g0: float, y1: float, g1: float, h: float, t: float) -> float:
@@ -788,11 +777,9 @@ def run(
         raise ValueError("s_max must exceed the initial scale time")
     if not 0.0 < ds <= MAX_DS:
         raise ValueError(f"ds must lie in (0, {MAX_DS}]")
-    x = _values(state0)
-    if not _finite(x):
-        raise ValueError("state with non-finite values rejected")
-    rem0 = state0.dec.remainder
     grid = _grid_of(state0, params, opts)
+    x = _values(state0, grid)
+    rem0 = state0.dec.remainder
     quad = opts.quad()
     L = _frame(params, quad).L
     stable = opts.stable_ds(params.k)
@@ -804,11 +791,14 @@ def run(
         """The time j quarter intervals from s0; sample i sits at j = 4 i."""
         return s_max if j == end else s0 + j * quarter
 
-    def full_rates(xs: tuple, ks: tuple, s: float) -> tuple:
+    def full_rates(xs: np.ndarray, ks: np.ndarray, s: float) -> np.ndarray:
         """d/ds at xs from its stage ks, with L and the outer diffusion restored."""
-        lap = laplacian_compact(xs[1], grid.h)
+        lap = laplacian_compact(xs[grid.outer], grid.h)
         lap[[0, -1]] = 0.0  # D0: the outflow edge nodes take no diffusion
-        return ks[0], ks[1] + _scale_tables(s, params).I2inv * lap, L @ xs[2] + ks[2], ks[3]
+        f = ks.copy()
+        f[grid.outer] += _scale_tables(s, params).I2inv * lap
+        f[grid.inner] += L @ xs[grid.inner]
+        return f
 
     record = TrajectoryRecord()
     state = state0
@@ -827,12 +817,12 @@ def run(
         try:
             if k1 is None:
                 k1 = _stage(x, sa, grid, params, quad, opts)
-                bp = k1[3]
+                bp = k1[-1]
             x1, h, k4 = _advance(x, k1, sa, sb, grid, params, quad, opts)
             k_end = _stage(x1, sb, grid, params, quad, opts)
         except ModulationBreakdownError as exc:
             failure = (BOUND_MODULATION, str(exc))
-        if failure is None and not (_finite(x1) and _finite(k_end)):
+        if failure is None and not (np.isfinite(x1).all() and np.isfinite(k_end).all()):
             failure = (BOUND_NONFINITE, "time step produced non-finite values")
         if failure is not None:
             record.exit = ExitInfo(
@@ -843,20 +833,20 @@ def run(
             record.final_state = state
             return record
         amp = _scale_tables(sb, params).I ** -delta
-        err = _step_error(h, k4, k_end, amp, x1[3])
+        err = _step_error(h, k4, k_end, grid, amp, x1[-1])
         h_err = 0.9 * h * (STEP_TOL / err) ** 0.25 if err > 0.0 else math.inf
         f0 = f1 = None
         for i in range(j // 4 + 1, jb // 4 + 1):
             s = s_at(4 * i)
             if 4 * i == jb:
-                xi, bp_next = x1, k_end[3]
+                xi, bp_next = x1, k_end[-1]
             else:
                 if f0 is None:
                     f0, f1 = full_rates(x, k1, sa), full_rates(x1, k_end, sb)
                 t = (s - sa) / (sb - sa)
                 xi = _hermite(x, f0, x1, f1, sb - sa, t)
-                bp_next = _hermite_slope(x[3], f0[3], x1[3], f1[3], sb - sa, t)
-            state = _state_at(xi, s, rem0)
+                bp_next = _hermite_slope(x[-1], f0[-1], x1[-1], f1[-1], sb - sa, t)
+            state = _state_at(xi, s, grid, rem0)
             report = membership(state, delta, b0, params, opts)
             # b' at the start of the interval that ends at this sample
             record.samples.append(_sample_of(state, bp, report))

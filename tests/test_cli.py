@@ -191,6 +191,33 @@ def test_cli_shoot_then_compare_chain(tmp_path):
     assert code2 in (0, 4)  # trend checks are exercised by the acceptance suite
 
 
+# a --from file compare cannot take a survivor from, by what it holds
+BAD_SURVIVORS = {
+    "missing": None,
+    "unparsable": "{\"d_star\": [0.0,",
+    "list": [0.0, 0.0, 0.0, 0.0],
+    "no_d_star": {"failed": False, "n_trajectories": 6},
+    "manifest_without_certificate": {
+        "command": "simulate", "artifacts": {"trajectory": "trajectory.csv"},
+    },
+    "d_star_of_wrong_length": {"failed": False, "d_star": [0.0, 0.0, 0.0]},
+    "d_star_outside_the_box": {"failed": False, "d_star": [0.0, 2.5, 0.0, 0.0]},
+}
+
+
+@pytest.mark.parametrize("content", BAD_SURVIVORS.values(), ids=BAD_SURVIVORS.keys())
+def test_cli_compare_rejects_a_bad_survivor_file(tmp_path, capsys, content):
+    src = tmp_path / "from.json"
+    if isinstance(content, str):
+        src.write_text(content)
+    elif content is not None:
+        src.write_text(json.dumps(content))
+    out = tmp_path / "cmp"
+    assert run_experiment(["compare", "--outdir", str(out), "--from", str(src)]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_spectral(tmp_path):
     code = run_experiment(["verify-spectral", "--outdir", str(tmp_path), "--quad_order".replace("_", "-"), "64"])
     assert code == 0

@@ -484,25 +484,61 @@ def test_lawson_step_without_sources_is_the_exponential(params3, opts, monkeypat
     from scipy.linalg import expm
 
     def no_sources(x, s, grid, params, quad, opts):
-        return tuple(np.zeros_like(np.asarray(xi)) for xi in x[:3]) + (0.0,)
+        return np.zeros_like(x)
 
     monkeypatch.setattr(dynamics, "_stage", no_sources)
-    st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
+    st = init_state(np.array([0.1, -0.05, 0.08, 0.02]), DELTA, B0, S0, params3, opts)
     u0 = np.exp(-(inner_nodes() ** 2) / 8.0) * np.cos(inner_nodes())
     y = opts.nodes()
     v0 = np.cos(40.0 * y) + np.sin(300.0 * y)  # nonzero at both edges
-    x0 = (st.dec.modes, v0, u0, st.b)
     grid = dynamics._outer_grid(opts.n_nodes, params3)
+    x0 = dynamics._values(st, grid)
+    x0[grid.outer], x0[grid.inner] = v0, u0
     h = 0.03
     k1 = no_sources(x0, S0, grid, params3, None, opts)
     x1, _ = dynamics._lawson_step(x0, k1, S0, S0 + h, grid, params3, opts.quad(), opts)
     want = expm(h * _frame().L) @ u0
-    assert np.max(np.abs(x1[2] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(x1[grid.inner] - want)) <= 1e-12 * np.max(np.abs(want))
     # the outer remainder diffuses for c = int I^{-2} over the step
     c = (float(scale_factor(S0, 2)) ** -2 - float(scale_factor(S0 + h, 2)) ** -2) / 0.5
     want = expm(c * _edge_free_laplacian(grid)) @ v0
-    assert np.max(np.abs(x1[1] - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(x1[0], x0[0]) and x1[3] == x0[3]
+    assert np.max(np.abs(x1[grid.outer] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(x1[grid.modes], x0[grid.modes]) and x1[-1] == x0[-1]
+
+
+def test_lawson_step_is_classical_rk4_where_the_propagator_is_the_identity(
+    params3, opts_linear,
+):
+    # the linear-only flow: the modes obey q' = lam q, so one step of h
+    # multiplies each by RK4's stability polynomial R(h lam), and b' = 0
+    st = init_state(np.array([0.3, -0.2, 0.15, 0.1]), DELTA, B0, S0, params3, opts_linear)
+    grid = dynamics._outer_grid(opts_linear.n_nodes, params3)
+    quad = opts_linear.quad()
+    x0 = dynamics._values(st, grid)
+    assert np.count_nonzero(x0[grid.modes]) == 4
+    s1 = S0 + 0.0375
+    k1 = dynamics._stage(x0, S0, grid, params3, quad, opts_linear)
+    x1, _ = dynamics._lawson_step(x0, k1, S0, s1, grid, params3, quad, opts_linear)
+    z = (s1 - S0) * grid.lam  # the step the routine takes, 0.0375 up to the roundoff of s1
+    want = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) * x0[grid.modes]
+    assert np.all(np.abs(x1[grid.modes] - want) <= 1e-15 * np.abs(want))
+    assert x1[-1] == x0[-1] == B0
+
+
+def test_state_vector_round_trips_through_the_state(params3, opts):
+    # the layout is (modes | outer remainder | inner remainder | b), and a
+    # state built from a vector gives that vector back bit for bit
+    grid = dynamics._outer_grid(opts.n_nodes, params3)
+    n, N, Z = params3.n_modes, opts.n_nodes, inner_nodes().size
+    x = np.random.default_rng(7).standard_normal(n + N + Z + 1)
+    like = init_state(np.zeros(4), DELTA, B0, S0, params3, opts).dec.remainder
+    st = dynamics._state_at(x, S0 + 0.5, grid, like)
+    assert st.s == S0 + 0.5
+    assert _same(st.dec.modes, x[:n])
+    assert _same(st.dec.remainder.values, x[n:n + N])
+    assert _same(st.inner, x[n + N:n + N + Z])
+    assert st.b == x[-1]
+    assert _same(dynamics._values(st, grid), x)
 
 
 def _edge_free_laplacian(grid) -> np.ndarray:
@@ -521,8 +557,7 @@ def test_outer_diffusion_propagator_is_the_exponential(params3, opts):
     assert u[0] != 0.0 and u[-1] != 0.0
 
     def P(c, v):
-        basis = dynamics._sine_basis(grid.nodes.size, grid.h)
-        return dynamics._sine(dynamics._diffuse(dynamics._sine(v, basis), c, basis), basis)
+        return dynamics._diffuse(v, c, dynamics._sine_basis(grid.nodes.size, grid.h))
 
     cs = [0.0] + [dynamics._diffusion_time(s, s + 0.0375, 2) for s in (20.0, 25.0)]
     for c in cs:
@@ -585,19 +620,19 @@ def test_dense_output_meets_the_step_states(params3, opts, monkeypatch):
     assert rec.exit is None and len(rec.samples) == 16
     assert steps[0] == (s0, s0 + 0.01) and len(steps) < 15
     grid = dynamics._outer_grid(opts.n_nodes, params3)
-    x = dynamics._values(st)
+    x = dynamics._values(st, grid)
     met = 0
     for sa, sb in steps:
         x, _, _ = dynamics._advance(x, None, sa, sb, grid, params3, opts.quad(), opts)
         jb = round((sb - s0) / 0.0025)
         if jb % 4 == 0:
             smp = rec.samples[jb // 4]
-            assert np.array_equal(smp.modes, x[0]) and smp.b == x[3]
+            assert np.array_equal(smp.modes, x[grid.modes]) and smp.b == x[-1]
             met += 1
     assert 3 <= met < len(rec.samples) - 1
     assert all(smp.modes[4] == 0.0 for smp in rec.samples)
-    assert np.array_equal(rec.final_state.inner, x[2])
-    assert np.array_equal(rec.final_state.dec.remainder.values, x[1])
+    assert np.array_equal(rec.final_state.inner, x[grid.inner])
+    assert np.array_equal(rec.final_state.dec.remainder.values, x[grid.outer])
 
 
 def test_lawson_step_agrees_with_quarter_steps(params3, opts):
@@ -607,7 +642,7 @@ def test_lawson_step_agrees_with_quarter_steps(params3, opts):
     grid = dynamics._outer_grid(opts.n_nodes, params3)
     quad = opts.quad()
     st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
-    coarse = fine = dynamics._values(st)
+    coarse = fine = dynamics._values(st, grid)
     i = 0
     worst_q = worst_b = 0.0
     while i < 200:
@@ -621,8 +656,8 @@ def test_lawson_step_agrees_with_quarter_steps(params3, opts):
                 grid, params3, quad, opts,
             )
         amp = float(scale_factor(sb, 2)) ** -DELTA
-        worst_q = max(worst_q, float(np.max(np.abs(coarse[0] - fine[0]))) / amp)
-        worst_b = max(worst_b, abs(coarse[3] - fine[3]) / abs(fine[3]))
+        worst_q = max(worst_q, float(np.max(np.abs(coarse[grid.modes] - fine[grid.modes]))) / amp)
+        worst_b = max(worst_b, abs(coarse[-1] - fine[-1]) / abs(fine[-1]))
         i += m
     assert worst_q < 1e-7 and worst_b < 1e-9
 
@@ -647,7 +682,7 @@ def test_grown_steps_agree_with_quarter_steps(params3, opts, monkeypatch, seed):
     assert any(round((sb - sa) / 0.0025) % 4 for sa, sb in steps)
     grid = dynamics._outer_grid(opts.n_nodes, params3)
     quad = opts.quad()
-    coarse = fine = dynamics._values(st)
+    coarse = fine = dynamics._values(st, grid)
     worst_q = worst_b = 0.0
     for sa, sb in steps:
         coarse, _, _ = dynamics._advance(coarse, None, sa, sb, grid, params3, quad, opts)
@@ -657,12 +692,12 @@ def test_grown_steps_agree_with_quarter_steps(params3, opts, monkeypatch, seed):
                 grid, params3, quad, opts,
             )
         amp = float(scale_factor(sb, 2)) ** -DELTA
-        worst_q = max(worst_q, float(np.max(np.abs(coarse[0] - fine[0]))) / amp)
-        worst_b = max(worst_b, abs(coarse[3] - fine[3]) / abs(fine[3]))
+        worst_q = max(worst_q, float(np.max(np.abs(coarse[grid.modes] - fine[grid.modes]))) / amp)
+        worst_b = max(worst_b, abs(coarse[-1] - fine[-1]) / abs(fine[-1]))
     assert worst_q < 1e-7 and worst_b < 1e-9
     if rec.exit is None:
-        assert np.array_equal(rec.final_state.dec.modes, coarse[0])
-        assert np.array_equal(rec.final_state.inner, coarse[2])
+        assert np.array_equal(rec.final_state.dec.modes, coarse[grid.modes])
+        assert np.array_equal(rec.final_state.inner, coarse[grid.inner])
 
 
 def _least_quarters(j: int) -> int:
@@ -753,7 +788,7 @@ def _failing_stage(monkeypatch, after: int, times: int):
         calls[0] += 1
         out = real(x, s, grid, params, quad, opts)
         if after <= calls[0] < after + times:
-            return tuple(np.full_like(np.asarray(o, dtype=float), np.nan) for o in out)
+            return np.full_like(out, np.nan)
         return out
 
     monkeypatch.setattr(dynamics, "_stage", stage)
