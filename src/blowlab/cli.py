@@ -1,9 +1,10 @@
 """Command-line entry points.
 
-Subcommands: verify-spectral, simulate, shoot, direct, compare. Each run
-writes its artifacts plus a manifest (config echo, version, wall time,
-artifact paths) into the output directory. Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 failed checks.
+Subcommands: verify-spectral, simulate, shoot, direct, compare, each a
+handler in COMMANDS. A handler writes its artifacts into the output
+directory, and run_experiment writes the run's manifest (config echo,
+version, wall time, artifact paths) beside them. Exit codes: 0 success,
+2 config error, 3 numerical failure, 4 failed checks.
 """
 
 from __future__ import annotations
@@ -100,7 +101,9 @@ def _survivor_seed(path: str):
         cert = data["artifacts"].get("certificate") if isinstance(data["artifacts"], dict) else None
         if not isinstance(cert, str):
             raise ConfigError(f"{path}: the manifest names no certificate")
-        path, data = cert, load_object(cert, "a shoot certificate")
+        # each command writes its artifacts beside its manifest
+        path = Path(path).parent / Path(cert).name
+        data = load_object(path, "a shoot certificate")
     if data.get("failed"):
         raise ConfigError(f"{path}: shoot run failed; no survivor to compare")
     if "d_star" not in data:
@@ -108,37 +111,16 @@ def _survivor_seed(path: str):
     return data["d_star"]
 
 
-def _manifest(cfg: RunConfig, command: str, artifacts: dict, t0: float, extra=None) -> dict:
-    man = {
-        "command": command,
-        "config": cfg.to_dict(),
-        "version": __version__,
-        "wall_time_s": time.time() - t0,
-        "artifacts": artifacts,
-    }
-    if extra:
-        man.update(extra)
-    return man
+# Each command handler takes (cfg, out, args), writes its artifacts into out
+# and returns (exit code, {artifact name: path}, extra manifest fields or None).
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _cmd_verify_spectral(cfg: RunConfig) -> int:
-    t0 = time.time()
-    out = _outdir(cfg)
+def _cmd_verify_spectral(cfg: RunConfig, out: Path, args):
     rep_s = verify_spectral(quad_order=cfg.quad_order)
     rep_m = verify_mehler(k=cfg.k, quad_order=cfg.quad_order)
     ok = rep_s.passed() and rep_m.passed()
     report = {"spectral": rep_s.to_dict(), "mehler": rep_m.to_dict(), "passed": ok}
     path = save_json(report, out / "spectral-report.json")
-    save_json(
-        _manifest(cfg, "verify-spectral", {"report": str(path)}, t0),
-        out / "manifest-verify-spectral.json",
-    )
     print(f"max orthogonality relative error: {rep_s.orthogonality_rel_err:.3e}")
     print(f"max generator-action relative error: {rep_s.jordan_rel_err:.3e}")
     print(f"max product-identity error: {rep_s.product_identity_err:.3e}")
@@ -146,12 +128,10 @@ def _cmd_verify_spectral(cfg: RunConfig) -> int:
     print(f"semigroup composition error: {rep_m.semigroup_err:.3e}")
     print(f"kernel mass relative error: {rep_m.mass_rel_err:.3e}")
     print("PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_CHECKS
+    return (EXIT_OK if ok else EXIT_CHECKS), {"report": str(path)}, None
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    t0 = time.time()
-    out = _outdir(cfg)
+def _cmd_simulate(cfg: RunConfig, out: Path, args):
     params = cfg.params()
     d = np.asarray(cfg.seed_vector())
     opts = cfg.flow_options()
@@ -160,29 +140,22 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         state0, cfg.s0 + cfg.horizon, cfg.delta, cfg.b0, params, ds=cfg.ds, opts=opts
     )
     csv_path = write_trajectory_csv(record, params, out / "trajectory.csv")
-    save_json(
-        _manifest(
-            cfg, "simulate", {"trajectory": str(csv_path)}, t0,
-            extra={"exit": None if record.exit is None else {
-                "s_star": record.exit.s_star,
-                "bound": record.exit.bound,
-                "mode": record.exit.mode,
-                "omega": record.exit.omega,
-                "reason": record.exit.reason,
-            }},
-        ),
-        out / "manifest-simulate.json",
-    )
-    if record.exit is None:
+    ex = record.exit
+    if ex is None:
         print(f"survived to s = {record.samples[-1].s:.4f}")
     else:
-        print(f"exited at s = {record.exit.s_star:.4f} through {record.exit.bound}")
-    return EXIT_OK
+        print(f"exited at s = {ex.s_star:.4f} through {ex.bound}")
+    exit_info = None if ex is None else {
+        "s_star": ex.s_star,
+        "bound": ex.bound,
+        "mode": ex.mode,
+        "omega": ex.omega,
+        "reason": ex.reason,
+    }
+    return EXIT_OK, {"trajectory": str(csv_path)}, {"exit": exit_info}
 
 
-def _cmd_shoot(cfg: RunConfig) -> int:
-    t0 = time.time()
-    out = _outdir(cfg)
+def _cmd_shoot(cfg: RunConfig, out: Path, args):
     params = cfg.params()
     shoot_cfg = cfg.shoot_config()
     try:
@@ -194,33 +167,20 @@ def _cmd_shoot(cfg: RunConfig) -> int:
             "best_d": [float(x) for x in exc.best_d],
             "best_s_star": None if exc.best_result is None else exc.best_result.s_star,
         }
-        save_json(info, out / "certificate.json")
-        save_json(
-            _manifest(cfg, "shoot", {"certificate": str(out / 'certificate.json')}, t0),
-            out / "manifest-shoot.json",
-        )
+        path = save_json(info, out / "certificate.json")
         print(f"search failed: {exc}")
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL, {"certificate": str(path)}, None
 
     csv_path = write_trajectory_csv(
         cert.survivor.record, params, out / "survivor-trajectory.csv"
     )
     cert_path = save_json({"failed": False, **cert.to_dict()}, out / "certificate.json")
-    save_json(
-        _manifest(
-            cfg, "shoot",
-            {"certificate": str(cert_path), "trajectory": str(csv_path)}, t0,
-        ),
-        out / "manifest-shoot.json",
-    )
     print(f"survivor d* = {[f'{x:.3e}' for x in d_star]} after {cert.n_trajectories} trajectories")
     print(f"b drift over last half horizon: {cert.b_drift:.3e}")
-    return EXIT_OK
+    return EXIT_OK, {"certificate": str(cert_path), "trajectory": str(csv_path)}, None
 
 
-def _cmd_direct(cfg: RunConfig) -> int:
-    t0 = time.time()
-    out = _outdir(cfg)
+def _cmd_direct(cfg: RunConfig, out: Path, args):
     params = cfg.params()
 
     # physical-frame blowup experiment from space-independent data
@@ -253,21 +213,13 @@ def _cmd_direct(cfg: RunConfig) -> int:
         },
     }
     rep_path = save_json(report, out / "direct-report.json")
-    save_json(
-        _manifest(
-            cfg, "direct",
-            {
-                "report": str(rep_path),
-                "u_sup_series": str(out / "u-sup-series.csv"),
-                "w_profile_series": str(out / "w-profile-series.csv"),
-            },
-            t0,
-        ),
-        out / "manifest-direct.json",
-    )
     print(f"blowup time recovered: {fit.T_hat:.6f} (true {cfg.u_T}, rel err {abs(fit.T_hat-cfg.u_T)/cfg.u_T:.2e})")
     print(f"w-run termination: {wrun.termination}; profile distance slope {series.loglog_slope:.3f}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "report": str(rep_path),
+        "u_sup_series": str(out / "u-sup-series.csv"),
+        "w_profile_series": str(out / "w-profile-series.csv"),
+    }, None
 
 
 def _seeded_w_run(d: np.ndarray, cfg: RunConfig, params) -> tuple[PdeRun, ProfileComparison]:
@@ -284,13 +236,11 @@ def _seeded_w_run(d: np.ndarray, cfg: RunConfig, params) -> tuple[PdeRun, Profil
     return wrun, profile_distance_series(wrun, params)
 
 
-def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
-    t0 = time.time()
-    out = _outdir(cfg)
+def _cmd_compare(cfg: RunConfig, out: Path, args):
     params = cfg.params()
 
     d = np.asarray(cfg.seed_vector())  # the survivor's d_star under --from
-    source = from_path or "config"
+    source = args.from_path or "config"
 
     # (a) manufactured solution: distances and fitted b must be exact
     T, b_star = cfg.u_T, cfg.b0
@@ -347,14 +297,19 @@ def _cmd_compare(cfg: RunConfig, from_path: str | None) -> int:
     ok = report["manufactured"]["passed"] and non_increasing and shrinking
     report["passed"] = ok
     rep_path = save_json(report, out / "compare-report.json")
-    save_json(
-        _manifest(cfg, "compare", {"report": str(rep_path)}, t0),
-        out / "manifest-compare.json",
-    )
     print(f"manufactured: max distance {man_dist:.2e}, max b error {man_berr:.2e}")
     print(f"survivor trend: non-increasing={non_increasing}, shrinking increments={shrinking}")
     print("PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_CHECKS
+    return (EXIT_OK if ok else EXIT_CHECKS), {"report": str(rep_path)}, None
+
+
+COMMANDS = {
+    "verify-spectral": _cmd_verify_spectral,
+    "simulate": _cmd_simulate,
+    "shoot": _cmd_shoot,
+    "direct": _cmd_direct,
+    "compare": _cmd_compare,
+}
 
 
 def _write_series_csv(path, header, *columns) -> None:
@@ -401,25 +356,27 @@ def run_experiment(argv) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    t0 = time.time()
+    out = Path(cfg.outdir)
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        if args.command == "verify-spectral":
-            return _cmd_verify_spectral(cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg)
-        if args.command == "shoot":
-            return _cmd_shoot(cfg)
-        if args.command == "direct":
-            return _cmd_direct(cfg)
-        if args.command == "compare":
-            return _cmd_compare(cfg, getattr(args, "from_path", None))
-        print(f"unknown command {args.command}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, artifacts, extra = COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SearchFailureError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    manifest = {
+        "command": args.command,
+        "config": cfg.to_dict(),
+        "version": __version__,
+        "wall_time_s": time.time() - t0,
+        "artifacts": artifacts,
+        **(extra or {}),
+    }
+    save_json(manifest, out / f"manifest-{args.command}.json")
+    return code
 
 
 def main() -> None:

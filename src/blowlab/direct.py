@@ -5,7 +5,9 @@ The self-similar solver integrates the w-equation with upwind-biased
 transport and explicit diffusion; the physical solver integrates
 u_t = u_xx + |u|^{p-1} u by the method of lines with a time step that shrinks
 like ||u||_inf^{-(p-1)} so the collapse is resolved uniformly in rescaled
-time. Both take classical RK4 steps under the stability rule of the flow's
+time. Both supply their right-hand side, step limit and snapshot rule to
+one march, _march, which takes classical RK4 steps and sums time in
+compensated arithmetic. The step limit is the stability rule of the flow's
 outer grid: the smaller of the grid kernels' ceilings,
 RK4_TRANSPORT_CFL h / max|wind| and RK4_DIFFUSION_CFL h^2 / diffusivity,
 and a reaction limit that keeps the growth resolved. Blowup time is
@@ -17,14 +19,14 @@ by the linearization w^{-(p-1)} = p - 1 + b y^{2k}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
     RK4_DIFFUSION_CFL, RK4_TRANSPORT_CFL, GridFunction, laplacian_compact, upwind_gradient,
 )
-from .params import ModelParams, eval_profile, scale_factor, signed_power
+from .params import ModelParams, eval_profile, signed_power
 
 __all__ = [
     "PdeRun",
@@ -71,7 +73,61 @@ class PdeRun:
     sup_series: np.ndarray
     termination: str
     frame: str
-    meta: dict = field(default_factory=dict)
+
+
+def _march(v, t, t_end, rhs, limit, keep, threshold, nodes, frame) -> PdeRun:
+    """Classical RK4 on dv/dt = rhs(v, t) from t to t_end.
+
+    Each step is min(limit(t, sup|v|), t_end - t), and t is summed in
+    compensated (Kahan) arithmetic. The run ends at t_end (within 1e-12), at
+    a non-finite value (instability) or once sup|v| >= threshold (blowup).
+    Snapshots are taken at the start, at a blowup or horizon end, and after
+    each step where keep(t, sup, sup at the last snapshot, steps since it).
+    """
+    sup = float(np.max(np.abs(v)))
+    times, snaps, sup_t, sups = [t], [v.copy()], [t], [sup]
+    last_sup, stride = sup, 0
+    termination = TERM_HORIZON
+    comp = 0.0
+    while t < t_end - 1e-12:
+        dt = min(limit(t, sup), t_end - t)
+        k1 = rhs(v, t)
+        k2 = rhs(v + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = rhs(v + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = rhs(v + dt * k3, t + dt)
+        v = v + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = dt - comp
+        t_new = t + y
+        comp = (t_new - t) - y
+        t = t_new
+
+        if not np.all(np.isfinite(v)):
+            termination = TERM_INSTABILITY
+            break
+        sup = float(np.max(np.abs(v)))
+        sup_t.append(t)
+        sups.append(sup)
+        stride += 1
+        blowup = sup >= threshold
+        if blowup or keep(t, sup, last_sup, stride):
+            times.append(t)
+            snaps.append(v.copy())
+            last_sup, stride = sup, 0
+        if blowup:
+            termination = TERM_BLOWUP
+            break
+    if termination == TERM_HORIZON and times[-1] < t:
+        times.append(t)
+        snaps.append(v.copy())
+    return PdeRun(
+        nodes=nodes,
+        times=np.array(times),
+        snapshots=np.array(snaps),
+        sup_times=np.array(sup_t),
+        sup_series=np.array(sups),
+        termination=termination,
+        frame=frame,
+    )
 
 
 def solve_w_direct(
@@ -79,162 +135,74 @@ def solve_w_direct(
     s_range: tuple[float, float],
     params: ModelParams,
 ) -> PdeRun:
-    """Integrate the self-similar frame equation with outflow boundaries."""
+    """Integrate the self-similar frame equation with outflow boundaries.
+
+    The march sums s in compensated arithmetic, and its steps land on the
+    grid s0 + i W_SNAPSHOT_DS, where the snapshots are taken. The run ends
+    once the sup norm reaches W_BLOWUP_THRESHOLD.
+    """
     s0, s1 = float(s_range[0]), float(s_range[1])
     if not s1 > s0:
         raise ValueError("s_range must be increasing")
     nodes = w0.nodes
     h = w0.spacing
     k, p = params.k, params.p
+    r = 1.0 - 1.0 / k  # I(s)^{-2} = exp(-r s)
     wind = nodes / (2.0 * k)
-    cmax = float(np.max(np.abs(wind)))
+    dt_adv = RK4_TRANSPORT_CFL * h / max(float(np.max(np.abs(wind))), 1e-12)
 
-    def rhs(w: np.ndarray, I2inv: float) -> np.ndarray:
+    def rhs(w: np.ndarray, s: float) -> np.ndarray:
         return (
-            I2inv * laplacian_compact(w, h)
+            math.exp(-r * s) * laplacian_compact(w, h)
             - wind * upwind_gradient(w, h, wind)
             - w / (p - 1.0)
             + signed_power(w, p)
         )
 
-    w = w0.values.copy()
-    s = s0
-    times = [s0]
-    snaps = [w.copy()]
-    sup_t = [s0]
-    wmax = float(np.max(np.abs(w)))
-    sups = [wmax]
-    next_snap = s0 + W_SNAPSHOT_DS
-    termination = TERM_HORIZON
-    I = float(scale_factor(s, k))
-    while s < s1 - 1e-12:
-        dt_diff = RK4_DIFFUSION_CFL * h * h * I**2
-        dt_adv = RK4_TRANSPORT_CFL * h / max(cmax, 1e-12)
-        dt_react = W_REACT_SAFETY / (1.0 / (p - 1.0) + p * max(wmax, 1e-12) ** (p - 1.0))
-        dt = min(dt_diff, dt_adv, dt_react, s1 - s, next_snap - s + 1e-15)
+    def grid_index(s: float) -> int:  # the last snapshot-grid point s has reached
+        return math.floor((s - s0 + 1e-12) / W_SNAPSHOT_DS)
 
-        # I at the stage times s + dt/2 and s + dt; the end's is the next start's
-        I_mid = float(scale_factor(s + 0.5 * dt, k))
-        I_end = float(scale_factor(s + dt, k))
-        k1 = rhs(w, I**-2)
-        k2 = rhs(w + 0.5 * dt * k1, I_mid**-2)
-        k3 = rhs(w + 0.5 * dt * k2, I_mid**-2)
-        k4 = rhs(w + dt * k3, I_end**-2)
-        w = w + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s += dt
-        I = I_end
+    def limit(s: float, sup: float) -> float:
+        dt_diff = RK4_DIFFUSION_CFL * h * h * math.exp(r * s)
+        dt_react = W_REACT_SAFETY / (1.0 / (p - 1.0) + p * max(sup, 1e-12) ** (p - 1.0))
+        next_snap = s0 + (grid_index(s) + 1) * W_SNAPSHOT_DS
+        return min(dt_diff, dt_adv, dt_react, next_snap - s + 1e-15)
 
-        if not np.all(np.isfinite(w)):
-            termination = TERM_INSTABILITY
-            break
-        wmax = float(np.max(np.abs(w)))
-        sup_t.append(s)
-        sups.append(wmax)
-        if wmax >= W_BLOWUP_THRESHOLD:
-            termination = TERM_BLOWUP
-            times.append(s)
-            snaps.append(w.copy())
-            break
-        if s >= next_snap - 1e-12:
-            times.append(s)
-            snaps.append(w.copy())
-            next_snap += W_SNAPSHOT_DS
-    if termination == TERM_HORIZON and times[-1] < s:
-        times.append(s)
-        snaps.append(w.copy())
+    def keep(s: float, *_) -> bool:
+        return s - s0 - grid_index(s) * W_SNAPSHOT_DS <= 1e-12
 
-    return PdeRun(
-        nodes=nodes,
-        times=np.array(times),
-        snapshots=np.array(snaps),
-        sup_times=np.array(sup_t),
-        sup_series=np.array(sups),
-        termination=termination,
-        frame="w",
-        meta={"p": p, "k": k},
-    )
+    return _march(w0.values, s0, s1, rhs, limit, keep, W_BLOWUP_THRESHOLD, nodes, "w")
 
 
 def solve_u_physical(u0: GridFunction, t_max: float, params: ModelParams) -> PdeRun:
     """Method-of-lines integration of the reaction-diffusion equation.
 
-    Homogeneous Dirichlet walls (endpoint values pinned to zero); adaptive
-    time step limited by both the diffusive CFL and the reaction timescale
-    ||u||_inf^{-(p-1)}. Time is accumulated in compensated arithmetic so the
-    final approach to blowup stays resolved. The run ends once the sup norm
-    reaches U_BLOWUP_THRESHOLD.
+    Homogeneous Dirichlet walls (endpoint values pinned to zero); the march's
+    step is limited by both the diffusive CFL and the reaction timescale
+    ||u||_inf^{-(p-1)}, and its compensated time keeps the final approach to
+    blowup resolved. A snapshot is taken once the sup norm has grown by
+    U_SNAPSHOT_GROWTH or after U_MAX_SNAPSHOT_STRIDE steps, and the run ends
+    once the sup norm reaches U_BLOWUP_THRESHOLD.
     """
-    nodes = u0.nodes
     h = u0.spacing
     p = params.p
 
-    def rhs(u: np.ndarray) -> np.ndarray:
+    def rhs(u: np.ndarray, t: float) -> np.ndarray:
         du = laplacian_compact(u, h) + signed_power(u, p)
         du[0] = 0.0
         du[-1] = 0.0
         return du
 
+    def limit(t: float, sup: float) -> float:
+        return min(RK4_DIFFUSION_CFL * h * h, U_REACT_SAFETY * max(sup, 1e-12) ** (-(p - 1.0)))
+
+    def keep(t: float, sup: float, last_sup: float, stride: int) -> bool:
+        return sup >= U_SNAPSHOT_GROWTH * last_sup or stride >= U_MAX_SNAPSHOT_STRIDE
+
     u = u0.values.copy()
     u[0] = 0.0
     u[-1] = 0.0
-    t = 0.0
-    t_comp = 0.0  # Kahan compensation
-    times = [0.0]
-    snaps = [u.copy()]
-    sup_t = [0.0]
-    sups = [float(np.max(np.abs(u)))]
-    last_snap_sup = sups[0]
-    stride = 0
-    termination = TERM_HORIZON
-    while t < t_max:
-        umax = float(np.max(np.abs(u)))
-        dt_diff = RK4_DIFFUSION_CFL * h * h
-        dt_react = U_REACT_SAFETY * max(umax, 1e-12) ** (-(p - 1.0))
-        dt = min(dt_diff, dt_react, t_max - t)
-
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        y = dt - t_comp
-        t_new = t + y
-        t_comp = (t_new - t) - y
-        t = t_new
-
-        if not np.all(np.isfinite(u)):
-            termination = TERM_INSTABILITY
-            break
-        umax = float(np.max(np.abs(u)))
-        sup_t.append(t)
-        sups.append(umax)
-        stride += 1
-        if umax >= U_BLOWUP_THRESHOLD:
-            times.append(t)
-            snaps.append(u.copy())
-            termination = TERM_BLOWUP
-            break
-        if umax >= U_SNAPSHOT_GROWTH * last_snap_sup or stride >= U_MAX_SNAPSHOT_STRIDE:
-            times.append(t)
-            snaps.append(u.copy())
-            last_snap_sup = umax
-            stride = 0
-
-    if termination == TERM_HORIZON and times[-1] < t:
-        times.append(t)
-        snaps.append(u.copy())
-
-    return PdeRun(
-        nodes=nodes,
-        times=np.array(times),
-        snapshots=np.array(snaps),
-        sup_times=np.array(sup_t),
-        sup_series=np.array(sups),
-        termination=termination,
-        frame="u",
-        meta={"p": p, "k": params.k},
-    )
+    return _march(u, 0.0, t_max, rhs, limit, keep, U_BLOWUP_THRESHOLD, u0.nodes, "u")
 
 
 @dataclass(frozen=True)

@@ -705,15 +705,6 @@ def _bound_names(n_modes: int) -> tuple[str, ...]:
     return (*(f"mode_{m}" for m in range(n_modes)), _BOUND_QMINUS, _BOUND_B_LOW, _BOUND_B_HIGH)
 
 
-def _exit_bound(report: MembershipReport, params: ModelParams) -> str:
-    """Deterministic violator choice: lowest mode index, then q_-, then b."""
-    violated = {name for name, _ in report.violations}
-    for name in _bound_names(params.n_modes):
-        if name in violated:
-            return name
-    raise ValueError("no violated bound")
-
-
 def mode_ode_rhs(
     state: SimState, params: ModelParams, opts: FlowOptions = FlowOptions(),
 ) -> np.ndarray:
@@ -856,7 +847,8 @@ def run(
         x, k1, j = x1, k_end, jb
 
     if report.worst_margin < -EXIT_HYSTERESIS:
-        bound = _exit_bound(report, params)
+        # the first violated bound in _bound_names' order: lowest mode, then q_-, then b
+        bound = report.violations[0][0]
         mode = int(bound.split("_")[1]) if bound.startswith("mode_") else None
         dqds, transversal = None, None
         if mode is not None:

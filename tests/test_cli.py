@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blowlab.cli import run_experiment
+from blowlab.cli import COMMANDS, build_parser, run_experiment
 from blowlab.config import ConfigError, RunConfig
 from blowlab.dynamics import FlowOptions, init_state, run
 from blowlab.serialize import load_json, save_json, write_trajectory_csv
@@ -168,26 +170,28 @@ def test_cli_simulate_writes_artifacts_and_is_deterministic(tmp_path):
     assert "trajectory" in man["artifacts"]
 
 
-def test_cli_shoot_then_compare_chain(tmp_path):
-    out_shoot = tmp_path / "shoot"
-    code = run_experiment(
-        ["shoot", "--outdir", str(out_shoot), "--horizon", "2.0", "--shoot-depth", "12"]
-    )
+def test_cli_shoot_then_compare_chain(tmp_path, monkeypatch):
+    # shoot runs in a/ with a relative --outdir, so its manifest names the
+    # certificate relative to a/; compare follows that manifest from tmp_path
+    (tmp_path / "a").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    code = run_experiment(["shoot", "--outdir", "shoot", "--horizon", "2.0", "--shoot-depth", "12"])
     assert code == 0
+    out_shoot = tmp_path / "a" / "shoot"
+    man = load_json(out_shoot / "manifest-shoot.json")
+    assert man["artifacts"]["certificate"] == str(Path("shoot") / "certificate.json")
     cert = load_json(out_shoot / "certificate.json")
     assert cert["failed"] is False
     assert "d_star" in cert
 
-    out_cmp = tmp_path / "cmp"
+    monkeypatch.chdir(tmp_path)
     code2 = run_experiment(
-        [
-            "compare", "--outdir", str(out_cmp),
-            "--from", str(out_shoot / "manifest-shoot.json"),
-        ]
+        ["compare", "--outdir", "cmp", "--from", str(Path("a") / "shoot" / "manifest-shoot.json")]
     )
-    report = load_json(out_cmp / "compare-report.json")
+    report = load_json(tmp_path / "cmp" / "compare-report.json")
     assert report["manufactured"]["passed"] is True
     assert report["survivor_source"].endswith("manifest-shoot.json")
+    assert report["d"] == cert["d_star"]
     assert code2 in (0, 4)  # trend checks are exercised by the acceptance suite
 
 
@@ -256,6 +260,23 @@ def test_cli_shoot_failure_without_best_result(tmp_path, monkeypatch):
     assert cert["failed"] is True
     assert cert["best_s_star"] is None
     assert cert["best_d"] == [0.0, 0.0, 0.0, 0.0]
+    # the failed search still gets its manifest, naming the certificate
+    man = load_json(tmp_path / "manifest-shoot.json")
+    assert man["command"] == "shoot"
+    assert man["artifacts"] == {"certificate": str(tmp_path / "certificate.json")}
+
+
+def test_cli_commands_are_the_parsers_subcommands(tmp_path, monkeypatch):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(COMMANDS) == set(sub.choices)
+
+    # a handler that raises gets its exit code and no manifest
+    def failing(cfg, out, args):
+        raise ValueError("step produced non-finite values")
+
+    monkeypatch.setitem(COMMANDS, "direct", failing)
+    assert run_experiment(["direct", "--outdir", str(tmp_path)]) == 3
+    assert not (tmp_path / "manifest-direct.json").exists()
 
 
 def test_cli_simulate_accepts_negative_first_seed_coordinate(tmp_path):

@@ -280,3 +280,21 @@ def test_w_run_outflow_edges_stay_stable(params3, monkeypatch, s0):
     g = growth()
     _step_divided(monkeypatch, 3)
     assert g == pytest.approx(growth(), rel=0.01)
+
+
+@pytest.mark.parametrize("frame", ["w", "u"])
+def test_overflow_ends_a_run_as_instability(params3, frame):
+    # 1e120 cubed overflows within the first step, while the reaction
+    # limits' (p-1)-th power of the sup stays finite
+    nodes = uniform_grid(6.0, 201)
+    v0 = GridFunction(nodes, np.full_like(nodes, 1e120))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if frame == "w":
+            run = solve_w_direct(v0, (20.0, 21.0), params3)
+        else:
+            run = solve_u_physical(v0, 1.0, params3)
+    assert run.termination == "instability"
+    assert np.all(np.isfinite(run.sup_series))
+    if frame == "u":
+        with pytest.raises(ValueError):
+            estimate_blowup_time(run, params3)
