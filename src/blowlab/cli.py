@@ -352,13 +352,13 @@ def run_experiment(argv) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         cfg = _load_config(args)
+        out = Path(cfg.outdir)
+        out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     t0 = time.time()
-    out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         code, artifacts, extra = COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:

@@ -164,7 +164,10 @@ def solve_w_direct(
 
     def limit(s: float, sup: float) -> float:
         dt_diff = RK4_DIFFUSION_CFL * h * h * math.exp(r * s)
-        dt_react = W_REACT_SAFETY / (1.0 / (p - 1.0) + p * max(sup, 1e-12) ** (p - 1.0))
+        # a float64 power overflows to inf, not OverflowError: the step is
+        # then 0, and the infinite reaction makes the step non-finite
+        growth = float(np.float64(max(sup, 1e-12)) ** (p - 1.0))
+        dt_react = W_REACT_SAFETY / (1.0 / (p - 1.0) + p * growth)
         next_snap = s0 + (grid_index(s) + 1) * W_SNAPSHOT_DS
         return min(dt_diff, dt_adv, dt_react, next_snap - s + 1e-15)
 

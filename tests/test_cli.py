@@ -135,6 +135,16 @@ def test_cli_unknown_and_bad_config(tmp_path):
     assert run_experiment(["shoot", "--outdir", str(tmp_path), "--jobs", "2"]) == 2
 
 
+def test_cli_outdir_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    argv = ["simulate", "--outdir", str(afile / "x"), "--horizon", "0.05"]
+    assert run_experiment(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert afile.read_text() == "not a directory"
+    assert list(tmp_path.iterdir()) == [afile]  # no manifest anywhere
+
+
 def test_cli_direct_rejects_blowup_time_past_the_run(tmp_path):
     # the u-run ends at t = 1, so a blowup time of 2 is a config error, not a
     # run that integrates to its end and then fails to find the blowup
@@ -309,6 +319,9 @@ def test_cli_shoot_writes_the_searched_survivor(tmp_path):
     cert = load_json(tmp_path / "s" / "certificate.json")
     assert cert["n_trajectories"] > 1
     assert "survivor" not in cert
+    # the trail lists every trajectory, the survivor last
+    assert len(cert["trail"]) == cert["n_trajectories"]
+    assert cert["trail"][-1]["bound"] is None
 
     cfg = RunConfig.from_dict(overrides)
     fresh = exit_map(np.array(cert["d_star"]), cfg.shoot_config(), cfg.params())
@@ -319,3 +332,9 @@ def test_cli_shoot_writes_the_searched_survivor(tmp_path):
     s = [row.s for row in fresh.record.samples]
     assert s == [20.0 + i * 0.05 for i in range(len(s))]
     assert s[-1] == 20.0 + 4.5
+
+    # a rerun writes the same certificate and survivor CSV, byte for byte
+    argv[argv.index("--outdir") + 1] = str(tmp_path / "again")
+    assert run_experiment(argv) == 0
+    for name in ("certificate.json", "survivor-trajectory.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()

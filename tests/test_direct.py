@@ -285,16 +285,18 @@ def test_w_run_outflow_edges_stay_stable(params3, monkeypatch, s0):
 @pytest.mark.parametrize("frame", ["w", "u"])
 def test_overflow_ends_a_run_as_instability(params3, frame):
     # 1e120 cubed overflows within the first step, while the reaction
-    # limits' (p-1)-th power of the sup stays finite
+    # limits' (p-1)-th power of the sup stays finite; at 1e200 that power
+    # overflows too
     nodes = uniform_grid(6.0, 201)
-    v0 = GridFunction(nodes, np.full_like(nodes, 1e120))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if frame == "w":
-            run = solve_w_direct(v0, (20.0, 21.0), params3)
-        else:
-            run = solve_u_physical(v0, 1.0, params3)
-    assert run.termination == "instability"
-    assert np.all(np.isfinite(run.sup_series))
-    if frame == "u":
-        with pytest.raises(ValueError):
-            estimate_blowup_time(run, params3)
+    for amplitude in (1e120, 1e200):
+        v0 = GridFunction(nodes, np.full_like(nodes, amplitude))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if frame == "w":
+                run = solve_w_direct(v0, (20.0, 21.0), params3)
+            else:
+                run = solve_u_physical(v0, 1.0, params3)
+        assert run.termination == "instability"
+        assert np.all(np.isfinite(run.sup_series))
+        if frame == "u":
+            with pytest.raises(ValueError):
+                estimate_blowup_time(run, params3)

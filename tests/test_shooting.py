@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from blowlab.dynamics import FlowOptions
-from blowlab.params import scale_factor
+from blowlab.params import alpha_consts, scale_factor
 from blowlab.shooting import (
+    MODEL_MARGIN,
     SearchFailureError,
     ShootConfig,
     exit_map,
     gamma_map,
+    model_point,
     search,
 )
 
@@ -146,3 +150,70 @@ def test_exit_sign_coherence(params3):
         checked += 1
     assert checked >= 2
 
+
+
+def test_model_point_halves_without_an_exit_time():
+    assert model_point(-2.0, 2.0, np.nan, 24.3, 0.75) == (0.0, False)
+    assert model_point(0.0, 1.0, 24.3, np.nan, 0.75) == (0.5, False)
+    assert model_point(0.0, 1.0, np.nan, np.nan, 0.75, streak=3) == (0.5, False)
+
+
+def test_model_point_meets_the_misses():
+    # a miss eps exits near s0 + ln(C / eps) / mu, so eps_lo / eps_hi = R
+    lo, hi, s_lo, s_hi, mu = -0.5, 1.5, 31.0, 29.0, 0.75
+    R = math.exp(mu * (s_hi - s_lo))
+    c, from_model = model_point(lo, hi, s_lo, s_hi, mu)
+    assert from_model
+    assert c == pytest.approx(lo + (hi - lo) * R / (1.0 + R), rel=1e-14)
+    assert (c - lo) / (hi - c) == pytest.approx(R, rel=1e-12)
+    # equal exit times put the point at the middle
+    assert model_point(lo, hi, 30.0, 30.0, mu) == (0.5, True)
+
+
+def test_model_point_clamps_at_both_ends():
+    lo, hi = 0.0, 2.0
+    near_lo, _ = model_point(lo, hi, 40.0, 20.0, 0.75)  # R = e^-15
+    near_hi, _ = model_point(lo, hi, 20.0, 40.0, 0.75)
+    assert near_lo == pytest.approx(lo + MODEL_MARGIN * (hi - lo), rel=1e-14)
+    assert near_hi == pytest.approx(hi - MODEL_MARGIN * (hi - lo), rel=1e-14)
+    # times far apart neither overflow nor leave the clamp
+    assert model_point(lo, hi, 1e6, 0.0, 1.0)[0] == near_lo
+    assert model_point(lo, hi, 0.0, 1e6, 1.0)[0] == near_hi
+
+
+def test_model_point_illinois_rule_fires_on_the_second_one_sided_cut():
+    lo, hi, s_lo, s_hi, mu = 0.0, 1.0, 30.0, 29.5, 0.75
+
+    def point(R):
+        return lo + (hi - lo) * R / (1.0 + R)
+
+    R = math.exp(mu * (s_hi - s_lo))
+    plain = model_point(lo, hi, s_lo, s_hi, mu)[0]
+    assert model_point(lo, hi, s_lo, s_hi, mu, streak=1)[0] == plain
+    assert model_point(lo, hi, s_lo, s_hi, mu, streak=-1)[0] == plain
+    # hi replaced twice: lo's exit counts ln 2 / mu later, halving its miss
+    assert model_point(lo, hi, s_lo, s_hi, mu, streak=2)[0] == pytest.approx(point(R / 2), rel=1e-13)
+    assert model_point(lo, hi, s_lo, s_hi, mu, streak=3)[0] == pytest.approx(point(R / 4), rel=1e-13)
+    assert model_point(lo, hi, s_lo, s_hi, mu, streak=-2)[0] == pytest.approx(point(2 * R), rel=1e-13)
+
+
+def test_search_model_step_finds_the_linear_survivor(params3):
+    # at delta = 1 the centre exits through mode 2; the two exits of c_2 = 0
+    # and c_2 = 1 place the model point next to linear theory's d_2, where
+    # halving alone needs 6 trajectories
+    cfg = ShootConfig(delta=1.0, b0=B0, s0=S0, horizon=4.5, ds=0.05, depth=12)
+    d_star, cert = search(cfg, params3)
+    assert cert.n_trajectories <= 4
+    alpha1 = alpha_consts(B0, params3).alpha1
+    I = float(scale_factor(S0, params3.k))
+    linear_d2 = -alpha1 * I**-2 / I**-cfg.delta
+    assert d_star[2] == pytest.approx(linear_d2, rel=0.1)
+    assert all(v > 0 for v in cert.final_margins.values())
+    # the trail replays the search, the survivor last
+    trail = cert.trail
+    assert len(trail) == cert.n_trajectories
+    assert trail[0]["c"] == [0.0] * 4 and not trail[0]["model"]
+    assert trail[-1]["bound"] is None and trail[-1]["s_star"] == S0 + cfg.horizon
+    assert trail[-1]["model"]
+    assert all(t["mode"] == 2 and t["s_star"] < S0 + cfg.horizon for t in trail[:-1])
+    assert cert.to_dict()["trail"] == trail
