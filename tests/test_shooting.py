@@ -151,7 +151,6 @@ def test_exit_sign_coherence(params3):
     assert checked >= 2
 
 
-
 def test_model_point_halves_without_an_exit_time():
     assert model_point(-2.0, 2.0, np.nan, 24.3, 0.75) == (0.0, False)
     assert model_point(0.0, 1.0, 24.3, np.nan, 0.75) == (0.5, False)
