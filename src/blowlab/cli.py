@@ -45,7 +45,7 @@ EXIT_CHECKS = 4
 
 _OVERRIDE_KEYS = [
     ("p", float), ("k", int), ("b0", float), ("delta", float), ("s0", float),
-    ("ds", float), ("horizon", float), ("quad_order", int), ("outdir", str),
+    ("ds", float), ("horizon", float), ("outdir", str),
     ("shoot_depth", int), ("shoot_box", float), ("u_T", float),
 ]
 
@@ -116,8 +116,8 @@ def _survivor_seed(path: str):
 
 
 def _cmd_verify_spectral(cfg: RunConfig, out: Path, args):
-    rep_s = verify_spectral(quad_order=cfg.quad_order)
-    rep_m = verify_mehler(k=cfg.k, quad_order=cfg.quad_order)
+    rep_s = verify_spectral()
+    rep_m = verify_mehler(k=cfg.k)
     ok = rep_s.passed() and rep_m.passed()
     report = {"spectral": rep_s.to_dict(), "mehler": rep_m.to_dict(), "passed": ok}
     path = save_json(report, out / "spectral-report.json")

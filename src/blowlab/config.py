@@ -39,7 +39,6 @@ class RunConfig:
     ds: float = 0.01
     horizon: float = 10.0
     d: list[float] | None = None
-    quad_order: int = 96
     # shooting
     shoot_box: float = D_BOX_LIMIT
     shoot_depth: int = 40
@@ -59,9 +58,12 @@ class RunConfig:
             (self.s0 > 0, "s0 must be > 0"),
             (0 < self.ds <= MAX_DS, f"ds must lie in (0, {MAX_DS}]"),
             (self.horizon > 0, "horizon must be > 0"),
-            (self.quad_order >= 8, "quad_order must be >= 8"),
             (0 < self.shoot_box <= D_BOX_LIMIT, f"shoot_box must lie in (0, {D_BOX_LIMIT}]"),
             (self.shoot_depth >= 1, "shoot_depth must be >= 1"),
+            # bools take JSON true and false only: the string "false" is truthy
+            (isinstance(self.even_only, bool), "even_only must be true or false"),
+            (isinstance(self.linear_only, bool), "linear_only must be true or false"),
+            (isinstance(self.outdir, str), "outdir must be a string"),
             (0 < self.u_T < U_T_MAX, f"u_T must lie in (0, {U_T_MAX})"),
         ]
         for ok, msg in checks:
@@ -79,7 +81,7 @@ class RunConfig:
         return make_params(self.p, self.k)
 
     def flow_options(self) -> FlowOptions:
-        return FlowOptions(quad_order=self.quad_order, linear_only=self.linear_only)
+        return FlowOptions(linear_only=self.linear_only)
 
     def shoot_config(self) -> ShootConfig:
         return ShootConfig(

@@ -163,7 +163,10 @@ def solve_w_direct(
         return math.floor((s - s0 + 1e-12) / W_SNAPSHOT_DS)
 
     def limit(s: float, sup: float) -> float:
-        dt_diff = RK4_DIFFUSION_CFL * h * h * math.exp(r * s)
+        try:
+            dt_diff = RK4_DIFFUSION_CFL * h * h * math.exp(r * s)
+        except OverflowError:  # I(s)^{-2} = e^{-rs} underflows: diffusion sets no limit
+            dt_diff = math.inf
         # a float64 power overflows to inf, not OverflowError: the step is
         # then 0, and the infinite reaction makes the step non-finite
         growth = float(np.float64(max(sup, 1e-12)) ** (p - 1.0))

@@ -21,9 +21,10 @@ one Lawson RK4 scheme but by different mechanisms:
   unstable-range debris removed after every step. Because its nodes and
   the Gauss nodes sit at fixed z, every operator on it is independent of s
   and built once per process (projection.z_frame): L, the stacked
-  interpolation and derivative [S; S D; D] and the basis table h_0..h_J. A
-  stage applies them as matrix products and hands the grid's values over
-  as a projection.ZRemainder. An outer grid over |y| <= Y_MAX, with
+  interpolation and derivative [S; S D; D], the basis table h_0..h_J and
+  the node tables at the Gauss and the inner nodes. A stage applies them
+  as matrix products and hands the grid's values over as a
+  projection.ZRemainder. An outer grid over |y| <= Y_MAX, with
   pointwise sources, carries the remainder where the weighted sup |q_-|_s
   looks, far outside the weight.
 
@@ -36,17 +37,19 @@ zeroed (the outflow edge nodes take no diffusion) and c = int I^{-2} over
 the half step, diagonal in the orthogonal sine transform (DST-I) of the
 interior nodes, so RK4 sees the outer transport and sources alone; and the
 identity on the modes and b, where the scheme is classical RK4. Stability
-therefore bounds the step by the outer transport alone (stable_ds,
-independent of s). run() ends its steps on a grid of quarter
-output intervals: within that bound, each step grows as far as a free
-error estimate of the last one allows (the stage at a step's end, which
-the next step starts from, against its fourth stage), but never below one
-output interval from a sample. The samples inside a step are read off a
+therefore bounds the step by the outer transport alone (the flow
+context's stable step, independent of s). run() ends its steps on a grid
+of quarter output intervals: within that bound, each step grows as far as
+a free error estimate of the last one allows (the stage at a step's end,
+which the next step starts from, against its fourth stage), but never
+below one output interval from a sample. The samples inside a step are read off a
 cubic Hermite interpolant of the step's end states and derivatives.
 
-What a stage needs at the outer nodes (their powers, the wind, the
-monomials y^j of the tracked degrees) is built once per node set. A
-series in the basis reaches them as its power series in y, whose
+Every layer of a step reads one context, built once per FlowOptions and
+model (_flow): the model, the quadrature rule, the jet order, the stable
+step, and the outer nodes with what a stage needs there (their powers,
+the wind, the monomials y^j of the tracked degrees). A series in the
+basis reaches the outer nodes as its power series in y, whose
 coefficients come from projection.scale_tables' conversion table, times the
 monomials: no table of the basis at the outer nodes depends on s.
 
@@ -74,6 +77,7 @@ from .grid import (
     upwind_gradient,
 )
 from .hermite import (
+    DEFAULT_QUAD_ORDER,
     QuadratureRule,
     SpectralDecomposition,
     gauss_rule,
@@ -90,7 +94,6 @@ from .operators import (
 from .params import ModelParams, NodePowers, node_powers, scale_factor
 from .projection import (
     Z_NODES,
-    ZFrame,
     ZRemainder,
     ScaleTables,
     default_jet_order,
@@ -112,6 +115,7 @@ __all__ = [
     "AprioriReport",
     "gamma_map",
     "init_state",
+    "inner_nodes",
     "step",
     "membership",
     "run",
@@ -120,7 +124,7 @@ __all__ = [
 ]
 
 D_BOX_LIMIT = 2.0
-# the largest step a caller may ask for, and the ceiling of stable_ds
+# the largest step a caller may ask for, and the ceiling of the stable step
 MAX_DS = 0.05
 # the outer remainder grid spans |y| <= Y_MAX
 Y_MAX = 0.15
@@ -142,26 +146,27 @@ Z_OVERLAP = 12.0
 
 @dataclass(frozen=True)
 class FlowOptions:
-    """Numerical knobs of the modulated flow: outer grid, quadrature, linear-only.
+    """Numerical knobs of the modulated flow: the outer grid and linear-only.
 
     The outer grid is coarse because the remainder is smooth on O(1) scales
     in y there. Its diffusion I^{-2} d_yy and the inner z-grid's operator are
     integrated exactly and set no ceiling; the outer transport y/2k sets
     the s-independent ceiling RK4_TRANSPORT_CFL h 2k / Y_MAX, so the step
-    scales with the outer spacing, not with its square. stable_ds is the
-    smaller of that ceiling and MAX_DS. Steps larger than stable_ds are
-    split into equal stable substeps automatically. The linear-only flow
-    leaves the inner grid at zero.
+    scales with the outer spacing, not with its square. The stable step
+    (_Flow.stable) is the smaller of that ceiling and MAX_DS. Steps larger
+    than it are split into equal stable substeps automatically. The
+    linear-only flow leaves the inner grid at zero.
 
-    variant is not a field: it names the one form of M and R_s the flow
-    solves b' in (operators), for callers that pass it on to
-    SourceProjections.bprime.
+    variant and quad_order are not fields: variant names the one form of M
+    and R_s the flow solves b' in (operators), for callers that pass it on
+    to SourceProjections.bprime, and quad_order is the flow's one Gauss
+    rule, hermite.DEFAULT_QUAD_ORDER.
     """
 
     variant: ClassVar[str] = "derived"
+    quad_order: ClassVar[int] = DEFAULT_QUAD_ORDER
 
     n_nodes: int = 257
-    quad_order: int = 96
     linear_only: bool = False
 
     def nodes(self) -> np.ndarray:
@@ -169,11 +174,6 @@ class FlowOptions:
 
     def quad(self) -> QuadratureRule:
         return gauss_rule(self.quad_order)
-
-    def stable_ds(self, k: int) -> float:
-        """The largest stable step: the outer transport's RK4 ceiling, within MAX_DS."""
-        h = 2.0 * Y_MAX / (self.n_nodes - 1)
-        return min(MAX_DS, RK4_TRANSPORT_CFL * h / (Y_MAX / (2.0 * k)))
 
 
 @dataclass(frozen=True)
@@ -297,20 +297,20 @@ def init_state(
     )
 
 
-def _frame(params: ModelParams, quad: QuadratureRule) -> ZFrame:
-    return z_frame(quad.order, default_jet_order(params.n_modes))
+class _Flow(NamedTuple):
+    """The s-independent context of the flow for one FlowOptions and model.
 
-
-def _scale_tables(s: float, params: ModelParams) -> ScaleTables:
-    return scale_tables(s, params.k, params.n_modes, default_jet_order(params.n_modes))
-
-
-class _OuterGrid(NamedTuple):
-    """The s-independent data of the outer grid of n nodes, for one model.
-
-    Its slices name the parts of the flow's state vector x; b is x[-1].
+    Its slices name the parts of the flow's state vector x; b is x[-1]. The
+    large tables only a step reads (the z-frame, the sine basis and
+    e^{hL/2}) keep caches of their own, so membership's context builds none
+    of them.
     """
 
+    params: ModelParams
+    quad: QuadratureRule
+    J: int  # the jet order
+    stable: float  # the largest stable step: the outer transport's RK4 ceiling, within MAX_DS
+    linear_only: bool
     nodes: np.ndarray
     h: float
     wind: np.ndarray  # y / 2k, the transport speed
@@ -324,11 +324,15 @@ class _OuterGrid(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _outer_grid(n_nodes: int, params: ModelParams) -> _OuterGrid:
-    """Build, once per process, the outer grid of FlowOptions(n_nodes).nodes()."""
-    nodes = FlowOptions(n_nodes=n_nodes).nodes()
-    k, n = params.k, params.n_modes
-    grid = _OuterGrid(
+def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
+    """Build, once per process, the flow's context for opts and one model."""
+    nodes = opts.nodes()
+    k, n, n_nodes = params.k, params.n_modes, opts.n_nodes
+    spacing = 2.0 * Y_MAX / (n_nodes - 1)
+    flow = _Flow(
+        params=params, quad=opts.quad(), J=default_jet_order(n),
+        stable=min(MAX_DS, RK4_TRANSPORT_CFL * spacing / (Y_MAX / (2.0 * k))),
+        linear_only=opts.linear_only,
         nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
         lam=1.0 - np.arange(n) / (2.0 * k),
@@ -336,27 +340,24 @@ def _outer_grid(n_nodes: int, params: ModelParams) -> _OuterGrid:
         modes=slice(0, n), outer=slice(n, n + n_nodes),
         inner=slice(n + n_nodes, n + n_nodes + Z_NODES),
     )
-    for arr in (grid.nodes, grid.wind, *grid.pw[1:], grid.yM, grid.lam, grid.mono):
+    for arr in (flow.nodes, flow.wind, *flow.pw[1:], flow.yM, flow.lam, flow.mono):
         arr.flags.writeable = False  # one cached copy serves every caller
-    return grid
+    return flow
 
 
-def _grid_of(state: SimState, params: ModelParams, opts: FlowOptions) -> _OuterGrid:
-    """The outer grid of opts, on whose nodes state's remainder must sit."""
-    grid = _outer_grid(opts.n_nodes, params)
-    if not np.array_equal(state.dec.remainder.nodes, grid.nodes):
+def _flow_of(state: SimState, params: ModelParams, opts: FlowOptions) -> _Flow:
+    """The flow context of opts, on whose nodes state's remainder must sit."""
+    flow = _flow(opts, params)
+    if not np.array_equal(state.dec.remainder.nodes, flow.nodes):
         raise ValueError("the state's outer nodes are not opts.nodes()")
-    return grid
+    return flow
 
 
-def _stage(
-    x: np.ndarray,
-    s: float,
-    grid: _OuterGrid,
-    params: ModelParams,
-    quad: QuadratureRule,
-    opts: FlowOptions,
-) -> np.ndarray:
+def _scale_tables(s: float, flow: _Flow) -> ScaleTables:
+    return scale_tables(s, flow.params.k, flow.params.n_modes, flow.J)
+
+
+def _stage(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     """One RK stage: d/ds of the state vector x, in x's layout.
 
     The outer remainder's part leaves out its diffusion I^{-2} D0, and the
@@ -367,28 +368,28 @@ def _stage(
     sources' tracked projection are three power series in y, summed by one
     product with its monomials.
     """
-    modes, rem_vals, inner_vals = x[grid.modes], x[grid.outer], x[grid.inner]
+    params = flow.params
+    modes, rem_vals, inner_vals = x[flow.modes], x[flow.outer], x[flow.inner]
     b = float(x[-1])
-    tab = _scale_tables(s, params)
-    h = grid.h
+    tab = _scale_tables(s, flow)
+    h = flow.h
     dx = np.zeros_like(x)
 
     # remainder transport: upwinded, it stays stable without the damping of
     # the diffusion, which is integrated apart
-    Ls_rem = rem_vals - grid.wind * upwind_gradient(rem_vals, h, grid.wind)
+    Ls_rem = rem_vals - flow.wind * upwind_gradient(rem_vals, h, flow.wind)
 
-    if opts.linear_only:
-        dx[grid.modes], dx[grid.outer] = grid.lam * modes, Ls_rem
+    if flow.linear_only:
+        dx[flow.modes], dx[flow.outer] = flow.lam * modes, Ls_rem
         return dx
 
-    frame = _frame(params, quad)
-    inner = ZRemainder(frame, inner_vals)
-    proj = projected_sources(modes, inner, b, s, params, quad)
+    inner = ZRemainder(z_frame(flow.quad.order, params), inner_vals)
+    proj = projected_sources(modes, inner, b, s, params, flow.quad)
     bprime = proj.bprime(params)
 
     src_proj = proj.PN + proj.PD + proj.PR + bprime * proj.PM
     n = params.n_modes
-    dmodes = grid.lam * modes + src_proj
+    dmodes = flow.lam * modes + src_proj
     dmodes[2 * params.k] = 0.0
 
     # pointwise sources on the outer grid minus their tracked-mode content
@@ -397,35 +398,19 @@ def _stage(
     np.multiply(series[0, 1:], np.arange(1, n), out=series[1, :-1])  # d/dy y^j = j y^{j-1}
     series[1, -1] = 0.0
     np.matmul(src_proj, tab.conv[:, :n], out=series[2])
-    q_plus, dq_plus, tracked = series @ grid.mono
+    q_plus, dq_plus, tracked = series @ flow.mono
     q_grid = q_plus + rem_vals
     dq_grid = dq_plus + derivative(rem_vals, h)
-    e = 1.0 / (params.p - 1.0 + b * grid.pw.y2k)  # e_b
+    e = 1.0 / (params.p - 1.0 + b * flow.pw.y2k)  # e_b
     S = (
         nonlinear_values(q_grid, e, params.p)
-        + drift_values(dq_grid, grid.pw, e, b, tab.I2inv, params)
-        + residual_values(q_grid, grid.pw, e, b, tab.I2inv, params)
-        + bprime * modulation_values(q_grid, grid.pw, e, params)
+        + drift_values(dq_grid, flow.pw, e, b, tab.I2inv, params)
+        + residual_values(q_grid, flow.pw, e, b, tab.I2inv, params)
+        + bprime * modulation_values(q_grid, flow.pw, e, params)
     )
-    dx[grid.modes], dx[grid.outer], dx[-1] = dmodes, Ls_rem + S - tracked, bprime
-    dx[grid.inner] = remainder_source(proj, bprime, modes, inner, b, s, params)
+    dx[flow.modes], dx[flow.outer], dx[-1] = dmodes, Ls_rem + S - tracked, bprime
+    dx[flow.inner] = remainder_source(proj, bprime, modes, inner, b, s, params)
     return dx
-
-
-def _unstable_leak(
-    inner_vals: np.ndarray, s: float, params: ModelParams, quad: QuadratureRule,
-    frame: ZFrame,
-) -> np.ndarray:
-    """Unstable-range debris q_0..q_{2k-1} of the remainder, from the inner grid.
-
-    Only modes below 2k are removed: they are the ones whose numerical
-    debris would grow (rates 1 - n/2k > 0). Debris in the neutral and stable
-    tracked modes decays by itself.
-    """
-    r_q = frame.SDD[: quad.order] @ inner_vals
-    return project_modes_from_samples(
-        r_q, s, params.k, 2 * params.k, quad, scale=_scale_tables(s, params).proj_scale,
-    )
 
 
 # e^A is summed as the Taylor polynomial of this degree in A / 2^j, scaled
@@ -455,23 +440,23 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _half_exp_of(h: float, quad_order: int, J: int) -> np.ndarray:
-    E = _expm(0.5 * h * z_frame(quad_order, J).L)
+def _half_exp_of(h: float, quad_order: int, params: ModelParams) -> np.ndarray:
+    E = _expm(0.5 * h * z_frame(quad_order, params).L)
     E.flags.writeable = False  # one cached copy serves every caller
     return E
 
 
-def _half_exp(h: float, frame: ZFrame) -> np.ndarray:
-    """e^{hL/2} of the inner operator L = frame.L, built once per step size.
+def _half_exp(h: float, flow: _Flow) -> np.ndarray:
+    """e^{hL/2} of the inner operator L of flow's z-frame, built once per step size.
 
     h is rounded to 12 significant digits first, so step sizes that differ
     in the last bits, as differences of step times do, share one entry. A
-    run's steps are whole quarters of its output interval within stable_ds,
-    which does not depend on s, so at ds = 0.01 it may meet all 15 sizes
+    run's steps are whole quarters of its output interval within the stable
+    step, which does not depend on s, so at ds = 0.01 it may meet all 15 sizes
     (0.0375 / 0.0025) from its first steps, and one more for a last step cut
     short at s_max.
     """
-    return _half_exp_of(float(f"{h:.12g}"), frame.quad_order, frame.J)
+    return _half_exp_of(float(f"{h:.12g}"), flow.quad.order, flow.params)
 
 
 class _SineBasis(NamedTuple):
@@ -492,7 +477,7 @@ def _sine_basis(n_nodes: int, h: float) -> _SineBasis:
     last row with weight 1/h^2; D0's steady state for a unit value at one
     edge and zero at the other is the straight line between them, whose
     sines are -S e_1 / (h^2 mu) or -S e_m / (h^2 mu). Only a step needs it,
-    so membership's outer grid does not build it.
+    so membership's flow context does not build it.
     """
     m = n_nodes - 2
     j = np.arange(1, m + 1)
@@ -530,8 +515,7 @@ def _diffuse(v: np.ndarray, c: float, basis: _SineBasis) -> np.ndarray:
 
 
 def _lawson_step(
-    x0: np.ndarray, k1: np.ndarray, s0: float, s1: float, grid: _OuterGrid,
-    params: ModelParams, quad: QuadratureRule, opts: FlowOptions,
+    x0: np.ndarray, k1: np.ndarray, s0: float, s1: float, flow: _Flow,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Lawson RK4 step from x0 at s0 to s1; k1 is the stage F(x0).
 
@@ -546,73 +530,78 @@ def _lawson_step(
     """
     h = s1 - s0
     sm = s0 + 0.5 * h
-    E = _half_exp(h, _frame(params, quad))
-    basis = _sine_basis(grid.nodes.size, grid.h)
+    E = _half_exp(h, flow)
+    basis = _sine_basis(flow.nodes.size, flow.h)
 
     def half(rows: np.ndarray, sa: float, sb: float) -> np.ndarray:
         """The propagator from sa to sb, a half step, on each row of rows."""
         out = rows.copy()
-        out[:, grid.inner] = rows[:, grid.inner] @ E.T
-        c = _diffusion_time(sa, sb, params.k)
-        out[:, grid.outer] = _diffuse(rows[:, grid.outer], c, basis)
+        out[:, flow.inner] = rows[:, flow.inner] @ E.T
+        c = _diffusion_time(sa, sb, flow.params.k)
+        out[:, flow.outer] = _diffuse(rows[:, flow.outer], c, basis)
         return out
 
     X, K = half(np.stack((x0, k1)), s0, sm)
-    k2 = _stage(X + 0.5 * h * K, sm, grid, params, quad, opts)
-    k3 = _stage(X + 0.5 * h * k2, sm, grid, params, quad, opts)
+    k2 = _stage(X + 0.5 * h * K, sm, flow)
+    k3 = _stage(X + 0.5 * h * k2, sm, flow)
     x4, y = half(np.stack((X + h * k3, X + h / 6.0 * (K + 2.0 * (k2 + k3)))), sm, s1)
-    k4 = _stage(x4, s1, grid, params, quad, opts)
+    k4 = _stage(x4, s1, flow)
     return y + h / 6.0 * k4, k4
 
 
-def _step_tail(
-    x: np.ndarray, s: float, grid: _OuterGrid, params: ModelParams, quad: QuadratureRule,
-    opts: FlowOptions,
-) -> np.ndarray:
-    """Remove the remainder's unstable-range debris and copy the inner values out."""
-    if opts.linear_only:
+def _step_tail(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
+    """Remove the remainder's unstable-range debris and copy the inner values out.
+
+    The debris is the remainder's q_0..q_{2k-1}, measured on the inner grid.
+    Only modes below 2k are removed: they are the ones whose numerical
+    debris would grow (rates 1 - n/2k > 0). Debris in the neutral and stable
+    tracked modes decays by itself.
+    """
+    if flow.linear_only:
         return x
+    params, quad = flow.params, flow.quad
     x = x.copy()
-    rem, inner = x[grid.outer], x[grid.inner]
-    tab = _scale_tables(s, params)
-    frame = _frame(params, quad)
-    leak = _unstable_leak(inner, s, params, quad, frame)
-    n = leak.size
-    rem -= (leak @ tab.conv[:n, :n]) @ grid.mono[:n]
+    rem, inner = x[flow.outer], x[flow.inner]
+    tab = _scale_tables(s, flow)
+    frame = z_frame(quad.order, params)
+    n = 2 * params.k
+    leak = project_modes_from_samples(
+        frame.SDD[: quad.order] @ inner, s, params.k, n, quad, scale=tab.proj_scale,
+    )
+    rem -= (leak @ tab.conv[:n, :n]) @ flow.mono[:n]
     inner -= (leak * tab.iexp[:n]) @ frame.ztab[:n]
     # where both grids overlap the outer one takes the resolved values:
     # once it under-resolves the weight, its own near-origin evolution
     # seeds unstable-range debris that only the inner grid can measure
-    z = tab.I * grid.nodes  # increasing, so |z| <= Z_OVERLAP is one slice
+    z = tab.I * flow.nodes  # increasing, so |z| <= Z_OVERLAP is one slice
     lo, hi = z.searchsorted(-Z_OVERLAP, "left"), z.searchsorted(Z_OVERLAP, "right")
     rem[lo:hi] = sample(frame.z, inner, z[lo:hi])
-    x[grid.modes][2 * params.k] = 0.0
+    x[flow.modes][n] = 0.0
     return x
 
 
 def _advance(
-    x: np.ndarray, k1: np.ndarray | None, s0: float, s1: float, grid: _OuterGrid,
-    params: ModelParams, quad: QuadratureRule, opts: FlowOptions,
+    x: np.ndarray, k1: np.ndarray | None, s0: float, s1: float, flow: _Flow,
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """x at s1 > s0: equal Lawson steps within stable_ds, each with its tail.
+    """x at s1 > s0: equal Lawson steps within the stable step, each with its tail.
 
     k1 is the first stage at x, or None to evaluate it here. Also returns
     the last step's length and its fourth stage, for _step_error.
     """
-    n_sub = max(1, math.ceil((s1 - s0) / opts.stable_ds(params.k) - 1e-9))
+    n_sub = max(1, math.ceil((s1 - s0) / flow.stable - 1e-9))
     for i in range(n_sub):
         sa = s0 + i * (s1 - s0) / n_sub
         sb = s1 if i == n_sub - 1 else s0 + (i + 1) * (s1 - s0) / n_sub
         if k1 is None:
-            k1 = _stage(x, sa, grid, params, quad, opts)
-        x, k4 = _lawson_step(x, k1, sa, sb, grid, params, quad, opts)
-        x = _step_tail(x, sb, grid, params, quad, opts)
+            k1 = _stage(x, sa, flow)
+        x, k4 = _lawson_step(x, k1, sa, sb, flow)
+        x = _step_tail(x, sb, flow)
         k1 = None
     return x, sb - sa, k4
 
 
 def _step_error(
-    h: float, k4: np.ndarray, k5: np.ndarray, grid: _OuterGrid, amp: float, b: float,
+    h: float, k4: np.ndarray, k5: np.ndarray, flow: _Flow, amp: float, b: float,
 ) -> float:
     """The local error estimate h/6 |k4 - k5| of a step of length h.
 
@@ -623,25 +612,25 @@ def _step_error(
     relative to itself.
     """
     dk = k4 - k5
-    dq = float(np.max(np.abs(dk[grid.modes]))) / amp
+    dq = float(np.max(np.abs(dk[flow.modes]))) / amp
     db = abs(float(dk[-1])) / abs(b)
     return h / 6.0 * max(dq, db)
 
 
-def _values(state: SimState, grid: _OuterGrid) -> np.ndarray:
-    """The state's vector x, in grid's layout; a state with non-finite values is rejected."""
-    x = np.empty(grid.inner.stop + 1)
-    x[grid.modes], x[grid.outer], x[grid.inner], x[-1] = (
+def _values(state: SimState, flow: _Flow) -> np.ndarray:
+    """The state's vector x, in flow's layout; a state with non-finite values is rejected."""
+    x = np.empty(flow.inner.stop + 1)
+    x[flow.modes], x[flow.outer], x[flow.inner], x[-1] = (
         state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b)
     if not np.isfinite(x).all():
         raise ValueError("state with non-finite values rejected")
     return x
 
 
-def _state_at(x: np.ndarray, s: float, grid: _OuterGrid, like: GridFunction) -> SimState:
+def _state_at(x: np.ndarray, s: float, flow: _Flow, like: GridFunction) -> SimState:
     """The state of x at s, its outer remainder on the nodes of like."""
-    dec = SpectralDecomposition(s, x[grid.modes], like.with_values(x[grid.outer]))
-    return SimState(s=s, b=float(x[-1]), dec=dec, inner=x[grid.inner])
+    dec = SpectralDecomposition(s, x[flow.modes], like.with_values(x[flow.outer]))
+    return SimState(s=s, b=float(x[-1]), dec=dec, inner=x[flow.inner])
 
 
 def step(
@@ -653,15 +642,15 @@ def step(
     """
     if ds < 0 or ds > MAX_DS:
         raise ValueError(f"ds must lie in [0, {MAX_DS}]")
-    grid = _grid_of(state, params, opts)
-    x = _values(state, grid)
+    flow = _flow_of(state, params, opts)
+    x = _values(state, flow)
     if ds == 0.0:
         return state
     s1 = state.s + ds
-    x, _, _ = _advance(x, None, state.s, s1, grid, params, opts.quad(), opts)
+    x, _, _ = _advance(x, None, state.s, s1, flow)
     if not np.isfinite(x).all():
         raise ValueError("time step produced non-finite values")
-    return _state_at(x, s1, grid, state.dec.remainder)
+    return _state_at(x, s1, flow, state.dec.remainder)
 
 
 _BOUND_B_LOW = "b_low"
@@ -681,7 +670,7 @@ def membership(
     sem = remainder_seminorm(
         state.dec.remainder, state.s, params,
         floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR,
-        nodes_pow_M=_outer_grid(opts.n_nodes, params).yM, I=I,
+        nodes_pow_M=_flow(opts, params).yM, I=I,
     )
     # the margins in _bound_names' order; the neutral mode's bound is I^{-2 delta}
     q = np.abs(state.dec.modes).tolist()
@@ -709,8 +698,8 @@ def mode_ode_rhs(
     state: SimState, params: ModelParams, opts: FlowOptions = FlowOptions(),
 ) -> np.ndarray:
     """dq_n/ds for the tracked modes at this state."""
-    grid = _grid_of(state, params, opts)
-    return _stage(_values(state, grid), state.s, grid, params, opts.quad(), opts)[grid.modes]
+    flow = _flow_of(state, params, opts)
+    return _stage(_values(state, flow), state.s, flow)[flow.modes]
 
 
 def _sample_of(state: SimState, bprime: float, report: MembershipReport) -> TrajectorySample:
@@ -752,7 +741,7 @@ def run(
     """Integrate until the trajectory leaves the shrinking set or reaches s_max.
 
     The samples sit at s0 + i ds, the last at s_max; the steps end at
-    s0 + j ds/4. Each step is the longest such span within stable_ds and
+    s0 + j ds/4. Each step is the longest such span within the stable step and
     within what the last step's error estimate allows,
     0.9 h (STEP_TOL / err)^{1/4} (_step_error), but never shorter than one
     output interval from a sample, or the rest of the interval from a point
@@ -764,16 +753,14 @@ def run(
     non-finite value inside a step ends the record at the last recorded
     sample with a "modulation" or "nonfinite" exit instead of raising.
     """
-    if not s_max > state0.s:
-        raise ValueError("s_max must exceed the initial scale time")
     if not 0.0 < ds <= MAX_DS:
         raise ValueError(f"ds must lie in (0, {MAX_DS}]")
-    grid = _grid_of(state0, params, opts)
-    x = _values(state0, grid)
+    if not (s_max > state0.s and math.isfinite((s_max - state0.s) / ds)):
+        raise ValueError("s_max must exceed the initial scale time by a finite sample count")
+    flow = _flow_of(state0, params, opts)
+    x = _values(state0, flow)
     rem0 = state0.dec.remainder
-    quad = opts.quad()
-    L = _frame(params, quad).L
-    stable = opts.stable_ds(params.k)
+    L = z_frame(flow.quad.order, params).L
     s0 = state0.s
     n = max(1, math.ceil((s_max - s0) / ds - 1e-9))
     end, quarter = 4 * n, 0.25 * ds
@@ -784,11 +771,11 @@ def run(
 
     def full_rates(xs: np.ndarray, ks: np.ndarray, s: float) -> np.ndarray:
         """d/ds at xs from its stage ks, with L and the outer diffusion restored."""
-        lap = laplacian_compact(xs[grid.outer], grid.h)
+        lap = laplacian_compact(xs[flow.outer], flow.h)
         lap[[0, -1]] = 0.0  # D0: the outflow edge nodes take no diffusion
         f = ks.copy()
-        f[grid.outer] += _scale_tables(s, params).I2inv * lap
-        f[grid.inner] += L @ xs[grid.inner]
+        f[flow.outer] += _scale_tables(s, flow).I2inv * lap
+        f[flow.inner] += L @ xs[flow.inner]
         return f
 
     record = TrajectoryRecord()
@@ -800,17 +787,17 @@ def run(
     j, k1, h_err, bp = 0, None, 0.0, 0.0
     while report.worst_margin >= -EXIT_HYSTERESIS and j < end:
         sa = s_at(j)
-        jb = min(end, j + max(4 - j % 4, int(min(stable, h_err) / quarter)))
+        jb = min(end, j + max(4 - j % 4, int(min(flow.stable, h_err) / quarter)))
         if s_at(jb) >= s_max:
             jb = end
         sb = s_at(jb)
         failure = None
         try:
             if k1 is None:
-                k1 = _stage(x, sa, grid, params, quad, opts)
+                k1 = _stage(x, sa, flow)
                 bp = k1[-1]
-            x1, h, k4 = _advance(x, k1, sa, sb, grid, params, quad, opts)
-            k_end = _stage(x1, sb, grid, params, quad, opts)
+            x1, h, k4 = _advance(x, k1, sa, sb, flow)
+            k_end = _stage(x1, sb, flow)
         except ModulationBreakdownError as exc:
             failure = (BOUND_MODULATION, str(exc))
         if failure is None and not (np.isfinite(x1).all() and np.isfinite(k_end).all()):
@@ -823,8 +810,8 @@ def run(
             )
             record.final_state = state
             return record
-        amp = _scale_tables(sb, params).I ** -delta
-        err = _step_error(h, k4, k_end, grid, amp, x1[-1])
+        amp = _scale_tables(sb, flow).I ** -delta
+        err = _step_error(h, k4, k_end, flow, amp, x1[-1])
         h_err = 0.9 * h * (STEP_TOL / err) ** 0.25 if err > 0.0 else math.inf
         f0 = f1 = None
         for i in range(j // 4 + 1, jb // 4 + 1):
@@ -837,7 +824,7 @@ def run(
                 t = (s - sa) / (sb - sa)
                 xi = _hermite(x, f0, x1, f1, sb - sa, t)
                 bp_next = _hermite_slope(x[-1], f0[-1], x1[-1], f1[-1], sb - sa, t)
-            state = _state_at(xi, s, grid, rem0)
+            state = _state_at(xi, s, flow, rem0)
             report = membership(state, delta, b0, params, opts)
             # b' at the start of the interval that ends at this sample
             record.samples.append(_sample_of(state, bp, report))

@@ -89,9 +89,9 @@ def uniform_grid(y_max: float, n: int) -> np.ndarray:
 
 
 def derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """First derivative, 4th order (centered interior, biased at boundaries)."""
+    """First derivative along axis 0, 4th order (centered interior, biased at boundaries)."""
     f = np.asarray(values, dtype=float)
-    n = f.size
+    n = f.shape[0]
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes for differentiation")
     out = np.empty_like(f)
@@ -104,9 +104,9 @@ def derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Second derivative, 4th order (centered interior, biased at boundaries)."""
+    """Second derivative along axis 0, 4th order (centered interior, biased at boundaries)."""
     f = np.asarray(values, dtype=float)
-    n = f.size
+    n = f.shape[0]
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes for differentiation")
     h2 = 12.0 * h * h
@@ -120,7 +120,7 @@ def second_derivative(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def upwind_gradient(values: np.ndarray, h: float, wind: np.ndarray) -> np.ndarray:
-    """3rd-order upwind-biased first derivative; 2nd-order one-sided edges.
+    """3rd-order upwind-biased first derivative along axis 0; 2nd-order one-sided edges.
 
     wind >= 0 biases the stencil to the left (information moves right). The
     built-in O(h^3) dissipation keeps transport-dominated explicit stepping
@@ -129,7 +129,7 @@ def upwind_gradient(values: np.ndarray, h: float, wind: np.ndarray) -> np.ndarra
     once: each interior node then takes one stencil, split at that change.
     """
     f = np.asarray(values, dtype=float)
-    n = f.size
+    n = f.shape[0]
     if n < _MIN_NODES:
         raise ValueError(f"need at least {_MIN_NODES} nodes for differentiation")
     out = np.empty_like(f)
@@ -150,13 +150,13 @@ def upwind_gradient(values: np.ndarray, h: float, wind: np.ndarray) -> np.ndarra
 
 
 def laplacian_compact(values: np.ndarray, h: float) -> np.ndarray:
-    """3-point second derivative with 2nd-order one-sided edges.
+    """3-point second derivative along axis 0, with 2nd-order one-sided edges.
 
     Lower order than second_derivative() but free of the high-order edge
     closures that destabilize transport-dominated explicit stepping.
     """
     f = np.asarray(values, dtype=float)
-    if f.size < 4:
+    if f.shape[0] < 4:
         raise ValueError("need at least 4 nodes")
     out = np.empty_like(f)
     out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / (h * h)

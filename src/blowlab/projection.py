@@ -20,24 +20,22 @@ are products with lower-triangular Toeplitz matrices.
 
 The flow carries its remainder on an inner grid at fixed z = I(s) y, and
 the Gauss nodes also sit at fixed z, so every map between that grid, the
-quadrature nodes and the basis is independent of s. z_frame() builds those
-operators once per (quadrature order, J) and caches them: the stacked
-matrix [S; S D; D] that gives the remainder at the Gauss nodes and its
-z-derivative at the Gauss and the inner nodes in one product (S from
-grid.sample's own stencil, D from grid.derivative's), h_0..h_J at the inner
-nodes, and the inner grid's d_zz - (z/2) d_z + 1. A remainder handed over as
-a ZRemainder is read through them; any other GridFunction is sampled point
-by point.
-
-No array a stage reads at the nodes depends on s either. The Gauss and the
-inner nodes' powers of |z| and h_0..h_{M_floor} there are built once per
-process (_fixed_points); a power of y = z / I is a power of z times a power
-of I, and the sources take those powers of I as scalar factors. What does
-depend on s is O(J) in size and built once per scale time by
-scale_tables(): I and its powers, the basis/monomial conversion tables and
-the projection scale. With a ZRemainder the source increments are evaluated
-once, at the Gauss and the inner nodes together: projected_sources()
-projects the first part and carries the second on its SourceProjections for
+quadrature nodes and the basis is independent of s, and so are the arrays
+a stage reads at those nodes. z_frame() builds them once per quadrature
+order and model and caches them: the stacked matrix [S; S D; D] that gives
+the remainder at the Gauss nodes and its z-derivative at the Gauss and the
+inner nodes in one product (S from grid.sample's own stencil, D from
+grid.derivative's), h_0..h_J at the inner nodes, the inner grid's
+d_zz - (z/2) d_z + 1, and the node tables: the Gauss and the inner nodes'
+powers of |z| and h_0..h_{M_floor} there. A power of y = z / I is a power
+of z times a power of I, and the sources take those powers of I as scalar
+factors. A remainder handed over as a ZRemainder is read through the
+frame; any other GridFunction is sampled point by point. What does depend
+on s is O(J) in size and built once per scale time by scale_tables(): I
+and its powers, the basis/monomial conversion tables and the projection
+scale. With a ZRemainder the source increments are evaluated once, at the
+Gauss and the inner nodes together: projected_sources() projects the first
+part and carries the second on its SourceProjections for
 remainder_source().
 """
 
@@ -103,7 +101,7 @@ def default_jet_order(n_modes: int) -> int:
 # -- the z-frame -------------------------------------------------------------
 
 class ZFrame(NamedTuple):
-    """The s-independent operators of the inner grid, for one (quad order, J).
+    """The s-independent operators and node tables of the inner grid, for one quad order and model.
 
     The Gauss nodes sit at fixed z, so interpolation from the inner nodes to
     them does not depend on s. SDD = [S; S D; D] gives r at the Gauss nodes,
@@ -112,7 +110,8 @@ class ZFrame(NamedTuple):
     4th-order stencils; dr/dy = I dr/dz. ztab holds h_0..h_J at the nodes,
     so H_n(z / I, s) = I^{-n} ztab[n]. L is the inner grid's L_s plus
     moving-frame term, d_zz - (z/2) d_z + 1, from grid.laplacian_compact and
-    grid.upwind_gradient.
+    grid.upwind_gradient. pw holds the Gauss nodes followed by the inner
+    nodes, in z, with their powers of |z|, and htab h_0..h_{M_floor} there.
     """
 
     quad_order: int
@@ -121,28 +120,29 @@ class ZFrame(NamedTuple):
     SDD: np.ndarray
     ztab: np.ndarray
     L: np.ndarray
+    pw: NodePowers
+    htab: np.ndarray
 
 
 @lru_cache(maxsize=8)
-def z_frame(quad_order: int, J: int) -> ZFrame:
-    """Build, once per process, the z-frame operators of a quadrature order and jet order."""
+def z_frame(quad_order: int, params: ModelParams) -> ZFrame:
+    """Build, once per process, the z-frame of a quadrature order and model."""
     z = inner_nodes()
     hz = float(z[1] - z[0])
-    # column j of each matrix is its kernel applied to the j-th unit vector
-    D = np.empty((z.size, z.size))
-    L = np.empty((z.size, z.size))
-    unit = np.zeros(z.size)
-    for j in range(z.size):
-        unit[j] = 1.0
-        D[:, j] = derivative(unit, hz)
-        L[:, j] = laplacian_compact(unit, hz) - 0.5 * z * upwind_gradient(unit, hz, z) + unit
-        unit[j] = 0.0
-    S = sample_matrix(z, gauss_rule(quad_order).nodes)
+    # the kernels act along the first axis: on the identity, their matrices
+    eye = np.eye(z.size)
+    D = derivative(eye, hz)
+    L = laplacian_compact(eye, hz) - 0.5 * z[:, None] * upwind_gradient(eye, hz, z) + eye
+    gauss = gauss_rule(quad_order).nodes
+    S = sample_matrix(z, gauss)
+    J = default_jet_order(params.n_modes)
+    points = np.concatenate((gauss, z))
     frame = ZFrame(
         quad_order=quad_order, J=J, z=z,
         SDD=np.vstack([S, S @ D, D]), ztab=hermite_z_table(z, J), L=L,
+        pw=node_powers(points, params.k), htab=hermite_z_table(points, params.n_modes - 1),
     )
-    for arr in (frame.z, frame.SDD, frame.ztab, frame.L):
+    for arr in (frame.z, frame.SDD, frame.ztab, frame.L, *frame.pw, frame.htab):
         arr.flags.writeable = False  # one cached copy serves every caller
     return frame
 
@@ -152,7 +152,8 @@ class ZRemainder(NamedTuple):
 
     projected_sources() and remainder_source() take it at scale time s in
     place of the GridFunction on the nodes z / I(s), and then use the
-    frame's operators.
+    frame's operators and node tables, so the frame must be the one of
+    their quadrature rule and model.
     """
 
     frame: ZFrame
@@ -269,32 +270,6 @@ class ScaleTables(NamedTuple):
     conv: np.ndarray
     mono: np.ndarray
     proj_scale: np.ndarray
-
-
-class _NodeTables(NamedTuple):
-    """The s-independent arrays at the Gauss nodes, then the inner nodes.
-
-    pw holds the nodes in z with their powers of |z|, htab h_0..h_{M_floor}
-    there, and z_edge is the largest |z| of the Gauss nodes.
-    """
-
-    pw: NodePowers
-    htab: np.ndarray
-    z_edge: float
-
-
-@lru_cache(maxsize=8)
-def _fixed_points(quad_order: int, n_modes: int, k: int) -> _NodeTables:
-    """Build, once per process, the node tables of a quadrature order."""
-    nodes = gauss_rule(quad_order).nodes
-    z = np.concatenate((nodes, inner_nodes()))
-    tables = _NodeTables(
-        pw=node_powers(z, k), htab=hermite_z_table(z, n_modes - 1),
-        z_edge=float(np.max(np.abs(nodes))),
-    )
-    for arr in (*tables.pw, tables.htab):
-        arr.flags.writeable = False  # one cached copy serves every caller
-    return tables
 
 
 @lru_cache(maxsize=8)
@@ -484,10 +459,10 @@ def projected_sources(
     J = default_jet_order(n_modes)
     tab = scale_tables(s, k, n_modes, J)
     nq = quad.order
-    fixed = _fixed_points(nq, n_modes, k)
 
-    # the truncated e_b expansion must converge across the weight's support
-    if b * (fixed.z_edge / tab.I) ** (2 * k) / (p - 1.0) > 0.5:
+    # the truncated e_b expansion must converge across the weight's support;
+    # the Gauss nodes are symmetric and ascending, so the last is the largest
+    if b * (float(quad.nodes[-1]) / tab.I) ** (2 * k) / (p - 1.0) > 0.5:
         raise ValueError(
             "scale time too small for the jet projection route: the profile "
             "expansion parameter exceeds 1/2 on the quadrature support"
@@ -498,20 +473,21 @@ def projected_sources(
     zinc = None
     if (rem.values != 0.0).any():
         scaled = modes * tab.iexp[:n_modes]  # H_n(z / I) = I^{-n} h_n(z)
+        frame = rem.frame if isinstance(rem, ZRemainder) else z_frame(nq, params)
         if isinstance(rem, ZRemainder):
-            if rem.frame.quad_order != nq:
+            if frame.quad_order != nq:
                 raise ValueError("z-frame built for another quadrature order")
             # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
-            rd = rem.frame.SDD @ rem.values
+            rd = frame.SDD @ rem.values
             r = np.concatenate((rd[:nq], rem.values))
-            incs = _increments(scaled @ fixed.htab, r, rd[nq:], fixed.pw, b, tab, params)
+            incs = _increments(scaled @ frame.htab, r, rd[nq:], frame.pw, b, tab, params)
             zinc = incs[:4, nq:]
         else:
-            pw = NodePowers(*(a[:nq] for a in fixed.pw))  # the Gauss nodes
+            pw = NodePowers(*(a[:nq] for a in frame.pw))  # the Gauss nodes
             y = pw.y / tab.I
             r = sample(rem.nodes, rem.values, y)
             dr = sample(rem.nodes, derivative(rem.values, tab.I * rem.spacing), y)
-            incs = _increments(scaled @ fixed.htab[:, :nq], r, dr, pw, b, tab, params)
+            incs = _increments(scaled @ frame.htab[:, :nq], r, dr, pw, b, tab, params)
         inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, scale=tab.proj_scale)
 
     return SourceProjections(

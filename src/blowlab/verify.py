@@ -62,11 +62,9 @@ class MehlerReport:
         return asdict(self)
 
 
-def verify_spectral(
-    k_values=(2, 3), s_values=(2.0, 10.0, 30.0), n_max: int = 12, quad_order: int = 96
-) -> SpectralReport:
+def verify_spectral(k_values=(2, 3), s_values=(2.0, 10.0, 30.0), n_max: int = 12) -> SpectralReport:
     """Orthogonality, generator action, and product identities of the basis."""
-    quad = gauss_rule(quad_order)
+    quad = gauss_rule()
     worst_orth = 0.0
     worst_jordan = 0.0
     worst_prod = 0.0
@@ -129,10 +127,9 @@ def verify_mehler(
     sigma: float = 4.0,
     gaps=(0.1, 0.5, 1.0, 2.0, 3.0),
     n_max: int = 8,
-    quad_order: int = 96,
 ) -> MehlerReport:
     """Mode multipliers, semigroup composition, and kernel mass."""
-    quad = gauss_rule(quad_order)
+    quad = gauss_rule()
     wq = quad.weights / math.sqrt(4.0 * math.pi)
     worst_mult = 0.0
     for gap in gaps:

@@ -53,8 +53,8 @@ def test_config_rejects_retired_keys(key):
         {"shoot_depth": 0},
         {"d": [0.0, 2.5, 0.0, 0.0]},
         {"k": 2.5},
-        {"quad_order": True},
-        {"quad_order": 64.5},
+        {"shoot_depth": True},
+        {"shoot_depth": 64.5},
         {"shoot_depth": 3.5},
         {"u_T": 1.0},
         {"u_T": 2.0},
@@ -68,6 +68,11 @@ def test_config_rejects_retired_keys(key):
         {"delta": True},
         {"shoot_box": True},
         {"d": [True, 0.0, 0.0, 0.0]},
+        # bool keys take JSON true and false only, outdir a string only
+        {"linear_only": "false"},
+        {"linear_only": 1},
+        {"even_only": 0.0},
+        {"outdir": 5},
     ],
 )
 def test_config_rejects_bad_values(patch):
@@ -81,6 +86,15 @@ def test_cli_rejects_an_infinite_horizon(tmp_path, capsys):
     assert rc == 2
     assert "horizon must be a finite number" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_simulate_with_a_sample_count_beyond_the_floats_is_a_numerical_failure(
+    tmp_path, capsys,
+):
+    # (s_max - s0) / ds overflows to inf: exit 3, not an OverflowError
+    rc = run_experiment(["simulate", "--horizon", "1e308", "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "finite sample count" in capsys.readouterr().err
 
 
 def test_config_file_errors(tmp_path):
@@ -130,8 +144,14 @@ def test_cli_unknown_and_bad_config(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"mystery": 1}))
     assert run_experiment(["simulate", "--config", str(cfgfile)]) == 2
-    cfgfile.write_text(json.dumps({"quad_order": 200.5}))
+    cfgfile.write_text(json.dumps({"shoot_depth": 200.5}))
     assert run_experiment(["simulate", "--config", str(cfgfile)]) == 2
+    # a string is not a bool: "false" would otherwise run the linear-only flow
+    cfgfile.write_text(json.dumps({"linear_only": "false", "outdir": str(tmp_path / "s")}))
+    assert run_experiment(["shoot", "--config", str(cfgfile)]) == 2
+    cfgfile.write_text(json.dumps({"outdir": 5}))
+    assert run_experiment(["simulate", "--config", str(cfgfile)]) == 2
+    assert not (tmp_path / "s").exists()
     assert run_experiment(["shoot", "--outdir", str(tmp_path), "--jobs", "2"]) == 2
 
 
@@ -233,7 +253,7 @@ def test_cli_compare_rejects_a_bad_survivor_file(tmp_path, capsys, content):
 
 
 def test_cli_verify_spectral(tmp_path):
-    code = run_experiment(["verify-spectral", "--outdir", str(tmp_path), "--quad_order".replace("_", "-"), "64"])
+    code = run_experiment(["verify-spectral", "--outdir", str(tmp_path)])
     assert code == 0
     rep = load_json(tmp_path / "spectral-report.json")
     assert rep["passed"] is True

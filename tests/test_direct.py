@@ -282,6 +282,17 @@ def test_w_run_outflow_edges_stay_stable(params3, monkeypatch, s0):
     assert g == pytest.approx(growth(), rel=0.01)
 
 
+def test_w_run_takes_no_diffusion_limit_once_its_factor_overflows(params3):
+    # e^{rs} overflows past rs ~ 709.8 (s ~ 1420 at k = 2), where the
+    # diffusion I^{-2} = e^{-rs} is below every float: the run steps at its
+    # other limits instead of raising OverflowError
+    nodes = uniform_grid(6.0, 201)
+    w0 = GridFunction(nodes, np.full_like(nodes, params3.kappa))
+    run = solve_w_direct(w0, (1e5, 1e5 + 0.5), params3)
+    assert run.termination == "horizon"
+    assert np.max(np.abs(run.snapshots[-1] - params3.kappa)) < 1e-10
+
+
 @pytest.mark.parametrize("frame", ["w", "u"])
 def test_overflow_ends_a_run_as_instability(params3, frame):
     # 1e120 cubed overflows within the first step, while the reaction

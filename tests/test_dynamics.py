@@ -17,11 +17,12 @@ from blowlab.dynamics import (
     step,
 )
 from blowlab import dynamics
+from blowlab.config import ConfigError, RunConfig
 from blowlab.grid import laplacian_compact
 from blowlab.hermite import SpectralDecomposition, eval_scaled_hermite, hermite_series
 from blowlab.params import alpha_consts, eval_profile, make_params, node_powers, scale_factor
 from blowlab.hermite import _projector
-from blowlab.projection import Z_MAX, _fixed_points, _legendre_rule, projected_sources, scale_tables
+from blowlab.projection import Z_MAX, _legendre_rule, projected_sources, scale_tables, z_frame
 
 DELTA, B0, S0 = 0.1, 1.0, 20.0
 
@@ -353,7 +354,7 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
 # every cache a flow step reads that depends on s, on the outer grid, on the
 # step size or on the model
 FLOW_CACHES = (
-    scale_tables, _fixed_points, alpha_consts, dynamics._outer_grid, dynamics._sine_basis,
+    scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._sine_basis,
     dynamics._half_exp_of, _legendre_rule, _projector,
 )
 
@@ -367,43 +368,43 @@ def _same(a, b) -> bool:
 def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     nodes = opts.nodes()
     n = params3.n_modes
-    grid = dynamics._outer_grid(opts.n_nodes, params3)
-    assert _same(grid.nodes, nodes)
+    flow = dynamics._flow(opts, params3)
+    assert _same(flow.nodes, nodes)
     # a basis series on the outer grid is its power series in y times the
     # monomials: the stage's q_+ and dq_+/dy and the step tail's leak series
-    tab = dynamics._scale_tables(s, params3)
+    tab = dynamics._scale_tables(s, flow)
     H = np.array([eval_scaled_hermite(m, nodes, s, 2) for m in range(n)])
     modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15])
     qc = modes @ tab.conv[:, :n]
     dqc = np.append(qc[1:] * np.arange(1, n), 0.0)
     for got, want in (
-        (qc @ grid.mono, hermite_series(modes, nodes, s, 2)),
-        (qc @ grid.mono, modes @ H),
-        (dqc @ grid.mono, (modes[1:] * np.arange(1, n)) @ H[:-1]),
+        (qc @ flow.mono, hermite_series(modes, nodes, s, 2)),
+        (qc @ flow.mono, modes @ H),
+        (dqc @ flow.mono, (modes[1:] * np.arange(1, n)) @ H[:-1]),
     ):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     leak = np.array([3e-9, -1e-9, 2e-10, -5e-11])
     want = hermite_series(leak, nodes, s, 2)
-    got = (leak @ tab.conv[:4, :4]) @ grid.mono[:4]
+    got = (leak @ tab.conv[:4, :4]) @ flow.mono[:4]
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     b = 1.3
-    assert all(_same(x, y) for x, y in zip(grid.pw, node_powers(nodes, 2)))
-    assert _same(1.0 / (params3.p - 1.0 + b * grid.pw.y2k), eval_profile(nodes, b, params3)[1])
-    assert _same(grid.yM, np.abs(nodes) ** params3.M)
-    assert _same(grid.lam, 1.0 - np.arange(n) / 4.0)
+    assert all(_same(x, y) for x, y in zip(flow.pw, node_powers(nodes, 2)))
+    assert _same(1.0 / (params3.p - 1.0 + b * flow.pw.y2k), eval_profile(nodes, b, params3)[1])
+    assert _same(flow.yM, np.abs(nodes) ** params3.M)
+    assert _same(flow.lam, 1.0 - np.arange(n) / 4.0)
     want = np.array([nodes**j for j in range(n)])
-    assert np.all(np.abs(grid.mono - want) <= 1e-15 * np.abs(want))
+    assert np.all(np.abs(flow.mono - want) <= 1e-15 * np.abs(want))
     # one cached copy serves every caller, so none may write to it
     assert not any(
         a.flags.writeable for a in (
-            grid.nodes, grid.wind, *grid.pw, grid.yM, grid.lam, grid.mono,
-            *dynamics._sine_basis(grid.nodes.size, grid.h),
+            flow.nodes, flow.wind, *flow.pw, flow.yM, flow.lam, flow.mono,
+            *dynamics._sine_basis(flow.nodes.size, flow.h),
         )
     )
-    assert dynamics._outer_grid(opts.n_nodes, params3) is grid
-    # the key is the node count: another count gets its own grid
-    other = dynamics._outer_grid(201, params3)
-    assert other is not grid and _same(other.nodes, FlowOptions(n_nodes=201).nodes())
+    assert dynamics._flow(opts, params3) is flow
+    # the key is the options: another node count gets its own grid
+    other = dynamics._flow(FlowOptions(n_nodes=201), params3)
+    assert other is not flow and _same(other.nodes, FlowOptions(n_nodes=201).nodes())
 
 
 def test_trajectory_does_not_depend_on_cache_history(params3):
@@ -416,11 +417,10 @@ def test_trajectory_does_not_depend_on_cache_history(params3):
     for cache in FLOW_CACHES:
         cache.cache_clear()
     cold = traj(FlowOptions())
-    # other scale times, outer grids, a linear-only flow, another quadrature order
+    # other scale times, outer grids and a linear-only flow
     traj(FlowOptions(), s0=S0 + 0.005)
     traj(FlowOptions(n_nodes=201))
     traj(FlowOptions(linear_only=True, n_nodes=129))
-    traj(FlowOptions(quad_order=64))
     warm = traj(FlowOptions())
     for key, arr in cold.arrays().items():
         assert _same(arr, warm.arrays()[key]), key
@@ -435,6 +435,19 @@ def test_flow_caches_stay_bounded(params3, opts):
         info = cache.cache_info()
         assert info.maxsize is not None and info.maxsize <= 16
         assert info.currsize <= info.maxsize
+
+
+def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad96):
+    # the benchmark's set-ups call membership, and projected_sources on a
+    # zero remainder, each in a fresh copy of the modules that keeps its own
+    # caches: neither call may build the large tables only a step reads
+    for cache in FLOW_CACHES:
+        cache.cache_clear()
+    st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
+    membership(st, DELTA, B0, params3, opts)
+    projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
+    for cache in (z_frame, dynamics._sine_basis, dynamics._half_exp_of):
+        assert cache.cache_info().currsize == 0, cache.__name__
 
 
 def test_run_and_step_reject_a_state_off_the_options_grid(params3, opts):
@@ -453,6 +466,11 @@ def test_variant_stubs_admit_only_the_derived_form(params3, opts, quad96):
     with pytest.raises(TypeError):
         FlowOptions(variant="paper")
     assert FlowOptions().variant == "derived"
+    # the quadrature order is a constant of the flow, not an option
+    with pytest.raises(TypeError):
+        FlowOptions(quad_order=64)
+    with pytest.raises(ConfigError, match="unknown config keys: quad_order"):
+        RunConfig.from_dict({"quad_order": 96})
     st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
     proj = projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
     assert proj.bprime(params3, "derived") == proj.bprime(params3)
@@ -463,7 +481,7 @@ def test_variant_stubs_admit_only_the_derived_form(params3, opts, quad96):
 # -- the Lawson step and its dense output -------------------------------------
 
 def _frame():
-    return dynamics._frame(make_params(3.0, 2), FlowOptions().quad())
+    return z_frame(FlowOptions.quad_order, make_params(3.0, 2))
 
 
 @pytest.mark.parametrize("h", [0.005, 0.01, 0.02, 0.03])
@@ -471,19 +489,20 @@ def test_half_exp_matches_scipy_expm(h):
     from scipy.linalg import expm
 
     frame = _frame()
-    E = dynamics._half_exp(h, frame)
+    flow = dynamics._flow(FlowOptions(), make_params(3.0, 2))
+    E = dynamics._half_exp(h, flow)
     want_half, want = expm(0.5 * h * frame.L), expm(h * frame.L)
     assert np.linalg.norm(E - want_half) <= 1e-12 * np.linalg.norm(want_half)
     assert np.linalg.norm(E @ E - want) <= 1e-12 * np.linalg.norm(want)
     # a step size off in its last bits reads the same entry
-    assert dynamics._half_exp(h * (1.0 + 4e-16), frame) is E
+    assert dynamics._half_exp(h * (1.0 + 4e-16), flow) is E
     assert not E.flags.writeable
 
 
 def test_lawson_step_without_sources_is_the_exponential(params3, opts, monkeypatch):
     from scipy.linalg import expm
 
-    def no_sources(x, s, grid, params, quad, opts):
+    def no_sources(x, s, flow):
         return np.zeros_like(x)
 
     monkeypatch.setattr(dynamics, "_stage", no_sources)
@@ -491,19 +510,19 @@ def test_lawson_step_without_sources_is_the_exponential(params3, opts, monkeypat
     u0 = np.exp(-(inner_nodes() ** 2) / 8.0) * np.cos(inner_nodes())
     y = opts.nodes()
     v0 = np.cos(40.0 * y) + np.sin(300.0 * y)  # nonzero at both edges
-    grid = dynamics._outer_grid(opts.n_nodes, params3)
-    x0 = dynamics._values(st, grid)
-    x0[grid.outer], x0[grid.inner] = v0, u0
+    flow = dynamics._flow(opts, params3)
+    x0 = dynamics._values(st, flow)
+    x0[flow.outer], x0[flow.inner] = v0, u0
     h = 0.03
-    k1 = no_sources(x0, S0, grid, params3, None, opts)
-    x1, _ = dynamics._lawson_step(x0, k1, S0, S0 + h, grid, params3, opts.quad(), opts)
+    k1 = no_sources(x0, S0, flow)
+    x1, _ = dynamics._lawson_step(x0, k1, S0, S0 + h, flow)
     want = expm(h * _frame().L) @ u0
-    assert np.max(np.abs(x1[grid.inner] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(x1[flow.inner] - want)) <= 1e-12 * np.max(np.abs(want))
     # the outer remainder diffuses for c = int I^{-2} over the step
     c = (float(scale_factor(S0, 2)) ** -2 - float(scale_factor(S0 + h, 2)) ** -2) / 0.5
-    want = expm(c * _edge_free_laplacian(grid)) @ v0
-    assert np.max(np.abs(x1[grid.outer] - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(x1[grid.modes], x0[grid.modes]) and x1[-1] == x0[-1]
+    want = expm(c * _edge_free_laplacian(flow)) @ v0
+    assert np.max(np.abs(x1[flow.outer] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(x1[flow.modes], x0[flow.modes]) and x1[-1] == x0[-1]
 
 
 def test_lawson_step_is_classical_rk4_where_the_propagator_is_the_identity(
@@ -512,38 +531,37 @@ def test_lawson_step_is_classical_rk4_where_the_propagator_is_the_identity(
     # the linear-only flow: the modes obey q' = lam q, so one step of h
     # multiplies each by RK4's stability polynomial R(h lam), and b' = 0
     st = init_state(np.array([0.3, -0.2, 0.15, 0.1]), DELTA, B0, S0, params3, opts_linear)
-    grid = dynamics._outer_grid(opts_linear.n_nodes, params3)
-    quad = opts_linear.quad()
-    x0 = dynamics._values(st, grid)
-    assert np.count_nonzero(x0[grid.modes]) == 4
+    flow = dynamics._flow(opts_linear, params3)
+    x0 = dynamics._values(st, flow)
+    assert np.count_nonzero(x0[flow.modes]) == 4
     s1 = S0 + 0.0375
-    k1 = dynamics._stage(x0, S0, grid, params3, quad, opts_linear)
-    x1, _ = dynamics._lawson_step(x0, k1, S0, s1, grid, params3, quad, opts_linear)
-    z = (s1 - S0) * grid.lam  # the step the routine takes, 0.0375 up to the roundoff of s1
-    want = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) * x0[grid.modes]
-    assert np.all(np.abs(x1[grid.modes] - want) <= 1e-15 * np.abs(want))
+    k1 = dynamics._stage(x0, S0, flow)
+    x1, _ = dynamics._lawson_step(x0, k1, S0, s1, flow)
+    z = (s1 - S0) * flow.lam  # the step the routine takes, 0.0375 up to the roundoff of s1
+    want = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) * x0[flow.modes]
+    assert np.all(np.abs(x1[flow.modes] - want) <= 1e-15 * np.abs(want))
     assert x1[-1] == x0[-1] == B0
 
 
 def test_state_vector_round_trips_through_the_state(params3, opts):
     # the layout is (modes | outer remainder | inner remainder | b), and a
     # state built from a vector gives that vector back bit for bit
-    grid = dynamics._outer_grid(opts.n_nodes, params3)
+    flow = dynamics._flow(opts, params3)
     n, N, Z = params3.n_modes, opts.n_nodes, inner_nodes().size
     x = np.random.default_rng(7).standard_normal(n + N + Z + 1)
     like = init_state(np.zeros(4), DELTA, B0, S0, params3, opts).dec.remainder
-    st = dynamics._state_at(x, S0 + 0.5, grid, like)
+    st = dynamics._state_at(x, S0 + 0.5, flow, like)
     assert st.s == S0 + 0.5
     assert _same(st.dec.modes, x[:n])
     assert _same(st.dec.remainder.values, x[n:n + N])
     assert _same(st.inner, x[n + N:n + N + Z])
     assert st.b == x[-1]
-    assert _same(dynamics._values(st, grid), x)
+    assert _same(dynamics._values(st, flow), x)
 
 
-def _edge_free_laplacian(grid) -> np.ndarray:
+def _edge_free_laplacian(flow) -> np.ndarray:
     """D0: grid.laplacian_compact as a matrix, its two edge rows zero."""
-    D0 = np.array([laplacian_compact(e, grid.h) for e in np.eye(grid.nodes.size)]).T
+    D0 = np.array([laplacian_compact(e, flow.h) for e in np.eye(flow.nodes.size)]).T
     D0[[0, -1]] = 0.0
     return D0
 
@@ -551,13 +569,13 @@ def _edge_free_laplacian(grid) -> np.ndarray:
 def test_outer_diffusion_propagator_is_the_exponential(params3, opts):
     # P(c) = e^{c D0} through the sine basis, for c = 0 and the c of a
     # 0.0375 step from s = 20 and from s = 25, on values nonzero at the edges
-    grid = dynamics._outer_grid(opts.n_nodes, params3)
-    D0 = _edge_free_laplacian(grid)
-    u = np.random.default_rng(5).standard_normal(grid.nodes.size)
+    flow = dynamics._flow(opts, params3)
+    D0 = _edge_free_laplacian(flow)
+    u = np.random.default_rng(5).standard_normal(flow.nodes.size)
     assert u[0] != 0.0 and u[-1] != 0.0
 
     def P(c, v):
-        return dynamics._diffuse(v, c, dynamics._sine_basis(grid.nodes.size, grid.h))
+        return dynamics._diffuse(v, c, dynamics._sine_basis(flow.nodes.size, flow.h))
 
     cs = [0.0] + [dynamics._diffusion_time(s, s + 0.0375, 2) for s in (20.0, 25.0)]
     for c in cs:
@@ -577,7 +595,7 @@ def test_outer_diffusion_propagator_is_the_exponential(params3, opts):
 @pytest.mark.parametrize("s0", [20.0, 22.0])
 def test_outer_grid_stays_stable_at_the_transport_step(params3, s0):
     # the linear-only flow with 1e-8 uniform noise on the outer remainder,
-    # two units of s in steps of stable_ds: the diffusion, now integrated
+    # two units of s in stable steps: the diffusion, now integrated
     # apart, no longer damps the transport's grid noise, and the noise still
     # grows by less than e^{2}, the growth of the operator's own +1
     flow = FlowOptions(linear_only=True)
@@ -585,7 +603,7 @@ def test_outer_grid_stays_stable_at_the_transport_step(params3, s0):
     noise = 1e-8 * np.random.default_rng(3).uniform(-1.0, 1.0, size=flow.n_nodes)
     st = SimState(s=st.s, b=st.b, dec=SpectralDecomposition(
         st.s, st.dec.modes, st.dec.remainder.with_values(noise)))
-    h = flow.stable_ds(2)
+    h = dynamics._flow(flow, params3).stable
     for _ in range(math.ceil(2.0 / h)):
         st = step(st, min(h, s0 + 2.0 - st.s), params3, flow)
     assert st.s == pytest.approx(s0 + 2.0, abs=1e-12)
@@ -619,44 +637,42 @@ def test_dense_output_meets_the_step_states(params3, opts, monkeypatch):
     monkeypatch.undo()
     assert rec.exit is None and len(rec.samples) == 16
     assert steps[0] == (s0, s0 + 0.01) and len(steps) < 15
-    grid = dynamics._outer_grid(opts.n_nodes, params3)
-    x = dynamics._values(st, grid)
+    flow = dynamics._flow(opts, params3)
+    x = dynamics._values(st, flow)
     met = 0
     for sa, sb in steps:
-        x, _, _ = dynamics._advance(x, None, sa, sb, grid, params3, opts.quad(), opts)
+        x, _, _ = dynamics._advance(x, None, sa, sb, flow)
         jb = round((sb - s0) / 0.0025)
         if jb % 4 == 0:
             smp = rec.samples[jb // 4]
-            assert np.array_equal(smp.modes, x[grid.modes]) and smp.b == x[-1]
+            assert np.array_equal(smp.modes, x[flow.modes]) and smp.b == x[-1]
             met += 1
     assert 3 <= met < len(rec.samples) - 1
     assert all(smp.modes[4] == 0.0 for smp in rec.samples)
-    assert np.array_equal(rec.final_state.inner, x[grid.inner])
-    assert np.array_equal(rec.final_state.dec.remainder.values, x[grid.outer])
+    assert np.array_equal(rec.final_state.inner, x[flow.inner])
+    assert np.array_equal(rec.final_state.dec.remainder.values, x[flow.outer])
 
 
 def test_lawson_step_agrees_with_quarter_steps(params3, opts):
     # the centre seed over s in [20, 22], with the run's step sizes: one step
     # of h against four of h / 4, both through the step routine; modes agree
     # within 1e-7 I^{-delta}(s) and b within 1e-9 relative
-    grid = dynamics._outer_grid(opts.n_nodes, params3)
-    quad = opts.quad()
+    flow = dynamics._flow(opts, params3)
     st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
-    coarse = fine = dynamics._values(st, grid)
+    coarse = fine = dynamics._values(st, flow)
     i = 0
     worst_q = worst_b = 0.0
     while i < 200:
         sa = S0 + i * 0.01
-        m = min(200 - i, max(1, int(opts.stable_ds(2) / 0.01)))
+        m = min(200 - i, max(1, int(flow.stable / 0.01)))
         sb = S0 + (i + m) * 0.01
-        coarse, _, _ = dynamics._advance(coarse, None, sa, sb, grid, params3, quad, opts)
+        coarse, _, _ = dynamics._advance(coarse, None, sa, sb, flow)
         for q in range(4):
             fine, _, _ = dynamics._advance(
-                fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4,
-                grid, params3, quad, opts,
+                fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4, flow,
             )
         amp = float(scale_factor(sb, 2)) ** -DELTA
-        worst_q = max(worst_q, float(np.max(np.abs(coarse[grid.modes] - fine[grid.modes]))) / amp)
+        worst_q = max(worst_q, float(np.max(np.abs(coarse[flow.modes] - fine[flow.modes]))) / amp)
         worst_b = max(worst_b, abs(coarse[-1] - fine[-1]) / abs(fine[-1]))
         i += m
     assert worst_q < 1e-7 and worst_b < 1e-9
@@ -680,24 +696,22 @@ def test_grown_steps_agree_with_quarter_steps(params3, opts, monkeypatch, seed):
     monkeypatch.undo()
     # the estimate grows the steps past the sample grid
     assert any(round((sb - sa) / 0.0025) % 4 for sa, sb in steps)
-    grid = dynamics._outer_grid(opts.n_nodes, params3)
-    quad = opts.quad()
-    coarse = fine = dynamics._values(st, grid)
+    flow = dynamics._flow(opts, params3)
+    coarse = fine = dynamics._values(st, flow)
     worst_q = worst_b = 0.0
     for sa, sb in steps:
-        coarse, _, _ = dynamics._advance(coarse, None, sa, sb, grid, params3, quad, opts)
+        coarse, _, _ = dynamics._advance(coarse, None, sa, sb, flow)
         for q in range(4):
             fine, _, _ = dynamics._advance(
-                fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4,
-                grid, params3, quad, opts,
+                fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4, flow,
             )
         amp = float(scale_factor(sb, 2)) ** -DELTA
-        worst_q = max(worst_q, float(np.max(np.abs(coarse[grid.modes] - fine[grid.modes]))) / amp)
+        worst_q = max(worst_q, float(np.max(np.abs(coarse[flow.modes] - fine[flow.modes]))) / amp)
         worst_b = max(worst_b, abs(coarse[-1] - fine[-1]) / abs(fine[-1]))
     assert worst_q < 1e-7 and worst_b < 1e-9
     if rec.exit is None:
-        assert np.array_equal(rec.final_state.dec.modes, coarse[grid.modes])
-        assert np.array_equal(rec.final_state.inner, coarse[grid.inner])
+        assert np.array_equal(rec.final_state.dec.modes, coarse[flow.modes])
+        assert np.array_equal(rec.final_state.inner, coarse[flow.inner])
 
 
 def _least_quarters(j: int) -> int:
@@ -712,10 +726,11 @@ def _least_quarters(j: int) -> int:
 )
 def test_grown_steps_sit_on_the_quarter_grid(params3, opts, monkeypatch, seed, length):
     # every step ends at s0 + j ds/4 with j an integer count, takes at least
-    # the least step, and goes past it only within stable_ds
+    # the least step, and goes past it only within the stable step
     steps = _recorded_steps(monkeypatch)
     run(init_state(seed, DELTA, B0, S0, params3, opts), S0 + length, DELTA, B0, params3,
         ds=0.01, opts=opts)
+    stable = dynamics._flow(opts, params3).stable
     end = round(length / 0.0025)
     j = 0
     for sa, sb in steps:
@@ -724,21 +739,21 @@ def test_grown_steps_sit_on_the_quarter_grid(params3, opts, monkeypatch, seed, l
         assert sb == S0 + jb * 0.0025 or (jb == end and sb == S0 + length)
         least = _least_quarters(j)
         assert jb - j >= least or jb == end
-        # within stable_ds up to the roundoff of step times, as _advance counts it
-        assert jb - j == least or (sb - sa) / opts.stable_ds(2) - 1e-9 <= 1.0
+        # within the stable step up to the roundoff of step times, as _advance counts it
+        assert jb - j == least or (sb - sa) / stable - 1e-9 <= 1.0
         j = jb
 
 
 def test_a_wide_seed_keeps_the_least_steps_in_its_transient(params3, opts, monkeypatch):
     # in the wide seed's transient the estimate allows no more than the least
-    # step, one output interval, where stable_ds would allow fifteen quarters
+    # step, one output interval, where the stable step would allow fifteen quarters
     steps = _recorded_steps(monkeypatch)
     rec = run(init_state(WIDE, DELTA, B0, S0, params3, opts), S0 + 0.5, DELTA, B0, params3,
               ds=0.01, opts=opts)
     assert rec.exit is not None and rec.exit.bound == "mode_1"
     assert len(steps) == len(rec.samples) - 1 > 20
     assert all(sb - sa == pytest.approx(0.01, rel=1e-9) for sa, sb in steps)
-    assert opts.stable_ds(2) == 0.0375
+    assert dynamics._flow(opts, params3).stable == 0.0375
 
 
 def test_step_error_estimate_costs_no_stage(params3, opts, monkeypatch):
@@ -784,9 +799,9 @@ def _failing_stage(monkeypatch, after: int, times: int):
     real = dynamics._stage
     calls = [0]
 
-    def stage(x, s, grid, params, quad, opts):
+    def stage(x, s, flow):
         calls[0] += 1
-        out = real(x, s, grid, params, quad, opts)
+        out = real(x, s, flow)
         if after <= calls[0] < after + times:
             return np.full_like(out, np.nan)
         return out

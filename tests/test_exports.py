@@ -90,3 +90,23 @@ def test_every_public_name_has_a_caller():
     assert sorted(uncalled - set(REFERENCES)) == []
     # a reference that gains a caller leaves the list
     assert sorted(set(REFERENCES) - uncalled) == []
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports but neither refers to nor lists in __all__."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import) or (isinstance(n, ast.ImportFrom) and n.module != "__future__")
+        for alias in n.names
+    }
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used - set(_exported(tree)))
+
+
+# __init__ imports only to re-export
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}), ids=lambda p: p.stem,
+)
+def test_no_unused_imports(path):
+    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

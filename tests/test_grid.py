@@ -108,9 +108,11 @@ def test_upwind_gradient_split_is_bitwise_the_masked_form(wind):
 
 
 def test_z_operator_is_bitwise_unchanged():
+    from blowlab.params import make_params
     from blowlab.projection import z_frame
 
-    assert z_frame(96, 17).L.tobytes() == _z_operator_with_both_stencils().tobytes()
+    L = z_frame(96, make_params(3.0, 2)).L
+    assert L.tobytes() == _z_operator_with_both_stencils().tobytes()
 
 
 def test_laplacian_compact_exact_on_quadratics():

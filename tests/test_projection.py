@@ -22,7 +22,6 @@ from blowlab.params import NodePowers, alpha_consts, node_powers, scale_factor
 from blowlab.projection import (
     ZRemainder,
     _basis_structure,
-    _fixed_points,
     _increments,
     _jet_binomial_power,
     _legendre_rule,
@@ -42,7 +41,7 @@ K = 2
 
 @pytest.fixture(scope="module")
 def frame(params3):
-    return z_frame(96, default_jet_order(params3.n_modes))
+    return z_frame(96, params3)
 
 
 def _inner_values(I):
@@ -211,16 +210,16 @@ def test_scale_tables_hold_no_array_at_the_nodes(params3, s):
         assert max(np.shape(entry), default=0) <= J + 1, name
 
 
-def test_node_tables_are_built_once(params3, quad96):
+def test_node_tables_are_built_once(params3, quad96, frame):
     n = params3.n_modes
-    fixed = _fixed_points(96, n, K)
     z = np.concatenate((quad96.nodes, inner_nodes()))
-    assert all(_same(x, y) for x, y in zip(fixed.pw, node_powers(z, K)))
-    assert _same(fixed.htab, hermite_z_table(z, n - 1))
-    assert _same(fixed.htab[:, :96], quad_hermite_table(quad96, n - 1))
-    assert fixed.z_edge == float(np.max(np.abs(quad96.nodes)))
-    assert not any(a.flags.writeable for a in (*fixed.pw, fixed.htab))
-    assert _fixed_points(96, n, K) is fixed
+    assert all(_same(x, y) for x, y in zip(frame.pw, node_powers(z, K)))
+    assert _same(frame.htab, hermite_z_table(z, n - 1))
+    assert _same(frame.htab[:, :96], quad_hermite_table(quad96, n - 1))
+    # projected_sources' convergence guard reads the largest Gauss node as the last
+    assert quad96.nodes[-1] == float(np.max(np.abs(quad96.nodes)))
+    assert not any(a.flags.writeable for a in (*frame.pw, frame.htab))
+    assert z_frame(96, params3) is frame
 
 
 def _inputs(params3, frame, s):
@@ -237,12 +236,11 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
     n, p, k = params3.n_modes, params3.p, K
     I, vals, modes, b = _inputs(params3, frame, s)
     tab = scale_tables(s, K, n, frame.J)
-    fixed = _fixed_points(96, n, K)
     rd = frame.SDD @ vals
     r, drz = np.concatenate((rd[:96], vals)), rd[96:]
-    qp = (modes * tab.iexp[:n]) @ fixed.htab
-    got = _increments(qp, r, drz, fixed.pw, b, tab, params3)
-    y = fixed.pw.y / I
+    qp = (modes * tab.iexp[:n]) @ frame.htab
+    got = _increments(qp, r, drz, frame.pw, b, tab, params3)
+    y = frame.pw.y / I
     e = 1.0 / (p - 1.0 + b * y**4)
     a = alpha_consts(b, params3)
     want = np.array([
@@ -260,19 +258,18 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
 def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
     n = params3.n_modes
     tab = scale_tables(s, K, n, frame.J)
-    fixed = _fixed_points(96, n, K)
     I, vals, modes, b = _inputs(params3, frame, s)
     rd = frame.SDD @ vals
     scaled = modes * tab.iexp[:n]
     qpq = scaled @ quad_hermite_table(quad96, n - 1)
     qpi = scaled @ hermite_z_table(frame.z, n - 1)
-    gauss_pw = NodePowers(*(a[:96] for a in fixed.pw))
-    inner_pw = NodePowers(*(a[96:] for a in fixed.pw))
+    gauss_pw = NodePowers(*(a[:96] for a in frame.pw))
+    inner_pw = NodePowers(*(a[96:] for a in frame.pw))
     args = (b, tab, params3)
     gauss = _increments(qpq, rd[:96], rd[96:192], gauss_pw, *args)
     inner = _increments(qpi, vals, rd[192:], inner_pw, *args)
     fused = _increments(
-        scaled @ fixed.htab, np.concatenate((rd[:96], vals)), rd[96:], fixed.pw, *args,
+        scaled @ frame.htab, np.concatenate((rd[:96], vals)), rd[96:], frame.pw, *args,
     )
     assert _same(fused[:, :96], gauss)
     assert _same(fused[:, 96:], inner)
@@ -290,7 +287,7 @@ def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
     bp = proj.bprime(params3)
     got = remainder_source(proj, bp, modes, rem, b, s, params3)
     # the same source with the increments evaluated at the inner nodes alone
-    inner_pw = NodePowers(*(a[96:] for a in _fixed_points(96, n, K).pw))
+    inner_pw = NodePowers(*(a[96:] for a in frame.pw))
     incs = _increments(
         (modes * tab.iexp[:n]) @ frame.ztab[:n], vals, frame.SDD[192:] @ vals, inner_pw, b, tab,
         params3,
