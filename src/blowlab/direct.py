@@ -138,8 +138,8 @@ def solve_w_direct(
     """Integrate the self-similar frame equation with outflow boundaries.
 
     The march sums s in compensated arithmetic, and its steps land on the
-    grid s0 + i W_SNAPSHOT_DS, where the snapshots are taken. The run ends
-    once the sup norm reaches W_BLOWUP_THRESHOLD.
+    grid s0 + i W_SNAPSHOT_DS (within 1e-12, or 4 ulps of s if more), where
+    the snapshots are taken. The run ends once the sup norm reaches W_BLOWUP_THRESHOLD.
     """
     s0, s1 = float(s_range[0]), float(s_range[1])
     if not s1 > s0:
@@ -150,6 +150,7 @@ def solve_w_direct(
     r = 1.0 - 1.0 / k  # I(s)^{-2} = exp(-r s)
     wind = nodes / (2.0 * k)
     dt_adv = RK4_TRANSPORT_CFL * h / max(float(np.max(np.abs(wind))), 1e-12)
+    tol = max(1e-12, 4.0 * math.ulp(s1))  # a grid point reached
 
     def rhs(w: np.ndarray, s: float) -> np.ndarray:
         return (
@@ -160,7 +161,7 @@ def solve_w_direct(
         )
 
     def grid_index(s: float) -> int:  # the last snapshot-grid point s has reached
-        return math.floor((s - s0 + 1e-12) / W_SNAPSHOT_DS)
+        return math.floor((s - s0 + tol) / W_SNAPSHOT_DS)
 
     def limit(s: float, sup: float) -> float:
         try:
@@ -175,7 +176,7 @@ def solve_w_direct(
         return min(dt_diff, dt_adv, dt_react, next_snap - s + 1e-15)
 
     def keep(s: float, *_) -> bool:
-        return s - s0 - grid_index(s) * W_SNAPSHOT_DS <= 1e-12
+        return s - s0 - grid_index(s) * W_SNAPSHOT_DS <= tol
 
     return _march(w0.values, s0, s1, rhs, limit, keep, W_BLOWUP_THRESHOLD, nodes, "w")
 
@@ -283,26 +284,26 @@ def _fit_core(y: np.ndarray, w: np.ndarray, params: ModelParams, y_fit: float) -
 @dataclass(frozen=True)
 class ProfileComparison:
     times: np.ndarray
-    tau: np.ndarray
+    log_tau: np.ndarray
     b_series: np.ndarray
     distances: np.ndarray
     loglog_slope: float
     n_used: int
 
 
-def _comparison(times: list, taus: list, bs: list, ds: list) -> ProfileComparison:
+def _comparison(times: list, log_tau, bs: list, ds: list) -> ProfileComparison:
     """The record of a profile series, with its slope of log(distance) against log(tau)."""
-    taus_a = np.array(taus)
+    log_tau = np.asarray(log_tau, dtype=float)
     ds_a = np.array(ds)
     good = ds_a > 0.0
     slope = (
-        float(np.polyfit(np.log(taus_a[good]), np.log(ds_a[good]), 1)[0])
+        float(np.polyfit(log_tau[good], np.log(ds_a[good]), 1)[0])
         if int(np.sum(good)) >= 2
         else math.nan
     )
     return ProfileComparison(
         times=np.array(times),
-        tau=taus_a,
+        log_tau=log_tau,
         b_series=np.array(bs),
         distances=ds_a,
         loglog_slope=slope,
@@ -343,20 +344,19 @@ def compare_profile(run: PdeRun, T_hat: float, params: ModelParams) -> ProfileCo
         ds.append(dist)
     if len(times) < MIN_SNAPSHOTS:
         raise ValueError(f"only {len(times)} usable snapshots; need >= {MIN_SNAPSHOTS}")
-    return _comparison(times, taus, bs, ds)
+    return _comparison(times, np.log(taus), bs, ds)
 
 
 def profile_distance_series(run: PdeRun, params: ModelParams) -> ProfileComparison:
-    """Profile fits and sup distances along a self-similar-frame run."""
+    """Profile fits and sup distances along a self-similar-frame run, against log tau = -s."""
     if run.frame != "w":
         raise ValueError("profile_distance_series expects a self-similar run")
-    times, taus, bs, ds = [], [], [], []
+    times, bs, ds = [], [], []
     mask = np.abs(run.nodes) <= Y_WINDOW
     for s, snap in zip(run.times, run.snapshots):
         fit = _fit_core(run.nodes, snap, params, Y_FIT)
         f_ref, _ = eval_profile(run.nodes[mask], max(fit.b, 0.0), params)
         times.append(float(s))
-        taus.append(math.exp(-s))
         bs.append(fit.b)
         ds.append(float(np.max(np.abs(snap[mask] - f_ref))))
-    return _comparison(times, taus, bs, ds)
+    return _comparison(times, -np.array(times), bs, ds)

@@ -18,15 +18,20 @@ one Lawson RK4 scheme but by different mechanisms:
   is the constant-coefficient operator L = d_zz - (z/2) d_z + 1, and the
   sources come in the cancellation-free form of remainder_source(). It
   alone feeds the remainder back into the tracked modes and measures the
-  unstable-range debris removed after every step. Because its nodes and
-  the Gauss nodes sit at fixed z, every operator on it is independent of s
-  and built once per process (projection.z_frame): L, the stacked
-  interpolation and derivative [S; S D; D], the basis table h_0..h_J and
-  the node tables at the Gauss and the inner nodes. A stage applies them
-  as matrix products and hands the grid's values over as a
-  projection.ZRemainder. An outer grid over |y| <= Y_MAX, with
-  pointwise sources, carries the remainder where the weighted sup |q_-|_s
-  looks, far outside the weight.
+  unstable-range debris removed after every step. An outer grid over
+  |y| <= Y_MAX, with pointwise sources, carries the remainder where the
+  weighted sup |q_-|_s looks, far outside the weight.
+
+Every layer of a step reads one context, built once per FlowOptions and
+model (_flow). A stage (_stage) visits each node set once: the jets of q_+;
+the Gauss and the inner nodes together, whose operators and tables sit at
+fixed z and are built once per process (projection.z_frame), the inner
+remainder handed over as a projection.ZRemainder; and the outer nodes,
+where the remainder's upwinded transport and derivative are one banded
+product (grid.band) and the sources one pass (_outer_sources). There q_+,
+dq_+/dy and the sources' tracked content are power series in y from
+projection.scale_tables' conversion table, summed with the monomials of
+the flow context: no table at the outer nodes depends on s.
 
 The time scheme is Lawson's RK4 (Hochbruck & Ostermann, Acta Numerica 19,
 2010) on one vector x = (modes | outer remainder | inner remainder | b),
@@ -45,14 +50,6 @@ which the next step starts from, against its fourth stage), but never
 below one output interval from a sample. The samples inside a step are read off a
 cubic Hermite interpolant of the step's end states and derivatives.
 
-Every layer of a step reads one context, built once per FlowOptions and
-model (_flow): the model, the quadrature rule, the jet order, the stable
-step, and the outer nodes with what a stage needs there (their powers,
-the wind, the monomials y^j of the tracked degrees). A series in the
-basis reaches the outer nodes as its power series in y, whose
-coefficients come from projection.scale_tables' conversion table, times the
-monomials: no table of the basis at the outer nodes depends on s.
-
 The modulation rate b' is solved at every stage so dq_{2k}/ds = 0; the
 neutral mode therefore stays exactly zero along trajectories.
 
@@ -62,7 +59,6 @@ remainder sup |q_-|_s <= I^{-delta}(s), and b0/2 <= b <= 2 b0. Trajectories
 either survive to the horizon or exit; exits record the violated bound, the
 crossing sign, and the crossing speed.
 """
-
 from __future__ import annotations
 
 import math
@@ -73,7 +69,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .grid import (
-    RK4_TRANSPORT_CFL, GridFunction, derivative, laplacian_compact, sample, uniform_grid,
+    RK4_TRANSPORT_CFL, GridFunction, band, derivative, laplacian_compact, sample, uniform_grid,
     upwind_gradient,
 )
 from .hermite import (
@@ -84,14 +80,8 @@ from .hermite import (
     project_modes_from_samples,
     remainder_seminorm,
 )
-from .operators import (
-    ModulationBreakdownError,
-    drift_values,
-    modulation_values,
-    nonlinear_values,
-    residual_values,
-)
-from .params import ModelParams, NodePowers, node_powers, scale_factor
+from .operators import ModulationBreakdownError, nonlinear_values
+from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor
 from .projection import (
     Z_NODES,
     ZRemainder,
@@ -317,6 +307,7 @@ class _Flow(NamedTuple):
     pw: NodePowers  # the nodes' powers that the pointwise sources use
     yM: np.ndarray  # |y|^M, the seminorm's weight
     lam: np.ndarray  # 1 - n/2k, the tracked modes' linear rates
+    ddy: np.ndarray  # d/dy on basis coefficients, as d/dy H_n = n H_{n-1}
     mono: np.ndarray  # y^j at the nodes, j = 0..M_floor
     modes: slice  # x = (modes | outer remainder | inner remainder | b)
     outer: slice
@@ -335,12 +326,12 @@ def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
         linear_only=opts.linear_only,
         nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
-        lam=1.0 - np.arange(n) / (2.0 * k),
+        lam=1.0 - np.arange(n) / (2.0 * k), ddy=np.diag(np.arange(1.0, n), -1),
         mono=np.vander(nodes, n, increasing=True).T,
         modes=slice(0, n), outer=slice(n, n + n_nodes),
         inner=slice(n + n_nodes, n + n_nodes + Z_NODES),
     )
-    for arr in (flow.nodes, flow.wind, *flow.pw[1:], flow.yM, flow.lam, flow.mono):
+    for arr in (flow.nodes, flow.wind, *flow.pw[1:], flow.yM, flow.lam, flow.ddy, flow.mono):
         arr.flags.writeable = False  # one cached copy serves every caller
     return flow
 
@@ -351,6 +342,20 @@ def _flow_of(state: SimState, params: ModelParams, opts: FlowOptions) -> _Flow:
     if not np.array_equal(state.dec.remainder.nodes, flow.nodes):
         raise ValueError("the state's outer nodes are not opts.nodes()")
     return flow
+
+
+@lru_cache(maxsize=8)
+def _outer_band(n_nodes: int, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """grid.band of [1 - (y/2k) d/dy upwinded; d/dy] on the outer grid, built once per process.
+
+    Only a stage reads it, so membership's flow context does not build it.
+    """
+    wind, eye = uniform_grid(Y_MAX, n_nodes) / (2.0 * k), np.eye(n_nodes)
+    # the kernels act along the first axis: on the identity, their matrices
+    out = band(np.vstack([eye - wind[:, None] * upwind_gradient(eye, h, wind), derivative(eye, h)]))
+    for arr in out:
+        arr.flags.writeable = False  # one cached copy serves every caller
+    return out
 
 
 def _scale_tables(s: float, flow: _Flow) -> ScaleTables:
@@ -366,51 +371,61 @@ def _stage(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     inner remainder reaches the projections as a ZRemainder, through the
     cached z-frame operators; on the outer grid q_+, dq_+/dy and the
     sources' tracked projection are three power series in y, summed by one
-    product with its monomials.
+    product with its monomials, and the remainder's upwinded transport and
+    derivative are one banded product.
     """
     params = flow.params
-    modes, rem_vals, inner_vals = x[flow.modes], x[flow.outer], x[flow.inner]
-    b = float(x[-1])
-    tab = _scale_tables(s, flow)
-    h = flow.h
-    dx = np.zeros_like(x)
-
+    modes, n = x[flow.modes], params.n_modes
+    dx = np.empty_like(x)
     # remainder transport: upwinded, it stays stable without the damping of
     # the diffusion, which is integrated apart
-    Ls_rem = rem_vals - flow.wind * upwind_gradient(rem_vals, h, flow.wind)
-
+    cols, weights = _outer_band(flow.nodes.size, flow.h, flow.params.k)
+    Ls_rem, drem = np.einsum("jn,jn->n", weights, x[flow.outer][cols]).reshape(2, -1)
     if flow.linear_only:
-        dx[flow.modes], dx[flow.outer] = flow.lam * modes, Ls_rem
+        dx[flow.modes], dx[flow.outer], dx[flow.inner.start:] = flow.lam * modes, Ls_rem, 0.0
         return dx
 
-    inner = ZRemainder(z_frame(flow.quad.order, params), inner_vals)
+    b = float(x[-1])
+    tab = _scale_tables(s, flow)
+    inner = ZRemainder(z_frame(flow.quad.order, params), x[flow.inner])
     proj = projected_sources(modes, inner, b, s, params, flow.quad)
     bprime = proj.bprime(params)
-
     src_proj = proj.PN + proj.PD + proj.PR + bprime * proj.PM
-    n = params.n_modes
     dmodes = flow.lam * modes + src_proj
     dmodes[2 * params.k] = 0.0
 
-    # pointwise sources on the outer grid minus their tracked-mode content
-    series = np.empty((3, n))
-    np.matmul(modes, tab.conv[:, :n], out=series[0])
-    np.multiply(series[0, 1:], np.arange(1, n), out=series[1, :-1])  # d/dy y^j = j y^{j-1}
-    series[1, -1] = 0.0
-    np.matmul(src_proj, tab.conv[:, :n], out=series[2])
-    q_plus, dq_plus, tracked = series @ flow.mono
-    q_grid = q_plus + rem_vals
-    dq_grid = dq_plus + derivative(rem_vals, h)
-    e = 1.0 / (params.p - 1.0 + b * flow.pw.y2k)  # e_b
-    S = (
-        nonlinear_values(q_grid, e, params.p)
-        + drift_values(dq_grid, flow.pw, e, b, tab.I2inv, params)
-        + residual_values(q_grid, flow.pw, e, b, tab.I2inv, params)
-        + bprime * modulation_values(q_grid, flow.pw, e, params)
-    )
-    dx[flow.modes], dx[flow.outer], dx[-1] = dmodes, Ls_rem + S - tracked, bprime
+    # pointwise sources on the outer grid minus their tracked-mode content;
+    # the basis coefficients of q_+, dq_+/dy and the sources' tracked
+    # projection become power series in y, summed with the monomials
+    series = np.array((modes, modes.dot(flow.ddy), src_proj))
+    q_grid, dq_grid, tracked = series.dot(tab.conv[:, :n]).dot(flow.mono)
+    q_grid += x[flow.outer]
+    dq_grid += drem
+    Ls_rem -= tracked
+    Ls_rem += _outer_sources(q_grid, dq_grid, b, bprime, tab.I2inv, flow)
+    dx[flow.modes], dx[flow.outer], dx[-1] = dmodes, Ls_rem, bprime
     dx[flow.inner] = remainder_source(proj, bprime, modes, inner, b, s, params)
     return dx
+
+
+def _outer_sources(q: np.ndarray, dq: np.ndarray, b: float, bprime: float, I2inv: float,
+                   flow: _Flow) -> np.ndarray:
+    """N + D_s + R_s + b' M at the outer nodes from q and dq/dy there, in one pass.
+
+    operators' derived forms, with e_b, u = e_b q and y^{2k} e_b formed once:
+    R_s + b' M = I^{-2} |y|^{2k-2} (alpha1 + alpha3 u + y^{2k} e_b (alpha2 + alpha4 u))
+    + b'/(p-1) y^{2k} (1 + p u). Where 1 + u <= 0, N is operators.nonlinear_values'.
+    """
+    params, pw = flow.params, flow.pw
+    p, a = params.p, alpha_consts(b, params)
+    e = 1.0 / (p - 1.0 + b * pw.y2k)
+    u = e * q
+    pu = p * u
+    S = np.expm1(p * np.log1p(u)) - pu if u.min() > -1.0 else nonlinear_values(q, e, p)
+    S += I2inv * pw.yres * (a.alpha1 + a.alpha3 * u + pw.y2k * e * (a.alpha2 + a.alpha4 * u))
+    S += bprime / (p - 1.0) * pw.y2k * (1.0 + pu)
+    S += -4.0 * p * params.k * b / (p - 1.0) * I2inv * pw.ydrift * e * dq
+    return S
 
 
 # e^A is summed as the Taylor polynomial of this degree in A / 2^j, scaled
@@ -507,10 +522,10 @@ def _diffuse(v: np.ndarray, c: float, basis: _SineBasis) -> np.ndarray:
     DST-I, which is its own inverse: the edge values enter as the affine
     term (e^{c mu} - 1)/mu times their columns of D0.
     """
-    a = v[..., 1:-1] @ basis.sine
-    a += np.expm1(c * basis.mu) * (a - v[..., [0, -1]] @ basis.line)
+    a = v[..., 1:-1].dot(basis.sine)
+    a += np.expm1(c * basis.mu) * (a - v[..., :: v.shape[-1] - 1].dot(basis.line))
     out = v.copy()
-    out[..., 1:-1] = a @ basis.sine
+    out[..., 1:-1] = a.dot(basis.sine)
     return out
 
 
@@ -525,7 +540,7 @@ def _lawson_step(
     With X, K = P x0, P k1, the stages are k2 = F(X + h/2 K),
     k3 = F(X + h/2 k2) and k4 = F(Q(X + h k3)), and the step ends at
     Q(X + h/6 (K + 2 (k2 + k3))) + h/6 k4. Each propagator acts on two
-    stacked rows. Returns the state at s1 and k4, which _step_error weighs
+    rows at once. Returns the state at s1 and k4, which _step_error weighs
     against the stage at s1.
     """
     h = s1 - s0
@@ -533,18 +548,18 @@ def _lawson_step(
     E = _half_exp(h, flow)
     basis = _sine_basis(flow.nodes.size, flow.h)
 
-    def half(rows: np.ndarray, sa: float, sb: float) -> np.ndarray:
-        """The propagator from sa to sb, a half step, on each row of rows."""
-        out = rows.copy()
-        out[:, flow.inner] = rows[:, flow.inner] @ E.T
+    def half(u: np.ndarray, v: np.ndarray, sa: float, sb: float) -> np.ndarray:
+        """The propagator from sa to sb, a half step, on u and v, as two rows."""
+        rows = np.array((u, v))
+        rows[:, flow.inner] = rows[:, flow.inner].dot(E.T)
         c = _diffusion_time(sa, sb, flow.params.k)
-        out[:, flow.outer] = _diffuse(rows[:, flow.outer], c, basis)
-        return out
+        rows[:, flow.outer] = _diffuse(rows[:, flow.outer], c, basis)
+        return rows
 
-    X, K = half(np.stack((x0, k1)), s0, sm)
+    X, K = half(x0, k1, s0, sm)
     k2 = _stage(X + 0.5 * h * K, sm, flow)
     k3 = _stage(X + 0.5 * h * k2, sm, flow)
-    x4, y = half(np.stack((X + h * k3, X + h / 6.0 * (K + 2.0 * (k2 + k3)))), sm, s1)
+    x4, y = half(X + h * k3, X + h / 6.0 * (K + 2.0 * (k2 + k3)), sm, s1)
     k4 = _stage(x4, s1, flow)
     return y + h / 6.0 * k4, k4
 
@@ -566,10 +581,10 @@ def _step_tail(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     frame = z_frame(quad.order, params)
     n = 2 * params.k
     leak = project_modes_from_samples(
-        frame.SDD[: quad.order] @ inner, s, params.k, n, quad, scale=tab.proj_scale,
+        frame.sdd(inner)[: quad.order], s, params.k, n, quad, scale=tab.proj_scale,
     )
-    rem -= (leak @ tab.conv[:n, :n]) @ flow.mono[:n]
-    inner -= (leak * tab.iexp[:n]) @ frame.ztab[:n]
+    rem -= leak.dot(tab.conv[:n, :n]).dot(flow.mono[:n])
+    inner -= (leak * tab.iexp[:n]).dot(frame.ztab[:n])
     # where both grids overlap the outer one takes the resolved values:
     # once it under-resolves the weight, its own near-origin evolution
     # seeds unstable-range debris that only the inner grid can measure

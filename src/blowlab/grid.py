@@ -23,6 +23,7 @@ __all__ = [
     "laplacian_compact",
     "sample",
     "sample_matrix",
+    "band",
     "RK4_TRANSPORT_CFL",
     "RK4_DIFFUSION_CFL",
 ]
@@ -210,3 +211,17 @@ def sample_matrix(nodes: np.ndarray, points) -> np.ndarray:
     for c, w in enumerate(weights):
         out[rows, base + c] = w
     return out
+
+
+def band(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A matrix's rows as windows of one width over its columns: (columns, weights).
+
+    Each row's window starts at its first nonzero column, moved left where
+    it would run past the last column, and is as wide as the widest span of
+    nonzeros in a row; then A @ v = einsum("jn,jn->n", weights, v[columns]).
+    """
+    nz = A != 0.0
+    first = nz.argmax(axis=1)
+    width = int(np.max(A.shape[1] - nz[:, ::-1].argmax(axis=1) - first))
+    columns = np.minimum(first, A.shape[1] - width) + np.arange(width)[:, None]
+    return columns, A[np.arange(A.shape[0]), columns]

@@ -162,7 +162,7 @@ def project_modes_from_samples(
     """
     if scale is None:
         scale = mode_projection_scale(float(scale_factor(s, k)), n_modes)
-    return (f_quad @ _projector(quad.order, n_modes)) * scale[:n_modes]
+    return f_quad.dot(_projector(quad.order, n_modes)) * scale[:n_modes]
 
 
 @lru_cache(maxsize=8)

@@ -59,8 +59,7 @@ class ModelParams:
         return self.M_floor + 1
 
 
-@dataclass(frozen=True)
-class AlphaConstants:
+class AlphaConstants(NamedTuple):
     """Coefficients of the profile-curvature source term, quadratic in b."""
 
     alpha1: float

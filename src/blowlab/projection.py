@@ -20,23 +20,16 @@ are products with lower-triangular Toeplitz matrices.
 
 The flow carries its remainder on an inner grid at fixed z = I(s) y, and
 the Gauss nodes also sit at fixed z, so every map between that grid, the
-quadrature nodes and the basis is independent of s, and so are the arrays
-a stage reads at those nodes. z_frame() builds them once per quadrature
-order and model and caches them: the stacked matrix [S; S D; D] that gives
-the remainder at the Gauss nodes and its z-derivative at the Gauss and the
-inner nodes in one product (S from grid.sample's own stencil, D from
-grid.derivative's), h_0..h_J at the inner nodes, the inner grid's
-d_zz - (z/2) d_z + 1, and the node tables: the Gauss and the inner nodes'
-powers of |z| and h_0..h_{M_floor} there. A power of y = z / I is a power
-of z times a power of I, and the sources take those powers of I as scalar
-factors. A remainder handed over as a ZRemainder is read through the
-frame; any other GridFunction is sampled point by point. What does depend
-on s is O(J) in size and built once per scale time by scale_tables(): I
-and its powers, the basis/monomial conversion tables and the projection
-scale. With a ZRemainder the source increments are evaluated once, at the
-Gauss and the inner nodes together: projected_sources() projects the first
-part and carries the second on its SourceProjections for
-remainder_source().
+quadrature nodes and the basis, and every table a stage reads at those
+nodes, is independent of s: z_frame() builds them once per quadrature
+order and model. A power of y = z / I is a power of z times a power of I,
+and the sources take those powers of I as scalar factors. What does depend
+on s is O(J) in size and built once per scale time by scale_tables(). A
+remainder handed over as a ZRemainder is read through the frame, and its
+source increments are evaluated in one pass at the Gauss and the inner
+nodes together: projected_sources() projects the first part and carries
+the second on its SourceProjections for remainder_source(); any other
+GridFunction is sampled point by point.
 """
 
 from __future__ import annotations
@@ -49,6 +42,7 @@ import numpy as np
 
 from .grid import (
     GridFunction,
+    band,
     derivative,
     laplacian_compact,
     sample,
@@ -104,11 +98,12 @@ class ZFrame(NamedTuple):
     """The s-independent operators and node tables of the inner grid, for one quad order and model.
 
     The Gauss nodes sit at fixed z, so interpolation from the inner nodes to
-    them does not depend on s. SDD = [S; S D; D] gives r at the Gauss nodes,
-    then dr/dz at the Gauss and at the inner nodes, in one product, with S
-    the matrix of grid.sample's local cubic and D that of grid.derivative's
-    4th-order stencils; dr/dy = I dr/dz. ztab holds h_0..h_J at the nodes,
-    so H_n(z / I, s) = I^{-n} ztab[n]. L is the inner grid's L_s plus
+    them does not depend on s. [S; S D; D] gives r at the Gauss nodes, then
+    dr/dz at the Gauss and at the inner nodes, with S the matrix of
+    grid.sample's local cubic and D that of grid.derivative's 4th-order
+    stencils; dr/dy = I dr/dz. It is kept as grid.band's cols and weights,
+    at most 8 nodes per row, and applied by sdd(). ztab holds h_0..h_J at
+    the nodes, so H_n(z / I, s) = I^{-n} ztab[n]. L is the inner grid's L_s plus
     moving-frame term, d_zz - (z/2) d_z + 1, from grid.laplacian_compact and
     grid.upwind_gradient. pw holds the Gauss nodes followed by the inner
     nodes, in z, with their powers of |z|, and htab h_0..h_{M_floor} there.
@@ -117,11 +112,16 @@ class ZFrame(NamedTuple):
     quad_order: int
     J: int
     z: np.ndarray
-    SDD: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
     ztab: np.ndarray
     L: np.ndarray
     pw: NodePowers
     htab: np.ndarray
+
+    def sdd(self, values: np.ndarray) -> np.ndarray:
+        """[S; S D; D] @ values: r at the Gauss nodes, then dr/dz there and at the inner nodes."""
+        return np.einsum("jn,jn->n", self.weights, values[self.cols])
 
 
 @lru_cache(maxsize=8)
@@ -138,11 +138,10 @@ def z_frame(quad_order: int, params: ModelParams) -> ZFrame:
     J = default_jet_order(params.n_modes)
     points = np.concatenate((gauss, z))
     frame = ZFrame(
-        quad_order=quad_order, J=J, z=z,
-        SDD=np.vstack([S, S @ D, D]), ztab=hermite_z_table(z, J), L=L,
+        quad_order, J, z, *band(np.vstack([S, S @ D, D])), ztab=hermite_z_table(z, J), L=L,
         pw=node_powers(points, params.k), htab=hermite_z_table(points, params.n_modes - 1),
     )
-    for arr in (frame.z, frame.SDD, frame.ztab, frame.L, *frame.pw, frame.htab):
+    for arr in (frame.z, frame.cols, frame.weights, frame.ztab, frame.L, *frame.pw, frame.htab):
         arr.flags.writeable = False  # one cached copy serves every caller
     return frame
 
@@ -176,37 +175,32 @@ def _toeplitz_index(J: int) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=8)
-def _binomial_coefficients(expo: float, n_terms: int) -> np.ndarray:
-    """binom(expo, m) for m = 0..n_terms."""
-    m = np.arange(1, n_terms + 1)
-    coeff = np.cumprod(np.concatenate(([1.0], (expo - (m - 1)) / m)))
-    coeff.flags.writeable = False
-    return coeff
-
-
 def _jet_binomial_power(u: np.ndarray, expo: float) -> np.ndarray:
     """Jet of (1 + u)^expo; requires 1 + u[0] > 0.
 
     Expands around the jet's constant term, so the truncated coefficients are
     exact for any real exponent. The powers of the constant-free part w come
-    from repeated products with its Toeplitz matrix; for a non-negative
-    integer exponent the binomial series ends at w^expo.
+    from products with its Toeplitz matrix, by Horner's rule; for a
+    non-negative integer exponent the binomial series ends at w^expo.
     """
     base = 1.0 + u[0]
     if base <= 0.0:
         raise ValueError("jet composition requires 1 + u(0) > 0")
     J = u.size - 1
+    n_terms = min(J, int(expo)) if float(expo).is_integer() and expo >= 0 else J
     w = np.zeros(J + 2)
     np.divide(u, base, out=w[: J + 1])
     w[0] = 0.0
-    n_terms = min(J, int(expo)) if float(expo).is_integer() and expo >= 0 else J
     T = w[_toeplitz_index(J)]
-    powers = np.zeros((n_terms + 1, J + 1))
-    powers[0, 0] = 1.0
+    coeff = [1.0]  # binom(expo, m), m = 0..n_terms
     for m in range(1, n_terms + 1):
-        powers[m] = T @ powers[m - 1]
-    return base**expo * (_binomial_coefficients(expo, n_terms) @ powers)
+        coeff.append(coeff[-1] * ((expo - (m - 1)) / m))
+    acc = np.zeros(J + 1)
+    acc[0] = coeff[n_terms]
+    for m in range(n_terms - 1, -1, -1):
+        acc = T.dot(acc)
+        acc[0] += coeff[m]
+    return base**expo * acc
 
 
 @lru_cache(maxsize=16)
@@ -215,7 +209,7 @@ def _basis_structure(n_modes: int, J: int):
 
     hermite_counts/hermite_ell: H_n = sum c (-I^{-2})^ell y^{n-2 ell};
     mono_counts/mono_ell: y^j = sum c (I^{-2})^ell H_{j-2 ell}. The exponents
-    ell are integers, to gather from _ell_powers.
+    ell are integers, to gather from the powers of I^{-2}.
     """
     hc = np.zeros((n_modes, J + 1))
     he = np.zeros((n_modes, J + 1), dtype=np.intp)
@@ -236,18 +230,13 @@ def _basis_structure(n_modes: int, J: int):
     return hc, he, mc, me
 
 
-def _ell_powers(I2inv: float, J: int) -> np.ndarray:
-    """(I^{-2})^ell for ell = 0..J/2, every exponent of the degree-J tables."""
-    return I2inv ** np.arange(J // 2 + 1, dtype=float)
-
-
 def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
     """C[j, n] = coefficient of H_n in y^j (zero when j < n or parity differs).
 
     Rows j = 0..J, columns n = 0..n_modes-1, at I^{-2} = I2inv.
     """
     _, _, mc, me = _basis_structure(n_modes, J)
-    return mc * _ell_powers(I2inv, J)[me]
+    return mc * (I2inv ** np.arange(J // 2 + 1.0))[me]  # (I^{-2})^ell, ell = 0..J/2
 
 
 # -- per-scale-time tables ----------------------------------------------------
@@ -278,12 +267,11 @@ def scale_tables(s: float, k: int, n_modes: int, J: int) -> ScaleTables:
     I = float(scale_factor(s, k))
     I2inv = I**-2
     hc, he, _, _ = _basis_structure(n_modes, J)
+    _, _, mc, me = _basis_structure(J + 1, J)
+    ell = I2inv ** np.arange(J // 2 + 1.0)  # both conversions gather these powers
     tables = ScaleTables(
-        I=I, I2inv=I2inv, i2k=I ** (-2 * k),
-        iexp=I ** (-np.arange(J + 1, dtype=float)),
-        conv=hc * _ell_powers(I2inv, J)[he],
-        mono=monomial_table(J + 1, I2inv, J),
-        proj_scale=mode_projection_scale(I, n_modes),
+        I=I, I2inv=I2inv, i2k=I ** (-2 * k), iexp=I ** -np.arange(J + 1.0), conv=hc * ell[he],
+        mono=mc * ell[me], proj_scale=mode_projection_scale(I, n_modes),
     )
     for arr in (tables.iexp, tables.conv, tables.mono, tables.proj_scale):
         arr.flags.writeable = False  # one cached copy serves every caller
@@ -297,47 +285,36 @@ def _source_jets(
 ) -> np.ndarray:
     """Exact jets of N, D_s, R_s, M, and the coupling y^{2k} e_b q at q = q_+ (rows).
 
-    Each Toeplitz matrix is a gather from a jet kept with one trailing zero;
-    a source that carries a factor y^m is written into its row shifted by m.
+    e_b's Toeplitz matrix is one gather from its jet, kept with one trailing
+    zero; a source that carries a factor y^m is written into its row
+    shifted by m.
     """
     p, k = params.p, params.k
     m = 2 * k
     a = alpha_consts(b, params)
-    idx = _toeplitz_index(J)
+    q = modes.dot(tab.conv)
+    # e_b = (p-1)^{-1} sum_l (-b/(p-1))^l y^{2kl}, exact through degree J
+    eb = np.zeros(J + 2)
+    eb[: J + 1 : m] = (-b / (p - 1.0)) ** np.arange(J // m + 1) / (p - 1.0)
+    Te = eb[_toeplitz_index(J)]
+    u = Te.dot(q)  # e_b q
+
     out = np.zeros((5, J + 1))
     nonlin, drift, resid, modul, coupling = out
-
-    q = modes @ tab.conv
-    dq = np.zeros(J + 1)
-    np.multiply(q[1:], np.arange(1, J + 1), out=dq[:-1])
-
-    # e_b = (p-1)^{-1} sum_l (-b/(p-1))^l y^{2kl}, exact through degree J,
-    # stored after m zeros and before one: ext[m:] is e_b padded for its
-    # Toeplitz gather, ext[: J + 1] the jet of y^{2k} e_b
-    ext = np.zeros(J + 2 + m)
-    ext[m : J + 1 + m : m] = (-b / (p - 1.0)) ** np.arange(J // m + 1) / (p - 1.0)
-    ye = ext[: J + 1]
-    Te = ext[m:][idx]
-
-    u = Te @ q
     nonlin[:] = _jet_binomial_power(u, p)
     nonlin[0] -= 1.0
     nonlin -= p * u
-
-    drift[m - 1:] = (Te @ dq)[: J + 2 - m]
-    drift *= -4.0 * p * k * b / (p - 1.0) * tab.I2inv
-
-    resid_inner = np.zeros(J + 1)
-    resid_inner[0] = a.alpha1
-    resid_inner += a.alpha2 * ye
-    qpart = np.zeros(J + 2)
-    qpart[0] = a.alpha3
-    qpart[: J + 1] += a.alpha4 * ye
-    qpart[: J + 1] = Te @ qpart[: J + 1]
-    resid[m - 2:] = (resid_inner + qpart[idx] @ q)[: J + 3 - m]
+    # e_b dq/dy through the degree that its shift by 2k - 1 keeps
+    n = J + 2 - m
+    edq = Te[:n, :n].dot(q[1 : n + 1] * np.arange(1.0, n + 1))
+    drift[m - 1 :] = (-4.0 * p * k * b / (p - 1.0) * tab.I2inv) * edq
+    # R_s = I^{-2} y^{2k-2} (alpha1 + alpha3 e_b q + y^{2k} (alpha2 e_b + alpha4 e_b^2 q))
+    resid[m - 2 :] = a.alpha3 * u[: n + 1]
+    resid[m - 2] += a.alpha1
+    j = n + 1 - m  # e_b and e_b^2 q through the degree that a shift by 4k - 2 keeps
+    resid[2 * m - 2 :] += a.alpha2 * eb[:j] + a.alpha4 * Te[:j, :j].dot(u[:j])
     resid *= tab.I2inv
-
-    coupling[m:] = u[: J + 1 - m]  # y^{2k} e_b q
+    coupling[m:] = u[: J + 1 - m]
     modul[m] = 1.0 / (p - 1.0)
     modul += p / (p - 1.0) * coupling
     return out
@@ -362,18 +339,19 @@ def _legendre_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _nonlinear_increment(qp: np.ndarray, r: np.ndarray, e: np.ndarray, p: float) -> np.ndarray:
-    """N(q_+ + r) - N(q_+) without subtracting nearly equal values.
+def _nonlinear_increment(u: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:
+    """N(q_+ + r) - N(q_+) at u = e_b q_+ and v = e_b r, without subtracting nearly equal values.
 
     Uses N(u+v) - N(u) = p v int_0^1 (|1+u+tv|^{p-1} - 1) dt with the
     integrand evaluated as expm1((p-1) log1p(.)) at all Gauss-Legendre nodes
     at once; accurate uniformly in the size of v and exact in t for integer p.
     """
     t, w = _legendre_rule(p)
-    u = e * qp
-    v = e * r
-    x = u + t[:, None] * v
-    return p * v * (w @ np.expm1((p - 1.0) * np.log1p(x)))
+    x = t[:, None] * v
+    x += u
+    np.log1p(x, out=x)
+    x *= p - 1.0
+    return p * v * w.dot(np.expm1(x, out=x))
 
 
 def _increments(
@@ -396,9 +374,9 @@ def _increments(
     ye = y2k * e
     a = alpha_consts(b, params)
     out = np.empty((5, r.size))
-    out[0] = _nonlinear_increment(qp, r, e, p)
-    out[1] = -4.0 * p * k * b / (p - 1.0) * tab.i2k * e * pw.ydrift * dr
-    out[2] = tab.i2k * pw.yres * e * (a.alpha3 + a.alpha4 * ye) * r
+    out[0] = _nonlinear_increment(e * qp, e * r, p)
+    np.multiply(-4.0 * p * k * b / (p - 1.0) * tab.i2k * e, pw.ydrift * dr, out=out[1])
+    np.multiply(tab.i2k * pw.yres * e * (a.alpha3 + a.alpha4 * ye), r, out=out[2])
     np.multiply(ye, r, out=out[4])
     np.multiply(p / (p - 1.0), out[4], out=out[3])
     return out
@@ -409,24 +387,20 @@ def _increments(
 class SourceProjections:
     """P_n of every source term at one state, plus the modulation solve.
 
-    Rows of jets and inc are the sources N, D_s, R_s, M. jets[:, n] holds the
-    coefficient of H_n (n = 0..J) in each source's polynomial part, inc the
-    projections of its remainder-coupled increment on the tracked modes, so
-    P_n = jets[:, n] + inc[:, n] for the tracked n. When the remainder was a
-    ZRemainder, zrem is that remainder and zinc the increments N, D_s, R_s,
-    M at its inner nodes (None when the remainder is zero).
+    Rows of jets, inc and tracked are the sources N, D_s, R_s, M and the
+    coupling y^{2k} e_b q. jets[:, n] holds the coefficient of H_n
+    (n = 0..J) in each row's polynomial part, inc the projections of its
+    remainder-coupled increment on the tracked modes, and their sums P_n for
+    the tracked n are PN, PD, PR, PM and Pcoupling. When
+    the remainder was a ZRemainder, zrem is that remainder and zinc the
+    increments N, D_s, R_s, M at its inner nodes (None when the remainder is
+    zero).
     """
 
-    def __init__(
-        self, jets: np.ndarray, inc: np.ndarray, Pcoupling: np.ndarray,
-        zrem: ZRemainder | None = None, zinc: np.ndarray | None = None,
-    ):
-        self.jets = jets
-        self.inc = inc
-        self.Pcoupling = Pcoupling
-        self.zrem = zrem
-        self.zinc = zinc
-        self.PN, self.PD, self.PR, self.PM = jets[:, : inc.shape[1]] + inc
+    def __init__(self, jets: np.ndarray, inc: np.ndarray, zrem: ZRemainder | None = None,
+                 zinc: np.ndarray | None = None):
+        self.jets, self.inc, self.zrem, self.zinc = jets, inc, zrem, zinc
+        self.PN, self.PD, self.PR, self.PM, self.Pcoupling = jets[:, : inc.shape[1]] + inc
 
     def bprime(self, params: ModelParams, variant: str = "derived") -> float:
         """b' from the projections; variant admits only the flow's "derived" form."""
@@ -468,32 +442,28 @@ def projected_sources(
             "expansion parameter exceeds 1/2 on the quadrature support"
         )
 
-    coeffs = _source_jets(modes, b, tab, params, J) @ tab.mono
-    inc = np.zeros((5, n_modes))
-    zinc = None
-    if (rem.values != 0.0).any():
-        scaled = modes * tab.iexp[:n_modes]  # H_n(z / I) = I^{-n} h_n(z)
-        frame = rem.frame if isinstance(rem, ZRemainder) else z_frame(nq, params)
-        if isinstance(rem, ZRemainder):
-            if frame.quad_order != nq:
-                raise ValueError("z-frame built for another quadrature order")
-            # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
-            rd = frame.SDD @ rem.values
-            r = np.concatenate((rd[:nq], rem.values))
-            incs = _increments(scaled @ frame.htab, r, rd[nq:], frame.pw, b, tab, params)
-            zinc = incs[:4, nq:]
-        else:
-            pw = NodePowers(*(a[:nq] for a in frame.pw))  # the Gauss nodes
-            y = pw.y / tab.I
-            r = sample(rem.nodes, rem.values, y)
-            dr = sample(rem.nodes, derivative(rem.values, tab.I * rem.spacing), y)
-            incs = _increments(scaled @ frame.htab[:, :nq], r, dr, pw, b, tab, params)
-        inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, scale=tab.proj_scale)
-
-    return SourceProjections(
-        coeffs[:4], inc[:4], coeffs[4, :n_modes] + inc[4],
-        zrem=rem if isinstance(rem, ZRemainder) else None, zinc=zinc,
-    )
+    jets = _source_jets(modes, b, tab, params, J).dot(tab.mono)
+    zrem = rem if isinstance(rem, ZRemainder) else None
+    if not (rem.values != 0.0).any():
+        return SourceProjections(jets, np.zeros((5, n_modes)), zrem)
+    scaled = modes * tab.iexp[:n_modes]  # H_n(z / I) = I^{-n} h_n(z)
+    if zrem is not None:
+        frame = rem.frame
+        if frame.quad_order != nq:
+            raise ValueError("z-frame built for another quadrature order")
+        # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
+        rd = frame.sdd(rem.values)
+        r = np.concatenate((rd[:nq], rem.values))
+        incs = _increments(scaled.dot(frame.htab), r, rd[nq:], frame.pw, b, tab, params)
+    else:
+        frame = z_frame(nq, params)
+        pw = NodePowers(*(a[:nq] for a in frame.pw))  # the Gauss nodes
+        y = pw.y / tab.I
+        r = sample(rem.nodes, rem.values, y)
+        dr = sample(rem.nodes, derivative(rem.values, tab.I * rem.spacing), y)
+        incs = _increments(scaled @ frame.htab[:, :nq], r, dr, pw, b, tab, params)
+    inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, scale=tab.proj_scale)
+    return SourceProjections(jets, inc, zrem, incs[:4, nq:] if zrem is not None else None)
 
 
 def remainder_source(
@@ -521,27 +491,25 @@ def remainder_source(
     n_modes = params.n_modes
     J = proj.jets.shape[1] - 1
     tab = scale_tables(s, params.k, n_modes, J)
-    nonzero = (rem.values != 0.0).any()
     if isinstance(rem, ZRemainder):
         if proj.zrem is not rem:
             raise ValueError("proj must come from projected_sources() on this ZRemainder")
         ztab, incs = rem.frame.ztab[: J + 1], proj.zinc
     else:
         z = tab.I * rem.nodes
-        ztab = hermite_z_table(z, J)
-        if nonzero:
+        ztab, incs = hermite_z_table(z, J), None
+        if (rem.values != 0.0).any():
             dr = derivative(rem.values, tab.I * rem.spacing)
             incs = _increments(
                 (modes * tab.iexp[:n_modes]) @ ztab[:n_modes], rem.values, dr,
                 node_powers(z, params.k), b, tab, params,
-            )
+            )[:4]
     w = np.array([1.0, 1.0, 1.0, bprime])
-    coef = np.empty(J + 1)
-    coef[n_modes:] = w @ proj.jets[:, n_modes:]
-    coef[:n_modes] = -(w @ proj.inc)
-    out = (coef * tab.iexp) @ ztab
-    if nonzero:
-        out += w @ incs[:4]
+    coef = w.dot(proj.jets[:4])
+    coef[:n_modes] = -w.dot(proj.inc[:4])
+    out = (coef * tab.iexp).dot(ztab)
+    if incs is not None:
+        out += w.dot(incs)
     return out
 
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,19 @@ def test_cli_direct_rejects_blowup_time_past_the_run(tmp_path):
     # run that integrates to its end and then fails to find the blowup
     assert run_experiment(["direct", "--outdir", str(tmp_path), "--u-T", "2"]) == 2
     assert not (tmp_path / "u-sup-series.csv").exists()
+
+
+def test_cli_direct_runs_at_a_scale_time_whose_tau_underflows(tmp_path, capfd):
+    # at s0 = 1e5, tau = e^{-s} underflows to 0 and I(s0) overflows: the
+    # w-run's fit takes log tau = -s, and its seed I^{-delta}(s0) as one
+    # exponential; no overflow or log(0) warning, no LAPACK complaint
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run_experiment(["direct", "--s0", "1e5", "--outdir", str(tmp_path)])
+    err = capfd.readouterr().err
+    assert rc == 0, err
+    assert "DLASCL" not in err and "RuntimeWarning" not in err
+    assert (tmp_path / "w-profile-series.csv").exists()
 
 
 def test_cli_simulate_out_of_box(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,18 @@ def test_w_run_takes_no_diffusion_limit_once_its_factor_overflows(params3):
     run = solve_w_direct(w0, (1e5, 1e5 + 0.5), params3)
     assert run.termination == "horizon"
     assert np.max(np.abs(run.snapshots[-1] - params3.kappa)) < 1e-10
+
+
+def test_w_run_reaches_its_snapshot_grid_where_s_has_coarse_ulps(params3):
+    # at s ~ 1e5 a unit in the last place of s is 1.5e-11, above the grid's
+    # 1e-12 tolerance: the steps still land on the snapshot grid within a
+    # few ulps instead of creeping towards it in steps of 1e-15
+    nodes = uniform_grid(6.0, 201)
+    w0 = GridFunction(nodes, np.full_like(nodes, params3.kappa))
+    run = solve_w_direct(w0, (1e5, 1e5 + 0.5), params3)
+    assert len(run.sup_times) < 200
+    assert len(run.times) == 11
+    assert np.all(np.abs(run.times - (1e5 + 0.05 * np.arange(11))) <= 4.0 * math.ulp(1e5 + 0.5))
 
 
 @pytest.mark.parametrize("frame", ["w", "u"])

@@ -18,11 +18,14 @@ from blowlab.dynamics import (
 )
 from blowlab import dynamics
 from blowlab.config import ConfigError, RunConfig
-from blowlab.grid import laplacian_compact
+from blowlab.grid import GridFunction, derivative, laplacian_compact, upwind_gradient
 from blowlab.hermite import SpectralDecomposition, eval_scaled_hermite, hermite_series
+from blowlab.operators import drift_values, modulation_values, nonlinear_values, residual_values
 from blowlab.params import alpha_consts, eval_profile, make_params, node_powers, scale_factor
 from blowlab.hermite import _projector
-from blowlab.projection import Z_MAX, _legendre_rule, projected_sources, scale_tables, z_frame
+from blowlab.projection import (
+    Z_MAX, _legendre_rule, projected_sources, remainder_source, scale_tables, z_frame,
+)
 
 DELTA, B0, S0 = 0.1, 1.0, 20.0
 
@@ -355,7 +358,7 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
 # step size or on the model
 FLOW_CACHES = (
     scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._sine_basis,
-    dynamics._half_exp_of, _legendre_rule, _projector,
+    dynamics._half_exp_of, _legendre_rule, _projector, dynamics._outer_band,
 )
 
 
@@ -446,7 +449,7 @@ def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad
     st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
     membership(st, DELTA, B0, params3, opts)
     projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
-    for cache in (z_frame, dynamics._sine_basis, dynamics._half_exp_of):
+    for cache in (z_frame, dynamics._sine_basis, dynamics._half_exp_of, dynamics._outer_band):
         assert cache.cache_info().currsize == 0, cache.__name__
 
 
@@ -541,6 +544,102 @@ def test_lawson_step_is_classical_rk4_where_the_propagator_is_the_identity(
     want = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) * x0[flow.modes]
     assert np.all(np.abs(x1[flow.modes] - want) <= 1e-15 * np.abs(want))
     assert x1[-1] == x0[-1] == B0
+
+
+@pytest.fixture(scope="module")
+def recorded_states(params3, opts):
+    """The centre seed's state vectors at s = 20.1, 24 and 28, each with a nonzero inner remainder."""
+    flow = dynamics._flow(opts, params3)
+    st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
+    states = []
+    for s_end in (S0 + 0.1, 24.0, 28.0):
+        st = run(st, s_end, DELTA, B0, params3, ds=0.01, opts=opts).final_state
+        states.append((st.s, dynamics._values(st, flow)))
+    return states
+
+
+def _stage_from_the_routes(x, s, flow):
+    """A stage's dx from the projections on a GridFunction, the grid kernels and the pointwise sources.
+
+    Also returns, in x's layout, the size of the terms summed into each entry.
+    """
+    params, k, n = flow.params, flow.params.k, flow.params.n_modes
+    modes, rem, inner, b = x[flow.modes], x[flow.outer], x[flow.inner], float(x[-1])
+    I = float(scale_factor(s, k))
+    lam = 1.0 - np.arange(n) / (2.0 * k)
+    dx, size = np.zeros_like(x), np.zeros_like(x)
+    Ls = rem - flow.wind * upwind_gradient(rem, flow.h, flow.wind)
+    dx[flow.modes], dx[flow.outer] = lam * modes, Ls
+    size[flow.modes], size[flow.outer] = np.abs(lam * modes), np.abs(Ls)
+    if flow.linear_only:
+        return dx, size
+    grid = GridFunction(inner_nodes() / I, inner)
+    proj = projected_sources(modes, grid, b, s, params, flow.quad)
+    bp = proj.bprime(params)
+    src = proj.PN + proj.PD + proj.PR + bp * proj.PM
+    dx[flow.modes] += src
+    dx[2 * k] = 0.0
+    y = flow.nodes
+    q = hermite_series(modes, y, s, k) + rem
+    dq = hermite_series(modes[1:] * np.arange(1, n), y, s, k) + derivative(rem, flow.h)
+    e = eval_profile(y, b, params)[1]
+    pw = node_powers(y, k)
+    terms = (
+        nonlinear_values(q, e, params.p),
+        drift_values(dq, pw, e, b, I**-2, params),
+        residual_values(q, pw, e, b, I**-2, params),
+        bp * modulation_values(q, pw, e, params),
+        -hermite_series(src, y, s, k),
+    )
+    dx[flow.outer] += sum(terms)
+    dx[flow.inner] = remainder_source(proj, bp, modes, grid, b, s, params)
+    dx[-1] = bp
+    size[flow.modes] += np.abs(src)
+    # N = (1 + u)^p - 1 - p u at u = e q cancels down from the size of p u
+    size[flow.outer] += sum(np.abs(t) for t in terms) + np.abs(params.p * e * q)
+    size[flow.inner], size[-1] = np.abs(dx[flow.inner]), abs(bp)
+    return dx, size
+
+
+@pytest.mark.parametrize("linear_only", [False, True])
+@pytest.mark.parametrize("i", range(3))
+def test_stage_equals_the_independent_routes(params3, recorded_states, i, linear_only):
+    # each part of dx within 1e-12 of the largest term summed into it: on
+    # the outer grid the sources cancel down from O(q^2) and from p e q, so
+    # the two evaluators of q_+ differ there by its roundoff
+    s, x = recorded_states[i]
+    flow = dynamics._flow(FlowOptions(linear_only=linear_only), params3)
+    assert np.any(x[flow.inner] != 0.0)
+    got = dynamics._stage(x, s, flow)
+    want, size = _stage_from_the_routes(x, s, flow)
+    for part in (flow.modes, flow.outer, flow.inner, slice(-1, None)):
+        assert np.max(np.abs(got[part] - want[part])) <= 1e-12 * np.max(size[part])
+
+
+def test_each_stage_calls_the_traced_layers_once(params3, opts, monkeypatch):
+    # the benchmark counts stages by the calls to projected_sources through
+    # blowlab.dynamics, and times remainder_source there: a stage must make
+    # one call to each
+    calls = dict.fromkeys(("_stage", "projected_sources", "remainder_source"), 0)
+
+    def counted(name):
+        fn = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(dynamics, name, counted(name))
+    st = init_state(np.array([0.1, -0.1, 0.05, 0.02]), DELTA, B0, S0, params3, opts)
+    run(st, S0 + 0.1, DELTA, B0, params3, ds=0.01, opts=opts)
+    assert calls["_stage"] > 0
+    assert calls["projected_sources"] == calls["remainder_source"] == calls["_stage"]
+    # the search reaches run through its own module global, which the
+    # benchmark's scale-time counter wraps
+    from blowlab import shooting
+    assert shooting.run is dynamics.run
 
 
 def test_state_vector_round_trips_through_the_state(params3, opts):
@@ -838,3 +937,21 @@ def test_search_keeps_going_past_a_nonfinite_step(params3, monkeypatch):
     assert cert.anomalies and cert.anomalies[0]["bound"] == "nonfinite"
     assert cert.n_trajectories > 1
     assert np.max(np.abs(d_star)) < 1e-3
+
+
+def test_large_s0_seeds_leave_through_modes_with_b_near_b0(params3, opts):
+    # criterion 5's seed set posed at s0 = 40, where the shrinking set is
+    # narrow: every seed leaves through a mode, and while inside b stays
+    # within 1.5 I^{-delta}(s0) of b0 (1.15 here; 1.92 at s0 = 30, and 1.64
+    # at s0 = 20, where three of the seeds leave through b_high)
+    s0 = 40.0
+    rng = np.random.default_rng(2026)
+    worst = 0.0
+    for _ in range(10):
+        d = rng.uniform(-0.25, 0.25, size=4)
+        st = init_state(d, DELTA, B0, s0, params3, opts)
+        rec = run(st, s0 + 10.0, DELTA, B0, params3, ds=0.01, opts=opts)
+        assert rec.exit is not None and rec.exit.mode is not None, rec.exit
+        arr = rec.arrays()
+        worst = max(worst, float(np.max(np.abs(arr["b"][arr["inside"]] - B0))))
+    assert worst <= 1.5 * float(scale_factor(s0, 2)) ** -DELTA

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowlab.grid import (
+    band,
     GridFunction,
     derivative,
     laplacian_compact,
@@ -113,6 +114,29 @@ def test_z_operator_is_bitwise_unchanged():
 
     L = z_frame(96, make_params(3.0, 2)).L
     assert L.tobytes() == _z_operator_with_both_stencils().tobytes()
+
+
+def test_band_holds_every_nonzero_of_the_stencil_matrices():
+    # the flow applies its outer transport and derivative from their band:
+    # the product must be the dense one, with every nonzero in the weights
+    from blowlab.dynamics import FlowOptions, _flow, _outer_band
+    from blowlab.params import make_params
+
+    params = make_params(3.0, 2)
+    flow = _flow(FlowOptions(), params)
+    eye = np.eye(flow.nodes.size)
+    A = np.vstack([eye - flow.wind[:, None] * upwind_gradient(eye, flow.h, flow.wind),
+                   derivative(eye, flow.h)])
+    v = np.random.default_rng(3).standard_normal(flow.nodes.size)
+    cols, weights = _outer_band(flow.nodes.size, flow.h, params.k)
+    got = np.einsum("jn,jn->n", weights, v[cols])
+    assert np.max(np.abs(got - A @ v)) <= 1e-13 * np.max(np.abs(A @ v))
+    assert weights.shape == (5, 2 * flow.nodes.size)
+    assert np.sum(np.abs(weights)) == pytest.approx(np.sum(np.abs(A)), rel=1e-15)
+    # windows start at each row's first nonzero, moved left at the last column
+    cols, weights = band(np.diag([1.0, 2.0, 3.0]) + np.diag([4.0, 5.0], 1))
+    assert cols.tolist() == [[0, 1, 1], [1, 2, 2]]
+    assert weights.tolist() == [[1.0, 2.0, 0.0], [4.0, 5.0, 3.0]]
 
 
 def test_laplacian_compact_exact_on_quadratics():

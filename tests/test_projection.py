@@ -58,11 +58,11 @@ def test_z_frame_interpolation_matches_sample(frame, quad96, s):
     yq = quad96.nodes / I
     want_r = sample(rem.nodes, vals, yq)
     want_dr = sample(rem.nodes, derivative(vals, rem.spacing), yq)
-    rd = frame.SDD @ vals
+    rd = frame.sdd(vals)
     r, dr = rd[:96], I * rd[96:192]
     # the outermost Gauss nodes lie beyond |z| = Z_MAX, where both routes
     # extrapolate the edge cell and roundoff grows with the stencil's weights
-    amp = np.sum(np.abs(frame.SDD[:96]), axis=1)
+    amp = np.sum(np.abs(frame.weights[:, :96]), axis=0)
     assert np.all(amp[np.abs(quad96.nodes) <= inner_nodes()[-1]] < 1.3)
     assert np.all(np.abs(r - want_r) <= 1e-13 * amp * np.max(np.abs(want_r)))
     assert np.all(np.abs(dr - want_dr) <= 1e-13 * amp * np.max(np.abs(want_dr)))
@@ -75,7 +75,7 @@ def test_z_frame_node_operators_match_grid_kernels(frame):
     want_L = laplacian_compact(vals, hz) - 0.5 * z * upwind_gradient(vals, hz, z) + vals
     assert np.max(np.abs(frame.L @ vals - want_L)) <= 1e-13 * np.max(np.abs(want_L))
     want_d = derivative(vals, hz)
-    assert np.max(np.abs(frame.SDD[192:] @ vals - want_d)) <= 1e-13 * np.max(np.abs(want_d))
+    assert np.max(np.abs(frame.sdd(vals)[192:] - want_d)) <= 1e-13 * np.max(np.abs(want_d))
 
 
 @pytest.mark.parametrize("s", [20.0, 45.0])
@@ -152,7 +152,7 @@ def test_nonlinear_increment_matches_difference_of_sources(p):
     r = rng.uniform(-0.2, 0.2, size=50)
     e = rng.uniform(0.3, 0.5, size=50)
     want = nonlinear_values(qp + r, e, p) - nonlinear_values(qp, e, p)
-    assert np.max(np.abs(_nonlinear_increment(qp, r, e, p) - want)) <= 1e-14
+    assert np.max(np.abs(_nonlinear_increment(e * qp, e * r, p) - want)) <= 1e-14
 
 
 def test_nonlinear_increment_takes_the_fewest_exact_nodes():
@@ -167,7 +167,7 @@ def test_nonlinear_increment_takes_the_fewest_exact_nodes():
     t8, w8 = np.polynomial.legendre.leggauss(8)
     x = e * qp + 0.5 * (t8[:, None] + 1.0) * (e * r)
     want = 3.0 * (e * r) * ((0.5 * w8) @ np.expm1(2.0 * np.log1p(x)))
-    got = _nonlinear_increment(qp, r, e, 3.0)
+    got = _nonlinear_increment(e * qp, e * r, 3.0)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     t, w = _legendre_rule(3.0)
     assert not t.flags.writeable and not w.flags.writeable and _legendre_rule(3.0)[0] is t
@@ -236,7 +236,7 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
     n, p, k = params3.n_modes, params3.p, K
     I, vals, modes, b = _inputs(params3, frame, s)
     tab = scale_tables(s, K, n, frame.J)
-    rd = frame.SDD @ vals
+    rd = frame.sdd(vals)
     r, drz = np.concatenate((rd[:96], vals)), rd[96:]
     qp = (modes * tab.iexp[:n]) @ frame.htab
     got = _increments(qp, r, drz, frame.pw, b, tab, params3)
@@ -244,7 +244,7 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
     e = 1.0 / (p - 1.0 + b * y**4)
     a = alpha_consts(b, params3)
     want = np.array([
-        _nonlinear_increment(qp, r, e, p),
+        _nonlinear_increment(e * qp, e * r, p),
         -4.0 * p * k * b / (p - 1.0) * I**-2 * e * y**3 * (I * drz),
         I**-2 * y**2 * e * (a.alpha3 + a.alpha4 * y**4 * e) * r,
         p / (p - 1.0) * y**4 * e * r,
@@ -259,7 +259,7 @@ def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
     n = params3.n_modes
     tab = scale_tables(s, K, n, frame.J)
     I, vals, modes, b = _inputs(params3, frame, s)
-    rd = frame.SDD @ vals
+    rd = frame.sdd(vals)
     scaled = modes * tab.iexp[:n]
     qpq = scaled @ quad_hermite_table(quad96, n - 1)
     qpi = scaled @ hermite_z_table(frame.z, n - 1)
@@ -289,11 +289,11 @@ def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
     # the same source with the increments evaluated at the inner nodes alone
     inner_pw = NodePowers(*(a[96:] for a in frame.pw))
     incs = _increments(
-        (modes * tab.iexp[:n]) @ frame.ztab[:n], vals, frame.SDD[192:] @ vals, inner_pw, b, tab,
+        (modes * tab.iexp[:n]) @ frame.ztab[:n], vals, frame.sdd(vals)[192:], inner_pw, b, tab,
         params3,
     )
     w = np.array([1.0, 1.0, 1.0, bp])
-    coef = np.concatenate((-(w @ proj.inc), w @ proj.jets[:, n:]))
+    coef = np.concatenate((-(w @ proj.inc[:4]), w @ proj.jets[:4, n:]))
     want = (coef * tab.iexp) @ frame.ztab + w @ incs[:4]
     assert _same(got, want)
     # the rows belong to the remainder they were evaluated for
