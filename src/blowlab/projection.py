@@ -387,14 +387,13 @@ def _increments(
 class SourceProjections:
     """P_n of every source term at one state, plus the modulation solve.
 
-    Rows of jets, inc and tracked are the sources N, D_s, R_s, M and the
-    coupling y^{2k} e_b q. jets[:, n] holds the coefficient of H_n
-    (n = 0..J) in each row's polynomial part, inc the projections of its
-    remainder-coupled increment on the tracked modes, and their sums P_n for
-    the tracked n are PN, PD, PR, PM and Pcoupling. When
-    the remainder was a ZRemainder, zrem is that remainder and zinc the
-    increments N, D_s, R_s, M at its inner nodes (None when the remainder is
-    zero).
+    Rows of jets and inc are the sources N, D_s, R_s, M and the coupling
+    y^{2k} e_b q. jets[:, n] holds the coefficient of H_n (n = 0..J) in each
+    row's polynomial part, inc the projections of its remainder-coupled
+    increment on the tracked modes, and their sums P_n for the tracked n are
+    PN, PD, PR, PM and Pcoupling. When the remainder was a ZRemainder, zrem
+    is that remainder and zinc the increments N, D_s, R_s, M at its inner
+    nodes (None when the remainder is zero).
     """
 
     def __init__(self, jets: np.ndarray, inc: np.ndarray, zrem: ZRemainder | None = None,
