@@ -42,13 +42,15 @@ zeroed (the outflow edge nodes take no diffusion) and c = int I^{-2} over
 the half step, diagonal in the orthogonal sine transform (DST-I) of the
 interior nodes, so RK4 sees the outer transport and sources alone; and the
 identity on the modes and b, where the scheme is classical RK4. Stability
-therefore bounds the step by the outer transport alone (the flow
-context's stable step, independent of s). run() ends its steps on a grid
-of quarter output intervals: within that bound, each step grows as far as
-a free error estimate of the last one allows (the stage at a step's end,
-which the next step starts from, against its fourth stage), but never
-below one output interval from a sample. The samples inside a step are read off a
-cubic Hermite interpolant of the step's end states and derivatives.
+therefore bounds the step by the outer transport alone, at RK4's ceiling
+for a lone transport (grid.RK4_TRANSPORT_ALONE_CFL): the flow context's
+stable step, independent of s and MAX_DS on the default grid. run() ends
+its steps on a grid of quarter output intervals: within that bound, each
+step grows as far as a free error estimate of the last one allows (the
+stage at a step's end, which the next step starts from, against its
+fourth stage), but never below one output interval from a sample. The
+samples inside a step are read off a cubic Hermite interpolant of the
+step's end states and derivatives.
 
 The modulation rate b' is solved at every stage so dq_{2k}/ds = 0; the
 neutral mode therefore stays exactly zero along trajectories.
@@ -69,8 +71,8 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .grid import (
-    RK4_TRANSPORT_CFL, GridFunction, band, derivative, laplacian_compact, sample, uniform_grid,
-    upwind_gradient,
+    RK4_TRANSPORT_ALONE_CFL, GridFunction, band, derivative, laplacian_compact, sample,
+    uniform_grid, upwind_gradient,
 )
 from .hermite import (
     DEFAULT_QUAD_ORDER,
@@ -140,12 +142,14 @@ class FlowOptions:
 
     The outer grid is coarse because the remainder is smooth on O(1) scales
     in y there. Its diffusion I^{-2} d_yy and the inner z-grid's operator are
-    integrated exactly and set no ceiling; the outer transport y/2k sets
-    the s-independent ceiling RK4_TRANSPORT_CFL h 2k / Y_MAX, so the step
-    scales with the outer spacing, not with its square. The stable step
-    (_Flow.stable) is the smaller of that ceiling and MAX_DS. Steps larger
-    than it are split into equal stable substeps automatically. The
-    linear-only flow leaves the inner grid at zero.
+    integrated exactly and set no ceiling, so no diffusion ceiling meets the
+    transport's: the outer transport y/2k alone sets the s-independent
+    ceiling RK4_TRANSPORT_ALONE_CFL h 2k / Y_MAX, and the step scales with
+    the outer spacing, not with its square. The stable step (_Flow.stable)
+    is the smaller of that ceiling and MAX_DS: 0.05, MAX_DS itself, on the
+    default 257 nodes. Steps larger than it are split into equal stable
+    substeps automatically. The linear-only flow leaves the inner grid at
+    zero.
 
     variant and quad_order are not fields: variant names the one form of M
     and R_s the flow solves b' in (operators), for callers that pass it on
@@ -322,7 +326,7 @@ def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
     spacing = 2.0 * Y_MAX / (n_nodes - 1)
     flow = _Flow(
         params=params, quad=opts.quad(), J=default_jet_order(n),
-        stable=min(MAX_DS, RK4_TRANSPORT_CFL * spacing / (Y_MAX / (2.0 * k))),
+        stable=min(MAX_DS, RK4_TRANSPORT_ALONE_CFL * spacing / (Y_MAX / (2.0 * k))),
         linear_only=opts.linear_only,
         nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
@@ -454,7 +458,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=21)
 def _half_exp_of(h: float, quad_order: int, params: ModelParams) -> np.ndarray:
     E = _expm(0.5 * h * z_frame(quad_order, params).L)
     E.flags.writeable = False  # one cached copy serves every caller
@@ -467,9 +471,9 @@ def _half_exp(h: float, flow: _Flow) -> np.ndarray:
     h is rounded to 12 significant digits first, so step sizes that differ
     in the last bits, as differences of step times do, share one entry. A
     run's steps are whole quarters of its output interval within the stable
-    step, which does not depend on s, so at ds = 0.01 it may meet all 15 sizes
-    (0.0375 / 0.0025) from its first steps, and one more for a last step cut
-    short at s_max.
+    step, which does not depend on s, so at ds = 0.01 it may meet all 20 sizes
+    (0.05 / 0.0025) from its first steps, and one more for a last step cut
+    short at s_max: the cache holds 21, so a run never rebuilds one.
     """
     return _half_exp_of(float(f"{h:.12g}"), flow.quad.order, flow.params)
 
@@ -648,15 +652,33 @@ def _state_at(x: np.ndarray, s: float, flow: _Flow, like: GridFunction) -> SimSt
     return SimState(s=s, b=float(x[-1]), dec=dec, inner=x[flow.inner])
 
 
+def _check_scale_time(s: float, params: ModelParams) -> None:
+    """Refuse a flow that would reach s, where I(s)^{M_floor} is not finite.
+
+    The mode projections scale by I^n / (2^n n!) up to n = M_floor
+    (hermite.mode_projection_scale); past that limit the scale overflows
+    and every step would end non-finite.
+    """
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(scale_factor(s, params.k) ** params.M_floor)
+    if not finite:
+        limit = math.log(np.finfo(float).max) / (0.5 * (1.0 - 1.0 / params.k) * params.M_floor)
+        raise ValueError(
+            f"the flow reaches s = {s:g}, past s = {limit:.1f}, where the mode projection "
+            f"scale I(s)^{params.M_floor} overflows")
+
+
 def step(
     state: SimState, ds: float, params: ModelParams, opts: FlowOptions = FlowOptions(),
 ) -> SimState:
     """Advance (q, b) by ds with Lawson RK4; q_{2k} stays zero by construction.
 
-    The state's outer nodes must be opts.nodes().
+    The state's outer nodes must be opts.nodes(), and I(s)^{M_floor} must be
+    finite at its end (_check_scale_time).
     """
     if ds < 0 or ds > MAX_DS:
         raise ValueError(f"ds must lie in [0, {MAX_DS}]")
+    _check_scale_time(state.s + ds, params)
     flow = _flow_of(state, params, opts)
     x = _values(state, flow)
     if ds == 0.0:
@@ -766,12 +788,14 @@ def run(
     stage. Membership is checked at every sample, and an exit ends the
     record at the first sample outside. A modulation breakdown or a
     non-finite value inside a step ends the record at the last recorded
-    sample with a "modulation" or "nonfinite" exit instead of raising.
+    sample with a "modulation" or "nonfinite" exit instead of raising. An
+    s_max at which I(s)^{M_floor} overflows raises (_check_scale_time).
     """
     if not 0.0 < ds <= MAX_DS:
         raise ValueError(f"ds must lie in (0, {MAX_DS}]")
     if not (s_max > state0.s and math.isfinite((s_max - state0.s) / ds)):
         raise ValueError("s_max must exceed the initial scale time by a finite sample count")
+    _check_scale_time(s_max, params)
     flow = _flow_of(state0, params, opts)
     x = _values(state0, flow)
     rem0 = state0.dec.remainder

@@ -26,6 +26,7 @@ __all__ = [
     "band",
     "RK4_TRANSPORT_CFL",
     "RK4_DIFFUSION_CFL",
+    "RK4_TRANSPORT_ALONE_CFL",
 ]
 
 _MIN_NODES = 6
@@ -35,13 +36,23 @@ _MIN_NODES = 6
 # laplacian_compact. From each interior stencil's symbol and the RK4
 # stability region (Hairer-Norsett-Wanner, Solving ODEs I, sec. IV.2) the
 # limits are 1.745 and 0.696; these values keep 31% and 35% of them in
-# hand. Every explicit solver of the package steps at the smaller ceiling.
-# Where the two ceilings meet, their sum leaves the region for grid-scale
-# modes near outflow edges, where the wind is largest; the wind carries
-# those out within a few steps, so grid noise grows there no faster than at
-# a third of the step.
+# hand. A solver that steps both kernels explicitly steps at the smaller
+# ceiling. Where the two ceilings meet, their sum leaves the region for
+# grid-scale modes near outflow edges, where the wind is largest; the wind
+# carries those out within a few steps, so grid noise grows there no faster
+# than at a third of the step.
 RK4_TRANSPORT_CFL = 1.2
 RK4_DIFFUSION_CFL = 0.45
+# The ceiling of RK4 on upwind_gradient's transport alone, where the
+# diffusion is integrated exactly and no ceiling of its own meets this one.
+# The interior stencil (f[i-2] - 6 f[i-1] + 3 f[i] + 2 f[i+1]) / 6h has the
+# symbol g(t) = (e^{-2it} - 6 e^{-it} + 3 + 2 e^{it}) / 6, and
+# |R(-c g(t))| <= 1 for every t, R RK4's stability polynomial, holds up to
+# c = 1.7453; this value keeps 8% of it in hand. The powers of RK4's
+# amplification matrix of the whole discrete transport -(y/2k) d/dy, edge
+# rows included, stay bounded there; at 0.06 of the flow's default outer
+# grid (c = 1.92) they no longer do.
+RK4_TRANSPORT_ALONE_CFL = 1.6
 
 
 @dataclass(frozen=True)
@@ -218,10 +229,12 @@ def band(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each row's window starts at its first nonzero column, moved left where
     it would run past the last column, and is as wide as the widest span of
-    nonzeros in a row; then A @ v = einsum("jn,jn->n", weights, v[columns]).
+    nonzeros in a row; a zero row takes the first window, with zero weights.
+    Then A @ v = einsum("jn,jn->n", weights, v[columns]).
     """
     nz = A != 0.0
     first = nz.argmax(axis=1)
-    width = int(np.max(A.shape[1] - nz[:, ::-1].argmax(axis=1) - first))
+    span = A.shape[1] - nz[:, ::-1].argmax(axis=1) - first
+    width = int(np.max(span, where=nz.any(axis=1), initial=1))
     columns = np.minimum(first, A.shape[1] - width) + np.arange(width)[:, None]
     return columns, A[np.arange(A.shape[0]), columns]

@@ -98,6 +98,15 @@ def test_cli_simulate_with_a_sample_count_beyond_the_floats_is_a_numerical_failu
     assert "finite sample count" in capsys.readouterr().err
 
 
+def test_cli_simulate_past_the_projection_scale_limit_is_a_numerical_failure(tmp_path, capsys):
+    # I(s)^{M_floor} overflows past s = 567.8: exit 3 with the limit named,
+    # not a "nonfinite" exit recorded at s0 with exit 0
+    rc = run_experiment(["simulate", "--s0", "1000", "--horizon", "0.2", "--outdir", str(tmp_path)])
+    assert rc == 3
+    assert "past s = 567.8" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  \"p\": 3.0,\n  oops\n}\n")

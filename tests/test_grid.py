@@ -139,6 +139,18 @@ def test_band_holds_every_nonzero_of_the_stencil_matrices():
     assert weights.tolist() == [[1.0, 2.0, 0.0], [4.0, 5.0, 3.0]]
 
 
+def test_band_takes_its_width_from_the_nonzero_rows():
+    # a zero row, as the outer transport -(y/2k) d/dy has at y = 0, gets a
+    # window of the nonzero rows' width with zero weights, not the full one
+    A = np.array([[1.0, 2, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 3, 4]])
+    cols, weights = band(A)
+    assert cols.shape == weights.shape == (2, 3)
+    assert weights[:, 1].tolist() == [0.0, 0.0]
+    v = np.arange(1.0, 6.0)
+    assert np.einsum("jn,jn->n", weights, v[cols]).tolist() == (A @ v).tolist()
+    assert band(np.zeros((2, 3)))[1].tolist() == [[0.0, 0.0]]
+
+
 def test_laplacian_compact_exact_on_quadratics():
     nodes = uniform_grid(1.0, 21)
     h = nodes[1] - nodes[0]
