@@ -137,9 +137,6 @@ def test_band_holds_every_nonzero_of_the_stencil_matrices():
     cols, weights = band(np.diag([1.0, 2.0, 3.0]) + np.diag([4.0, 5.0], 1))
     assert cols.tolist() == [[0, 1, 1], [1, 2, 2]]
     assert weights.tolist() == [[1.0, 2.0, 0.0], [4.0, 5.0, 3.0]]
-
-
-def test_band_takes_its_width_from_the_nonzero_rows():
     # a zero row, as the outer transport -(y/2k) d/dy has at y = 0, gets a
     # window of the nonzero rows' width with zero weights, not the full one
     A = np.array([[1.0, 2, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 3, 4]])
