@@ -7,10 +7,11 @@ u_t = u_xx + |u|^{p-1} u by the method of lines with a time step that shrinks
 like ||u||_inf^{-(p-1)} so the collapse is resolved uniformly in rescaled
 time. Both supply their right-hand side, step limit and snapshot rule to
 one march, _march, which takes classical RK4 steps and sums time in
-compensated arithmetic. The step limit is the stability rule of the flow's
-outer grid: the smaller of the grid kernels' ceilings,
-RK4_TRANSPORT_CFL h / max|wind| and RK4_DIFFUSION_CFL h^2 / diffusivity,
-and a reaction limit that keeps the growth resolved. Blowup time is
+compensated arithmetic. The step limit is the smaller of the grid kernels'
+ceilings where both are stepped explicitly, RK4_TRANSPORT_CFL h / max|wind|
+and RK4_DIFFUSION_CFL h^2 / diffusivity, and a reaction limit that keeps
+the growth resolved. (The flow integrates its diffusion exactly and steps
+its outer transport at the higher RK4_TRANSPORT_ALONE_CFL.) Blowup time is
 recovered from the line ||u||^{-(p-1)} ~ (p-1)(T - t), exact for the
 space-independent solution, and profiles are fitted in the rescaled frame
 by the linearization w^{-(p-1)} = p - 1 + b y^{2k}.

@@ -932,8 +932,8 @@ def test_step_error_estimate_costs_no_stage(params3, opts, monkeypatch):
     rec = run(init_state(CENTRE, DELTA, B0, S0, params3, opts), S0 + 1.0, DELTA, B0, params3,
               ds=0.01, opts=opts)
     assert rec.exit is None
-    # 64 steps while the outer diffusion capped them at 0.45 h^2 I^2(s), 28
-    # with only the transport's ceiling and the estimate
+    # 64 steps while the outer diffusion capped them at 0.45 h^2 I^2(s); with
+    # only the transport's ceiling and the estimate, 28 at 0.0375 and 21 at 0.05
     assert calls["step"] <= 32
     assert calls["stage"] == 4 * calls["step"] + 1
 
