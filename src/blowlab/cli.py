@@ -33,7 +33,7 @@ from .direct import (
 )
 from .dynamics import init_state, run
 from .grid import GridFunction, uniform_grid
-from .params import eval_profile
+from .params import eval_profile, scale_factor
 from .serialize import fmt, save_json, write_trajectory_csv
 from .shooting import SearchFailureError, search
 from .verify import verify_mehler, verify_spectral
@@ -227,7 +227,9 @@ def _seeded_w_run(d: np.ndarray, cfg: RunConfig, params) -> tuple[PdeRun, Profil
     units of s, and its profile series."""
     yg = uniform_grid(DIRECT_Y_MAX, DIRECT_N_NODES)
     f, e = eval_profile(yg, cfg.b0, params)
-    amp = float(np.exp(-0.5 * cfg.delta * cfg.s0 * (1.0 - 1.0 / params.k)))  # I^{-delta}(s0)
+    # I^{-delta}(s0) as gamma_map forms it; where I(s0) overflows, its power is 0
+    with np.errstate(over="ignore"):
+        amp = float(scale_factor(cfg.s0, params.k)) ** -cfg.delta
     psi = np.zeros_like(yg)
     for i, di in enumerate(d):
         psi += di * amp * yg**i

@@ -43,14 +43,14 @@ the half step, diagonal in the orthogonal sine transform (DST-I) of the
 interior nodes, so RK4 sees the outer transport and sources alone; and the
 identity on the modes and b, where the scheme is classical RK4. Stability
 therefore bounds the step by the outer transport alone, at RK4's ceiling
-for a lone transport (grid.RK4_TRANSPORT_ALONE_CFL): the flow context's
-stable step, independent of s and MAX_DS on the default grid. run() ends
-its steps on a grid of quarter output intervals: within that bound, each
-step grows as far as a free error estimate of the last one allows (the
-stage at a step's end, which the next step starts from, against its
-fourth stage), but never below one output interval from a sample. The
-samples inside a step are read off a cubic Hermite interpolant of the
-step's end states and derivatives.
+for a lone transport (grid.RK4_TRANSPORT_ALONE_CFL), independent of s: the
+flow takes one Lawson step per span of at most MAX_DS, and refuses a grid
+whose ceiling falls below MAX_DS (_flow). run() ends its steps on a grid of
+quarter output intervals: within MAX_DS, each step grows as far as a free
+error estimate of the last one allows (the stage at a step's end, which the
+next step starts from, against its fourth stage), but never below one
+output interval from a sample. The samples inside a step are read off a
+cubic Hermite interpolant of the step's end states and derivatives.
 
 The modulation rate b' is solved at every stage so dq_{2k}/ds = 0; the
 neutral mode therefore stays exactly zero along trajectories.
@@ -116,7 +116,7 @@ __all__ = [
 ]
 
 D_BOX_LIMIT = 2.0
-# the largest step a caller may ask for, and the ceiling of the stable step
+# the largest step a caller may ask for, and the largest step the flow takes
 MAX_DS = 0.05
 # the outer remainder grid spans |y| <= Y_MAX
 Y_MAX = 0.15
@@ -145,11 +145,11 @@ class FlowOptions:
     integrated exactly and set no ceiling, so no diffusion ceiling meets the
     transport's: the outer transport y/2k alone sets the s-independent
     ceiling RK4_TRANSPORT_ALONE_CFL h 2k / Y_MAX, and the step scales with
-    the outer spacing, not with its square. The stable step (_Flow.stable)
-    is the smaller of that ceiling and MAX_DS: 0.05, MAX_DS itself, on the
-    default 257 nodes. Steps larger than it are split into equal stable
-    substeps automatically. The linear-only flow leaves the inner grid at
-    zero.
+    the outer spacing, not with its square. Every step is at most MAX_DS,
+    so the ceiling must reach it: 0.05, MAX_DS itself, on the default 257
+    nodes at k = 2. The flow refuses more nodes than that, 257 at k = 2 and
+    385 at k = 3, with a ValueError. The linear-only flow leaves the inner
+    grid at zero.
 
     variant and quad_order are not fields: variant names the one form of M
     and R_s the flow solves b' in (operators), for callers that pass it on
@@ -259,7 +259,7 @@ def gamma_map(d, s0: float, delta: float, params: ModelParams) -> np.ndarray:
     n = 2 * params.k
     I = float(scale_factor(s0, params.k))
     amp = I ** (-delta)
-    C = monomial_table(n, I**-2, n - 1)
+    C = monomial_table(I**-2, n - 1)
     psi = np.zeros(n)
     # summed row by row in index order, not as a matrix product, which would
     # round each mode differently
@@ -303,7 +303,6 @@ class _Flow(NamedTuple):
     params: ModelParams
     quad: QuadratureRule
     J: int  # the jet order
-    stable: float  # the largest stable step: the outer transport's RK4 ceiling, within MAX_DS
     linear_only: bool
     nodes: np.ndarray
     h: float
@@ -320,13 +319,21 @@ class _Flow(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
-    """Build, once per process, the flow's context for opts and one model."""
+    """Build, once per process, the flow's context for opts and one model.
+
+    Raises ValueError when the outer transport's RK4 ceiling on opts' grid
+    falls below MAX_DS, the step the flow takes.
+    """
     nodes = opts.nodes()
     k, n, n_nodes = params.k, params.n_modes, opts.n_nodes
-    spacing = 2.0 * Y_MAX / (n_nodes - 1)
+    # the most nodes whose ceiling, RK4_TRANSPORT_ALONE_CFL h 2k / Y_MAX with
+    # h = 2 Y_MAX / (n_nodes - 1), reaches MAX_DS
+    limit = 1 + int(4.0 * k * RK4_TRANSPORT_ALONE_CFL / MAX_DS + 1e-9)
+    if n_nodes > limit:
+        raise ValueError(f"{n_nodes} outer nodes put the transport's RK4 ceiling below MAX_DS = "
+                         f"{MAX_DS}: at k = {k} the flow takes at most {limit} nodes")
     flow = _Flow(
         params=params, quad=opts.quad(), J=default_jet_order(n),
-        stable=min(MAX_DS, RK4_TRANSPORT_ALONE_CFL * spacing / (Y_MAX / (2.0 * k))),
         linear_only=opts.linear_only,
         nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
@@ -470,8 +477,8 @@ def _half_exp(h: float, flow: _Flow) -> np.ndarray:
 
     h is rounded to 12 significant digits first, so step sizes that differ
     in the last bits, as differences of step times do, share one entry. A
-    run's steps are whole quarters of its output interval within the stable
-    step, which does not depend on s, so at ds = 0.01 it may meet all 20 sizes
+    run's steps are whole quarters of its output interval within MAX_DS,
+    so at ds = 0.01 it may meet all 20 sizes
     (0.05 / 0.0025) from its first steps, and one more for a last step cut
     short at s_max: the cache holds 21, so a run never rebuilds one.
     """
@@ -601,22 +608,16 @@ def _step_tail(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
 
 def _advance(
     x: np.ndarray, k1: np.ndarray | None, s0: float, s1: float, flow: _Flow,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """x at s1 > s0: equal Lawson steps within the stable step, each with its tail.
+) -> tuple[np.ndarray, np.ndarray]:
+    """x at s1 > s0, at most MAX_DS on: one Lawson step and its tail.
 
     k1 is the first stage at x, or None to evaluate it here. Also returns
-    the last step's length and its fourth stage, for _step_error.
+    the step's fourth stage, for _step_error.
     """
-    n_sub = max(1, math.ceil((s1 - s0) / flow.stable - 1e-9))
-    for i in range(n_sub):
-        sa = s0 + i * (s1 - s0) / n_sub
-        sb = s1 if i == n_sub - 1 else s0 + (i + 1) * (s1 - s0) / n_sub
-        if k1 is None:
-            k1 = _stage(x, sa, flow)
-        x, k4 = _lawson_step(x, k1, sa, sb, flow)
-        x = _step_tail(x, sb, flow)
-        k1 = None
-    return x, sb - sa, k4
+    if k1 is None:
+        k1 = _stage(x, s0, flow)
+    x, k4 = _lawson_step(x, k1, s0, s1, flow)
+    return _step_tail(x, s1, flow), k4
 
 
 def _step_error(
@@ -684,7 +685,7 @@ def step(
     if ds == 0.0:
         return state
     s1 = state.s + ds
-    x, _, _ = _advance(x, None, state.s, s1, flow)
+    x, _ = _advance(x, None, state.s, s1, flow)
     if not np.isfinite(x).all():
         raise ValueError("time step produced non-finite values")
     return _state_at(x, s1, flow, state.dec.remainder)
@@ -778,7 +779,7 @@ def run(
     """Integrate until the trajectory leaves the shrinking set or reaches s_max.
 
     The samples sit at s0 + i ds, the last at s_max; the steps end at
-    s0 + j ds/4. Each step is the longest such span within the stable step and
+    s0 + j ds/4. Each step is the longest such span within MAX_DS and
     within what the last step's error estimate allows,
     0.9 h (STEP_TOL / err)^{1/4} (_step_error), but never shorter than one
     output interval from a sample, or the rest of the interval from a point
@@ -826,16 +827,17 @@ def run(
     j, k1, h_err, bp = 0, None, 0.0, 0.0
     while report.worst_margin >= -EXIT_HYSTERESIS and j < end:
         sa = s_at(j)
-        jb = min(end, j + max(4 - j % 4, int(min(flow.stable, h_err) / quarter)))
+        jb = min(end, j + max(4 - j % 4, int(min(MAX_DS, h_err) / quarter)))
         if s_at(jb) >= s_max:
             jb = end
         sb = s_at(jb)
+        h = sb - sa
         failure = None
         try:
             if k1 is None:
                 k1 = _stage(x, sa, flow)
                 bp = k1[-1]
-            x1, h, k4 = _advance(x, k1, sa, sb, flow)
+            x1, k4 = _advance(x, k1, sa, sb, flow)
             k_end = _stage(x1, sb, flow)
         except ModulationBreakdownError as exc:
             failure = (BOUND_MODULATION, str(exc))
@@ -860,9 +862,9 @@ def run(
             else:
                 if f0 is None:
                     f0, f1 = full_rates(x, k1, sa), full_rates(x1, k_end, sb)
-                t = (s - sa) / (sb - sa)
-                xi = _hermite(x, f0, x1, f1, sb - sa, t)
-                bp_next = _hermite_slope(x[-1], f0[-1], x1[-1], f1[-1], sb - sa, t)
+                t = (s - sa) / h
+                xi = _hermite(x, f0, x1, f1, h, t)
+                bp_next = _hermite_slope(x[-1], f0[-1], x1[-1], f1[-1], h, t)
             state = _state_at(xi, s, flow, rem0)
             report = membership(state, delta, b0, params, opts)
             # b' at the start of the interval that ends at this sample

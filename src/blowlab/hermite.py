@@ -196,10 +196,6 @@ class SpectralDecomposition:
     modes: np.ndarray
     remainder: GridFunction
 
-    @property
-    def n_modes(self) -> int:
-        return self.modes.size
-
 
 def decompose(
     f, s: float, params: ModelParams, quad: QuadratureRule,
@@ -266,19 +262,12 @@ def remainder_seminorm(
 def multiply_identity(ell: int, n: int, s: float, k: int) -> dict[int, float]:
     """Coefficients of y^ell H_n in the basis: {mode index: coefficient}.
 
-    ell = 0..2 are closed forms; larger ell by repeated application of the
-    one-step identity y H_m = H_{m+1} + 2m I^{-2} H_{m-1}.
+    By ell applications of the one-step identity
+    y H_m = H_{m+1} + 2m I^{-2} H_{m-1}.
     """
     if ell < 0 or n < 0:
         raise ValueError("ell and n must be >= 0")
     I2inv = float(scale_factor(s, k)) ** -2
-    if ell == 0:
-        return {n: 1.0}
-    if ell == 2:
-        out = {n + 2: 1.0, n: (4.0 * n + 2.0) * I2inv}
-        if n >= 2:
-            out[n - 2] = 4.0 * n * (n - 1.0) * I2inv**2
-        return out
     coeffs = {n: 1.0}
     for _ in range(ell):
         nxt: dict[int, float] = {}

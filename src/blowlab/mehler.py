@@ -19,13 +19,11 @@ import math
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .grid import GridFunction, sample
+from .grid import GridFunction
+from .hermite import _values_at
 from .params import scale_factor
 
-__all__ = ["kernel_eval", "mode_multiplier", "propagate", "IDENTITY_GAP"]
-
-# below this gap the kernel width is under any reasonable grid resolution
-IDENTITY_GAP = 1e-4
+__all__ = ["kernel_eval", "mode_multiplier", "propagate"]
 
 
 def _kernel_width(sigma: float, s: float, k: int) -> float:
@@ -59,28 +57,17 @@ def propagate(
 
     The z-integral uses a Gauss rule centered on the kernel's own Gaussian
     (nodes at e^{-(s-sigma)/2k} y + 2 x_i / L), so accuracy is uniform in the
-    gap s - sigma. Gaps below IDENTITY_GAP return f resampled.
+    gap s - sigma, down to the smallest. s must exceed sigma.
     """
     if out_nodes is None:
         if not isinstance(f, GridFunction):
             raise ValueError("out_nodes required for callable input")
         out_nodes = f.nodes
     out_nodes = np.asarray(out_nodes, dtype=float)
-
-    def f_at(pts):
-        if isinstance(f, GridFunction):
-            return sample(f.nodes, f.values, pts)
-        return np.asarray(f(pts), dtype=float)
-
-    if s - sigma < IDENTITY_GAP:
-        if s < sigma:
-            raise ValueError("propagation requires s > sigma")
-        return GridFunction(out_nodes, f_at(out_nodes))
-
     L = _kernel_width(sigma, s, k)
     mu = math.exp(-(s - sigma) / (2 * k)) * out_nodes
     x, wq = hermgauss(quad_order)
     pts = mu[:, None] + (2.0 / L) * x[None, :]
-    vals = f_at(pts.ravel()).reshape(pts.shape)
+    vals = _values_at(f, pts.ravel()).reshape(pts.shape)
     integral = vals @ wq / math.sqrt(math.pi)
     return GridFunction(out_nodes, math.exp(s - sigma) * integral)

@@ -163,30 +163,6 @@ def eval_M(
     return q.with_values(modulation_values(q.values, pw, e, params, variant))
 
 
-def _state_at_quad(
-    state: SpectralDecomposition, s: float, params: ModelParams, quad: QuadratureRule,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(y_quad, q, grad q) at the quadrature nodes."""
-    I = float(scale_factor(s, params.k))
-    y = quad.nodes / I
-    q = hermite_series(state.modes, y, s, params.k)
-    dq = _series_derivative(state.modes, y, s, params.k)
-    rem = state.remainder
-    q = q + sample(rem.nodes, rem.values, y)
-    drem = derivative(rem.values, rem.spacing)
-    dq = dq + sample(rem.nodes, drem, y)
-    return y, q, dq
-
-
-def _series_derivative(coeffs: np.ndarray, y: np.ndarray, s: float, k: int) -> np.ndarray:
-    shifted = np.asarray(coeffs, dtype=float)[1:] * np.arange(1, len(coeffs))
-    return hermite_series(shifted, y, s, k)
-
-
-def _project_single(f_quad: np.ndarray, s: float, k: int, n: int, quad: QuadratureRule) -> float:
-    return float(project_modes_from_samples(f_quad, s, k, n + 1, quad)[n])
-
-
 def modulation_rate(P_sum: float, P_coupling: float, p: float) -> float:
     """b' from P_2k of N + D_s + R_s (P_sum) and of y^{2k} e_b q (P_coupling).
 
@@ -212,24 +188,26 @@ def solve_bprime(
 ) -> float:
     """b'(s) that keeps the neutral mode q_{2k} = 0 to first order.
 
-    Projects the non-modulation RHS terms on H_{2k} and divides by the
-    projected modulation coefficient. Raises ModulationBreakdownError when
+    The pointwise route: q and grad q at the quadrature nodes, and the
+    projections of N + D_s + R_s and of the coupling y^{2k} e_b q on H_{2k},
+    in one call, for modulation_rate. Raises ModulationBreakdownError when
     the denominator wanders too close to zero.
     """
     p, k = params.p, params.k
-    n = 2 * k
-    I2inv = float(scale_factor(s, params.k)) ** -2
-    y, q, dq = _state_at_quad(state, s, params, quad)
+    I = float(scale_factor(s, k))
+    y = quad.nodes / I
+    modes, rem = np.asarray(state.modes, dtype=float), state.remainder
+    q = hermite_series(modes, y, s, k) + sample(rem.nodes, rem.values, y)
+    dq = hermite_series(modes[1:] * np.arange(1, modes.size), y, s, k) + sample(
+        rem.nodes, derivative(rem.values, rem.spacing), y)
     _, e = eval_profile(y, b, params)
     pw = node_powers(y, k)
-
-    proj_sum = (
-        _project_single(nonlinear_values(q, e, p), s, k, n, quad)
-        + _project_single(drift_values(dq, pw, e, b, I2inv, params), s, k, n, quad)
-        + _project_single(residual_values(q, pw, e, b, I2inv, params), s, k, n, quad)
-    )
-    coupling = _project_single(pw.y2k * e * q, s, k, n, quad)
-    return modulation_rate(proj_sum, coupling, p)
+    sources = np.array((
+        nonlinear_values(q, e, p), drift_values(dq, pw, e, b, I**-2, params),
+        residual_values(q, pw, e, b, I**-2, params), pw.y2k * e * q,
+    ))
+    P = project_modes_from_samples(sources, s, k, 2 * k + 1, quad)[:, 2 * k]
+    return modulation_rate(P[0] + P[1] + P[2], P[3], p)
 
 
 def w_rhs(w: GridFunction, s: float, params: ModelParams) -> GridFunction:

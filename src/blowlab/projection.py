@@ -204,39 +204,32 @@ def _jet_binomial_power(u: np.ndarray, expo: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _basis_structure(n_modes: int, J: int):
-    """s-independent integer scaffolding of the basis/monomial conversions.
+def _basis_structure(J: int) -> tuple[np.ndarray, np.ndarray]:
+    """s-independent integer scaffolding of the basis/monomial conversions through degree J.
 
-    hermite_counts/hermite_ell: H_n = sum c (-I^{-2})^ell y^{n-2 ell};
-    mono_counts/mono_ell: y^j = sum c (I^{-2})^ell H_{j-2 ell}. The exponents
-    ell are integers, to gather from the powers of I^{-2}.
+    counts/ell, rows n = 0..J: H_n = sum c (-I^{-2})^ell y^{n-2 ell}, with
+    c = counts[n, n - 2 ell] and ell = ell[n, n - 2 ell]. The conversion
+    back, y^j = sum |c| (I^{-2})^ell H_{j-2 ell}, has the same magnitudes
+    and exponents. The exponents are integers, to gather from the powers of
+    I^{-2}.
     """
-    hc = np.zeros((n_modes, J + 1))
-    he = np.zeros((n_modes, J + 1), dtype=np.intp)
-    for n in range(n_modes):
+    hc = np.zeros((J + 1, J + 1))
+    he = np.zeros((J + 1, J + 1), dtype=np.intp)
+    for n in range(J + 1):
         for ell in range(n // 2 + 1):
             c = math.factorial(n) / (math.factorial(ell) * math.factorial(n - 2 * ell))
             hc[n, n - 2 * ell] = c * (-1.0) ** ell
             he[n, n - 2 * ell] = ell
-    mc = np.zeros((J + 1, n_modes))
-    me = np.zeros((J + 1, n_modes), dtype=np.intp)
-    for j in range(J + 1):
-        for ell in range(j // 2 + 1):
-            n = j - 2 * ell
-            if n < n_modes:
-                c = math.factorial(j) / (math.factorial(ell) * math.factorial(j - 2 * ell))
-                mc[j, n] = c
-                me[j, n] = ell
-    return hc, he, mc, me
+    return hc, he
 
 
-def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
+def monomial_table(I2inv: float, J: int) -> np.ndarray:
     """C[j, n] = coefficient of H_n in y^j (zero when j < n or parity differs).
 
-    Rows j = 0..J, columns n = 0..n_modes-1, at I^{-2} = I2inv.
+    Rows j = 0..J and columns n = 0..J, at I^{-2} = I2inv.
     """
-    _, _, mc, me = _basis_structure(n_modes, J)
-    return mc * (I2inv ** np.arange(J // 2 + 1.0))[me]  # (I^{-2})^ell, ell = 0..J/2
+    hc, he = _basis_structure(J)
+    return np.abs(hc) * (I2inv ** np.arange(J // 2 + 1.0))[he]  # (I^{-2})^ell, ell = 0..J/2
 
 
 # -- per-scale-time tables ----------------------------------------------------
@@ -244,12 +237,12 @@ def monomial_table(n_modes: int, I2inv: float, J: int) -> np.ndarray:
 class ScaleTables(NamedTuple):
     """What the projections need at one scale time, independent of the state.
 
-    Every entry is a scalar or an O(J) table: conv maps modes to their jet
-    (H_n = sum c (-I^{-2})^ell y^{n-2 ell}), mono is monomial_table(J + 1,
-    I^{-2}, J) and proj_scale I^n / (2^n n!). i2k = I^{-2k} turns powers of
-    z into powers of y: |y|^{2k} = i2k |z|^{2k}, and as I dr/dz = dr/dy,
-    the drift's |y|^{2k-2} y dr/dy and the residual's I^{-2} |y|^{2k-2} r
-    are i2k |z|^{2k-2} z dr/dz and i2k |z|^{2k-2} r.
+    Every entry is a scalar or an O(J) table: mono is monomial_table(I^{-2},
+    J), conv maps modes to their jet (H_n = sum c (-I^{-2})^ell y^{n-2 ell}),
+    mono's first rows with the signs (-1)^ell, and proj_scale I^n / (2^n n!).
+    i2k = I^{-2k} turns powers of z into powers of y: |y|^{2k} = i2k |z|^{2k},
+    and as I dr/dz = dr/dy, the drift's |y|^{2k-2} y dr/dy and the residual's
+    I^{-2} |y|^{2k-2} r are i2k |z|^{2k-2} z dr/dz and i2k |z|^{2k-2} r.
     """
 
     I: float
@@ -263,15 +256,18 @@ class ScaleTables(NamedTuple):
 
 @lru_cache(maxsize=8)
 def scale_tables(s: float, k: int, n_modes: int, J: int) -> ScaleTables:
-    """Build, once per scale time and sizes, the state-independent tables."""
+    """Build, once per scale time and sizes, the state-independent tables.
+
+    Both conversions read the one monomial table: it holds the magnitudes
+    of the basis's monomial coefficients (_basis_structure).
+    """
     I = float(scale_factor(s, k))
     I2inv = I**-2
-    hc, he, _, _ = _basis_structure(n_modes, J)
-    _, _, mc, me = _basis_structure(J + 1, J)
-    ell = I2inv ** np.arange(J // 2 + 1.0)  # both conversions gather these powers
+    mono = monomial_table(I2inv, J)
     tables = ScaleTables(
-        I=I, I2inv=I2inv, i2k=I ** (-2 * k), iexp=I ** -np.arange(J + 1.0), conv=hc * ell[he],
-        mono=mc * ell[me], proj_scale=mode_projection_scale(I, n_modes),
+        I=I, I2inv=I2inv, i2k=I ** (-2 * k), iexp=I ** -np.arange(J + 1.0),
+        conv=np.copysign(mono[:n_modes], _basis_structure(J)[0][:n_modes]),
+        mono=mono, proj_scale=mode_projection_scale(I, n_modes),
     )
     for arr in (tables.iexp, tables.conv, tables.mono, tables.proj_scale):
         arr.flags.writeable = False  # one cached copy serves every caller

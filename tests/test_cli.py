@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blowlab.cli import COMMANDS, build_parser, run_experiment
-from blowlab.config import ConfigError, RunConfig
+from blowlab.cli import COMMANDS, _seeded_w_run, build_parser, run_experiment
+from blowlab.config import DIRECT_N_NODES, DIRECT_Y_MAX, ConfigError, RunConfig
 from blowlab.dynamics import FlowOptions, init_state, run
+from blowlab.grid import uniform_grid
+from blowlab.params import eval_profile, scale_factor
 from blowlab.serialize import load_json, save_json, write_trajectory_csv
 
 
@@ -193,6 +195,23 @@ def test_cli_direct_runs_at_a_scale_time_whose_tau_underflows(tmp_path, capfd):
     assert rc == 0, err
     assert "DLASCL" not in err and "RuntimeWarning" not in err
     assert (tmp_path / "w-profile-series.csv").exists()
+
+
+def test_the_direct_w_run_starts_from_criterion_8s_seed():
+    # direct and compare seed the w-run with I^{-delta}(s0) as gamma_map and
+    # criterion 8 form it, float(scale_factor(s0, k)) ** -delta; at k = 3,
+    # s0 = 20, delta = 0.1 the one exponential exp(-delta s0 (1 - 1/k) / 2)
+    # differs from it in the last bit
+    cfg = RunConfig.from_dict({"k": 3, "d": [0.1, -0.05, 0.08, 0.02, 0.01, -0.03]})
+    params = cfg.params()
+    wrun, _ = _seeded_w_run(np.asarray(cfg.seed_vector()), cfg, params)
+    yg = uniform_grid(DIRECT_Y_MAX, DIRECT_N_NODES)
+    f, e = eval_profile(yg, cfg.b0, params)
+    amp = float(scale_factor(cfg.s0, params.k)) ** -cfg.delta
+    psi = np.zeros_like(yg)
+    for i, di in enumerate(cfg.d):
+        psi += di * amp * yg**i
+    assert np.array_equal(wrun.snapshots[0], f * (1.0 + e * psi))
 
 
 def test_cli_simulate_out_of_box(tmp_path):

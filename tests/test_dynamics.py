@@ -441,9 +441,8 @@ def test_flow_caches_stay_bounded(params3, opts):
         assert info.maxsize is not None and info.maxsize <= 21
         assert info.currsize <= info.maxsize
     # e^{hL/2} holds every step size of a run at ds = 0.01, the quarters up
-    # to the stable step and a last step cut short at s_max
-    stable = dynamics._flow(opts, params3).stable
-    assert dynamics._half_exp_of.cache_info().maxsize >= round(stable / 0.0025) + 1
+    # to MAX_DS and a last step cut short at s_max
+    assert dynamics._half_exp_of.cache_info().maxsize >= round(dynamics.MAX_DS / 0.0025) + 1
 
 
 def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad96):
@@ -457,6 +456,28 @@ def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad
     projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
     for cache in (z_frame, dynamics._sine_basis, dynamics._half_exp_of, dynamics._outer_band):
         assert cache.cache_info().currsize == 0, cache.__name__
+
+
+@pytest.mark.parametrize("k, largest", [(2, 257), (3, 385)])
+def test_the_flow_refuses_a_grid_whose_transport_ceiling_falls_below_the_step(k, largest):
+    # the outer transport's RK4 ceiling 1.6 h 2k / Y_MAX meets MAX_DS exactly
+    # on 257 nodes at k = 2 and on 385 at k = 3; one node more and run, step
+    # and membership refuse the grid, naming the limit
+    params = make_params(3.0, k)
+    for n_nodes in (largest, largest + 1):
+        opts = FlowOptions(n_nodes=n_nodes)
+        st = init_state(np.zeros(2 * k), DELTA, B0, S0, params, opts)
+        calls = (
+            lambda: run(st, S0 + 0.01, DELTA, B0, params, ds=0.01, opts=opts),
+            lambda: step(st, 0.01, params, opts),
+            lambda: membership(st, DELTA, B0, params, opts),
+        )
+        for call in calls:
+            if n_nodes == largest:
+                call()
+            else:
+                with pytest.raises(ValueError, match=rf"MAX_DS = 0\.05.*at most {largest} nodes"):
+                    call()
 
 
 def test_run_and_step_refuse_a_scale_time_where_the_projection_scale_overflows(params3, opts):
@@ -631,7 +652,7 @@ def _stage_from_the_routes(x, s, flow):
 # the recorded states of the stage oracle: three at the default model, whose
 # ids carry no model, and three at each other (p, k); p = 2.5 takes eight
 # Gauss-Legendre nodes and a jet whose binomial series does not terminate,
-# and at k = 3 the stable step is MAX_DS
+# and at k = 3 the transport ceiling, 0.075, lies above MAX_DS
 STAGE_CASES = [((p, k), i) for p, k in ((3.0, 2), (2.5, 2), (3.0, 3)) for i in range(3)]
 
 
@@ -739,7 +760,7 @@ def test_outer_grid_stays_stable_at_the_transport_step(params3, s0):
     noise = 1e-8 * np.random.default_rng(3).uniform(-1.0, 1.0, size=flow.n_nodes)
     st = SimState(s=st.s, b=st.b, dec=SpectralDecomposition(
         st.s, st.dec.modes, st.dec.remainder.with_values(noise)))
-    h = dynamics._flow(flow, params3).stable
+    h = dynamics.MAX_DS
     for _ in range(math.ceil(2.0 / h)):
         st = step(st, min(h, s0 + 2.0 - st.s), params3, flow)
     assert st.s == pytest.approx(s0 + 2.0, abs=1e-12)
@@ -755,10 +776,10 @@ def test_rk4_powers_of_the_outer_transport_stay_bounded_at_the_stable_step(param
     # and 105 at 0.07)
     flow = dynamics._flow(opts, params3)
     eye = np.eye(flow.nodes.size)
-    hA = flow.stable * -flow.wind[:, None] * upwind_gradient(eye, flow.h, flow.wind)
+    hA = dynamics.MAX_DS * -flow.wind[:, None] * upwind_gradient(eye, flow.h, flow.wind)
     power = eye + hA @ (eye + hA / 2.0 @ (eye + hA / 3.0 @ (eye + hA / 4.0)))
     for j in range(9):
-        growth = math.exp(2**j * flow.stable / (4.0 * params3.k))
+        growth = math.exp(2**j * dynamics.MAX_DS / (4.0 * params3.k))
         assert np.linalg.norm(power, 2) <= 1.25 * growth, 2**j
         power = power @ power
 
@@ -793,7 +814,7 @@ def test_dense_output_meets_the_step_states(params3, opts, monkeypatch):
     x = dynamics._values(st, flow)
     met = 0
     for sa, sb in steps:
-        x, _, _ = dynamics._advance(x, None, sa, sb, flow)
+        x, _ = dynamics._advance(x, None, sa, sb, flow)
         jb = round((sb - s0) / 0.0025)
         if jb % 4 == 0:
             smp = rec.samples[jb // 4]
@@ -816,11 +837,11 @@ def test_lawson_step_agrees_with_quarter_steps(params3, opts):
     worst_q = worst_b = 0.0
     while i < 200:
         sa = S0 + i * 0.01
-        m = min(200 - i, max(1, int(flow.stable / 0.01)))
+        m = min(200 - i, max(1, int(dynamics.MAX_DS / 0.01)))
         sb = S0 + (i + m) * 0.01
-        coarse, _, _ = dynamics._advance(coarse, None, sa, sb, flow)
+        coarse, _ = dynamics._advance(coarse, None, sa, sb, flow)
         for q in range(4):
-            fine, _, _ = dynamics._advance(
+            fine, _ = dynamics._advance(
                 fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4, flow,
             )
         amp = float(scale_factor(sb, 2)) ** -DELTA
@@ -850,15 +871,15 @@ def test_grown_steps_agree_with_quarter_steps(params3, opts, monkeypatch, seed):
     # the estimate grows the steps: the centre's up to the stable step, the
     # narrow seed's, held below it, past the sample grid
     if seed is CENTRE:
-        assert any(sb - sa == pytest.approx(flow.stable, rel=1e-9) for sa, sb in steps)
+        assert any(sb - sa == pytest.approx(dynamics.MAX_DS, rel=1e-9) for sa, sb in steps)
     else:
         assert any(round((sb - sa) / 0.0025) % 4 for sa, sb in steps)
     coarse = fine = dynamics._values(st, flow)
     worst_q = worst_b = 0.0
     for sa, sb in steps:
-        coarse, _, _ = dynamics._advance(coarse, None, sa, sb, flow)
+        coarse, _ = dynamics._advance(coarse, None, sa, sb, flow)
         for q in range(4):
-            fine, _, _ = dynamics._advance(
+            fine, _ = dynamics._advance(
                 fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4, flow,
             )
         amp = float(scale_factor(sb, 2)) ** -DELTA
@@ -886,7 +907,7 @@ def test_grown_steps_sit_on_the_quarter_grid(params3, opts, monkeypatch, seed, l
     steps = _recorded_steps(monkeypatch)
     run(init_state(seed, DELTA, B0, S0, params3, opts), S0 + length, DELTA, B0, params3,
         ds=0.01, opts=opts)
-    stable = dynamics._flow(opts, params3).stable
+    stable = dynamics.MAX_DS
     end = round(length / 0.0025)
     j = 0
     for sa, sb in steps:
@@ -895,7 +916,7 @@ def test_grown_steps_sit_on_the_quarter_grid(params3, opts, monkeypatch, seed, l
         assert sb == S0 + jb * 0.0025 or (jb == end and sb == S0 + length)
         least = _least_quarters(j)
         assert jb - j >= least or jb == end
-        # within the stable step up to the roundoff of step times, as _advance counts it
+        # within the stable step up to the roundoff of step times
         assert jb - j == least or (sb - sa) / stable - 1e-9 <= 1.0
         j = jb
 
@@ -909,7 +930,7 @@ def test_a_wide_seed_keeps_the_least_steps_in_its_transient(params3, opts, monke
     assert rec.exit is not None and rec.exit.bound == "mode_1"
     assert len(steps) == len(rec.samples) - 1 > 20
     assert all(sb - sa == pytest.approx(0.01, rel=1e-9) for sa, sb in steps)
-    assert dynamics._flow(opts, params3).stable == dynamics.MAX_DS == 0.05
+    assert dynamics.MAX_DS == 0.05
 
 
 def test_step_error_estimate_costs_no_stage(params3, opts, monkeypatch):

@@ -195,7 +195,7 @@ def test_multiply_identity_against_quadrature(quad96, s, k, ell, n):
 def test_power_in_hermite_round_trip():
     s, k = 6.0, 2
     y = np.linspace(-2, 2, 50)
-    C = monomial_table(8, float(scale_factor(s, k)) ** -2, 7)
+    C = monomial_table(float(scale_factor(s, k)) ** -2, 7)
     for m in range(8):
         total = sum(C[m, n] * eval_scaled_hermite(n, y, s, k) for n in range(8))
         assert np.max(np.abs(total - y**m)) < 1e-10 * max(1.0, 2.0**m)
