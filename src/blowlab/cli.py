@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -43,10 +44,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECKS = 4
 
+# a flag for each int, float and str key of RunConfig (its annotations are strings)
 _OVERRIDE_KEYS = [
-    ("p", float), ("k", int), ("b0", float), ("delta", float), ("s0", float),
-    ("ds", float), ("horizon", float), ("outdir", str),
-    ("shoot_depth", int), ("shoot_box", float), ("u_T", float),
+    (f.name, {"int": int, "float": float, "str": str}[f.type])
+    for f in dataclasses.fields(RunConfig)
+    if f.type in ("int", "float", "str")
 ]
 
 

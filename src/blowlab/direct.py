@@ -218,8 +218,6 @@ class BlowupFit:
     T_hat: float
     slope: float
     residual: float
-    window: tuple[float, float]
-    n_points: int
 
 
 def estimate_blowup_time(run: PdeRun, params: ModelParams) -> BlowupFit:
@@ -253,8 +251,6 @@ def estimate_blowup_time(run: PdeRun, params: ModelParams) -> BlowupFit:
         T_hat=float(T_hat),
         slope=float(c1),
         residual=residual,
-        window=(float(tt[0]), float(tt[-1])),
-        n_points=int(tt.size),
     )
 
 
@@ -262,8 +258,6 @@ def estimate_blowup_time(run: PdeRun, params: ModelParams) -> BlowupFit:
 class ProfileFit:
     b: float
     flat: bool
-    residual: float
-    n_points: int
 
 
 def _fit_core(y: np.ndarray, w: np.ndarray, params: ModelParams, y_fit: float) -> ProfileFit:
@@ -274,18 +268,14 @@ def _fit_core(y: np.ndarray, w: np.ndarray, params: ModelParams, y_fit: float) -
     yy, ww = y[mask], w[mask]
     g = ww ** (-(p - 1.0)) - (p - 1.0)
     if float(np.max(np.abs(g))) < 1e-8 * (p - 1.0):
-        return ProfileFit(b=0.0, flat=True, residual=0.0, n_points=int(yy.size))
+        return ProfileFit(b=0.0, flat=True)
     y2k = np.abs(yy) ** (2 * k)
-    b_hat = float(np.sum(g * y2k) / np.sum(y2k**2))
-    f_fit, _ = eval_profile(yy, max(b_hat, 0.0), params)
-    residual = float(np.sqrt(np.mean((ww - f_fit) ** 2)))
-    return ProfileFit(b=b_hat, flat=False, residual=residual, n_points=int(yy.size))
+    return ProfileFit(b=float(np.sum(g * y2k) / np.sum(y2k**2)), flat=False)
 
 
 @dataclass(frozen=True)
 class ProfileComparison:
     times: np.ndarray
-    log_tau: np.ndarray
     b_series: np.ndarray
     distances: np.ndarray
     loglog_slope: float
@@ -304,7 +294,6 @@ def _comparison(times: list, log_tau, bs: list, ds: list) -> ProfileComparison:
     )
     return ProfileComparison(
         times=np.array(times),
-        log_tau=log_tau,
         b_series=np.array(bs),
         distances=ds_a,
         loglog_slope=slope,

@@ -901,12 +901,10 @@ class AprioriReport:
     """Empirical constants behind the mode-ODE / modulation / remainder bounds."""
 
     C1: float
-    C1_per_mode: np.ndarray
     C2: float
     C3: float
     b_min: float
     b_max: float
-    n_samples: int
 
 
 def a_priori_diagnostics(
@@ -955,10 +953,8 @@ def a_priori_diagnostics(
 
     return AprioriReport(
         C1=float(np.max(c1_per_mode)),
-        C1_per_mode=c1_per_mode,
         C2=c2,
         C3=c3,
         b_min=float(np.min(b)),
         b_max=float(np.max(b)),
-        n_samples=len(s),
     )

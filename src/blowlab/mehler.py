@@ -30,7 +30,7 @@ def _kernel_width(sigma: float, s: float, k: int) -> float:
     if not s > sigma:
         raise ValueError("propagation requires s > sigma")
     I_sigma = float(scale_factor(sigma, k))
-    return I_sigma / math.sqrt(1.0 - math.exp(-(s - sigma)))
+    return I_sigma / math.sqrt(-math.expm1(-(s - sigma)))
 
 
 def kernel_eval(y, z, s: float, sigma: float, k: int):

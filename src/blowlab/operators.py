@@ -22,8 +22,8 @@ and consistency_residual() verifies numerically that exactly this variant
 ("derived") matches the transformed w-equation. The flow and both b' solves
 use it alone; the alternative ("paper") form M = p/(p-1) y^{2k} (1 + e_b q)
 with no e_b on the q-part of R_s is kept only in the pointwise operators
-(residual_values, modulation_values, eval_DR, eval_M), for the oracle to
-measure against. Every one of them defaults to the derived form.
+residual_values and modulation_values, for the oracle to measure against.
+Both default to the derived form.
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ from .params import (
 __all__ = [
     "ModulationBreakdownError",
     "apply_Ls",
-    "eval_N",
-    "eval_DR",
-    "eval_M",
     "modulation_rate",
     "solve_bprime",
     "w_rhs",
@@ -105,12 +102,6 @@ def nonlinear_values(q: np.ndarray, e: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def eval_N(q: GridFunction, b: float, params: ModelParams) -> GridFunction:
-    """Superlinear reaction remainder |1+e_b q|^{p-1}(1+e_b q) - 1 - p e_b q."""
-    _, e = eval_profile(q.nodes, b, params)
-    return q.with_values(nonlinear_values(q.values, e, params.p))
-
-
 def drift_values(
     dq: np.ndarray, pw: NodePowers, e: np.ndarray, b: float, I2inv: float, params: ModelParams
 ) -> np.ndarray:
@@ -129,20 +120,6 @@ def residual_values(
     )
 
 
-def eval_DR(
-    q: GridFunction, b: float, s: float, params: ModelParams, variant: str = "derived"
-) -> tuple[GridFunction, GridFunction]:
-    """Transport correction D_s (via grad q) and curvature source R_s."""
-    _check_variant(variant)
-    I2inv = float(scale_factor(s, params.k)) ** -2
-    _, e = eval_profile(q.nodes, b, params)
-    pw = node_powers(q.nodes, params.k)
-    dq = derivative(q.values, q.spacing)
-    d_vals = drift_values(dq, pw, e, b, I2inv, params)
-    r_vals = residual_values(q.values, pw, e, b, I2inv, params, variant)
-    return q.with_values(d_vals), q.with_values(r_vals)
-
-
 def modulation_values(
     q: np.ndarray, pw: NodePowers, e: np.ndarray, params: ModelParams,
     variant: str = "derived",
@@ -151,16 +128,6 @@ def modulation_values(
     if variant == "derived":
         return pw.y2k / (p - 1.0) * (1.0 + p * e * q)
     return p / (p - 1.0) * pw.y2k * (1.0 + e * q)
-
-
-def eval_M(
-    q: GridFunction, b: float, params: ModelParams, variant: str = "derived"
-) -> GridFunction:
-    """Profile-parameter sensitivity term M(q), in the derived form by default."""
-    _check_variant(variant)
-    _, e = eval_profile(q.nodes, b, params)
-    pw = node_powers(q.nodes, params.k)
-    return q.with_values(modulation_values(q.values, pw, e, params, variant))
 
 
 def modulation_rate(P_sum: float, P_coupling: float, p: float) -> float:
@@ -241,20 +208,23 @@ def consistency_residual(
     the "derived" modulation form by construction). The gap over the grid
     interior is the derivation-consistency residual.
     """
-    drift, residual = eval_DR(q, b, s, params, variant)
+    _check_variant(variant)
+    p = params.p
+    I2inv = float(scale_factor(s, params.k)) ** -2
+    f, e = eval_profile(q.nodes, b, params)
+    pw = node_powers(q.nodes, params.k)
+    dq = derivative(q.values, q.spacing)
     assembled = (
         apply_Ls(q, s, params).values
-        + eval_N(q, b, params).values
-        + drift.values
-        + residual.values
-        + bprime * eval_M(q, b, params, variant).values
+        + nonlinear_values(q.values, e, p)
+        + drift_values(dq, pw, e, b, I2inv, params)
+        + residual_values(q.values, pw, e, b, I2inv, params, variant)
+        + bprime * modulation_values(q.values, pw, e, params, variant)
     )
 
     w = q.with_values(q_to_w(q.values, q.nodes, b, params))
-    wr = w_rhs(w, s, params)
-    f, _ = eval_profile(q.nodes, b, params)
-    chain = eval_M(q, b, params, "derived").values
-    direct = f ** (-params.p) * wr.values + bprime * chain
+    chain = modulation_values(q.values, pw, e, params)
+    direct = f ** (-p) * w_rhs(w, s, params).values + bprime * chain
 
     sl = slice(N_EDGE, len(q) - N_EDGE)
     return float(np.max(np.abs(assembled[sl] - direct[sl])))

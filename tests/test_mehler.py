@@ -49,6 +49,18 @@ def test_near_identity_gap():
     assert np.max(np.abs(out2.values - f(nodes))) < 2e-2
 
 
+def test_smallest_gap_is_finite():
+    # a gap of one ulp: 1 - exp(-gap) rounds to 0, expm1 keeps the width finite
+    sigma = 0.1
+    s = np.nextafter(sigma, 1.0)
+    assert np.isfinite(kernel_eval(0.0, 0.0, s, sigma, 2))
+    nodes = uniform_grid(2.0, 301)
+    f = lambda y: np.exp(-(y**2)) * (1 + 0.5 * y)
+    out = propagate(f, sigma, s, 2, out_nodes=nodes)
+    assert np.all(np.isfinite(out.values))
+    assert np.max(np.abs(out.values - f(nodes))) < 1e-14
+
+
 @pytest.mark.parametrize("n,gap", [(0, 1.0), (2, 1.0), (4, 0.5), (6, 2.0)])
 def test_propagate_basis_multipliers(n, gap):
     sigma, k = 4.0, 2

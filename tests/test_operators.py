@@ -5,7 +5,7 @@ import pytest
 
 from conftest import P4_R0_ORACLE, random_bumps
 
-from blowlab.grid import GridFunction, uniform_grid
+from blowlab.grid import GridFunction, derivative, uniform_grid
 from blowlab.hermite import (
     decompose,
     eval_scaled_hermite,
@@ -16,9 +16,10 @@ from blowlab.operators import (
     ModulationBreakdownError,
     apply_Ls,
     consistency_residual,
-    eval_DR,
-    eval_M,
-    eval_N,
+    drift_values,
+    modulation_values,
+    nonlinear_values,
+    residual_values,
     solve_bprime,
     w_rhs,
 )
@@ -62,22 +63,22 @@ def test_apply_Ls_rejects_coarse_grid(params3):
 
 def test_nonlinear_term_zero_and_cubic(params3):
     nodes = uniform_grid(2.0, 101)
-    zero = eval_N(GridFunction(nodes, np.zeros_like(nodes)), 1.0, params3)
-    assert np.max(np.abs(zero.values)) == 0.0
+    _, e = eval_profile(nodes, 1.0, params3)
+    zero = nonlinear_values(np.zeros_like(nodes), e, params3.p)
+    assert np.max(np.abs(zero)) == 0.0
 
     rng = np.random.default_rng(5)
     q = rng.normal(scale=0.4, size=nodes.size)
-    out = eval_N(GridFunction(nodes, q), 1.3, params3)
     _, e = eval_profile(nodes, 1.3, params3)
+    out = nonlinear_values(q, e, params3.p)
     u = e * q
     oracle = 3.0 * u**2 + u**3  # binomial expansion, exact for p = 3
-    assert np.max(np.abs(out.values - oracle)) < 1e-14
+    assert np.max(np.abs(out - oracle)) < 1e-14
 
 
 @pytest.mark.parametrize("p", [3.0, 2.5])
 def test_nonlinear_sign_changed_branch(p):
     # 1 + e q <= 0 only far outside the set; there N is the direct form
-    from blowlab.operators import nonlinear_values
     from blowlab.params import signed_power
 
     rng = np.random.default_rng(17)
@@ -101,7 +102,6 @@ def test_even_powers_of_negative_points(k):
     # for negative bases. At k = 2 both are squares and agree bit for bit; at
     # k = 3 numpy's vectorised power of a positive base rounds differently
     # from the scalar path of a negative one by at most one ulp.
-    from blowlab.operators import residual_values
     from blowlab.projection import _increments
 
     P = make_params(3.0, k)
@@ -140,8 +140,8 @@ def test_nonlinear_quadratic_coefficient():
     vals = []
     for eps in (1e-4, 5e-5):
         q = np.full_like(nodes, eps)
-        out = eval_N(GridFunction(nodes, q), 1.0, P)
-        vals.append(out.values[5] / (e[5] * eps) ** 2)
+        out = nonlinear_values(q, e, P.p)
+        vals.append(out[5] / (e[5] * eps) ** 2)
     extrap = 2.0 * vals[1] - vals[0]
     assert extrap == pytest.approx(1.875, rel=1e-5)
 
@@ -149,43 +149,45 @@ def test_nonlinear_quadratic_coefficient():
 def test_drift_and_residual_terms(params3):
     s, b = 4.0, 1.0
     nodes = uniform_grid(2.0, 401)
-
-    D, _ = eval_DR(GridFunction(nodes, np.full_like(nodes, 0.7)), b, s, params3)
-    assert np.max(np.abs(D.values)) < 1e-11
-
-    _, R0 = eval_DR(GridFunction(nodes, np.zeros_like(nodes)), b, s, params3)
-    a = alpha_consts(b, params3)
     _, e = eval_profile(nodes, b, params3)
+    pw = node_powers(nodes, 2)
     I2inv = float(scale_factor(s, 2)) ** -2
+    h = float(nodes[1] - nodes[0])
+
+    def drift(q):
+        return drift_values(derivative(q, h), pw, e, b, I2inv, params3)
+
+    assert np.max(np.abs(drift(np.full_like(nodes, 0.7)))) < 1e-11
+
+    R0 = residual_values(np.zeros_like(nodes), pw, e, b, I2inv, params3)
+    a = alpha_consts(b, params3)
     ref = I2inv * nodes**2 * (a.alpha1 + a.alpha2 * nodes**4 * e)
-    assert np.max(np.abs(R0.values - ref)) < 1e-14
+    assert np.max(np.abs(R0 - ref)) < 1e-14
 
     rng = np.random.default_rng(6)
     q = rng.normal(size=nodes.size)
-    D1, _ = eval_DR(GridFunction(nodes, q), b, s, params3)
-    D2, _ = eval_DR(GridFunction(nodes, 2 * q), b, s, params3)
-    assert np.max(np.abs(D2.values - 2 * D1.values)) < 1e-12
+    assert np.max(np.abs(drift(2 * q) - 2 * drift(q))) < 1e-12
 
 
 def test_modulation_term(params3):
     nodes = uniform_grid(2.0, 201)
     b = 1.1
-    zero = GridFunction(nodes, np.zeros_like(nodes))
-    M0 = eval_M(zero, b, params3, "paper")
-    assert np.allclose(M0.values, 1.5 * nodes**4, rtol=1e-14)
-    assert M0.values[100] == 0.0  # y = 0
+    _, e = eval_profile(nodes, b, params3)
+    pw = node_powers(nodes, 2)
+    zero = np.zeros_like(nodes)
+    M0 = modulation_values(zero, pw, e, params3, "paper")
+    assert np.allclose(M0, 1.5 * nodes**4, rtol=1e-14)
+    assert M0[100] == 0.0  # y = 0
     # the omitted argument gives the derived form, y^{2k}/(p-1) at q = 0
-    M0 = eval_M(zero, b, params3)
-    assert np.array_equal(M0.values, eval_M(zero, b, params3, "derived").values)
-    assert np.allclose(M0.values, 0.5 * nodes**4, rtol=1e-14)
+    M0 = modulation_values(zero, pw, e, params3)
+    assert np.array_equal(M0, modulation_values(zero, pw, e, params3, "derived"))
+    assert np.allclose(M0, 0.5 * nodes**4, rtol=1e-14)
 
     rng = np.random.default_rng(7)
     q = rng.normal(size=nodes.size)
-    _, e = eval_profile(nodes, b, params3)
     for variant in ("paper", "derived"):
-        Mq = eval_M(GridFunction(nodes, q), b, params3, variant)
-        M0v = eval_M(zero, b, params3, variant)
-        diff = Mq.values - M0v.values
+        diff = modulation_values(q, pw, e, params3, variant) - modulation_values(
+            zero, pw, e, params3, variant)
         ref = 1.5 * nodes**4 * e * q
         assert np.max(np.abs(diff - ref)) < 1e-12
 
