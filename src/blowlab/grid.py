@@ -24,6 +24,7 @@ __all__ = [
     "sample",
     "sample_matrix",
     "band",
+    "probed_band",
     "RK4_TRANSPORT_CFL",
     "RK4_DIFFUSION_CFL",
     "RK4_TRANSPORT_ALONE_CFL",
@@ -53,6 +54,7 @@ RK4_DIFFUSION_CFL = 0.45
 # rows included, stay bounded there; at 0.06 of the flow's default outer
 # grid (c = 1.92) they no longer do.
 RK4_TRANSPORT_ALONE_CFL = 1.6
+PROBE_REACH = 3  # the farthest node a row of laplacian_compact or upwind_gradient reads
 
 
 @dataclass(frozen=True)
@@ -224,17 +226,43 @@ def sample_matrix(nodes: np.ndarray, points) -> np.ndarray:
     return out
 
 
+def _windows(nz: np.ndarray, offset, n_cols: int) -> np.ndarray:
+    """band's windows, (width, rows), of the nonzeros nz[i, t] at columns offset[i] + t."""
+    first = nz.argmax(axis=1)  # 0 in a zero row
+    span = nz.shape[1] - nz[:, ::-1].argmax(axis=1) - first
+    width = int(np.max(span, where=nz.any(axis=1), initial=1))
+    return np.minimum(offset + first, n_cols - width) + np.arange(width)[:, None]
+
+
 def band(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A matrix's rows as windows of one width over its columns: (columns, weights).
 
     Each row's window starts at its first nonzero column, moved left where
     it would run past the last column, and is as wide as the widest span of
     nonzeros in a row; a zero row takes the first window, with zero weights.
-    Then A @ v = einsum("jn,jn->n", weights, v[columns]).
+    Then A @ v = einsum("jn,jn->n", weights, v[columns]). A stack of
+    matrices shares the windows of all their nonzeros; weights[i] is A[i]'s.
     """
-    nz = A != 0.0
-    first = nz.argmax(axis=1)
-    span = A.shape[1] - nz[:, ::-1].argmax(axis=1) - first
-    width = int(np.max(span, where=nz.any(axis=1), initial=1))
-    columns = np.minimum(first, A.shape[1] - width) + np.arange(width)[:, None]
-    return columns, A[np.arange(A.shape[0]), columns]
+    columns = _windows((A != 0.0).reshape(-1, *A.shape[-2:]).any(axis=0), 0, A.shape[-1])
+    return columns, A[..., np.arange(A.shape[-2]), columns]
+
+
+def probed_band(kernels, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """band of the stacked matrices of linear kernels on n nodes, from 2 PROBE_REACH + 1 probes.
+
+    Each kernel acts along axis 0 of an (n, m) array, and row i of its matrix
+    vanishes outside columns i - PROBE_REACH .. i + PROBE_REACH. Probe j is 1
+    on nodes j, j + m, j + 2m, ..., so row i of a kernel's image of it is the
+    entry of the one such node in the row's reach. No n x n array is formed,
+    and the weights are C-contiguous.
+    """
+    m = min(2 * PROBE_REACH + 1, n)
+    rows = np.arange(n)
+    offset = np.clip(rows - PROBE_REACH, 0, n - m)  # m columns from here hold row i's reach
+    probes = np.equal.outer(rows % m, np.arange(m)).astype(float)
+    cols = (offset[:, None] + np.arange(m)) % m
+    local = np.stack([K(probes)[rows[:, None], cols] for K in kernels])
+    columns = _windows((local != 0.0).any(axis=0), offset, n)
+    t = columns - offset  # >= 0; past its m columns a row is zero
+    weights = np.where(t < m, local[:, rows, np.minimum(t, m - 1)], 0.0)
+    return columns, np.ascontiguousarray(weights)

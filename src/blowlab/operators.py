@@ -113,6 +113,7 @@ def residual_values(
     q: np.ndarray, pw: NodePowers, e: np.ndarray, b: float, I2inv: float,
     params: ModelParams, variant: str = "derived",
 ) -> np.ndarray:
+    _check_variant(variant)
     a = alpha_consts(b, params)
     qweight = e if variant == "derived" else 1.0
     return I2inv * pw.yres * (
@@ -124,6 +125,7 @@ def modulation_values(
     q: np.ndarray, pw: NodePowers, e: np.ndarray, params: ModelParams,
     variant: str = "derived",
 ) -> np.ndarray:
+    _check_variant(variant)
     p = params.p
     if variant == "derived":
         return pw.y2k / (p - 1.0) * (1.0 + p * e * q)
@@ -208,7 +210,6 @@ def consistency_residual(
     the "derived" modulation form by construction). The gap over the grid
     interior is the derivation-consistency residual.
     """
-    _check_variant(variant)
     p = params.p
     I2inv = float(scale_factor(s, params.k)) ** -2
     f, e = eval_profile(q.nodes, b, params)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blowlab import direct
+from blowlab import direct, grid
 from blowlab.direct import (
     PdeRun,
     _fit_core,
@@ -13,9 +13,10 @@ from blowlab.direct import (
     solve_u_physical,
     solve_w_direct,
 )
-from blowlab.grid import GridFunction, uniform_grid
+from blowlab.grid import GridFunction, band, laplacian_compact, uniform_grid, upwind_gradient
 from blowlab.params import (
     eval_profile,
+    make_params,
     profile_second_derivative,
     scale_factor,
 )
@@ -325,3 +326,82 @@ def test_overflow_ends_a_run_as_instability(params3, frame):
         if frame == "u":
             with pytest.raises(ValueError):
                 estimate_blowup_time(run, params3)
+
+
+@pytest.mark.parametrize("frame", ["w", "u"])
+def test_a_nan_in_the_data_ends_a_run_as_instability(params3, frame, monkeypatch):
+    # np.max carries the NaN into the one sup that each step takes: the run
+    # ends after its first step (four stages, four reaction terms), and the
+    # only sup it records is that of its data
+    calls = []
+    power = direct.signed_power
+    monkeypatch.setattr(direct, "signed_power", lambda x, p: calls.append(1) or power(x, p))
+    nodes = uniform_grid(6.0, 201)
+    values = np.full_like(nodes, params3.kappa)
+    values[77] = np.nan
+    v0 = GridFunction(nodes, values)
+    run = solve_w_direct(v0, (20.0, 21.0), params3) if frame == "w" else solve_u_physical(
+        v0, 1.0, params3)
+    assert run.termination == "instability"
+    assert len(calls) == 4
+    assert run.sup_times.tolist() == [run.times[0]] and np.isnan(run.sup_series).all()
+    assert run.snapshots.shape == (1, nodes.size)
+
+
+def _w_operator(nodes, p, k):
+    """The w-equation's linear part, laplacian_compact and -(y/2k) upwind_gradient - 1/(p-1)."""
+    h, wind = nodes[1] - nodes[0], nodes / (2.0 * k)
+    return [
+        lambda f: laplacian_compact(f, h),
+        lambda f: -wind[:, None] * upwind_gradient(f, h, wind) - f / (p - 1.0),
+    ]
+
+
+@pytest.mark.parametrize("n", [6, 13, 61])
+def test_the_probed_w_band_is_the_dense_band(n):
+    # 6 nodes is fewer than the 7 probes
+    nodes = uniform_grid(6.0, n)
+    for p, k in [(3.0, 2), (2.5, 2), (3.0, 3)]:
+        cols, weights = direct._w_band.__wrapped__(nodes.tobytes(), nodes[1] - nodes[0], k, p)
+        dense_cols, dense_weights = band(np.stack([K(np.eye(n)) for K in _w_operator(nodes, p, k)]))
+        assert cols.tobytes() == dense_cols.tobytes()
+        assert weights.tobytes() == dense_weights.tobytes()
+        assert cols.shape == (4, n) and weights.shape == (2, 4, n)
+
+
+@pytest.mark.parametrize("n", [6, 7, 13, 1201, 2401])
+def test_the_w_band_reproduces_the_kernels(n):
+    nodes = uniform_grid(6.0, n)
+    v = np.random.default_rng(n).standard_normal(n)
+    for p, k in [(3.0, 2), (2.5, 2), (3.0, 3)]:
+        cols, weights = direct._w_band(nodes.tobytes(), nodes[1] - nodes[0], k, p)
+        got = np.einsum("ijn,jn->in", weights, v[cols])
+        for row, K in zip(got, _w_operator(nodes, p, k)):
+            ref = K(v[:, None])[:, 0]
+            assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
+        for arr in (cols, weights):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+
+
+def test_the_w_band_probes_each_kernel_with_seven_columns(monkeypatch):
+    # 2 reach + 1 comb columns, reach 3 for the Laplacian's one-sided edge rows
+    seen = []
+    for name in ("laplacian_compact", "upwind_gradient"):
+        kernel = getattr(grid, name)
+        monkeypatch.setattr(
+            direct, name, lambda f, *a, _k=kernel, _n=name: seen.append((_n, f.shape)) or _k(f, *a))
+    nodes = uniform_grid(6.0, 2401)
+    direct._w_band.__wrapped__(nodes.tobytes(), nodes[1] - nodes[0], 2, 3.0)
+    assert sorted(seen) == [("laplacian_compact", (2401, 7)), ("upwind_gradient", (2401, 7))]
+
+
+def test_the_w_band_cache_is_keyed_on_the_grid(params3):
+    # a grid of the same size and spacing elsewhere on the line has another
+    # wind, so another band
+    centred, shifted = uniform_grid(6.0, 201), uniform_grid(6.0, 201) + 6.0
+    h = centred[1] - centred[0]
+    a = direct._w_band(centred.tobytes(), h, 2, 3.0)
+    assert direct._w_band(centred.tobytes(), h, 2, 3.0) is a
+    b = direct._w_band(shifted.tobytes(), h, 2, 3.0)
+    assert b is not a and not np.array_equal(a[1], b[1])
+    assert direct._w_band.cache_info().maxsize <= 4

@@ -192,6 +192,22 @@ def test_modulation_term(params3):
         assert np.max(np.abs(diff - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("variant", ["Derived", "bogus"])
+def test_pointwise_terms_refuse_an_unknown_variant(params3, variant):
+    # a misspelt variant is an error, not the "paper" form
+    nodes = uniform_grid(2.0, 5)
+    q = np.full_like(nodes, 0.1)
+    _, e = eval_profile(nodes, 1.0, params3)
+    pw = node_powers(nodes, 2)
+    with pytest.raises(ValueError, match="variant"):
+        modulation_values(q, pw, e, params3, variant)
+    with pytest.raises(ValueError, match="variant"):
+        residual_values(q, pw, e, 1.0, 0.5, params3, variant)
+    with pytest.raises(ValueError, match="variant"):
+        consistency_residual(GridFunction(uniform_grid(2.0, 9), np.zeros(9)), 1.0, 3.0,
+                             params3, variant=variant)
+
+
 def test_solve_bprime_zero_sources(params3, quad96):
     # with b = 0 the curvature source vanishes and q = 0 kills the rest
     nodes = uniform_grid(0.15, 257)
