@@ -2,13 +2,12 @@
 
 This is the cross-validation arm: it never touches the spectral machinery.
 The self-similar solver integrates the w-equation with upwind-biased
-transport and explicit diffusion, stepped as one cached band (_w_band): a
-4-node window per row carries laplacian_compact's weights and those of
--(y/2k) upwind_gradient - 1/(p-1), so a stage is one gather, one einsum
-and the reaction. grid.probed_band reads the band off the kernels on 7
-comb vectors, so each stencil stays written once in grid and no n x n
-matrix is built. Its weights are C-contiguous: on non-contiguous ones the
-einsum runs two to three times slower. The physical solver integrates
+transport and explicit diffusion, stepped as one cached band (_w_band):
+one 4-node window per row, with laplacian_compact's weights and those of
+-(y/2k) upwind_gradient - 1/(p-1), which grid.probed_band reads off the
+kernels on 7 comb vectors, so no n x n matrix is built. The weights are
+C-contiguous: on non-contiguous ones the einsum of a stage runs two to
+three times slower. The physical solver integrates
 u_t = u_xx + |u|^{p-1} u by the method of lines with a time step that shrinks
 like ||u||_inf^{-(p-1)} so the collapse is resolved uniformly in rescaled
 time. Both supply their right-hand side, step limit and snapshot rule to
@@ -174,6 +173,7 @@ def solve_w_direct(
     tol = max(1e-12, 4.0 * math.ulp(s1))  # a grid point reached
 
     cols, weights = _w_band(nodes.tobytes(), h, k, p)
+
     def rhs(w: np.ndarray, s: float) -> np.ndarray:
         diffusion, transport = np.einsum("ijn,jn->in", weights, w[cols])
         return math.exp(-r * s) * diffusion + transport + signed_power(w, p)

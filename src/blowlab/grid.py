@@ -240,19 +240,20 @@ def band(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each row's window starts at its first nonzero column, moved left where
     it would run past the last column, and is as wide as the widest span of
     nonzeros in a row; a zero row takes the first window, with zero weights.
-    Then A @ v = einsum("jn,jn->n", weights, v[columns]). A stack of
-    matrices shares the windows of all their nonzeros; weights[i] is A[i]'s.
+    Then A @ v = einsum("jn,jn->n", weights, v[columns]).
     """
-    columns = _windows((A != 0.0).reshape(-1, *A.shape[-2:]).any(axis=0), 0, A.shape[-1])
-    return columns, A[..., np.arange(A.shape[-2]), columns]
+    columns = _windows(A != 0.0, 0, A.shape[1])
+    return columns, A[np.arange(A.shape[0]), columns]
 
 
 def probed_band(kernels, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """band of the stacked matrices of linear kernels on n nodes, from 2 PROBE_REACH + 1 probes.
+    """(columns, weights) of linear kernels on n nodes, from 2 PROBE_REACH + 1 probes.
 
-    Each kernel acts along axis 0 of an (n, m) array, and row i of its matrix
-    vanishes outside columns i - PROBE_REACH .. i + PROBE_REACH. Probe j is 1
-    on nodes j, j + m, j + 2m, ..., so row i of a kernel's image of it is the
+    The columns are band's windows over the nonzeros of all the kernels'
+    matrices, and weights[i] holds kernel i's entries on them. Each kernel
+    acts along axis 0 of an (n, m) array, and row i of its matrix vanishes
+    outside columns i - PROBE_REACH .. i + PROBE_REACH. Probe j is 1 on
+    nodes j, j + m, j + 2m, ..., so row i of a kernel's image of it is the
     entry of the one such node in the row's reach. No n x n array is formed,
     and the weights are C-contiguous.
     """
