@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .grid import (
     RK4_DIFFUSION_CFL, RK4_TRANSPORT_CFL, GridFunction, laplacian_compact, probed_band,
     upwind_gradient,
 )
-from .params import ModelParams, eval_profile, signed_power
+from .params import ModelParams, eval_profile, signed_power, table_cache
 
 __all__ = [
     "PdeRun",
@@ -138,17 +137,15 @@ def _march(v, t, t_end, rhs, limit, keep, threshold, nodes, frame) -> PdeRun:
     )
 
 
-@lru_cache(maxsize=4)
+@table_cache(maxsize=4)
 def _w_band(nodes: bytes, h: float, k: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """probed_band of [laplacian_compact; -(y/2k) upwind_gradient - 1/(p-1)] on
     the nodes with these float64 bytes, so that no other grid reuses it."""
     wind = np.frombuffer(nodes)[:, None] / (2.0 * k)
-    cols, weights = probed_band([
+    return probed_band([
         lambda f: laplacian_compact(f, h),
         lambda f: -wind * upwind_gradient(f, h, wind[:, 0]) - f / (p - 1.0),
     ], wind.size)
-    cols.flags.writeable = weights.flags.writeable = False  # one copy serves every run
-    return cols, weights
 
 
 def solve_w_direct(

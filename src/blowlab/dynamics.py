@@ -28,10 +28,11 @@ the Gauss and the inner nodes together, whose operators and tables sit at
 fixed z and are built once per process (projection.z_frame), the inner
 remainder handed over as a projection.ZRemainder; and the outer nodes,
 where the remainder's upwinded transport and derivative are one banded
-product (grid.band) and the sources one pass (_outer_sources). There q_+,
-dq_+/dy and the sources' tracked content are power series in y from
-projection.scale_tables' conversion table, summed with the monomials of
-the flow context: no table at the outer nodes depends on s.
+product (_outer_band, probed from the grid kernels by grid.probed_band,
+as the direct w-run's band is) and the sources one pass (_outer_sources).
+There q_+, dq_+/dy and the sources' tracked content are power series in y
+from projection.scale_tables' conversion table, summed with the monomials
+of the flow context: no table at the outer nodes depends on s.
 
 The time scheme is Lawson's RK4 (Hochbruck & Ostermann, Acta Numerica 19,
 2010) on one vector x = (modes | outer remainder | inner remainder | b),
@@ -65,13 +66,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .grid import (
-    RK4_TRANSPORT_ALONE_CFL, GridFunction, band, derivative, laplacian_compact, sample,
+    RK4_TRANSPORT_ALONE_CFL, GridFunction, derivative, laplacian_compact, probed_band, sample,
     uniform_grid, upwind_gradient,
 )
 from .hermite import (
@@ -83,7 +83,7 @@ from .hermite import (
     remainder_seminorm,
 )
 from .operators import ModulationBreakdownError, nonlinear_values
-from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor
+from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor, table_cache
 from .projection import (
     Z_NODES,
     ZRemainder,
@@ -295,9 +295,9 @@ class _Flow(NamedTuple):
     """The s-independent context of the flow for one FlowOptions and model.
 
     Its slices name the parts of the flow's state vector x; b is x[-1]. The
-    large tables only a step reads (the z-frame, the sine basis and
-    e^{hL/2}) keep caches of their own, so membership's context builds none
-    of them.
+    large tables only a step reads (the z-frame, the outer band, the sine
+    basis and e^{hL/2}) keep caches of their own, so membership's context
+    builds none of them.
     """
 
     params: ModelParams
@@ -317,7 +317,7 @@ class _Flow(NamedTuple):
     inner: slice
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
     """Build, once per process, the flow's context for opts and one model.
 
@@ -332,7 +332,7 @@ def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
     if n_nodes > limit:
         raise ValueError(f"{n_nodes} outer nodes put the transport's RK4 ceiling below MAX_DS = "
                          f"{MAX_DS}: at k = {k} the flow takes at most {limit} nodes")
-    flow = _Flow(
+    return _Flow(
         params=params, quad=opts.quad(), J=default_jet_order(n),
         linear_only=opts.linear_only,
         nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
@@ -342,9 +342,6 @@ def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
         modes=slice(0, n), outer=slice(n, n + n_nodes),
         inner=slice(n + n_nodes, n + n_nodes + Z_NODES),
     )
-    for arr in (flow.nodes, flow.wind, *flow.pw[1:], flow.yM, flow.lam, flow.ddy, flow.mono):
-        arr.flags.writeable = False  # one cached copy serves every caller
-    return flow
 
 
 def _flow_of(state: SimState, params: ModelParams, opts: FlowOptions) -> _Flow:
@@ -355,18 +352,16 @@ def _flow_of(state: SimState, params: ModelParams, opts: FlowOptions) -> _Flow:
     return flow
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _outer_band(n_nodes: int, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """grid.band of [1 - (y/2k) d/dy upwinded; d/dy] on the outer grid, built once per process.
+    """grid.probed_band of [1 - (y/2k) d/dy upwinded; d/dy] on the outer grid, once per process.
 
     Only a stage reads it, so membership's flow context does not build it.
     """
-    wind, eye = uniform_grid(Y_MAX, n_nodes) / (2.0 * k), np.eye(n_nodes)
-    # the kernels act along the first axis: on the identity, their matrices
-    out = band(np.vstack([eye - wind[:, None] * upwind_gradient(eye, h, wind), derivative(eye, h)]))
-    for arr in out:
-        arr.flags.writeable = False  # one cached copy serves every caller
-    return out
+    wind = uniform_grid(Y_MAX, n_nodes)[:, None] / (2.0 * k)
+    return probed_band([
+        lambda f: f - wind * upwind_gradient(f, h, wind[:, 0]), lambda f: derivative(f, h),
+    ], n_nodes)
 
 
 def _scale_tables(s: float, flow: _Flow) -> ScaleTables:
@@ -391,7 +386,7 @@ def _stage(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     # remainder transport: upwinded, it stays stable without the damping of
     # the diffusion, which is integrated apart
     cols, weights = _outer_band(flow.nodes.size, flow.h, flow.params.k)
-    Ls_rem, drem = np.einsum("jn,jn->n", weights, x[flow.outer][cols]).reshape(2, -1)
+    Ls_rem, drem = np.einsum("ijn,jn->in", weights, x[flow.outer][cols])
     if flow.linear_only:
         dx[flow.modes], dx[flow.outer], dx[flow.inner.start:] = flow.lam * modes, Ls_rem, 0.0
         return dx
@@ -465,11 +460,9 @@ def _expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
-@lru_cache(maxsize=21)
+@table_cache(maxsize=21)
 def _half_exp_of(h: float, quad_order: int, params: ModelParams) -> np.ndarray:
-    E = _expm(0.5 * h * z_frame(quad_order, params).L)
-    E.flags.writeable = False  # one cached copy serves every caller
-    return E
+    return _expm(0.5 * h * z_frame(quad_order, params).L)
 
 
 def _half_exp(h: float, flow: _Flow) -> np.ndarray:
@@ -493,7 +486,7 @@ class _SineBasis(NamedTuple):
     line: np.ndarray  # sines of D0's steady state for a unit value at each edge
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _sine_basis(n_nodes: int, h: float) -> _SineBasis:
     """D0's basis on n_nodes nodes of spacing h, built once per process.
 
@@ -513,10 +506,7 @@ def _sine_basis(n_nodes: int, h: float) -> _SineBasis:
     np.sin(sine, out=sine)
     sine *= math.sqrt(2.0 / (m + 1))
     mu = -4.0 / (h * h) * np.sin(0.5 * np.pi / (m + 1) * j) ** 2
-    basis = _SineBasis(sine=sine, mu=mu, line=sine[[0, -1]] / (-h * h * mu))
-    for arr in basis:
-        arr.flags.writeable = False  # one cached copy serves every caller
-    return basis
+    return _SineBasis(sine=sine, mu=mu, line=sine[[0, -1]] / (-h * h * mu))
 
 
 def _diffusion_time(sa: float, sb: float, k: int) -> float:
@@ -726,7 +716,7 @@ def membership(
     )
 
 
-@lru_cache(maxsize=4)
+@table_cache(maxsize=4)
 def _bound_names(n_modes: int) -> tuple[str, ...]:
     """membership's bounds in the order of its margins, the exit's order of choice."""
     return (*(f"mode_{m}" for m in range(n_modes)), _BOUND_QMINUS, _BOUND_B_LOW, _BOUND_B_HIGH)

@@ -54,7 +54,7 @@ RK4_DIFFUSION_CFL = 0.45
 # rows included, stay bounded there; at 0.06 of the flow's default outer
 # grid (c = 1.92) they no longer do.
 RK4_TRANSPORT_ALONE_CFL = 1.6
-PROBE_REACH = 3  # the farthest node a row of laplacian_compact or upwind_gradient reads
+PROBE_REACH = 3  # how far laplacian_compact, upwind_gradient and derivative read (probed_band)
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,8 @@ class GridFunction:
 
     @property
     def spacing(self) -> float:
+        if self.nodes.size < 2:
+            raise ValueError("operation requires at least 2 nodes")
         h = np.diff(self.nodes)
         if not np.allclose(h, h[0], rtol=1e-9, atol=0.0):
             raise ValueError("operation requires a uniform grid")
@@ -251,11 +253,13 @@ def probed_band(kernels, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The columns are band's windows over the nonzeros of all the kernels'
     matrices, and weights[i] holds kernel i's entries on them. Each kernel
-    acts along axis 0 of an (n, m) array, and row i of its matrix vanishes
-    outside columns i - PROBE_REACH .. i + PROBE_REACH. Probe j is 1 on
+    acts along axis 0 of an (n, m) array, m = min(2 PROBE_REACH + 1, n), and
+    row i of its matrix must vanish outside the m columns from
+    clip(i - PROBE_REACH, 0, n - m): derivative's one-sided rows 0 and n - 1
+    read 4 nodes inward, past PROBE_REACH but inside them. Probe j is 1 on
     nodes j, j + m, j + 2m, ..., so row i of a kernel's image of it is the
-    entry of the one such node in the row's reach. No n x n array is formed,
-    and the weights are C-contiguous.
+    entry of the one such node in the row's m columns. No n x n array is
+    formed, and the weights are C-contiguous.
     """
     m = min(2 * PROBE_REACH + 1, n)
     rows = np.arange(n)

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .grid import GridFunction, sample
-from .params import ModelParams, scale_factor
+from .params import ModelParams, scale_factor, table_cache
 
 __all__ = [
     "QuadratureRule",
@@ -53,8 +53,7 @@ MIN_QUAD_ORDER = 8
 DEFAULT_QUAD_ORDER = 96
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Gauss nodes/weights in z for the weight exp(-z^2/4).
 
     Exact for z^j exp(-z^2/4) with j <= 2*order - 1. Built from the
@@ -66,7 +65,7 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def gauss_rule(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     if order < MIN_QUAD_ORDER:
         raise ValueError(f"quadrature order must be >= {MIN_QUAD_ORDER}")
@@ -89,17 +88,14 @@ def hermite_z_table(z, n_max: int) -> np.ndarray:
     return out
 
 
-_quad_tables: dict[tuple[int, int], np.ndarray] = {}
+def quad_hermite_table(quad: QuadratureRule, n_max: int) -> np.ndarray:
+    """Cached h_0..h_{n_max} at the nodes of the Gauss rule of quad's order."""
+    return _quad_table(quad.order, n_max)
 
 
-def quad_hermite_table(quad: "QuadratureRule", n_max: int) -> np.ndarray:
-    """Cached h_0..h_{n_max} at a Gauss rule's nodes (rules are themselves cached)."""
-    key = (quad.order, n_max)
-    tab = _quad_tables.get(key)
-    if tab is None:
-        tab = hermite_z_table(quad.nodes, n_max)
-        _quad_tables[key] = tab
-    return tab
+@table_cache(maxsize=8)
+def _quad_table(order: int, n_max: int) -> np.ndarray:
+    return hermite_z_table(gauss_rule(order).nodes, n_max)
 
 
 def hermite_explicit_sum(m: int, y, s: float, k: int):
@@ -165,14 +161,12 @@ def project_modes_from_samples(
     return f_quad.dot(_projector(quad.order, n_modes)) * scale[:n_modes]
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _projector(quad_order: int, n_modes: int) -> np.ndarray:
     """w_i h_n(z_i) / sqrt(4 pi) at the nodes of gauss_rule(quad_order), n < n_modes."""
     quad = gauss_rule(quad_order)
     table = quad_hermite_table(quad, n_modes - 1)
-    out = (quad.weights[:, None] * table.T) / math.sqrt(4.0 * math.pi)
-    out.flags.writeable = False  # one cached copy serves every caller
-    return out
+    return (quad.weights[:, None] * table.T) / math.sqrt(4.0 * math.pi)
 
 
 def mode_projection_scale(I: float, n_modes: int) -> np.ndarray:
@@ -180,12 +174,10 @@ def mode_projection_scale(I: float, n_modes: int) -> np.ndarray:
     return I ** np.arange(n_modes) / _mode_norm_factors(n_modes)
 
 
-@lru_cache(maxsize=32)
+@table_cache(maxsize=32)
 def _mode_norm_factors(n: int) -> np.ndarray:
     """2^n n! for the first n mode indices."""
-    out = 2.0 ** np.arange(n) * np.array([float(math.factorial(i)) for i in range(n)])
-    out.flags.writeable = False
-    return out
+    return 2.0 ** np.arange(n) * np.array([float(math.factorial(i)) for i in range(n)])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -36,7 +36,29 @@ __all__ = [
     "alpha_consts",
     "q_to_w",
     "signed_power",
+    "table_cache",
 ]
+
+
+def _freeze(value):
+    """value with its arrays, and those in its tuples, set read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    return value
+
+
+def table_cache(maxsize: int):
+    """functools.lru_cache whose results, with the arrays in their tuples and
+    NamedTuples, are set read-only: one copy serves every caller in the process."""
+    def decorate(fn):
+        @wraps(fn)
+        def build(*args, **kwargs):
+            return _freeze(fn(*args, **kwargs))
+        return lru_cache(maxsize=maxsize)(build)
+    return decorate
 
 
 @dataclass(frozen=True)

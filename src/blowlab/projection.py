@@ -35,7 +35,6 @@ GridFunction is sampled point by point.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +56,7 @@ from .hermite import (
     mode_projection_scale,
     project_modes_from_samples,
 )
-from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor
+from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor, table_cache
 from .operators import modulation_rate
 
 __all__ = [
@@ -124,7 +123,7 @@ class ZFrame(NamedTuple):
         return np.einsum("jn,jn->n", self.weights, values[self.cols])
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def z_frame(quad_order: int, params: ModelParams) -> ZFrame:
     """Build, once per process, the z-frame of a quadrature order and model."""
     z = inner_nodes()
@@ -137,13 +136,10 @@ def z_frame(quad_order: int, params: ModelParams) -> ZFrame:
     S = sample_matrix(z, gauss)
     J = default_jet_order(params.n_modes)
     points = np.concatenate((gauss, z))
-    frame = ZFrame(
+    return ZFrame(
         quad_order, J, z, *band(np.vstack([S, S @ D, D])), ztab=hermite_z_table(z, J), L=L,
         pw=node_powers(points, params.k), htab=hermite_z_table(points, params.n_modes - 1),
     )
-    for arr in (frame.z, frame.cols, frame.weights, frame.ztab, frame.L, *frame.pw, frame.htab):
-        arr.flags.writeable = False  # one cached copy serves every caller
-    return frame
 
 
 class ZRemainder(NamedTuple):
@@ -161,7 +157,7 @@ class ZRemainder(NamedTuple):
 
 # -- jet arithmetic ----------------------------------------------------------
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _toeplitz_index(J: int) -> np.ndarray:
     """idx[i, j] = i - j on and below the diagonal, J + 1 (a zero pad) above.
 
@@ -170,9 +166,7 @@ def _toeplitz_index(J: int) -> np.ndarray:
     """
     i = np.arange(J + 1)
     d = i[:, None] - i[None, :]
-    idx = np.where(d >= 0, d, J + 1)
-    idx.flags.writeable = False
-    return idx
+    return np.where(d >= 0, d, J + 1)
 
 
 def _jet_binomial_power(u: np.ndarray, expo: float) -> np.ndarray:
@@ -203,7 +197,7 @@ def _jet_binomial_power(u: np.ndarray, expo: float) -> np.ndarray:
     return base**expo * acc
 
 
-@lru_cache(maxsize=16)
+@table_cache(maxsize=16)
 def _basis_structure(J: int) -> tuple[np.ndarray, np.ndarray]:
     """s-independent integer scaffolding of the basis/monomial conversions through degree J.
 
@@ -254,7 +248,7 @@ class ScaleTables(NamedTuple):
     proj_scale: np.ndarray
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def scale_tables(s: float, k: int, n_modes: int, J: int) -> ScaleTables:
     """Build, once per scale time and sizes, the state-independent tables.
 
@@ -264,14 +258,11 @@ def scale_tables(s: float, k: int, n_modes: int, J: int) -> ScaleTables:
     I = float(scale_factor(s, k))
     I2inv = I**-2
     mono = monomial_table(I2inv, J)
-    tables = ScaleTables(
+    return ScaleTables(
         I=I, I2inv=I2inv, i2k=I ** (-2 * k), iexp=I ** -np.arange(J + 1.0),
         conv=np.copysign(mono[:n_modes], _basis_structure(J)[0][:n_modes]),
         mono=mono, proj_scale=mode_projection_scale(I, n_modes),
     )
-    for arr in (tables.iexp, tables.conv, tables.mono, tables.proj_scale):
-        arr.flags.writeable = False  # one cached copy serves every caller
-    return tables
 
 
 # -- source jets -------------------------------------------------------------
@@ -322,7 +313,7 @@ _GL_EXACT_MAX_P = 16
 _GL_NODES = 8
 
 
-@lru_cache(maxsize=8)
+@table_cache(maxsize=8)
 def _legendre_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1] for the t-integral at exponent p.
 
@@ -330,9 +321,7 @@ def _legendre_rule(p: float) -> tuple[np.ndarray, np.ndarray]:
     """
     exact = float(p).is_integer() and p <= _GL_EXACT_MAX_P
     t, w = np.polynomial.legendre.leggauss(math.ceil(p / 2) if exact else _GL_NODES)
-    t, w = 0.5 * (t + 1.0), 0.5 * w
-    t.flags.writeable = w.flags.writeable = False  # one cached copy serves every caller
-    return t, w
+    return 0.5 * (t + 1.0), 0.5 * w
 
 
 def _nonlinear_increment(u: np.ndarray, v: np.ndarray, p: float) -> np.ndarray:

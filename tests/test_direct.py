@@ -357,6 +357,19 @@ def _w_operator(nodes, p, k):
     ]
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_a_grid_of_fewer_than_two_nodes_is_refused(params3, n):
+    # with ValueError, as every too-small grid is, not an IndexError
+    f = GridFunction(np.arange(float(n)), np.ones(n))
+    for call in (
+        lambda: f.spacing,
+        lambda: solve_u_physical(f, 1.0, params3),
+        lambda: solve_w_direct(f, (20.0, 21.0), params3),
+    ):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            call()
+
+
 @pytest.mark.parametrize("n", [6, 13, 61])
 def test_the_probed_w_band_is_the_dense_band(n):
     # 6 nodes is fewer than the 7 probes

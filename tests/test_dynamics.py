@@ -20,7 +20,9 @@ from blowlab.dynamics import (
 )
 from blowlab import dynamics
 from blowlab.config import ConfigError, RunConfig
-from blowlab.grid import GridFunction, derivative, laplacian_compact, upwind_gradient
+from blowlab.grid import (
+    GridFunction, band, derivative, laplacian_compact, uniform_grid, upwind_gradient,
+)
 from blowlab.hermite import SpectralDecomposition, eval_scaled_hermite, hermite_series
 from blowlab.operators import drift_values, modulation_values, nonlinear_values, residual_values
 from blowlab.params import alpha_consts, eval_profile, make_params, node_powers, scale_factor
@@ -456,6 +458,20 @@ def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad
     projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
     for cache in (z_frame, dynamics._sine_basis, dynamics._half_exp_of, dynamics._outer_band):
         assert cache.cache_info().currsize == 0, cache.__name__
+
+
+@pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (13, 2), (129, 2), (201, 2), (257, 2), (385, 3)])
+def test_the_outer_band_is_the_dense_band(n, k):
+    # the stage's transport and derivative, probed without an n x n array:
+    # grid.band's windows over both dense matrices' joint nonzeros
+    nodes = uniform_grid(dynamics.Y_MAX, n)
+    h, wind, eye = nodes[1] - nodes[0], nodes / (2.0 * k), np.eye(n)
+    dense = [eye - wind[:, None] * upwind_gradient(eye, h, wind), derivative(eye, h)]
+    cols, weights = dynamics._outer_band(n, h, k)
+    assert cols.tobytes() == band(np.abs(dense[0]) + np.abs(dense[1]))[0].tobytes()
+    assert weights.tobytes() == np.stack([A[np.arange(n), cols] for A in dense]).tobytes()
+    assert cols.shape == (5, n) and weights.shape == (2, 5, n)
+    assert weights.flags.c_contiguous and not weights.flags.writeable
 
 
 @pytest.mark.parametrize("k, largest", [(2, 257), (3, 385)])

@@ -110,3 +110,17 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_caching_rule_lives_in_params():
+    # params.table_cache sets every cached table read-only; no other module
+    # caches or freezes arrays by hand
+    named = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        if names & {"lru_cache", "writeable"}:
+            named.add(path.stem)
+    assert named == {"params"}

@@ -7,6 +7,7 @@ from blowlab.grid import (
     GridFunction,
     derivative,
     laplacian_compact,
+    probed_band,
     sample,
     sample_matrix,
     second_derivative,
@@ -117,21 +118,20 @@ def test_z_operator_is_bitwise_unchanged():
 
 
 def test_band_holds_every_nonzero_of_the_stencil_matrices():
-    # the flow applies its outer transport and derivative from their band:
-    # the product must be the dense one, with every nonzero in the weights
-    from blowlab.dynamics import FlowOptions, _flow, _outer_band
-    from blowlab.params import make_params
+    # the z-frame applies [S; S D; D] from its band: the product must be the
+    # dense one, with every nonzero in the weights
+    from blowlab.hermite import gauss_rule
+    from blowlab.projection import inner_nodes
 
-    params = make_params(3.0, 2)
-    flow = _flow(FlowOptions(), params)
-    eye = np.eye(flow.nodes.size)
-    A = np.vstack([eye - flow.wind[:, None] * upwind_gradient(eye, flow.h, flow.wind),
-                   derivative(eye, flow.h)])
-    v = np.random.default_rng(3).standard_normal(flow.nodes.size)
-    cols, weights = _outer_band(flow.nodes.size, flow.h, params.k)
+    z = inner_nodes()
+    D = derivative(np.eye(z.size), z[1] - z[0])
+    S = sample_matrix(z, gauss_rule(96).nodes)
+    A = np.vstack([S, S @ D, D])
+    v = np.random.default_rng(3).standard_normal(z.size)
+    cols, weights = band(A)
     got = np.einsum("jn,jn->n", weights, v[cols])
     assert np.max(np.abs(got - A @ v)) <= 1e-13 * np.max(np.abs(A @ v))
-    assert weights.shape == (5, 2 * flow.nodes.size)
+    assert weights.shape == (8, A.shape[0])
     assert np.sum(np.abs(weights)) == pytest.approx(np.sum(np.abs(A)), rel=1e-15)
     # windows start at each row's first nonzero, moved left at the last column
     cols, weights = band(np.diag([1.0, 2.0, 3.0]) + np.diag([4.0, 5.0], 1))
@@ -146,6 +146,26 @@ def test_band_holds_every_nonzero_of_the_stencil_matrices():
     v = np.arange(1.0, 6.0)
     assert np.einsum("jn,jn->n", weights, v[cols]).tolist() == (A @ v).tolist()
     assert band(np.zeros((2, 3)))[1].tolist() == [[0.0, 0.0]]
+
+
+@pytest.mark.parametrize("n", [6, 7, 13])
+def test_probed_band_is_the_dense_band(n):
+    # each kernel alone and all three together; derivative's one-sided edge
+    # rows read 4 nodes inward, past PROBE_REACH, and 6 nodes are fewer
+    # than the 7 probes
+    nodes = uniform_grid(1.0, n)
+    h = nodes[1] - nodes[0]
+    kernels = [
+        lambda f: laplacian_compact(f, h),
+        lambda f: upwind_gradient(f, h, nodes),
+        lambda f: derivative(f, h),
+    ]
+    for ks in [[K] for K in kernels] + [kernels]:
+        cols, weights = probed_band(ks, n)
+        dense = [K(np.eye(n)) for K in ks]
+        assert cols.tobytes() == band(sum(np.abs(A) for A in dense))[0].tobytes()
+        assert weights.tobytes() == np.stack([A[np.arange(n), cols] for A in dense]).tobytes()
+        assert weights.flags.c_contiguous
 
 
 def test_laplacian_compact_exact_on_quadratics():
