@@ -38,7 +38,6 @@ from .params import ModelParams, eval_profile, signed_power, table_cache
 __all__ = [
     "PdeRun",
     "BlowupFit",
-    "ProfileFit",
     "ProfileComparison",
     "solve_w_direct",
     "solve_u_physical",
@@ -268,13 +267,8 @@ def estimate_blowup_time(run: PdeRun, params: ModelParams) -> BlowupFit:
     )
 
 
-@dataclass(frozen=True)
-class ProfileFit:
-    b: float
-    flat: bool
-
-
-def _fit_core(y: np.ndarray, w: np.ndarray, params: ModelParams, y_fit: float) -> ProfileFit:
+def _fit_core(y: np.ndarray, w: np.ndarray, params: ModelParams, y_fit: float) -> float:
+    """b of the profile f_b fitted to w on |y| <= y_fit; exactly 0.0 for a flat w."""
     p, k = params.p, params.k
     mask = (np.abs(y) <= y_fit) & (w > 0.0)
     if int(np.sum(mask)) < 8:
@@ -282,9 +276,9 @@ def _fit_core(y: np.ndarray, w: np.ndarray, params: ModelParams, y_fit: float) -
     yy, ww = y[mask], w[mask]
     g = ww ** (-(p - 1.0)) - (p - 1.0)
     if float(np.max(np.abs(g))) < 1e-8 * (p - 1.0):
-        return ProfileFit(b=0.0, flat=True)
+        return 0.0
     y2k = np.abs(yy) ** (2 * k)
-    return ProfileFit(b=float(np.sum(g * y2k) / np.sum(y2k**2)), flat=False)
+    return float(np.sum(g * y2k) / np.sum(y2k**2))
 
 
 @dataclass(frozen=True)
@@ -293,7 +287,6 @@ class ProfileComparison:
     b_series: np.ndarray
     distances: np.ndarray
     loglog_slope: float
-    n_used: int
 
 
 def _comparison(times: list, log_tau, bs: list, ds: list) -> ProfileComparison:
@@ -311,7 +304,6 @@ def _comparison(times: list, log_tau, bs: list, ds: list) -> ProfileComparison:
         b_series=np.array(bs),
         distances=ds_a,
         loglog_slope=slope,
-        n_used=len(times),
     )
 
 
@@ -336,15 +328,15 @@ def compare_profile(run: PdeRun, T_hat: float, params: ModelParams) -> ProfileCo
         y = run.nodes * scale
         w = tau ** (1.0 / (params.p - 1.0)) * snap
         try:
-            fit = _fit_core(y, w, params, Y_FIT)
+            b = _fit_core(y, w, params, Y_FIT)
         except ValueError:
             continue
         mask = np.abs(y) <= Y_WINDOW
-        f_ref, _ = eval_profile(y[mask], max(fit.b, 0.0), params)
+        f_ref, _ = eval_profile(y[mask], max(b, 0.0), params)
         dist = float(np.max(np.abs(w[mask] - f_ref)))
         times.append(float(t))
         taus.append(float(tau))
-        bs.append(fit.b)
+        bs.append(b)
         ds.append(dist)
     if len(times) < MIN_SNAPSHOTS:
         raise ValueError(f"only {len(times)} usable snapshots; need >= {MIN_SNAPSHOTS}")
@@ -358,9 +350,9 @@ def profile_distance_series(run: PdeRun, params: ModelParams) -> ProfileComparis
     times, bs, ds = [], [], []
     mask = np.abs(run.nodes) <= Y_WINDOW
     for s, snap in zip(run.times, run.snapshots):
-        fit = _fit_core(run.nodes, snap, params, Y_FIT)
-        f_ref, _ = eval_profile(run.nodes[mask], max(fit.b, 0.0), params)
+        b = _fit_core(run.nodes, snap, params, Y_FIT)
+        f_ref, _ = eval_profile(run.nodes[mask], max(b, 0.0), params)
         times.append(float(s))
-        bs.append(fit.b)
+        bs.append(b)
         ds.append(float(np.max(np.abs(snap[mask] - f_ref))))
     return _comparison(times, -np.array(times), bs, ds)

@@ -89,6 +89,7 @@ from .projection import (
     ZRemainder,
     ScaleTables,
     default_jet_order,
+    inner_hermite_table,
     inner_nodes,
     monomial_table,
     projected_sources,
@@ -278,9 +279,9 @@ def init_state(
     The seed has degree <= 2k-1, so its tracked coefficients above 2k-1 and
     its remainder vanish identically; modes are gamma_map(d), zero-padded.
     """
-    psi = gamma_map(d, s0, delta, params)
-    if np.max(np.abs(d)) > D_BOX_LIMIT + 1e-12:
+    if not np.all(np.abs(d) <= D_BOX_LIMIT + 1e-12):  # also refuses NaN
         raise ValueError(f"|d_i| <= {D_BOX_LIMIT} required")
+    psi = gamma_map(d, s0, delta, params)
     modes = np.zeros(params.n_modes)
     modes[: psi.size] = psi
     nodes = opts.nodes()
@@ -306,7 +307,6 @@ class _Flow(NamedTuple):
     linear_only: bool
     nodes: np.ndarray
     h: float
-    wind: np.ndarray  # y / 2k, the transport speed
     pw: NodePowers  # the nodes' powers that the pointwise sources use
     yM: np.ndarray  # |y|^M, the seminorm's weight
     lam: np.ndarray  # 1 - n/2k, the tracked modes' linear rates
@@ -335,7 +335,7 @@ def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
     return _Flow(
         params=params, quad=opts.quad(), J=default_jet_order(n),
         linear_only=opts.linear_only,
-        nodes=nodes, h=nodes[1] - nodes[0], wind=nodes / (2.0 * k),
+        nodes=nodes, h=nodes[1] - nodes[0],
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
         lam=1.0 - np.arange(n) / (2.0 * k), ddy=np.diag(np.arange(1.0, n), -1),
         mono=np.vander(nodes, n, increasing=True).T,
@@ -585,7 +585,7 @@ def _step_tail(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
         frame.sdd(inner)[: quad.order], s, params.k, n, quad, scale=tab.proj_scale,
     )
     rem -= leak.dot(tab.conv[:n, :n]).dot(flow.mono[:n])
-    inner -= (leak * tab.iexp[:n]).dot(frame.ztab[:n])
+    inner -= (leak * tab.iexp[:n]).dot(inner_hermite_table(flow.J)[:n])
     # where both grids overlap the outer one takes the resolved values:
     # once it under-resolves the weight, its own near-origin evolution
     # seeds unstable-range debris that only the inner grid can measure
@@ -667,7 +667,7 @@ def step(
     The state's outer nodes must be opts.nodes(), and I(s)^{M_floor} must be
     finite at its end (_check_scale_time).
     """
-    if ds < 0 or ds > MAX_DS:
+    if not 0.0 <= ds <= MAX_DS:
         raise ValueError(f"ds must lie in [0, {MAX_DS}]")
     _check_scale_time(state.s + ds, params)
     flow = _flow_of(state, params, opts)

@@ -73,8 +73,6 @@ def _check_variant(variant: str) -> None:
 
 def apply_Ls(f: GridFunction, s: float, params: ModelParams) -> GridFunction:
     """I^{-2} f'' - (y/2k) f' + f by finite differences."""
-    if len(f) < 5:
-        raise ValueError("grid with < 5 nodes rejected")
     h = f.spacing
     I2inv = float(scale_factor(s, params.k)) ** -2
     vals = (
@@ -181,8 +179,6 @@ def solve_bprime(
 
 def w_rhs(w: GridFunction, s: float, params: ModelParams) -> GridFunction:
     """I^{-2} w'' - (y/2k) w' - w/(p-1) + |w|^{p-1} w."""
-    if len(w) < 5:
-        raise ValueError("grid with < 5 nodes rejected")
     h = w.spacing
     I2inv = float(scale_factor(s, params.k)) ** -2
     vals = (

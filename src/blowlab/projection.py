@@ -24,12 +24,13 @@ quadrature nodes and the basis, and every table a stage reads at those
 nodes, is independent of s: z_frame() builds them once per quadrature
 order and model. A power of y = z / I is a power of z times a power of I,
 and the sources take those powers of I as scalar factors. What does depend
-on s is O(J) in size and built once per scale time by scale_tables(). A
-remainder handed over as a ZRemainder is read through the frame, and its
-source increments are evaluated in one pass at the Gauss and the inner
-nodes together: projected_sources() projects the first part and carries
-the second on its SourceProjections for remainder_source(); any other
-GridFunction is sampled point by point.
+on s is O(J) in size and built once per scale time by scale_tables(), and
+h_0..h_J at the inner nodes once per jet order by inner_hermite_table().
+Every remainder is read through the frame: a ZRemainder, or a GridFunction
+on the inner nodes z / I(s), the frame's own grid. Its source increments
+are evaluated in one pass at the Gauss and the inner nodes together:
+projected_sources() projects the first part and carries the second on its
+SourceProjections for remainder_source().
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .grid import (
     band,
     derivative,
     laplacian_compact,
-    sample,
     sample_matrix,
     uniform_grid,
     upwind_gradient,
@@ -66,6 +66,7 @@ __all__ = [
     "default_jet_order",
     "ZFrame",
     "z_frame",
+    "inner_hermite_table",
     "ZRemainder",
     "ScaleTables",
     "scale_tables",
@@ -101,19 +102,16 @@ class ZFrame(NamedTuple):
     dr/dz at the Gauss and at the inner nodes, with S the matrix of
     grid.sample's local cubic and D that of grid.derivative's 4th-order
     stencils; dr/dy = I dr/dz. It is kept as grid.band's cols and weights,
-    at most 8 nodes per row, and applied by sdd(). ztab holds h_0..h_J at
-    the nodes, so H_n(z / I, s) = I^{-n} ztab[n]. L is the inner grid's L_s plus
+    at most 8 nodes per row, and applied by sdd(). L is the inner grid's L_s plus
     moving-frame term, d_zz - (z/2) d_z + 1, from grid.laplacian_compact and
     grid.upwind_gradient. pw holds the Gauss nodes followed by the inner
     nodes, in z, with their powers of |z|, and htab h_0..h_{M_floor} there.
     """
 
     quad_order: int
-    J: int
     z: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
-    ztab: np.ndarray
     L: np.ndarray
     pw: NodePowers
     htab: np.ndarray
@@ -134,21 +132,26 @@ def z_frame(quad_order: int, params: ModelParams) -> ZFrame:
     L = laplacian_compact(eye, hz) - 0.5 * z[:, None] * upwind_gradient(eye, hz, z) + eye
     gauss = gauss_rule(quad_order).nodes
     S = sample_matrix(z, gauss)
-    J = default_jet_order(params.n_modes)
     points = np.concatenate((gauss, z))
     return ZFrame(
-        quad_order, J, z, *band(np.vstack([S, S @ D, D])), ztab=hermite_z_table(z, J), L=L,
+        quad_order, z, *band(np.vstack([S, S @ D, D])), L=L,
         pw=node_powers(points, params.k), htab=hermite_z_table(points, params.n_modes - 1),
     )
+
+
+@table_cache(maxsize=8)
+def inner_hermite_table(J: int) -> np.ndarray:
+    """h_0..h_J at the inner nodes, once per jet order: H_n(z / I, s) = I^{-n} table[n]."""
+    return hermite_z_table(inner_nodes(), J)
 
 
 class ZRemainder(NamedTuple):
     """Remainder values at the inner nodes of a z-frame.
 
-    projected_sources() and remainder_source() take it at scale time s in
-    place of the GridFunction on the nodes z / I(s), and then use the
-    frame's operators and node tables, so the frame must be the one of
-    their quadrature rule and model.
+    projected_sources() and remainder_source() take it at scale time s as
+    they take the GridFunction of the same values on the nodes z / I(s),
+    and use its frame's operators and node tables, so the frame must be the
+    one of their quadrature rule and model.
     """
 
     frame: ZFrame
@@ -376,14 +379,15 @@ class SourceProjections:
     y^{2k} e_b q. jets[:, n] holds the coefficient of H_n (n = 0..J) in each
     row's polynomial part, inc the projections of its remainder-coupled
     increment on the tracked modes, and their sums P_n for the tracked n are
-    PN, PD, PR, PM and Pcoupling. When the remainder was a ZRemainder, zrem
-    is that remainder and zinc the increments N, D_s, R_s, M at its inner
-    nodes (None when the remainder is zero).
+    PN, PD, PR, PM and Pcoupling. values is the remainder's values array,
+    by which remainder_source() knows the remainder they belong to, and zinc
+    the increments N, D_s, R_s, M at its inner nodes (None when the
+    remainder is zero).
     """
 
-    def __init__(self, jets: np.ndarray, inc: np.ndarray, zrem: ZRemainder | None = None,
+    def __init__(self, jets: np.ndarray, inc: np.ndarray, values: np.ndarray,
                  zinc: np.ndarray | None = None):
-        self.jets, self.inc, self.zrem, self.zinc = jets, inc, zrem, zinc
+        self.jets, self.inc, self.values, self.zinc = jets, inc, values, zinc
         self.PN, self.PD, self.PR, self.PM, self.Pcoupling = jets[:, : inc.shape[1]] + inc
 
     def bprime(self, params: ModelParams, variant: str = "derived") -> float:
@@ -392,6 +396,13 @@ class SourceProjections:
             raise ValueError(f"the flow solves b' in the derived form only, got {variant!r}")
         n = 2 * params.k
         return modulation_rate(self.PN[n] + self.PD[n] + self.PR[n], self.Pcoupling[n], params.p)
+
+
+def _require_inner_nodes(rem: GridFunction, I: float) -> None:
+    """Refuse a GridFunction remainder off the inner nodes z / I(s), the z-frame's grid."""
+    if not np.array_equal(rem.nodes, inner_nodes() / I):
+        raise ValueError("a GridFunction remainder must sit on inner_nodes() / I(s); "
+                         "pass it there or as a ZRemainder")
 
 
 def projected_sources(
@@ -407,10 +418,11 @@ def projected_sources(
     The polynomial part q_+ is handled by jets, all five projected by one
     product with the monomial table; the remainder enters through source
     increments evaluated at the quadrature nodes, where it is small, and
-    projected together. A ZRemainder is brought to those nodes by its
-    frame's [S; S D; D], and its increments are evaluated in the same pass
-    at its own nodes, for remainder_source(); any other GridFunction is
-    sampled by grid.sample.
+    projected together. The remainder is brought to those nodes by the
+    z-frame's [S; S D; D], and its increments are evaluated in the same
+    pass at the inner nodes, for remainder_source(). A zero remainder may
+    sit on any nodes and builds no frame; any other must be a ZRemainder or
+    a GridFunction on inner_nodes() / I(s), else ValueError.
     """
     p, k = params.p, params.k
     n_modes = params.n_modes
@@ -427,27 +439,22 @@ def projected_sources(
         )
 
     jets = _source_jets(modes, b, tab, params, J).dot(tab.mono)
-    zrem = rem if isinstance(rem, ZRemainder) else None
     if not (rem.values != 0.0).any():
-        return SourceProjections(jets, np.zeros((5, n_modes)), zrem)
-    scaled = modes * tab.iexp[:n_modes]  # H_n(z / I) = I^{-n} h_n(z)
-    if zrem is not None:
+        return SourceProjections(jets, np.zeros((5, n_modes)), rem.values)
+    if isinstance(rem, ZRemainder):
         frame = rem.frame
         if frame.quad_order != nq:
             raise ValueError("z-frame built for another quadrature order")
-        # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
-        rd = frame.sdd(rem.values)
-        r = np.concatenate((rd[:nq], rem.values))
-        incs = _increments(scaled.dot(frame.htab), r, rd[nq:], frame.pw, b, tab, params)
     else:
+        _require_inner_nodes(rem, tab.I)
         frame = z_frame(nq, params)
-        pw = NodePowers(*(a[:nq] for a in frame.pw))  # the Gauss nodes
-        y = pw.y / tab.I
-        r = sample(rem.nodes, rem.values, y)
-        dr = sample(rem.nodes, derivative(rem.values, tab.I * rem.spacing), y)
-        incs = _increments(scaled @ frame.htab[:, :nq], r, dr, pw, b, tab, params)
+    scaled = modes * tab.iexp[:n_modes]  # H_n(z / I) = I^{-n} h_n(z)
+    # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
+    rd = frame.sdd(rem.values)
+    r = np.concatenate((rd[:nq], rem.values))
+    incs = _increments(scaled.dot(frame.htab), r, rd[nq:], frame.pw, b, tab, params)
     inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, scale=tab.proj_scale)
-    return SourceProjections(jets, inc, zrem, incs[:4, nq:] if zrem is not None else None)
+    return SourceProjections(jets, inc, rem.values, incs[:4, nq:])
 
 
 def remainder_source(
@@ -459,7 +466,7 @@ def remainder_source(
     s: float,
     params: ModelParams,
 ) -> np.ndarray:
-    """(1 - Pi) S at the nodes of rem, with Pi the tracked-mode projection.
+    """(1 - Pi) S at the inner nodes, with Pi the tracked-mode projection.
 
     S = N + D_s + R_s + b' M splits into its polynomial part, whose untracked
     basis content sum_{n > M_floor} a_n H_n comes straight from the jets, and
@@ -467,33 +474,25 @@ def remainder_source(
     subtracted from an O(1) value, so the result keeps its relative accuracy
     where the remainder is of size I^{-M}; the direct difference S - Pi S
     would bury it under the roundoff of S. Both basis parts are summed as one
-    series in h_n(z). A ZRemainder reads h_n from its frame and its
-    increments from proj, which must come from projected_sources() on that
-    same ZRemainder; the nodes of any other GridFunction get their own
-    table and increments.
+    series in h_n(z), and the increments are the ones proj carries, so proj
+    must come from projected_sources() on this same rem: a ZRemainder, or a
+    GridFunction on inner_nodes() / I(s). modes and b are not read; they
+    stay for the callers that pass all seven arguments by position, and go
+    with those calls (ROADMAP direction 1).
     """
     n_modes = params.n_modes
     J = proj.jets.shape[1] - 1
     tab = scale_tables(s, params.k, n_modes, J)
-    if isinstance(rem, ZRemainder):
-        if proj.zrem is not rem:
-            raise ValueError("proj must come from projected_sources() on this ZRemainder")
-        ztab, incs = rem.frame.ztab[: J + 1], proj.zinc
-    else:
-        z = tab.I * rem.nodes
-        ztab, incs = hermite_z_table(z, J), None
-        if (rem.values != 0.0).any():
-            dr = derivative(rem.values, tab.I * rem.spacing)
-            incs = _increments(
-                (modes * tab.iexp[:n_modes]) @ ztab[:n_modes], rem.values, dr,
-                node_powers(z, params.k), b, tab, params,
-            )[:4]
+    if proj.values is not rem.values:
+        raise ValueError("proj must come from projected_sources() on this remainder")
+    if isinstance(rem, GridFunction):
+        _require_inner_nodes(rem, tab.I)
     w = np.array([1.0, 1.0, 1.0, bprime])
     coef = w.dot(proj.jets[:4])
     coef[:n_modes] = -w.dot(proj.inc[:4])
-    out = (coef * tab.iexp).dot(ztab)
-    if incs is not None:
-        out += w.dot(incs)
+    out = (coef * tab.iexp).dot(inner_hermite_table(J))
+    if proj.zinc is not None:
+        out += w.dot(proj.zinc)
     return out
 
 

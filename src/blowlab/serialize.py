@@ -53,18 +53,10 @@ def write_trajectory_csv(record: TrajectoryRecord, params: ModelParams, path) ->
     return path
 
 
-def _json_default(obj):
-    if hasattr(obj, "item"):  # numpy scalar
-        return obj.item()
-    if hasattr(obj, "tolist"):  # numpy array
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
 def save_json(obj, path) -> Path:
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 

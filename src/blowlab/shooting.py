@@ -217,7 +217,6 @@ def search(cfg: ShootConfig, params: ModelParams) -> tuple[np.ndarray, SurvivorC
     breakdowns: list[dict] = []
     trail: list[dict] = []
     best: tuple[float, np.ndarray, ExitMapResult] | None = None
-    n_traj = 0
     from_model = False
     WIDTH_FLOOR = 1e-13
 
@@ -241,14 +240,11 @@ def search(cfg: ShootConfig, params: ModelParams) -> tuple[np.ndarray, SurvivorC
         cuts[mode] += 1
 
     while True:
-        if n_traj >= MAX_TRAJECTORIES:
-            if best is None:
-                raise SearchFailureError("trajectory budget exhausted", seed(center), None)
+        if len(trail) >= MAX_TRAJECTORIES:
             raise SearchFailureError(
                 f"no survivor within {MAX_TRAJECTORIES} trajectories",
                 best[1], best[2],
             )
-        n_traj += 1
         d = seed(center)
         result = exit_map(d, cfg, params)
         info = result.record.exit
@@ -273,7 +269,7 @@ def search(cfg: ShootConfig, params: ModelParams) -> tuple[np.ndarray, SurvivorC
                 final_margins=final.margins,
                 b_drift=b_drift,
                 brackets=list(zip(lo.tolist(), hi.tolist())),
-                n_trajectories=n_traj,
+                n_trajectories=len(trail),
                 anomalies=anomalies,
                 breakdowns=breakdowns,
                 trail=trail,

@@ -28,7 +28,8 @@ from blowlab.operators import drift_values, modulation_values, nonlinear_values,
 from blowlab.params import alpha_consts, eval_profile, make_params, node_powers, scale_factor
 from blowlab.hermite import _projector
 from blowlab.projection import (
-    Z_MAX, _legendre_rule, projected_sources, remainder_source, scale_tables, z_frame,
+    Z_MAX, _legendre_rule, inner_hermite_table, projected_sources, remainder_source, scale_tables,
+    z_frame,
 )
 
 DELTA, B0, S0 = 0.1, 1.0, 20.0
@@ -70,8 +71,9 @@ def test_init_state_neutral_mode_always_zero(params3, opts):
 
 
 def test_init_state_rejects_out_of_box(params3, opts):
-    with pytest.raises(ValueError):
-        init_state(np.array([2.5, 0, 0, 0]), DELTA, B0, S0, params3, opts)
+    for bad in (2.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"\|d_i\| <="):
+            init_state(np.array([bad, 0, 0, 0]), DELTA, B0, S0, params3, opts)
     with pytest.raises(ValueError):
         init_state(np.zeros(3), DELTA, B0, S0, params3, opts)
 
@@ -116,8 +118,9 @@ def test_step_zero_ds_is_identity(params3, opts):
 
 def test_step_rejects_bad_ds_and_nonfinite(params3, opts):
     st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
-    with pytest.raises(ValueError):
-        step(st, 0.2, params3, opts)
+    for ds in (0.2, -0.01, float("nan")):
+        with pytest.raises(ValueError, match="ds must lie"):
+            step(st, ds, params3, opts)
     bad = SimState(
         s=st.s, b=float("nan"), dec=st.dec
     )
@@ -361,8 +364,8 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
 # every cache a flow step reads that depends on s, on the outer grid, on the
 # step size or on the model
 FLOW_CACHES = (
-    scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._sine_basis,
-    dynamics._half_exp_of, _legendre_rule, _projector, dynamics._outer_band,
+    scale_tables, z_frame, inner_hermite_table, alpha_consts, dynamics._flow,
+    dynamics._sine_basis, dynamics._half_exp_of, _legendre_rule, _projector, dynamics._outer_band,
 )
 
 
@@ -404,7 +407,7 @@ def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     # one cached copy serves every caller, so none may write to it
     assert not any(
         a.flags.writeable for a in (
-            flow.nodes, flow.wind, *flow.pw, flow.yM, flow.lam, flow.mono,
+            flow.nodes, *flow.pw, flow.yM, flow.lam, flow.mono,
             *dynamics._sine_basis(flow.nodes.size, flow.h),
         )
     )
@@ -456,7 +459,8 @@ def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad
     st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
     membership(st, DELTA, B0, params3, opts)
     projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
-    for cache in (z_frame, dynamics._sine_basis, dynamics._half_exp_of, dynamics._outer_band):
+    for cache in (z_frame, inner_hermite_table, dynamics._sine_basis, dynamics._half_exp_of,
+                  dynamics._outer_band):
         assert cache.cache_info().currsize == 0, cache.__name__
 
 
@@ -626,13 +630,23 @@ def _stage_from_the_routes(x, s, flow):
     """A stage's dx from the projections on a GridFunction, the grid kernels and the pointwise sources.
 
     Also returns, in x's layout, the size of the terms summed into each entry.
+    The outer part is independent of _stage. The projections, b' and the
+    inner part are not: a GridFunction on the inner nodes is read through
+    the z-frame, as _stage's ZRemainder is, and the pointwise S - Pi S at
+    the inner nodes would bury the inner source under the roundoff of S.
+    Those are tied to independent routes by
+    test_operators.py::test_remainder_source_matches_direct_difference (the
+    inner source against the pointwise S - Pi S where that is exact) and by
+    test_solve_bprime_agrees_with_projected_route (b' against the pointwise
+    operators.solve_bprime).
     """
     params, k, n = flow.params, flow.params.k, flow.params.n_modes
     modes, rem, inner, b = x[flow.modes], x[flow.outer], x[flow.inner], float(x[-1])
     I = float(scale_factor(s, k))
     lam = 1.0 - np.arange(n) / (2.0 * k)
     dx, size = np.zeros_like(x), np.zeros_like(x)
-    Ls = rem - flow.wind * upwind_gradient(rem, flow.h, flow.wind)
+    wind = flow.nodes / (2.0 * k)
+    Ls = rem - wind * upwind_gradient(rem, flow.h, wind)
     dx[flow.modes], dx[flow.outer] = lam * modes, Ls
     size[flow.modes], size[flow.outer] = np.abs(lam * modes), np.abs(Ls)
     if flow.linear_only:
@@ -792,7 +806,8 @@ def test_rk4_powers_of_the_outer_transport_stay_bounded_at_the_stable_step(param
     # and 105 at 0.07)
     flow = dynamics._flow(opts, params3)
     eye = np.eye(flow.nodes.size)
-    hA = dynamics.MAX_DS * -flow.wind[:, None] * upwind_gradient(eye, flow.h, flow.wind)
+    wind = flow.nodes / (2.0 * params3.k)
+    hA = dynamics.MAX_DS * -wind[:, None] * upwind_gradient(eye, flow.h, wind)
     power = eye + hA @ (eye + hA / 2.0 @ (eye + hA / 3.0 @ (eye + hA / 4.0)))
     for j in range(9):
         growth = math.exp(2**j * dynamics.MAX_DS / (4.0 * params3.k))

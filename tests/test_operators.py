@@ -31,7 +31,7 @@ from blowlab.params import (
     profile_second_derivative,
     scale_factor,
 )
-from blowlab.projection import solve_bprime_projected
+from blowlab.projection import inner_nodes, solve_bprime_projected
 
 
 def _hermite_grid(m, nodes, s, k):
@@ -223,9 +223,10 @@ def test_solve_bprime_against_frozen_oracle(params3, quad96):
 
 
 def test_solve_bprime_agrees_with_projected_route(params3, quad96):
-    # grid-quadrature route vs jet route, in the regime where both are valid
+    # grid-quadrature route vs jet route, in the regime where both are valid;
+    # the jet route reads a remainder on the inner nodes through the z-frame
     s, b = 20.0, 1.2
-    nodes = uniform_grid(0.3, 1601)
+    nodes = inner_nodes() / float(scale_factor(s, params3.k))
     vals = 0.3 * np.exp(-((nodes / 0.1) ** 2)) + 0.1 * nodes**3 * np.exp(
         -((nodes / 0.08) ** 2)
     )

@@ -29,6 +29,7 @@ TABLES = {
     "hermite._projector": lambda: hermite._projector(96, 6),
     "hermite._mode_norm_factors": lambda: hermite._mode_norm_factors(6),
     "projection.z_frame": lambda: projection.z_frame(96, _P3),
+    "projection.inner_hermite_table": lambda: projection.inner_hermite_table(_J),
     "projection._toeplitz_index": lambda: projection._toeplitz_index(_J),
     "projection._basis_structure": lambda: projection._basis_structure(_J),
     "projection.scale_tables": lambda: projection.scale_tables(20.0, 2, 6, _J),

@@ -28,6 +28,7 @@ from blowlab.projection import (
     _nonlinear_increment,
     _toeplitz_index,
     default_jet_order,
+    inner_hermite_table,
     inner_nodes,
     monomial_table,
     projected_sources,
@@ -79,15 +80,20 @@ def test_z_frame_node_operators_match_grid_kernels(frame):
 
 
 @pytest.mark.parametrize("s", [20.0, 45.0])
-def test_z_frame_table_matches_recurrence(frame, s):
+def test_z_frame_table_matches_recurrence(params3, s):
+    J = default_jet_order(params3.n_modes)
     I = float(scale_factor(s, K))
-    want = hermite_z_table(I * (inner_nodes() / I), frame.J)
+    want = hermite_z_table(I * (inner_nodes() / I), J)
     rows = np.max(np.abs(want), axis=1, keepdims=True)
-    assert np.all(np.abs(frame.ztab - want) <= 1e-13 * rows)
+    table = inner_hermite_table(J)
+    assert np.all(np.abs(table - want) <= 1e-13 * rows)
+    assert not table.flags.writeable and inner_hermite_table(J) is table
 
 
 @pytest.mark.parametrize("s", [20.0, 45.0])
 def test_z_remainder_gives_the_grid_function_results(params3, quad96, frame, s):
+    # a GridFunction on the frame's nodes z / I is read through the frame:
+    # it gives the ZRemainder's results bit for bit
     I = float(scale_factor(s, K))
     vals = _inner_values(I)
     modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15]) * I**-0.1
@@ -97,11 +103,19 @@ def test_z_remainder_gives_the_grid_function_results(params3, quad96, frame, s):
     pg = projected_sources(modes, grid, b, s, params3, quad96)
     pf = projected_sources(modes, fast, b, s, params3, quad96)
     assert np.any(pg.inc != 0.0)
-    assert np.max(np.abs(pf.inc - pg.inc)) <= 1e-12 * np.max(np.abs(pg.inc))
-    assert np.max(np.abs(pf.Pcoupling - pg.Pcoupling)) <= 1e-14 * np.max(np.abs(pg.Pcoupling))
+    for name in ("jets", "inc", "zinc"):
+        assert _same(getattr(pf, name), getattr(pg, name)), name
     want = remainder_source(pg, bp, modes, grid, b, s, params3)
     got = remainder_source(pf, bp, modes, fast, b, s, params3)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert _same(got, want)
+    # a non-zero remainder on any other nodes has no route to the projections
+    for nodes in (inner_nodes() / (1.001 * I), np.linspace(-0.3, 0.3, 193)):
+        off = GridFunction(nodes, vals)
+        assert off.values is pg.values  # so remainder_source gets past the pairing check
+        with pytest.raises(ValueError, match="inner_nodes"):
+            projected_sources(modes, off, b, s, params3, quad96)
+        with pytest.raises(ValueError, match="inner_nodes"):
+            remainder_source(pg, bp, modes, off, b, s, params3)
 
 
 def test_jet_matrix_product_is_truncated_convolution():
@@ -181,7 +195,7 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
 def test_scale_tables_equal_the_routines_they_replace(params3, frame, s):
-    n, J = params3.n_modes, frame.J
+    n, J = params3.n_modes, default_jet_order(params3.n_modes)
     tab = scale_tables(s, K, n, J)
     I = float(scale_factor(s, K))
     assert tab.I == I and tab.I2inv == I**-2 and tab.i2k == I**-4
@@ -234,7 +248,7 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
     # the same sources written out at y = z / I
     n, p, k = params3.n_modes, params3.p, K
     I, vals, modes, b = _inputs(params3, frame, s)
-    tab = scale_tables(s, K, n, frame.J)
+    tab = scale_tables(s, K, n, default_jet_order(n))
     rd = frame.sdd(vals)
     r, drz = np.concatenate((rd[:96], vals)), rd[96:]
     qp = (modes * tab.iexp[:n]) @ frame.htab
@@ -256,7 +270,7 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
 @pytest.mark.parametrize("s", [20.0, 45.0])
 def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
     n = params3.n_modes
-    tab = scale_tables(s, K, n, frame.J)
+    tab = scale_tables(s, K, n, default_jet_order(n))
     I, vals, modes, b = _inputs(params3, frame, s)
     rd = frame.sdd(vals)
     scaled = modes * tab.iexp[:n]
@@ -280,24 +294,26 @@ def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
 def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
     n = params3.n_modes
     I, vals, modes, b = _inputs(params3, frame, s)
-    tab = scale_tables(s, K, n, frame.J)
+    tab = scale_tables(s, K, n, default_jet_order(n))
     rem = ZRemainder(frame, vals)
     proj = projected_sources(modes, rem, b, s, params3, quad96)
     bp = proj.bprime(params3)
     got = remainder_source(proj, bp, modes, rem, b, s, params3)
     # the same source with the increments evaluated at the inner nodes alone
     inner_pw = NodePowers(*(a[96:] for a in frame.pw))
+    ztab = hermite_z_table(inner_nodes(), default_jet_order(n))
     incs = _increments(
-        (modes * tab.iexp[:n]) @ frame.ztab[:n], vals, frame.sdd(vals)[192:], inner_pw, b, tab,
+        (modes * tab.iexp[:n]) @ ztab[:n], vals, frame.sdd(vals)[192:], inner_pw, b, tab,
         params3,
     )
     w = np.array([1.0, 1.0, 1.0, bp])
     coef = np.concatenate((-(w @ proj.inc[:4]), w @ proj.jets[:4, n:]))
-    want = (coef * tab.iexp) @ frame.ztab + w @ incs[:4]
+    want = (coef * tab.iexp) @ ztab + w @ incs[:4]
     assert _same(got, want)
     # the rows belong to the remainder they were evaluated for
-    with pytest.raises(ValueError):
-        remainder_source(proj, bp, modes, ZRemainder(frame, vals.copy()), b, s, params3)
+    for other in (ZRemainder(frame, vals.copy()), GridFunction(inner_nodes() / I, vals.copy())):
+        with pytest.raises(ValueError, match="on this remainder"):
+            remainder_source(proj, bp, modes, other, b, s, params3)
 
 
 @pytest.mark.parametrize("n_modes", [4, 6])

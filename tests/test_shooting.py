@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from blowlab.dynamics import FlowOptions
+from blowlab import shooting
+from blowlab.dynamics import ExitInfo, FlowOptions, TrajectoryRecord, TrajectorySample, init_state
 from blowlab.params import alpha_consts, scale_factor
 from blowlab.shooting import (
     MODEL_MARGIN,
+    ExitMapResult,
     SearchFailureError,
     ShootConfig,
     exit_map,
@@ -216,3 +218,93 @@ def test_search_model_step_finds_the_linear_survivor(params3):
     assert trail[-1]["model"]
     assert all(t["mode"] == 2 and t["s_star"] < S0 + cfg.horizon for t in trail[:-1])
     assert cert.to_dict()["trail"] == trail
+
+
+# -- the search's cuts, driven by scripted exits --------------------------------
+
+def _exit(bound, mode, omega, s_star=21.0, modes=np.zeros(6), reason=None):
+    info = ExitInfo(s_star=s_star, bound=bound, mode=mode, omega=omega, dqds=None,
+                    transversal=None, reason=reason)
+    sample = TrajectorySample(s=s_star, b=B0, bprime=0.0, modes=np.asarray(modes, dtype=float),
+                              qminus_seminorm=0.0, inside=False)
+    return ExitMapResult(survived=False, s_star=s_star, phi=None,
+                         record=TrajectoryRecord([sample], info))
+
+
+def _survivor(cfg, params):
+    st = init_state(np.zeros(4), cfg.delta, cfg.b0, cfg.s0, params, cfg.flow)
+    samples = [
+        TrajectorySample(s=s, b=cfg.b0, bprime=0.0, modes=st.dec.modes, qminus_seminorm=0.0,
+                         inside=True)
+        for s in (cfg.s0, cfg.s0 + cfg.horizon)
+    ]
+    return ExitMapResult(survived=True, s_star=cfg.s0 + cfg.horizon, phi=None,
+                         record=TrajectoryRecord(samples, None, st))
+
+
+def _scripted_search(monkeypatch, cfg, params, exits):
+    """search() with exit_map replaced by the exits in order, then a survivor."""
+    script = iter([*exits, _survivor(cfg, params)])
+    monkeypatch.setattr(shooting, "exit_map", lambda d, cfg, params: next(script))
+    d_star, cert = search(cfg, params)
+    assert next(script, None) is None  # every scripted exit was consumed
+    assert cert.n_trajectories == len(cert.trail) == len(exits) + 1
+    return cert
+
+
+def test_search_reopens_a_collapsed_bracket(params3, monkeypatch):
+    # mode-0 exits on alternating sides at one exit time halve the bracket
+    # [-B, B] (the model point of equal times is the midpoint); after 11
+    # cuts it is 2B / 2^11 < 1e-13 wide, so the 12th reopens it to
+    # c +- 16e-12 before cutting. The reopening also takes 4 cuts off the
+    # count: without that, the 12th cut would pass depth 11.
+    B = 1e-10
+    cfg = _cfg(params3, box=B, depth=11)
+    exits = [_exit("mode_0", 0, 1 if i % 2 == 0 else -1) for i in range(12)]
+    cert = _scripted_search(monkeypatch, cfg, params3, exits)
+    c = [t["c"][0] for t in cert.trail]
+    assert c[0] == 0.0
+    for i in range(1, 12):  # the midpoints of halving brackets
+        assert abs(c[i] - c[i - 1]) == pytest.approx(B / 2**i, rel=1e-12)
+    # the 12th exit (omega = -1) reopened around c[11] and moved lo there;
+    # the next centre halves the reopened bracket, with no exit time at hi
+    lo, hi = cert.brackets[0]
+    assert lo == c[11] and hi == pytest.approx(c[11] + 16e-12, rel=1e-12)
+    assert c[12] == pytest.approx(c[11] + 8e-12, rel=1e-12)
+    assert [t["model"] for t in cert.trail] == [False, False] + [True] * 10 + [False]
+    assert cert.brackets[1:] == [(-B, B)] * 3
+    assert cert.anomalies == [] and cert.breakdowns == []
+
+
+def test_search_cuts_coordinate_0_on_a_modulation_breakdown(params3, monkeypatch):
+    # a breakdown names no mode: coordinate 0 is cut against q_0's sign, and
+    # its end keeps no exit time, so the next mode-0 exit still halves
+    cfg = _cfg(params3)
+    B = cfg.box
+    exits = [
+        _exit("modulation", None, -1, s_star=20.3, reason="degenerate denominator"),
+        _exit("mode_0", 0, 1, s_star=21.0),
+    ]
+    cert = _scripted_search(monkeypatch, cfg, params3, exits)
+    assert cert.breakdowns == [{"d": [0.0] * 4, "error": "degenerate denominator"}]
+    assert cert.anomalies == []
+    assert [t["c"][0] for t in cert.trail] == [0.0, B / 2, B / 4]
+    assert [t["model"] for t in cert.trail] == [False, False, False]
+    assert cert.trail[0]["bound"] == "modulation" and cert.trail[0]["mode"] is None
+    assert cert.brackets == [(0.0, B / 2)] + [(-B, B)] * 3
+
+
+def test_even_only_search_ranks_an_anomaly_on_the_even_modes(params3, monkeypatch):
+    # a b_high exit names no mode: the largest final mode is cut, and an
+    # even-only search ranks only the even ones, so mode 2 (-0.3) is cut
+    # although mode 1 (-0.9) is larger
+    cfg = _cfg(params3, even_only=True)
+    B = cfg.box
+    modes = [0.1, -0.9, -0.3, 0.5, 0.0, 0.0]
+    cert = _scripted_search(
+        monkeypatch, cfg, params3, [_exit("b_high", None, 1, s_star=20.7, modes=modes)],
+    )
+    assert cert.anomalies == [{"d": [0.0] * 4, "s_star": 20.7, "bound": "b_high"}]
+    assert cert.breakdowns == []
+    assert cert.brackets == [(-B, B), (0.0, 0.0), (0.0, B), (0.0, 0.0)]
+    assert cert.trail[1]["c"] == [0.0, 0.0, B / 2, 0.0] and not cert.trail[1]["model"]
