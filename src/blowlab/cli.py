@@ -167,7 +167,7 @@ def _cmd_shoot(cfg: RunConfig, out: Path, args):
             "failed": True,
             "message": str(exc),
             "best_d": [float(x) for x in exc.best_d],
-            "best_s_star": None if exc.best_result is None else exc.best_result.s_star,
+            "best_s_star": exc.best_result.s_star,
         }
         path = save_json(info, out / "certificate.json")
         print(f"search failed: {exc}")

@@ -26,7 +26,7 @@ Every layer of a step reads one context, built once per FlowOptions and
 model (_flow). A stage (_stage) visits each node set once: the jets of q_+;
 the Gauss and the inner nodes together, whose operators and tables sit at
 fixed z and are built once per process (projection.z_frame), the inner
-remainder handed over as a projection.ZRemainder; and the outer nodes,
+remainder handed over as its values array; and the outer nodes,
 where the remainder's upwinded transport and derivative are one banded
 product (_outer_band, probed from the grid kernels by grid.probed_band,
 as the direct w-run's band is) and the sources one pass (_outer_sources).
@@ -86,7 +86,6 @@ from .operators import ModulationBreakdownError, nonlinear_values
 from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor, table_cache
 from .projection import (
     Z_NODES,
-    ZRemainder,
     ScaleTables,
     default_jet_order,
     inner_hermite_table,
@@ -175,21 +174,21 @@ class FlowOptions:
 class SimState:
     """Flow state; dec.remainder is the outer y-grid remainder.
 
-    inner holds the remainder at the fixed nodes inner_nodes() in z; None
-    stands for the zero remainder.
+    inner holds the remainder at the fixed nodes inner_nodes() in z, zero
+    unless given.
     """
 
     s: float
     b: float
     dec: SpectralDecomposition
-    inner: np.ndarray | None = None
+    inner: np.ndarray = field(default_factory=lambda: np.zeros(Z_NODES))
 
     def __post_init__(self):
         if self.dec.s != self.s:
             raise ValueError("decomposition scale time must match state time")
 
     def inner_values(self) -> np.ndarray:
-        return np.zeros(Z_NODES) if self.inner is None else self.inner
+        return self.inner
 
 
 @dataclass(frozen=True)
@@ -286,10 +285,7 @@ def init_state(
     modes[: psi.size] = psi
     nodes = opts.nodes()
     rem = GridFunction(nodes, np.zeros_like(nodes))
-    return SimState(
-        s=float(s0), b=float(b0), dec=SpectralDecomposition(float(s0), modes, rem),
-        inner=np.zeros(Z_NODES),
-    )
+    return SimState(s=float(s0), b=float(b0), dec=SpectralDecomposition(float(s0), modes, rem))
 
 
 class _Flow(NamedTuple):
@@ -374,8 +370,8 @@ def _stage(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     The outer remainder's part leaves out its diffusion I^{-2} D0, and the
     inner remainder's is its source N, its derivative minus
     frame.L @ inner_vals: the Lawson step integrates both exactly. The
-    inner remainder reaches the projections as a ZRemainder, through the
-    cached z-frame operators; on the outer grid q_+, dq_+/dy and the
+    inner remainder reaches the projections as its values array, through
+    the cached z-frame operators; on the outer grid q_+, dq_+/dy and the
     sources' tracked projection are three power series in y, summed by one
     product with its monomials, and the remainder's upwinded transport and
     derivative are one banded product.
@@ -393,7 +389,7 @@ def _stage(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
 
     b = float(x[-1])
     tab = _scale_tables(s, flow)
-    inner = ZRemainder(z_frame(flow.quad.order, params), x[flow.inner])
+    inner = x[flow.inner]
     proj = projected_sources(modes, inner, b, s, params, flow.quad)
     bprime = proj.bprime(params)
     src_proj = proj.PN + proj.PD + proj.PR + bprime * proj.PM
@@ -461,8 +457,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 
 @table_cache(maxsize=21)
-def _half_exp_of(h: float, quad_order: int, params: ModelParams) -> np.ndarray:
-    return _expm(0.5 * h * z_frame(quad_order, params).L)
+def _half_exp_of(h: float, params: ModelParams) -> np.ndarray:
+    return _expm(0.5 * h * z_frame(params).L)
 
 
 def _half_exp(h: float, flow: _Flow) -> np.ndarray:
@@ -475,7 +471,7 @@ def _half_exp(h: float, flow: _Flow) -> np.ndarray:
     (0.05 / 0.0025) from its first steps, and one more for a last step cut
     short at s_max: the cache holds 21, so a run never rebuilds one.
     """
-    return _half_exp_of(float(f"{h:.12g}"), flow.quad.order, flow.params)
+    return _half_exp_of(float(f"{h:.12g}"), flow.params)
 
 
 class _SineBasis(NamedTuple):
@@ -579,7 +575,7 @@ def _step_tail(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     x = x.copy()
     rem, inner = x[flow.outer], x[flow.inner]
     tab = _scale_tables(s, flow)
-    frame = z_frame(quad.order, params)
+    frame = z_frame(params)
     n = 2 * params.k
     leak = project_modes_from_samples(
         frame.sdd(inner)[: quad.order], s, params.k, n, quad, scale=tab.proj_scale,
@@ -631,7 +627,7 @@ def _values(state: SimState, flow: _Flow) -> np.ndarray:
     """The state's vector x, in flow's layout; a state with non-finite values is rejected."""
     x = np.empty(flow.inner.stop + 1)
     x[flow.modes], x[flow.outer], x[flow.inner], x[-1] = (
-        state.dec.modes, state.dec.remainder.values, state.inner_values(), state.b)
+        state.dec.modes, state.dec.remainder.values, state.inner, state.b)
     if not np.isfinite(x).all():
         raise ValueError("state with non-finite values rejected")
     return x
@@ -692,7 +688,10 @@ def membership(
     state: SimState, delta: float, b0: float, params: ModelParams,
     opts: FlowOptions = FlowOptions(),
 ) -> MembershipReport:
-    """Check every shrinking-set bound; margins are bound minus attained value."""
+    """Check every shrinking-set bound; margins are bound minus attained value.
+
+    A NaN margin counts as violated, and makes worst_margin NaN.
+    """
     I = float(scale_factor(state.s, params.k))
     mode_bound = I ** (-delta)
     sem = remainder_seminorm(
@@ -706,11 +705,13 @@ def membership(
     values[2 * params.k] = I ** (-2.0 * delta) - q[2 * params.k]
     values += [mode_bound - sem, state.b - 0.5 * b0, 2.0 * b0 - state.b]
     margins = dict(zip(_bound_names(params.n_modes), values))
-    violations = [(name, m) for name, m in margins.items() if m < 0.0]
+    violations = [(name, m) for name, m in margins.items() if not m >= 0.0]
+    # min() would skip a NaN by its position; every NaN margin is a violation
+    nan = any(m != m for _, m in violations)
     return MembershipReport(
         inside=not violations,
         violations=violations,
-        worst_margin=min(values),
+        worst_margin=math.nan if nan else min(values),
         margins=margins,
         qminus_seminorm=sem,
     )
@@ -790,7 +791,7 @@ def run(
     flow = _flow_of(state0, params, opts)
     x = _values(state0, flow)
     rem0 = state0.dec.remainder
-    L = z_frame(flow.quad.order, params).L
+    L = z_frame(params).L
     s0 = state0.s
     n = max(1, math.ceil((s_max - s0) / ds - 1e-9))
     end, quarter = 4 * n, 0.25 * ds

@@ -21,16 +21,17 @@ are products with lower-triangular Toeplitz matrices.
 The flow carries its remainder on an inner grid at fixed z = I(s) y, and
 the Gauss nodes also sit at fixed z, so every map between that grid, the
 quadrature nodes and the basis, and every table a stage reads at those
-nodes, is independent of s: z_frame() builds them once per quadrature
-order and model. A power of y = z / I is a power of z times a power of I,
-and the sources take those powers of I as scalar factors. What does depend
-on s is O(J) in size and built once per scale time by scale_tables(), and
-h_0..h_J at the inner nodes once per jet order by inner_hermite_table().
-Every remainder is read through the frame: a ZRemainder, or a GridFunction
-on the inner nodes z / I(s), the frame's own grid. Its source increments
-are evaluated in one pass at the Gauss and the inner nodes together:
-projected_sources() projects the first part and carries the second on its
-SourceProjections for remainder_source().
+nodes, is independent of s: z_frame() builds them once per model, on the
+flow's one Gauss rule. A power of y = z / I is a power of z times a power
+of I, and the sources take those powers of I as scalar factors. What does
+depend on s is O(J) in size and built once per scale time by
+scale_tables(), and h_0..h_J at the inner nodes once per jet order by
+inner_hermite_table(). A remainder is its values array at the inner
+nodes, or a GridFunction on the nodes z / I(s), the frame's own grid,
+read as its values. Its source increments are evaluated in one pass at
+the Gauss and the inner nodes together: projected_sources() projects the
+first part and carries the second on its SourceProjections for
+remainder_source().
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .grid import (
     upwind_gradient,
 )
 from .hermite import (
+    DEFAULT_QUAD_ORDER,
     QuadratureRule,
     gauss_rule,
     hermite_z_table,
@@ -67,7 +69,6 @@ __all__ = [
     "ZFrame",
     "z_frame",
     "inner_hermite_table",
-    "ZRemainder",
     "ScaleTables",
     "scale_tables",
     "monomial_table",
@@ -95,7 +96,7 @@ def default_jet_order(n_modes: int) -> int:
 # -- the z-frame -------------------------------------------------------------
 
 class ZFrame(NamedTuple):
-    """The s-independent operators and node tables of the inner grid, for one quad order and model.
+    """The s-independent operators and node tables of the inner grid, for one model.
 
     The Gauss nodes sit at fixed z, so interpolation from the inner nodes to
     them does not depend on s. [S; S D; D] gives r at the Gauss nodes, then
@@ -106,9 +107,9 @@ class ZFrame(NamedTuple):
     moving-frame term, d_zz - (z/2) d_z + 1, from grid.laplacian_compact and
     grid.upwind_gradient. pw holds the Gauss nodes followed by the inner
     nodes, in z, with their powers of |z|, and htab h_0..h_{M_floor} there.
+    The Gauss nodes are those of gauss_rule(DEFAULT_QUAD_ORDER).
     """
 
-    quad_order: int
     z: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
@@ -122,19 +123,19 @@ class ZFrame(NamedTuple):
 
 
 @table_cache(maxsize=8)
-def z_frame(quad_order: int, params: ModelParams) -> ZFrame:
-    """Build, once per process, the z-frame of a quadrature order and model."""
+def z_frame(params: ModelParams) -> ZFrame:
+    """Build, once per process, the z-frame of a model."""
     z = inner_nodes()
     hz = float(z[1] - z[0])
     # the kernels act along the first axis: on the identity, their matrices
     eye = np.eye(z.size)
     D = derivative(eye, hz)
     L = laplacian_compact(eye, hz) - 0.5 * z[:, None] * upwind_gradient(eye, hz, z) + eye
-    gauss = gauss_rule(quad_order).nodes
+    gauss = gauss_rule(DEFAULT_QUAD_ORDER).nodes
     S = sample_matrix(z, gauss)
     points = np.concatenate((gauss, z))
     return ZFrame(
-        quad_order, z, *band(np.vstack([S, S @ D, D])), L=L,
+        z, *band(np.vstack([S, S @ D, D])), L=L,
         pw=node_powers(points, params.k), htab=hermite_z_table(points, params.n_modes - 1),
     )
 
@@ -143,19 +144,6 @@ def z_frame(quad_order: int, params: ModelParams) -> ZFrame:
 def inner_hermite_table(J: int) -> np.ndarray:
     """h_0..h_J at the inner nodes, once per jet order: H_n(z / I, s) = I^{-n} table[n]."""
     return hermite_z_table(inner_nodes(), J)
-
-
-class ZRemainder(NamedTuple):
-    """Remainder values at the inner nodes of a z-frame.
-
-    projected_sources() and remainder_source() take it at scale time s as
-    they take the GridFunction of the same values on the nodes z / I(s),
-    and use its frame's operators and node tables, so the frame must be the
-    one of their quadrature rule and model.
-    """
-
-    frame: ZFrame
-    values: np.ndarray
 
 
 # -- jet arithmetic ----------------------------------------------------------
@@ -398,16 +386,16 @@ class SourceProjections:
         return modulation_rate(self.PN[n] + self.PD[n] + self.PR[n], self.Pcoupling[n], params.p)
 
 
-def _require_inner_nodes(rem: GridFunction, I: float) -> None:
+def _require_inner_nodes(rem: GridFunction | np.ndarray, I: float) -> None:
     """Refuse a GridFunction remainder off the inner nodes z / I(s), the z-frame's grid."""
-    if not np.array_equal(rem.nodes, inner_nodes() / I):
+    if isinstance(rem, GridFunction) and not np.array_equal(rem.nodes, inner_nodes() / I):
         raise ValueError("a GridFunction remainder must sit on inner_nodes() / I(s); "
-                         "pass it there or as a ZRemainder")
+                         "pass it there or as its values at inner_nodes()")
 
 
 def projected_sources(
     modes: np.ndarray,
-    rem: GridFunction | ZRemainder,
+    rem: GridFunction | np.ndarray,
     b: float,
     s: float,
     params: ModelParams,
@@ -420,9 +408,11 @@ def projected_sources(
     increments evaluated at the quadrature nodes, where it is small, and
     projected together. The remainder is brought to those nodes by the
     z-frame's [S; S D; D], and its increments are evaluated in the same
-    pass at the inner nodes, for remainder_source(). A zero remainder may
-    sit on any nodes and builds no frame; any other must be a ZRemainder or
-    a GridFunction on inner_nodes() / I(s), else ValueError.
+    pass at the inner nodes, for remainder_source(). rem is the values
+    array at inner_nodes(), or a GridFunction on inner_nodes() / I(s), else
+    ValueError; a zero remainder may sit on any nodes and builds no frame.
+    A non-zero one needs quad to be gauss_rule(DEFAULT_QUAD_ORDER), the
+    frame's rule, else ValueError.
     """
     p, k = params.p, params.k
     n_modes = params.n_modes
@@ -439,29 +429,28 @@ def projected_sources(
         )
 
     jets = _source_jets(modes, b, tab, params, J).dot(tab.mono)
-    if not (rem.values != 0.0).any():
-        return SourceProjections(jets, np.zeros((5, n_modes)), rem.values)
-    if isinstance(rem, ZRemainder):
-        frame = rem.frame
-        if frame.quad_order != nq:
-            raise ValueError("z-frame built for another quadrature order")
-    else:
-        _require_inner_nodes(rem, tab.I)
-        frame = z_frame(nq, params)
+    values = rem.values if isinstance(rem, GridFunction) else rem
+    if not (values != 0.0).any():
+        return SourceProjections(jets, np.zeros((5, n_modes)), values)
+    if nq != DEFAULT_QUAD_ORDER:
+        raise ValueError(f"a non-zero remainder is read through the z-frame, whose Gauss rule "
+                         f"has order {DEFAULT_QUAD_ORDER}, not {nq}")
+    _require_inner_nodes(rem, tab.I)
+    frame = z_frame(params)
     scaled = modes * tab.iexp[:n_modes]  # H_n(z / I) = I^{-n} h_n(z)
     # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
-    rd = frame.sdd(rem.values)
-    r = np.concatenate((rd[:nq], rem.values))
+    rd = frame.sdd(values)
+    r = np.concatenate((rd[:nq], values))
     incs = _increments(scaled.dot(frame.htab), r, rd[nq:], frame.pw, b, tab, params)
     inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, scale=tab.proj_scale)
-    return SourceProjections(jets, inc, rem.values, incs[:4, nq:])
+    return SourceProjections(jets, inc, values, incs[:4, nq:])
 
 
 def remainder_source(
     proj: SourceProjections,
     bprime: float,
     modes: np.ndarray,
-    rem: GridFunction | ZRemainder,
+    rem: GridFunction | np.ndarray,
     b: float,
     s: float,
     params: ModelParams,
@@ -475,18 +464,17 @@ def remainder_source(
     where the remainder is of size I^{-M}; the direct difference S - Pi S
     would bury it under the roundoff of S. Both basis parts are summed as one
     series in h_n(z), and the increments are the ones proj carries, so proj
-    must come from projected_sources() on this same rem: a ZRemainder, or a
-    GridFunction on inner_nodes() / I(s). modes and b are not read; they
-    stay for the callers that pass all seven arguments by position, and go
-    with those calls (ROADMAP direction 1).
+    must come from projected_sources() on this same rem: the values array
+    at inner_nodes(), or a GridFunction on inner_nodes() / I(s). modes and
+    b are not read; they stay for the callers that pass all seven arguments
+    by position, and go with those calls (ROADMAP direction 1).
     """
     n_modes = params.n_modes
     J = proj.jets.shape[1] - 1
     tab = scale_tables(s, params.k, n_modes, J)
-    if proj.values is not rem.values:
+    if proj.values is not (rem.values if isinstance(rem, GridFunction) else rem):
         raise ValueError("proj must come from projected_sources() on this remainder")
-    if isinstance(rem, GridFunction):
-        _require_inner_nodes(rem, tab.I)
+    _require_inner_nodes(rem, tab.I)
     w = np.array([1.0, 1.0, 1.0, bprime])
     coef = w.dot(proj.jets[:4])
     coef[:n_modes] = -w.dot(proj.inc[:4])

@@ -127,7 +127,7 @@ class SearchFailureError(RuntimeError):
     """No survivor at the configured depth; carries the best candidate."""
 
     def __init__(
-        self, message: str, best_d: np.ndarray, best_result: ExitMapResult | None,
+        self, message: str, best_d: np.ndarray, best_result: ExitMapResult,
     ):
         super().__init__(message)
         self.best_d = best_d

@@ -318,20 +318,18 @@ def test_cli_simulate_records_modulation_breakdown(tmp_path):
     assert "denominator" in man["exit"]["reason"]
 
 
-def test_cli_shoot_failure_without_best_result(tmp_path, monkeypatch):
-    # an exhausted trajectory budget before any exit leaves no best candidate
-    import blowlab.cli as cli
-    from blowlab.shooting import SearchFailureError
-
-    def no_candidate(cfg, params):
-        raise SearchFailureError("trajectory budget exhausted", np.zeros(4), None)
-
-    monkeypatch.setattr(cli, "search", no_candidate)
-    assert run_experiment(["shoot", "--outdir", str(tmp_path)]) == 3
+def test_cli_shoot_search_failure_reports_the_best_candidate(tmp_path):
+    # at depth 1 a coordinate's second cut ends the search; the first exit
+    # has already set the best candidate, which the certificate reports
+    args = ["shoot", "--outdir", str(tmp_path), "--delta", "1", "--horizon", "5",
+            "--shoot-depth", "1"]
+    assert run_experiment(args) == 3
     cert = load_json(tmp_path / "certificate.json")
     assert cert["failed"] is True
-    assert cert["best_s_star"] is None
-    assert cert["best_d"] == [0.0, 0.0, 0.0, 0.0]
+    assert "exceeded search depth 1" in cert["message"]
+    assert isinstance(cert["best_s_star"], float)
+    assert len(cert["best_d"]) == 4
+    assert not (tmp_path / "survivor-trajectory.csv").exists()
     # the failed search still gets its manifest, naming the certificate
     man = load_json(tmp_path / "manifest-shoot.json")
     assert man["command"] == "shoot"

@@ -49,6 +49,8 @@ def test_init_state_zero_seed(params3, opts):
     st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
     assert np.all(st.dec.modes == 0.0)
     assert np.all(st.dec.remainder.values == 0.0)
+    # the inner remainder is an array of zeros, whether given or not
+    assert np.array_equal(st.inner, np.zeros(inner_nodes().size))
     assert st.b == B0
     assert membership(st, DELTA, B0, params3, opts).inside
 
@@ -152,6 +154,20 @@ def test_membership_reference_cases(params3, opts):
     rep2 = membership(highb, DELTA, B0, params3, opts)
     assert not rep2.inside
     assert rep2.violations[0][0] == "b_high"
+
+
+def test_membership_counts_a_nan_margin_as_violated(params3, opts):
+    st = init_state(np.zeros(4), DELTA, B0, S0, params3, opts)
+    modes = np.zeros(6)
+    modes[0] = np.nan
+    nan_mode = SimState(s=S0, b=B0, dec=SpectralDecomposition(S0, modes, st.dec.remainder))
+    nan_b = SimState(s=S0, b=np.nan, dec=st.dec)
+    for bad, names in ((nan_mode, ["mode_0"]), (nan_b, ["b_low", "b_high"])):
+        rep = membership(bad, DELTA, B0, params3, opts)
+        assert not rep.inside
+        assert [name for name, _ in rep.violations] == names
+        assert all(math.isnan(m) for _, m in rep.violations)
+        assert math.isnan(rep.worst_margin)
 
 
 def test_membership_reports_the_recorded_seminorm(params3, opts):
@@ -551,7 +567,7 @@ def test_variant_stubs_admit_only_the_derived_form(params3, opts, quad96):
 # -- the Lawson step and its dense output -------------------------------------
 
 def _frame():
-    return z_frame(FlowOptions.quad_order, make_params(3.0, 2))
+    return z_frame(make_params(3.0, 2))
 
 
 @pytest.mark.parametrize("h", [0.005, 0.01, 0.02, 0.03])
@@ -632,7 +648,7 @@ def _stage_from_the_routes(x, s, flow):
     Also returns, in x's layout, the size of the terms summed into each entry.
     The outer part is independent of _stage. The projections, b' and the
     inner part are not: a GridFunction on the inner nodes is read through
-    the z-frame, as _stage's ZRemainder is, and the pointwise S - Pi S at
+    the z-frame, as _stage's values array is, and the pointwise S - Pi S at
     the inner nodes would bury the inner source under the roundoff of S.
     Those are tied to independent routes by
     test_operators.py::test_remainder_source_matches_direct_difference (the

@@ -113,7 +113,7 @@ def test_z_operator_is_bitwise_unchanged():
     from blowlab.params import make_params
     from blowlab.projection import z_frame
 
-    L = z_frame(96, make_params(3.0, 2)).L
+    L = z_frame(make_params(3.0, 2)).L
     assert L.tobytes() == _z_operator_with_both_stencils().tobytes()
 
 

@@ -28,7 +28,7 @@ TABLES = {
     "hermite.quad_hermite_table": lambda: hermite.quad_hermite_table(hermite.gauss_rule(96), 5),
     "hermite._projector": lambda: hermite._projector(96, 6),
     "hermite._mode_norm_factors": lambda: hermite._mode_norm_factors(6),
-    "projection.z_frame": lambda: projection.z_frame(96, _P3),
+    "projection.z_frame": lambda: projection.z_frame(_P3),
     "projection.inner_hermite_table": lambda: projection.inner_hermite_table(_J),
     "projection._toeplitz_index": lambda: projection._toeplitz_index(_J),
     "projection._basis_structure": lambda: projection._basis_structure(_J),
@@ -36,7 +36,7 @@ TABLES = {
     "projection._legendre_rule": lambda: projection._legendre_rule(3.0),
     "dynamics._flow": lambda: dynamics._flow(dynamics.FlowOptions(), _P3),
     "dynamics._outer_band": lambda: dynamics._outer_band(257, _H, 2),
-    "dynamics._half_exp_of": lambda: dynamics._half_exp_of(0.01, 96, _P3),
+    "dynamics._half_exp_of": lambda: dynamics._half_exp_of(0.01, _P3),
     "dynamics._sine_basis": lambda: dynamics._sine_basis(257, _H),
     "direct._w_band": lambda: direct._w_band(_Y.tobytes(), _Y[1] - _Y[0], 2, 3.0),
 }

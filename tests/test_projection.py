@@ -11,6 +11,7 @@ from blowlab.grid import GridFunction, derivative, laplacian_compact, sample, up
 from blowlab.hermite import (
     _projector,
     eval_scaled_hermite,
+    gauss_rule,
     hermite_explicit_sum,
     hermite_series,
     hermite_z_table,
@@ -20,7 +21,6 @@ from blowlab.hermite import (
 from blowlab.operators import nonlinear_values
 from blowlab.params import NodePowers, alpha_consts, node_powers, scale_factor
 from blowlab.projection import (
-    ZRemainder,
     _basis_structure,
     _increments,
     _jet_binomial_power,
@@ -42,7 +42,7 @@ K = 2
 
 @pytest.fixture(scope="module")
 def frame(params3):
-    return z_frame(96, params3)
+    return z_frame(params3)
 
 
 def _inner_values(I):
@@ -91,23 +91,31 @@ def test_z_frame_table_matches_recurrence(params3, s):
 
 
 @pytest.mark.parametrize("s", [20.0, 45.0])
-def test_z_remainder_gives_the_grid_function_results(params3, quad96, frame, s):
-    # a GridFunction on the frame's nodes z / I is read through the frame:
-    # it gives the ZRemainder's results bit for bit
+def test_inner_values_give_the_grid_function_results(params3, quad96, s):
+    # a GridFunction on the frame's nodes z / I is read as its values: it
+    # gives the values array's results bit for bit
     I = float(scale_factor(s, K))
     vals = _inner_values(I)
     modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15]) * I**-0.1
     b, bp = 1.1, 0.4
     grid = GridFunction(inner_nodes() / I, vals)
-    fast = ZRemainder(frame, vals)
     pg = projected_sources(modes, grid, b, s, params3, quad96)
-    pf = projected_sources(modes, fast, b, s, params3, quad96)
+    pf = projected_sources(modes, vals, b, s, params3, quad96)
     assert np.any(pg.inc != 0.0)
     for name in ("jets", "inc", "zinc"):
         assert _same(getattr(pf, name), getattr(pg, name)), name
     want = remainder_source(pg, bp, modes, grid, b, s, params3)
-    got = remainder_source(pf, bp, modes, fast, b, s, params3)
+    got = remainder_source(pf, bp, modes, vals, b, s, params3)
     assert _same(got, want)
+    # the frame's Gauss rule has 96 nodes: a non-zero remainder with another
+    # rule is refused, a zero one needs no frame and gives its jets
+    quad64 = gauss_rule(64)
+    for rem in (vals, grid):
+        with pytest.raises(ValueError, match="order 96, not 64"):
+            projected_sources(modes, rem, b, s, params3, quad64)
+    for zero in (np.zeros_like(vals), GridFunction(grid.nodes, np.zeros_like(vals))):
+        p64 = projected_sources(modes, zero, b, s, params3, quad64)
+        assert _same(p64.jets, pg.jets) and not p64.inc.any() and p64.zinc is None
     # a non-zero remainder on any other nodes has no route to the projections
     for nodes in (inner_nodes() / (1.001 * I), np.linspace(-0.3, 0.3, 193)):
         off = GridFunction(nodes, vals)
@@ -232,7 +240,7 @@ def test_node_tables_are_built_once(params3, quad96, frame):
     # projected_sources' convergence guard reads the largest Gauss node as the last
     assert quad96.nodes[-1] == float(np.max(np.abs(quad96.nodes)))
     assert not any(a.flags.writeable for a in (*frame.pw, frame.htab))
-    assert z_frame(96, params3) is frame
+    assert z_frame(params3) is frame
 
 
 def _inputs(params3, frame, s):
@@ -286,7 +294,7 @@ def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
     )
     assert _same(fused[:, :96], gauss)
     assert _same(fused[:, 96:], inner)
-    proj = projected_sources(modes, ZRemainder(frame, vals), b, s, params3, quad96)
+    proj = projected_sources(modes, vals, b, s, params3, quad96)
     assert _same(proj.zinc, inner[:4])
 
 
@@ -295,10 +303,9 @@ def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
     n = params3.n_modes
     I, vals, modes, b = _inputs(params3, frame, s)
     tab = scale_tables(s, K, n, default_jet_order(n))
-    rem = ZRemainder(frame, vals)
-    proj = projected_sources(modes, rem, b, s, params3, quad96)
+    proj = projected_sources(modes, vals, b, s, params3, quad96)
     bp = proj.bprime(params3)
-    got = remainder_source(proj, bp, modes, rem, b, s, params3)
+    got = remainder_source(proj, bp, modes, vals, b, s, params3)
     # the same source with the increments evaluated at the inner nodes alone
     inner_pw = NodePowers(*(a[96:] for a in frame.pw))
     ztab = hermite_z_table(inner_nodes(), default_jet_order(n))
@@ -311,7 +318,7 @@ def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
     want = (coef * tab.iexp) @ ztab + w @ incs[:4]
     assert _same(got, want)
     # the rows belong to the remainder they were evaluated for
-    for other in (ZRemainder(frame, vals.copy()), GridFunction(inner_nodes() / I, vals.copy())):
+    for other in (vals.copy(), GridFunction(inner_nodes() / I, vals.copy())):
         with pytest.raises(ValueError, match="on this remainder"):
             remainder_source(proj, bp, modes, other, b, s, params3)
 
