@@ -80,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     data = {}
-    if args.config:
-        data = RunConfig.from_file(args.config).to_dict()
+    if args.config:  # the keys it sets, each checked with the file's own values
+        data = load_object(args.config, "config")
+        RunConfig.from_dict(data)
     for name, _ in _OVERRIDE_KEYS:
         val = getattr(args, name, None)
         if val is not None:
@@ -92,25 +93,46 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "d", None):
         data["d"] = [float(x) for x in args.d.split(",")]
     if getattr(args, "from_path", None):  # compare's survivor, under the checks of a seed
-        data["d"] = _survivor_seed(args.from_path)
+        data = _with_survivor(data, args.from_path)
     return RunConfig.from_dict(data)
 
 
-def _survivor_seed(path: str):
-    """d_star of the shoot certificate at path, or of the one a shoot manifest there names."""
-    data = load_object(path, "a shoot manifest or certificate")
-    if "artifacts" in data:  # a manifest; follow it to the certificate
-        cert = data["artifacts"].get("certificate") if isinstance(data["artifacts"], dict) else None
-        if not isinstance(cert, str):
+# the keys of the shoot run that compare --from seeds its w-run with, besides d_star
+_SURVIVOR_KEYS = ("p", "k", "b0", "delta", "s0")
+
+
+def _with_survivor(data: dict, path: str) -> dict:
+    """data with d_star and _SURVIVOR_KEYS of the shoot run at path: its manifest, or
+    its certificate with manifest-shoot.json beside it. data may set none of them to
+    another value, and no seed d at all."""
+    if data.get("d") is not None:
+        raise ConfigError("--from takes the seed d from the shoot run; give no --d with it")
+    src = load_object(path, "a shoot manifest or certificate")
+    if "artifacts" in src:  # a manifest; follow it to the certificate
+        manifest, man_path = src, path
+        named = src["artifacts"].get("certificate") if isinstance(src["artifacts"], dict) else None
+        if not isinstance(named, str):
             raise ConfigError(f"{path}: the manifest names no certificate")
         # each command writes its artifacts beside its manifest
-        path = Path(path).parent / Path(cert).name
-        data = load_object(path, "a shoot certificate")
-    if data.get("failed"):
+        path = Path(path).parent / Path(named).name
+        cert = load_object(path, "a shoot certificate")
+    else:  # a certificate; its run's manifest sits beside it
+        cert, man_path = src, Path(path).parent / "manifest-shoot.json"
+        if not man_path.is_file():
+            raise ConfigError(f"{path}: no manifest-shoot.json beside the certificate")
+        manifest = load_object(man_path, "a shoot manifest")
+    config = manifest.get("config")
+    if not (isinstance(config, dict) and all(key in config for key in _SURVIVOR_KEYS)):
+        raise ConfigError(f"{man_path}: the manifest records no {', '.join(_SURVIVOR_KEYS)}")
+    if cert.get("failed"):
         raise ConfigError(f"{path}: shoot run failed; no survivor to compare")
-    if "d_star" not in data:
+    if "d_star" not in cert:
         raise ConfigError(f"{path}: no d_star in a shoot certificate")
-    return data["d_star"]
+    for key in _SURVIVOR_KEYS:
+        if key in data and data[key] != config[key]:
+            raise ConfigError(f"--from takes {key} = {config[key]!r} from the shoot run, "
+                              f"not {data[key]!r}")
+    return {**data, **{key: config[key] for key in _SURVIVOR_KEYS}, "d": cert["d_star"]}
 
 
 # Each command handler takes (cfg, out, args), writes its artifacts into out
@@ -243,7 +265,7 @@ def _seeded_w_run(d: np.ndarray, cfg: RunConfig, params) -> tuple[PdeRun, Profil
 def _cmd_compare(cfg: RunConfig, out: Path, args):
     params = cfg.params()
 
-    d = np.asarray(cfg.seed_vector())  # the survivor's d_star under --from
+    d = np.asarray(cfg.seed_vector())  # d_star under --from, at its run's p, k, b0, delta, s0
     source = args.from_path or "config"
 
     # (a) manufactured solution: distances and fitted b must be exact

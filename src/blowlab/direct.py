@@ -137,13 +137,14 @@ def _march(v, t, t_end, rhs, limit, keep, threshold, nodes, frame) -> PdeRun:
 
 
 @table_cache(maxsize=4)
-def _w_band(nodes: bytes, h: float, k: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """probed_band of [laplacian_compact; -(y/2k) upwind_gradient - 1/(p-1)] on
-    the nodes with these float64 bytes, so that no other grid reuses it."""
-    wind = np.frombuffer(nodes)[:, None] / (2.0 * k)
+def _w_band(nodes: bytes, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """probed_band of [laplacian_compact; -(y/2k) upwind_gradient - 1/(p-1)] on the nodes
+    with these float64 bytes, so that no other grid reuses it, at GridFunction.spacing's h."""
+    y = np.frombuffer(nodes)
+    h, wind = float(y[1] - y[0]), y[:, None] / (2.0 * params.k)
     return probed_band([
         lambda f: laplacian_compact(f, h),
-        lambda f: -wind * upwind_gradient(f, h, wind[:, 0]) - f / (p - 1.0),
+        lambda f: -wind * upwind_gradient(f, h, wind[:, 0]) - f / (params.p - 1.0),
     ], wind.size)
 
 
@@ -168,7 +169,7 @@ def solve_w_direct(
     dt_adv = RK4_TRANSPORT_CFL * h / max(float(np.max(np.abs(nodes))) / (2.0 * k), 1e-12)
     tol = max(1e-12, 4.0 * math.ulp(s1))  # a grid point reached
 
-    cols, weights = _w_band(nodes.tobytes(), h, k, p)
+    cols, weights = _w_band(nodes.tobytes(), params)
 
     def rhs(w: np.ndarray, s: float) -> np.ndarray:
         diffusion, transport = np.einsum("ijn,jn->in", weights, w[cols])

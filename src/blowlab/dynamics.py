@@ -28,7 +28,7 @@ the Gauss and the inner nodes together, whose operators and tables sit at
 fixed z and are built once per process (projection.z_frame), the inner
 remainder handed over as its values array; and the outer nodes,
 where the remainder's upwinded transport and derivative are one banded
-product (_outer_band, probed from the grid kernels by grid.probed_band,
+product (_outer_step, probed from the grid kernels by grid.probed_band,
 as the direct w-run's band is) and the sources one pass (_outer_sources).
 There q_+, dq_+/dy and the sources' tracked content are power series in y
 from projection.scale_tables' conversion table, summed with the monomials
@@ -86,9 +86,6 @@ from .operators import ModulationBreakdownError, nonlinear_values
 from .params import ModelParams, NodePowers, alpha_consts, node_powers, scale_factor, table_cache
 from .projection import (
     Z_NODES,
-    ScaleTables,
-    default_jet_order,
-    inner_hermite_table,
     inner_nodes,
     monomial_table,
     projected_sources,
@@ -292,14 +289,12 @@ class _Flow(NamedTuple):
     """The s-independent context of the flow for one FlowOptions and model.
 
     Its slices name the parts of the flow's state vector x; b is x[-1]. The
-    large tables only a step reads (the z-frame, the outer band, the sine
-    basis and e^{hL/2}) keep caches of their own, so membership's context
-    builds none of them.
+    large tables only a step reads (the z-frame, _outer_step and e^{hL/2})
+    keep caches of their own, so membership's context builds none of them.
     """
 
     params: ModelParams
     quad: QuadratureRule
-    J: int  # the jet order
     linear_only: bool
     nodes: np.ndarray
     h: float
@@ -329,8 +324,7 @@ def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
         raise ValueError(f"{n_nodes} outer nodes put the transport's RK4 ceiling below MAX_DS = "
                          f"{MAX_DS}: at k = {k} the flow takes at most {limit} nodes")
     return _Flow(
-        params=params, quad=opts.quad(), J=default_jet_order(n),
-        linear_only=opts.linear_only,
+        params=params, quad=opts.quad(), linear_only=opts.linear_only,
         nodes=nodes, h=nodes[1] - nodes[0],
         pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
         lam=1.0 - np.arange(n) / (2.0 * k), ddy=np.diag(np.arange(1.0, n), -1),
@@ -346,22 +340,6 @@ def _flow_of(state: SimState, params: ModelParams, opts: FlowOptions) -> _Flow:
     if not np.array_equal(state.dec.remainder.nodes, flow.nodes):
         raise ValueError("the state's outer nodes are not opts.nodes()")
     return flow
-
-
-@table_cache(maxsize=8)
-def _outer_band(n_nodes: int, h: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """grid.probed_band of [1 - (y/2k) d/dy upwinded; d/dy] on the outer grid, once per process.
-
-    Only a stage reads it, so membership's flow context does not build it.
-    """
-    wind = uniform_grid(Y_MAX, n_nodes)[:, None] / (2.0 * k)
-    return probed_band([
-        lambda f: f - wind * upwind_gradient(f, h, wind[:, 0]), lambda f: derivative(f, h),
-    ], n_nodes)
-
-
-def _scale_tables(s: float, flow: _Flow) -> ScaleTables:
-    return scale_tables(s, flow.params.k, flow.params.n_modes, flow.J)
 
 
 def _stage(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
@@ -381,14 +359,14 @@ def _stage(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     dx = np.empty_like(x)
     # remainder transport: upwinded, it stays stable without the damping of
     # the diffusion, which is integrated apart
-    cols, weights = _outer_band(flow.nodes.size, flow.h, flow.params.k)
-    Ls_rem, drem = np.einsum("ijn,jn->in", weights, x[flow.outer][cols])
+    band = _outer_step(flow.nodes.size, params.k)
+    Ls_rem, drem = np.einsum("ijn,jn->in", band.weights, x[flow.outer][band.cols])
     if flow.linear_only:
         dx[flow.modes], dx[flow.outer], dx[flow.inner.start:] = flow.lam * modes, Ls_rem, 0.0
         return dx
 
     b = float(x[-1])
-    tab = _scale_tables(s, flow)
+    tab = scale_tables(s, params)
     inner = x[flow.inner]
     proj = projected_sources(modes, inner, b, s, params, flow.quad)
     bprime = proj.bprime(params)
@@ -474,26 +452,35 @@ def _half_exp(h: float, flow: _Flow) -> np.ndarray:
     return _half_exp_of(float(f"{h:.12g}"), flow.params)
 
 
-class _SineBasis(NamedTuple):
-    """D0 on the outer grid in its eigenbasis (_sine_basis)."""
+class _OuterStep(NamedTuple):
+    """The outer grid's tables that only a step reads (_outer_step)."""
 
+    cols: np.ndarray  # the band of [1 - (y/2k) d/dy upwinded; d/dy], as grid.probed_band's
+    weights: np.ndarray
     sine: np.ndarray  # the orthogonal DST-I of the interior nodes, its own inverse
     mu: np.ndarray  # the eigenvalues of D0 on the interior, one per sine
     line: np.ndarray  # sines of D0's steady state for a unit value at each edge
 
 
 @table_cache(maxsize=8)
-def _sine_basis(n_nodes: int, h: float) -> _SineBasis:
-    """D0's basis on n_nodes nodes of spacing h, built once per process.
+def _outer_step(n_nodes: int, k: int) -> _OuterStep:
+    """The stage's band and D0's basis on the outer grid of n_nodes nodes, once per process.
 
-    S_ij = sqrt(2/(m+1)) sin(pi i j/(m+1)), i, j = 1..m, over the
-    m = n_nodes - 2 interior nodes, diagonalizes the 3-point interior stencil
-    with zero edge values. An edge value enters the interior's first or
-    last row with weight 1/h^2; D0's steady state for a unit value at one
-    edge and zero at the other is the straight line between them, whose
-    sines are -S e_1 / (h^2 mu) or -S e_m / (h^2 mu). Only a step needs it,
-    so membership's flow context does not build it.
+    The band is grid.probed_band of the stage's upwinded transport and
+    derivative. S_ij = sqrt(2/(m+1)) sin(pi i j/(m+1)), i, j = 1..m, over
+    the m = n_nodes - 2 interior nodes, diagonalizes the 3-point interior
+    stencil with zero edge values. An edge value enters the interior's
+    first or last row with weight 1/h^2; D0's steady state for a unit value
+    at one edge and zero at the other is the straight line between them,
+    whose sines are -S e_1 / (h^2 mu) or -S e_m / (h^2 mu). Only a step
+    reads these, so membership's flow context does not build them.
     """
+    nodes = uniform_grid(Y_MAX, n_nodes)
+    h = nodes[1] - nodes[0]  # the flow context's h
+    wind = nodes[:, None] / (2.0 * k)
+    cols, weights = probed_band([
+        lambda f: f - wind * upwind_gradient(f, h, wind[:, 0]), lambda f: derivative(f, h),
+    ], n_nodes)
     m = n_nodes - 2
     j = np.arange(1, m + 1)
     arg = np.multiply.outer(j, j)
@@ -502,7 +489,7 @@ def _sine_basis(n_nodes: int, h: float) -> _SineBasis:
     np.sin(sine, out=sine)
     sine *= math.sqrt(2.0 / (m + 1))
     mu = -4.0 / (h * h) * np.sin(0.5 * np.pi / (m + 1) * j) ** 2
-    return _SineBasis(sine=sine, mu=mu, line=sine[[0, -1]] / (-h * h * mu))
+    return _OuterStep(cols, weights, sine=sine, mu=mu, line=sine[[0, -1]] / (-h * h * mu))
 
 
 def _diffusion_time(sa: float, sb: float, k: int) -> float:
@@ -511,7 +498,7 @@ def _diffusion_time(sa: float, sb: float, k: int) -> float:
     return -math.exp(-r * sa) * math.expm1(-r * (sb - sa)) / r
 
 
-def _diffuse(v: np.ndarray, c: float, basis: _SineBasis) -> np.ndarray:
+def _diffuse(v: np.ndarray, c: float, basis: _OuterStep) -> np.ndarray:
     """e^{c D0} on outer node values v, one vector per row.
 
     D0 keeps the edge values, and the interior relaxes towards its steady
@@ -543,7 +530,7 @@ def _lawson_step(
     h = s1 - s0
     sm = s0 + 0.5 * h
     E = _half_exp(h, flow)
-    basis = _sine_basis(flow.nodes.size, flow.h)
+    basis = _outer_step(flow.nodes.size, flow.params.k)
 
     def half(u: np.ndarray, v: np.ndarray, sa: float, sb: float) -> np.ndarray:
         """The propagator from sa to sb, a half step, on u and v, as two rows."""
@@ -574,14 +561,14 @@ def _step_tail(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     params, quad = flow.params, flow.quad
     x = x.copy()
     rem, inner = x[flow.outer], x[flow.inner]
-    tab = _scale_tables(s, flow)
+    tab = scale_tables(s, params)
     frame = z_frame(params)
     n = 2 * params.k
     leak = project_modes_from_samples(
         frame.sdd(inner)[: quad.order], s, params.k, n, quad, scale=tab.proj_scale,
     )
     rem -= leak.dot(tab.conv[:n, :n]).dot(flow.mono[:n])
-    inner -= (leak * tab.iexp[:n]).dot(inner_hermite_table(flow.J)[:n])
+    inner -= (leak * tab.iexp[:n]).dot(frame.htab[:n, quad.order:])
     # where both grids overlap the outer one takes the resolved values:
     # once it under-resolves the weight, its own near-origin evolution
     # seeds unstable-range debris that only the inner grid can measure
@@ -593,15 +580,13 @@ def _step_tail(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
 
 
 def _advance(
-    x: np.ndarray, k1: np.ndarray | None, s0: float, s1: float, flow: _Flow,
+    x: np.ndarray, k1: np.ndarray, s0: float, s1: float, flow: _Flow,
 ) -> tuple[np.ndarray, np.ndarray]:
     """x at s1 > s0, at most MAX_DS on: one Lawson step and its tail.
 
-    k1 is the first stage at x, or None to evaluate it here. Also returns
-    the step's fourth stage, for _step_error.
+    k1 is the first stage at x. Also returns the step's fourth stage, for
+    _step_error.
     """
-    if k1 is None:
-        k1 = _stage(x, s0, flow)
     x, k4 = _lawson_step(x, k1, s0, s1, flow)
     return _step_tail(x, s1, flow), k4
 
@@ -671,7 +656,7 @@ def step(
     if ds == 0.0:
         return state
     s1 = state.s + ds
-    x, _ = _advance(x, None, state.s, s1, flow)
+    x, _ = _advance(x, _stage(x, state.s, flow), state.s, s1, flow)
     if not np.isfinite(x).all():
         raise ValueError("time step produced non-finite values")
     return _state_at(x, s1, flow, state.dec.remainder)
@@ -805,7 +790,7 @@ def run(
         lap = laplacian_compact(xs[flow.outer], flow.h)
         lap[[0, -1]] = 0.0  # D0: the outflow edge nodes take no diffusion
         f = ks.copy()
-        f[flow.outer] += _scale_tables(s, flow).I2inv * lap
+        f[flow.outer] += scale_tables(s, params).I2inv * lap
         f[flow.inner] += L @ xs[flow.inner]
         return f
 
@@ -842,7 +827,7 @@ def run(
             )
             record.final_state = state
             return record
-        amp = _scale_tables(sb, flow).I ** -delta
+        amp = scale_tables(sb, params).I ** -delta
         err = _step_error(h, k4, k_end, flow, amp, x1[-1])
         h_err = 0.9 * h * (STEP_TOL / err) ** 0.25 if err > 0.0 else math.inf
         f0 = f1 = None

@@ -89,13 +89,8 @@ def hermite_z_table(z, n_max: int) -> np.ndarray:
 
 
 def quad_hermite_table(quad: QuadratureRule, n_max: int) -> np.ndarray:
-    """Cached h_0..h_{n_max} at the nodes of the Gauss rule of quad's order."""
-    return _quad_table(quad.order, n_max)
-
-
-@table_cache(maxsize=8)
-def _quad_table(order: int, n_max: int) -> np.ndarray:
-    return hermite_z_table(gauss_rule(order).nodes, n_max)
+    """h_0..h_{n_max} at quad's nodes; the flow's cached ones are _projector's and the z-frame's."""
+    return hermite_z_table(quad.nodes, n_max)
 
 
 def hermite_explicit_sum(m: int, y, s: float, k: int):

@@ -25,8 +25,7 @@ nodes, is independent of s: z_frame() builds them once per model, on the
 flow's one Gauss rule. A power of y = z / I is a power of z times a power
 of I, and the sources take those powers of I as scalar factors. What does
 depend on s is O(J) in size and built once per scale time by
-scale_tables(), and h_0..h_J at the inner nodes once per jet order by
-inner_hermite_table(). A remainder is its values array at the inner
+scale_tables(). A remainder is its values array at the inner
 nodes, or a GridFunction on the nodes z / I(s), the frame's own grid,
 read as its values. Its source increments are evaluated in one pass at
 the Gauss and the inner nodes together: projected_sources() projects the
@@ -68,7 +67,6 @@ __all__ = [
     "default_jet_order",
     "ZFrame",
     "z_frame",
-    "inner_hermite_table",
     "ScaleTables",
     "scale_tables",
     "monomial_table",
@@ -106,8 +104,9 @@ class ZFrame(NamedTuple):
     at most 8 nodes per row, and applied by sdd(). L is the inner grid's L_s plus
     moving-frame term, d_zz - (z/2) d_z + 1, from grid.laplacian_compact and
     grid.upwind_gradient. pw holds the Gauss nodes followed by the inner
-    nodes, in z, with their powers of |z|, and htab h_0..h_{M_floor} there.
-    The Gauss nodes are those of gauss_rule(DEFAULT_QUAD_ORDER).
+    nodes, in z, with their powers of |z|, and htab h_0..h_J there, J the
+    model's default_jet_order. The Gauss nodes are those of
+    gauss_rule(DEFAULT_QUAD_ORDER).
     """
 
     z: np.ndarray
@@ -136,14 +135,9 @@ def z_frame(params: ModelParams) -> ZFrame:
     points = np.concatenate((gauss, z))
     return ZFrame(
         z, *band(np.vstack([S, S @ D, D])), L=L,
-        pw=node_powers(points, params.k), htab=hermite_z_table(points, params.n_modes - 1),
+        pw=node_powers(points, params.k),
+        htab=hermite_z_table(points, default_jet_order(params.n_modes)),
     )
-
-
-@table_cache(maxsize=8)
-def inner_hermite_table(J: int) -> np.ndarray:
-    """h_0..h_J at the inner nodes, once per jet order: H_n(z / I, s) = I^{-n} table[n]."""
-    return hermite_z_table(inner_nodes(), J)
 
 
 # -- jet arithmetic ----------------------------------------------------------
@@ -240,12 +234,14 @@ class ScaleTables(NamedTuple):
 
 
 @table_cache(maxsize=8)
-def scale_tables(s: float, k: int, n_modes: int, J: int) -> ScaleTables:
-    """Build, once per scale time and sizes, the state-independent tables.
+def scale_tables(s: float, params: ModelParams) -> ScaleTables:
+    """Build, once per scale time and model, the state-independent tables.
 
     Both conversions read the one monomial table: it holds the magnitudes
-    of the basis's monomial coefficients (_basis_structure).
+    of the basis's monomial coefficients (_basis_structure). J is the
+    model's default_jet_order.
     """
+    k, n_modes, J = params.k, params.n_modes, default_jet_order(params.n_modes)
     I = float(scale_factor(s, k))
     I2inv = I**-2
     mono = monomial_table(I2inv, J)
@@ -417,7 +413,7 @@ def projected_sources(
     p, k = params.p, params.k
     n_modes = params.n_modes
     J = default_jet_order(n_modes)
-    tab = scale_tables(s, k, n_modes, J)
+    tab = scale_tables(s, params)
     nq = quad.order
 
     # the truncated e_b expansion must converge across the weight's support;
@@ -441,7 +437,7 @@ def projected_sources(
     # r at the Gauss nodes, then dr/dz at the Gauss and the inner nodes
     rd = frame.sdd(values)
     r = np.concatenate((rd[:nq], values))
-    incs = _increments(scaled.dot(frame.htab), r, rd[nq:], frame.pw, b, tab, params)
+    incs = _increments(scaled.dot(frame.htab[:n_modes]), r, rd[nq:], frame.pw, b, tab, params)
     inc = project_modes_from_samples(incs[:, :nq], s, k, n_modes, quad, scale=tab.proj_scale)
     return SourceProjections(jets, inc, values, incs[:4, nq:])
 
@@ -470,15 +466,15 @@ def remainder_source(
     by position, and go with those calls (ROADMAP direction 1).
     """
     n_modes = params.n_modes
-    J = proj.jets.shape[1] - 1
-    tab = scale_tables(s, params.k, n_modes, J)
+    tab = scale_tables(s, params)
     if proj.values is not (rem.values if isinstance(rem, GridFunction) else rem):
         raise ValueError("proj must come from projected_sources() on this remainder")
     _require_inner_nodes(rem, tab.I)
     w = np.array([1.0, 1.0, 1.0, bprime])
     coef = w.dot(proj.jets[:4])
     coef[:n_modes] = -w.dot(proj.inc[:4])
-    out = (coef * tab.iexp).dot(inner_hermite_table(J))
+    # h_0..h_J at the inner nodes, which follow the Gauss nodes in the frame's table
+    out = (coef * tab.iexp).dot(z_frame(params).htab[:, DEFAULT_QUAD_ORDER:])
     if proj.zinc is not None:
         out += w.dot(proj.zinc)
     return out

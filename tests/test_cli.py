@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -267,22 +268,35 @@ def test_cli_shoot_then_compare_chain(tmp_path, monkeypatch):
     assert code2 in (0, 4)  # trend checks are exercised by the acceptance suite
 
 
-# a --from file compare cannot take a survivor from, by what it holds
+# a --from file compare cannot take a survivor from, by what it holds, and
+# the check it fails
 BAD_SURVIVORS = {
-    "missing": None,
-    "unparsable": "{\"d_star\": [0.0,",
-    "list": [0.0, 0.0, 0.0, 0.0],
-    "no_d_star": {"failed": False, "n_trajectories": 6},
-    "manifest_without_certificate": {
-        "command": "simulate", "artifacts": {"trajectory": "trajectory.csv"},
-    },
-    "d_star_of_wrong_length": {"failed": False, "d_star": [0.0, 0.0, 0.0]},
-    "d_star_outside_the_box": {"failed": False, "d_star": [0.0, 2.5, 0.0, 0.0]},
+    "missing": (None, "No such file"),
+    "unparsable": ("{\"d_star\": [0.0,", "line 1, column"),
+    "list": ([0.0, 0.0, 0.0, 0.0], "must be a JSON object"),
+    "no_d_star": ({"failed": False, "n_trajectories": 6}, "no d_star"),
+    "manifest_without_certificate": (
+        {"command": "simulate", "artifacts": {"trajectory": "trajectory.csv"}},
+        "names no certificate",
+    ),
+    "d_star_of_wrong_length": ({"failed": False, "d_star": [0.0, 0.0, 0.0]}, "length 2k"),
+    "d_star_outside_the_box": ({"failed": False, "d_star": [0.0, 2.5, 0.0, 0.0]}, r"\|d_i\| <= 2"),
 }
 
 
-@pytest.mark.parametrize("content", BAD_SURVIVORS.values(), ids=BAD_SURVIVORS.keys())
-def test_cli_compare_rejects_a_bad_survivor_file(tmp_path, capsys, content):
+def _write_shoot_manifest(directory: Path, config=None) -> None:
+    """A valid shoot manifest beside a certificate in directory."""
+    save_json({
+        "command": "shoot", "config": RunConfig().to_dict() if config is None else config,
+        "artifacts": {"certificate": str(directory / "certificate.json")},
+    }, directory / "manifest-shoot.json")
+
+
+@pytest.mark.parametrize("content, message", BAD_SURVIVORS.values(), ids=BAD_SURVIVORS.keys())
+def test_cli_compare_rejects_a_bad_survivor_file(tmp_path, capsys, content, message):
+    # a bare certificate has its run's manifest beside it, so each file
+    # fails on its own check
+    _write_shoot_manifest(tmp_path)
     src = tmp_path / "from.json"
     if isinstance(content, str):
         src.write_text(content)
@@ -290,8 +304,75 @@ def test_cli_compare_rejects_a_bad_survivor_file(tmp_path, capsys, content):
         src.write_text(json.dumps(content))
     out = tmp_path / "cmp"
     assert run_experiment(["compare", "--outdir", str(out), "--from", str(src)]) == 2
-    assert "config error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: " in err and re.search(message, err), err
     assert not out.exists()
+
+
+def test_cli_compare_from_a_certificate_needs_its_runs_manifest(tmp_path, capsys):
+    # the seed's delta, s0, b0, p and k are the shoot run's, which a bare
+    # certificate does not record
+    cert = tmp_path / "certificate.json"
+    save_json({"failed": False, "d_star": [0.0, 0.0, 0.0, 0.0]}, cert)
+    out = tmp_path / "cmp"
+    assert run_experiment(["compare", "--outdir", str(out), "--from", str(cert)]) == 2
+    assert "no manifest-shoot.json beside the certificate" in capsys.readouterr().err
+    _write_shoot_manifest(tmp_path, config={"p": 3.0, "k": 2})
+    assert run_experiment(["compare", "--outdir", str(out), "--from", str(cert)]) == 2
+    assert "records no p, k, b0, delta, s0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def shoot_delta_1(tmp_path_factory):
+    """The output directory of shoot --delta 1 --horizon 5."""
+    out = tmp_path_factory.mktemp("shoot") / "s"
+    assert run_experiment(["shoot", "--delta", "1", "--horizon", "5", "--outdir", str(out)]) == 0
+    return out
+
+
+def test_cli_compare_from_seeds_at_the_shoot_runs_configuration(tmp_path, shoot_delta_1):
+    # compare --from reads d_star with the shoot run's delta = 1, so its
+    # trend is that of compare --delta 1 --d d_star, from the manifest or
+    # from the certificate beside it
+    d_star = load_json(shoot_delta_1 / "certificate.json")["d_star"]
+    seed = ",".join(repr(x) for x in d_star)
+    runs = {
+        "manifest": ["--from", str(shoot_delta_1 / "manifest-shoot.json")],
+        "certificate": ["--from", str(shoot_delta_1 / "certificate.json")],
+        "flags": ["--delta", "1", "--d", seed],
+    }
+    reports = {}
+    for name, argv in runs.items():
+        assert run_experiment(["compare", "--outdir", str(tmp_path / name), *argv]) in (0, 4)
+        reports[name] = load_json(tmp_path / name / "compare-report.json")
+        assert reports[name]["d"] == d_star
+        config = load_json(tmp_path / name / "manifest-compare.json")["config"]
+        assert config["delta"] == 1.0 and config["d"] == d_star
+    trend = reports["flags"]["survivor_trend"]
+    assert reports["manifest"]["survivor_trend"] == trend
+    assert reports["certificate"]["survivor_trend"] == trend
+
+
+def test_cli_compare_from_refuses_a_conflicting_setting(tmp_path, capsys, shoot_delta_1):
+    # --from sets d, p, k, b0, delta and s0; another value for one of them,
+    # by a flag or by --config, or any --d, is a config error: nothing written
+    manifest = str(shoot_delta_1 / "manifest-shoot.json")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"delta": 0.1}))
+    out = tmp_path / "cmp"
+    for extra, message in (
+        (["--delta", "0.1"], "takes delta = 1.0 from the shoot run, not 0.1"),
+        (["--config", str(cfg)], "takes delta = 1.0 from the shoot run, not 0.1"),
+        (["--d", "0,0,0,0"], "no --d"),
+        (["--s0", "21"], "takes s0 = 20.0"),
+    ):
+        assert run_experiment(["compare", "--outdir", str(out), "--from", manifest, *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    # the shoot run's own value is no conflict
+    argv = ["compare", "--outdir", str(out), "--from", manifest, "--delta", "1", "--k", "2"]
+    assert run_experiment(argv) in (0, 4)
 
 
 def test_cli_verify_spectral(tmp_path):

@@ -370,7 +370,7 @@ def test_the_probed_w_band_is_the_dense_band(n):
     # 6 nodes is fewer than the 7 probes
     nodes = uniform_grid(6.0, n)
     for p, k in [(3.0, 2), (2.5, 2), (3.0, 3)]:
-        cols, weights = direct._w_band.__wrapped__(nodes.tobytes(), nodes[1] - nodes[0], k, p)
+        cols, weights = direct._w_band.__wrapped__(nodes.tobytes(), make_params(p, k))
         dense = [K(np.eye(n)) for K in _w_operator(nodes, p, k)]
         # one window per row, over the nonzeros of both matrices
         dense_cols = band(np.abs(dense[0]) + np.abs(dense[1]))[0]
@@ -384,7 +384,7 @@ def test_the_w_band_reproduces_the_kernels(n):
     nodes = uniform_grid(6.0, n)
     v = np.random.default_rng(n).standard_normal(n)
     for p, k in [(3.0, 2), (2.5, 2), (3.0, 3)]:
-        cols, weights = direct._w_band(nodes.tobytes(), nodes[1] - nodes[0], k, p)
+        cols, weights = direct._w_band(nodes.tobytes(), make_params(p, k))
         got = np.einsum("ijn,jn->in", weights, v[cols])
         for row, K in zip(got, _w_operator(nodes, p, k)):
             ref = K(v[:, None])[:, 0]
@@ -401,17 +401,16 @@ def test_the_w_band_probes_each_kernel_with_seven_columns(monkeypatch):
         monkeypatch.setattr(
             direct, name, lambda f, *a, _k=kernel, _n=name: seen.append((_n, f.shape)) or _k(f, *a))
     nodes = uniform_grid(6.0, 2401)
-    direct._w_band.__wrapped__(nodes.tobytes(), nodes[1] - nodes[0], 2, 3.0)
+    direct._w_band.__wrapped__(nodes.tobytes(), make_params(3.0, 2))
     assert sorted(seen) == [("laplacian_compact", (2401, 7)), ("upwind_gradient", (2401, 7))]
 
 
-def test_the_w_band_cache_is_keyed_on_the_grid():
+def test_the_w_band_cache_is_keyed_on_the_grid(params3):
     # a grid of the same size and spacing elsewhere on the line has another
-    # wind, so another band
+    # wind, so another band; an equal model shares the entry
     centred, shifted = uniform_grid(6.0, 201), uniform_grid(6.0, 201) + 6.0
-    h = centred[1] - centred[0]
-    a = direct._w_band(centred.tobytes(), h, 2, 3.0)
-    assert direct._w_band(centred.tobytes(), h, 2, 3.0) is a
-    b = direct._w_band(shifted.tobytes(), h, 2, 3.0)
+    a = direct._w_band(centred.tobytes(), params3)
+    assert direct._w_band(centred.tobytes(), make_params(3.0, 2)) is a
+    b = direct._w_band(shifted.tobytes(), params3)
     assert b is not a and not np.array_equal(a[1], b[1])
     assert direct._w_band.cache_info().maxsize <= 4

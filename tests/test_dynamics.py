@@ -28,7 +28,7 @@ from blowlab.operators import drift_values, modulation_values, nonlinear_values,
 from blowlab.params import alpha_consts, eval_profile, make_params, node_powers, scale_factor
 from blowlab.hermite import _projector
 from blowlab.projection import (
-    Z_MAX, _legendre_rule, inner_hermite_table, projected_sources, remainder_source, scale_tables,
+    Z_MAX, _legendre_rule, projected_sources, remainder_source, scale_tables,
     z_frame,
 )
 
@@ -380,8 +380,8 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
 # every cache a flow step reads that depends on s, on the outer grid, on the
 # step size or on the model
 FLOW_CACHES = (
-    scale_tables, z_frame, inner_hermite_table, alpha_consts, dynamics._flow,
-    dynamics._sine_basis, dynamics._half_exp_of, _legendre_rule, _projector, dynamics._outer_band,
+    scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._outer_step,
+    dynamics._half_exp_of, _legendre_rule, _projector,
 )
 
 
@@ -398,7 +398,7 @@ def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     assert _same(flow.nodes, nodes)
     # a basis series on the outer grid is its power series in y times the
     # monomials: the stage's q_+ and dq_+/dy and the step tail's leak series
-    tab = dynamics._scale_tables(s, flow)
+    tab = scale_tables(s, params3)
     H = np.array([eval_scaled_hermite(m, nodes, s, 2) for m in range(n)])
     modes = np.array([0.3, -0.2, 0.25, 0.1, 0.0, -0.15])
     qc = modes @ tab.conv[:, :n]
@@ -424,7 +424,7 @@ def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     assert not any(
         a.flags.writeable for a in (
             flow.nodes, *flow.pw, flow.yM, flow.lam, flow.mono,
-            *dynamics._sine_basis(flow.nodes.size, flow.h),
+            *dynamics._outer_step(flow.nodes.size, 2),
         )
     )
     assert dynamics._flow(opts, params3) is flow
@@ -475,9 +475,15 @@ def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad
     st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
     membership(st, DELTA, B0, params3, opts)
     projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
-    for cache in (z_frame, inner_hermite_table, dynamics._sine_basis, dynamics._half_exp_of,
-                  dynamics._outer_band):
+    for cache in (z_frame, dynamics._outer_step, dynamics._half_exp_of):
         assert cache.cache_info().currsize == 0, cache.__name__
+    # the step tables have one owner each: a step, and then a run, build
+    # one z-frame and one outer step table between them
+    st = step(st, 0.01, params3, opts)
+    run(st, S0 + 0.1, DELTA, B0, params3, ds=0.01, opts=opts)
+    for cache in (z_frame, dynamics._outer_step):
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (1, 1), cache.__name__
 
 
 @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (13, 2), (129, 2), (201, 2), (257, 2), (385, 3)])
@@ -487,7 +493,7 @@ def test_the_outer_band_is_the_dense_band(n, k):
     nodes = uniform_grid(dynamics.Y_MAX, n)
     h, wind, eye = nodes[1] - nodes[0], nodes / (2.0 * k), np.eye(n)
     dense = [eye - wind[:, None] * upwind_gradient(eye, h, wind), derivative(eye, h)]
-    cols, weights = dynamics._outer_band(n, h, k)
+    cols, weights = dynamics._outer_step(n, k)[:2]
     assert cols.tobytes() == band(np.abs(dense[0]) + np.abs(dense[1]))[0].tobytes()
     assert weights.tobytes() == np.stack([A[np.arange(n), cols] for A in dense]).tobytes()
     assert cols.shape == (5, n) and weights.shape == (2, 5, n)
@@ -778,7 +784,7 @@ def test_outer_diffusion_propagator_is_the_exponential(params3, opts):
     assert u[0] != 0.0 and u[-1] != 0.0
 
     def P(c, v):
-        return dynamics._diffuse(v, c, dynamics._sine_basis(flow.nodes.size, flow.h))
+        return dynamics._diffuse(v, c, dynamics._outer_step(flow.nodes.size, 2))
 
     cs = [0.0] + [dynamics._diffusion_time(s, s + 0.0375, 2) for s in (20.0, 25.0)]
     for c in cs:
@@ -831,6 +837,11 @@ def test_rk4_powers_of_the_outer_transport_stay_bounded_at_the_stable_step(param
         power = power @ power
 
 
+def _advance(x: np.ndarray, s0: float, s1: float, flow) -> tuple[np.ndarray, np.ndarray]:
+    """dynamics._advance from x at s0 to s1, with the first stage evaluated here, as step does."""
+    return dynamics._advance(x, dynamics._stage(x, s0, flow), s0, s1, flow)
+
+
 def _recorded_steps(monkeypatch) -> list[tuple[float, float]]:
     """The (s0, s1) of every step that run takes from now on, in order."""
     steps = []
@@ -861,7 +872,7 @@ def test_dense_output_meets_the_step_states(params3, opts, monkeypatch):
     x = dynamics._values(st, flow)
     met = 0
     for sa, sb in steps:
-        x, _ = dynamics._advance(x, None, sa, sb, flow)
+        x, _ = _advance(x, sa, sb, flow)
         jb = round((sb - s0) / 0.0025)
         if jb % 4 == 0:
             smp = rec.samples[jb // 4]
@@ -886,10 +897,10 @@ def test_lawson_step_agrees_with_quarter_steps(params3, opts):
         sa = S0 + i * 0.01
         m = min(200 - i, max(1, int(dynamics.MAX_DS / 0.01)))
         sb = S0 + (i + m) * 0.01
-        coarse, _ = dynamics._advance(coarse, None, sa, sb, flow)
+        coarse, _ = _advance(coarse, sa, sb, flow)
         for q in range(4):
-            fine, _ = dynamics._advance(
-                fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4, flow,
+            fine, _ = _advance(
+                fine, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4, flow,
             )
         amp = float(scale_factor(sb, 2)) ** -DELTA
         worst_q = max(worst_q, float(np.max(np.abs(coarse[flow.modes] - fine[flow.modes]))) / amp)
@@ -924,10 +935,10 @@ def test_grown_steps_agree_with_quarter_steps(params3, opts, monkeypatch, seed):
     coarse = fine = dynamics._values(st, flow)
     worst_q = worst_b = 0.0
     for sa, sb in steps:
-        coarse, _ = dynamics._advance(coarse, None, sa, sb, flow)
+        coarse, _ = _advance(coarse, sa, sb, flow)
         for q in range(4):
-            fine, _ = dynamics._advance(
-                fine, None, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4, flow,
+            fine, _ = _advance(
+                fine, sa + q * (sb - sa) / 4, sa + (q + 1) * (sb - sa) / 4, flow,
             )
         amp = float(scale_factor(sb, 2)) ** -DELTA
         worst_q = max(worst_q, float(np.max(np.abs(coarse[flow.modes] - fine[flow.modes]))) / amp)

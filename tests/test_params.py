@@ -19,26 +19,22 @@ from blowlab.params import (
 
 _P3 = make_params(3.0, 2)
 _J = projection.default_jet_order(_P3.n_modes)
-_H = dynamics.FlowOptions().nodes()[1] - dynamics.FlowOptions().nodes()[0]
 _Y = uniform_grid(6.0, 61)
 
 # a built result of every cache whose results hold arrays
 TABLES = {
     "hermite.gauss_rule": lambda: hermite.gauss_rule(96),
-    "hermite.quad_hermite_table": lambda: hermite.quad_hermite_table(hermite.gauss_rule(96), 5),
     "hermite._projector": lambda: hermite._projector(96, 6),
     "hermite._mode_norm_factors": lambda: hermite._mode_norm_factors(6),
     "projection.z_frame": lambda: projection.z_frame(_P3),
-    "projection.inner_hermite_table": lambda: projection.inner_hermite_table(_J),
     "projection._toeplitz_index": lambda: projection._toeplitz_index(_J),
     "projection._basis_structure": lambda: projection._basis_structure(_J),
-    "projection.scale_tables": lambda: projection.scale_tables(20.0, 2, 6, _J),
+    "projection.scale_tables": lambda: projection.scale_tables(20.0, _P3),
     "projection._legendre_rule": lambda: projection._legendre_rule(3.0),
     "dynamics._flow": lambda: dynamics._flow(dynamics.FlowOptions(), _P3),
-    "dynamics._outer_band": lambda: dynamics._outer_band(257, _H, 2),
+    "dynamics._outer_step": lambda: dynamics._outer_step(257, 2),
     "dynamics._half_exp_of": lambda: dynamics._half_exp_of(0.01, _P3),
-    "dynamics._sine_basis": lambda: dynamics._sine_basis(257, _H),
-    "direct._w_band": lambda: direct._w_band(_Y.tobytes(), _Y[1] - _Y[0], 2, 3.0),
+    "direct._w_band": lambda: direct._w_band(_Y.tobytes(), _P3),
 }
 
 
@@ -62,8 +58,8 @@ def test_a_cached_table_is_read_only(name):
 
 
 def test_every_cache_is_bounded_and_hands_out_read_only_tables():
-    # quad_hermite_table reads _quad_table; _bound_names holds strings, and
-    # alpha_consts four floats, on a plain lru_cache
+    # _bound_names holds strings, and alpha_consts four floats, on a plain
+    # lru_cache
     caches = {}
     for info in pkgutil.iter_modules(blowlab.__path__):
         module = importlib.import_module(f"blowlab.{info.name}")
@@ -71,9 +67,8 @@ def test_every_cache_is_bounded_and_hands_out_read_only_tables():
             f"{info.name}.{name}": obj for name, obj in vars(module).items()
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
         })
-    listed = set(TABLES) - {"hermite.quad_hermite_table"}
-    others = {"hermite._quad_table", "dynamics._bound_names", "params.alpha_consts"}
-    assert set(caches) == listed | others
+    others = {"dynamics._bound_names", "params.alpha_consts"}
+    assert set(caches) == set(TABLES) | others and len(caches) == 14
     assert all(cache.cache_info().maxsize is not None for cache in caches.values())
 
 

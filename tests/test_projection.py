@@ -28,7 +28,6 @@ from blowlab.projection import (
     _nonlinear_increment,
     _toeplitz_index,
     default_jet_order,
-    inner_hermite_table,
     inner_nodes,
     monomial_table,
     projected_sources,
@@ -80,14 +79,17 @@ def test_z_frame_node_operators_match_grid_kernels(frame):
 
 
 @pytest.mark.parametrize("s", [20.0, 45.0])
-def test_z_frame_table_matches_recurrence(params3, s):
+def test_z_frame_table_matches_recurrence(params3, frame, s):
+    # h_0..h_J at the inner nodes are the frame table's columns after the
+    # 96 Gauss nodes: H_n(z / I, s) = I^{-n} h_n(z)
     J = default_jet_order(params3.n_modes)
     I = float(scale_factor(s, K))
     want = hermite_z_table(I * (inner_nodes() / I), J)
     rows = np.max(np.abs(want), axis=1, keepdims=True)
-    table = inner_hermite_table(J)
+    table = frame.htab[:, 96:]
+    assert table.shape == want.shape
     assert np.all(np.abs(table - want) <= 1e-13 * rows)
-    assert not table.flags.writeable and inner_hermite_table(J) is table
+    assert not table.flags.writeable and z_frame(params3) is frame
 
 
 @pytest.mark.parametrize("s", [20.0, 45.0])
@@ -204,7 +206,7 @@ def _same(a, b) -> bool:
 @pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
 def test_scale_tables_equal_the_routines_they_replace(params3, frame, s):
     n, J = params3.n_modes, default_jet_order(params3.n_modes)
-    tab = scale_tables(s, K, n, J)
+    tab = scale_tables(s, params3)
     I = float(scale_factor(s, K))
     assert tab.I == I and tab.I2inv == I**-2 and tab.i2k == I**-4
     # each call site used to build these for itself
@@ -219,24 +221,25 @@ def test_scale_tables_equal_the_routines_they_replace(params3, frame, s):
     assert _same(tab.mono, np.abs(hc) * (I**-2) ** he)
     # one cached copy serves every caller, so none may write to it
     assert not any(a.flags.writeable for a in (tab.iexp, tab.conv, tab.mono, tab.proj_scale))
-    assert scale_tables(s, K, n, J) is tab
+    assert scale_tables(s, params3) is tab
 
 
 @pytest.mark.parametrize("s", [20.0, 20.005, 45.0])
 def test_scale_tables_hold_no_array_at_the_nodes(params3, s):
     # the arrays at the Gauss and the inner nodes do not depend on s
     J = default_jet_order(params3.n_modes)
-    tab = scale_tables(s, K, params3.n_modes, J)
+    tab = scale_tables(s, params3)
     for name, entry in tab._asdict().items():
         assert max(np.shape(entry), default=0) <= J + 1, name
 
 
 def test_node_tables_are_built_once(params3, quad96, frame):
-    n = params3.n_modes
+    J = default_jet_order(params3.n_modes)
     z = np.concatenate((quad96.nodes, inner_nodes()))
     assert all(_same(x, y) for x, y in zip(frame.pw, node_powers(z, K)))
-    assert _same(frame.htab, hermite_z_table(z, n - 1))
-    assert _same(frame.htab[:, :96], quad_hermite_table(quad96, n - 1))
+    assert _same(frame.htab, hermite_z_table(z, J))
+    assert _same(frame.htab[:, :96], quad_hermite_table(quad96, J))
+    assert _same(frame.htab[:, 96:], hermite_z_table(inner_nodes(), J))
     # projected_sources' convergence guard reads the largest Gauss node as the last
     assert quad96.nodes[-1] == float(np.max(np.abs(quad96.nodes)))
     assert not any(a.flags.writeable for a in (*frame.pw, frame.htab))
@@ -256,10 +259,10 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
     # the same sources written out at y = z / I
     n, p, k = params3.n_modes, params3.p, K
     I, vals, modes, b = _inputs(params3, frame, s)
-    tab = scale_tables(s, K, n, default_jet_order(n))
+    tab = scale_tables(s, params3)
     rd = frame.sdd(vals)
     r, drz = np.concatenate((rd[:96], vals)), rd[96:]
-    qp = (modes * tab.iexp[:n]) @ frame.htab
+    qp = (modes * tab.iexp[:n]) @ frame.htab[:n]
     got = _increments(qp, r, drz, frame.pw, b, tab, params3)
     y = frame.pw.y / I
     e = 1.0 / (p - 1.0 + b * y**4)
@@ -278,7 +281,7 @@ def test_folded_increments_equal_the_explicit_y_route(params3, frame, s):
 @pytest.mark.parametrize("s", [20.0, 45.0])
 def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
     n = params3.n_modes
-    tab = scale_tables(s, K, n, default_jet_order(n))
+    tab = scale_tables(s, params3)
     I, vals, modes, b = _inputs(params3, frame, s)
     rd = frame.sdd(vals)
     scaled = modes * tab.iexp[:n]
@@ -290,7 +293,7 @@ def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
     gauss = _increments(qpq, rd[:96], rd[96:192], gauss_pw, *args)
     inner = _increments(qpi, vals, rd[192:], inner_pw, *args)
     fused = _increments(
-        scaled @ frame.htab, np.concatenate((rd[:96], vals)), rd[96:], frame.pw, *args,
+        scaled @ frame.htab[:n], np.concatenate((rd[:96], vals)), rd[96:], frame.pw, *args,
     )
     assert _same(fused[:, :96], gauss)
     assert _same(fused[:, 96:], inner)
@@ -302,7 +305,7 @@ def test_fused_increments_equal_separate_evaluations(params3, quad96, frame, s):
 def test_remainder_source_reads_the_carried_rows(params3, quad96, frame, s):
     n = params3.n_modes
     I, vals, modes, b = _inputs(params3, frame, s)
-    tab = scale_tables(s, K, n, default_jet_order(n))
+    tab = scale_tables(s, params3)
     proj = projected_sources(modes, vals, b, s, params3, quad96)
     bp = proj.bprime(params3)
     got = remainder_source(proj, bp, modes, vals, b, s, params3)
