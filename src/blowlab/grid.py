@@ -21,6 +21,8 @@ __all__ = [
     "upwind_gradient",
     "second_derivative",
     "laplacian_compact",
+    "cubic_stencil",
+    "apply_stencil",
     "sample",
     "sample_matrix",
     "band",
@@ -181,8 +183,15 @@ def laplacian_compact(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _cubic_stencil(nodes: np.ndarray, pts: np.ndarray):
-    """Base index and the four Lagrange weights of sample()'s local cubic."""
+def cubic_stencil(nodes: np.ndarray, points) -> tuple[np.ndarray, np.ndarray]:
+    """sample()'s local cubic at points: (base, weights), applied by apply_stencil().
+
+    base is the first of each point's 4 nodes, and weights[c] the Lagrange
+    weight of node base + c; weights has one leading axis of 4 before
+    points' shape.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    pts = np.asarray(points, dtype=float)
     n = nodes.size
     if n < 4:
         raise ValueError("need at least 4 nodes to interpolate")
@@ -192,11 +201,19 @@ def _cubic_stencil(nodes: np.ndarray, pts: np.ndarray):
     np.minimum(np.maximum(base, 0, out=base), n - 4, out=base)
     t = (pts - nodes[base]) / h
     t1, t2, t3 = t - 1.0, t - 2.0, t - 3.0
-    w0 = -t1 * t2 * t3 / 6.0
-    w1 = t * t2 * t3 / 2.0
-    w2 = -t * t1 * t3 / 2.0
-    w3 = t * t1 * t2 / 6.0
-    return base, (w0, w1, w2, w3)
+    weights = np.empty((4, *t.shape))
+    weights[0] = -t1 * t2 * t3 / 6.0
+    weights[1] = t * t2 * t3 / 2.0
+    weights[2] = -t * t1 * t3 / 2.0
+    weights[3] = t * t1 * t2 / 6.0
+    return base, weights
+
+
+def apply_stencil(stencil: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+    """The values a cubic_stencil() interpolates, summed in the nodes' order."""
+    base, w = stencil
+    return (w[0] * values[base] + w[1] * values[base + 1]
+            + w[2] * values[base + 2] + w[3] * values[base + 3])
 
 
 def sample(nodes: np.ndarray, values: np.ndarray, points) -> np.ndarray:
@@ -205,26 +222,14 @@ def sample(nodes: np.ndarray, values: np.ndarray, points) -> np.ndarray:
     Assumes uniform nodes. Out-of-range points are clamped to the boundary
     cell (nearest-edge cubic extension).
     """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    base, (w0, w1, w2, w3) = _cubic_stencil(nodes, np.asarray(points, dtype=float))
-    return (
-        w0 * values[base]
-        + w1 * values[base + 1]
-        + w2 * values[base + 2]
-        + w3 * values[base + 3]
-    )
+    return apply_stencil(cubic_stencil(nodes, points), np.asarray(values, dtype=float))
 
 
 def sample_matrix(nodes: np.ndarray, points) -> np.ndarray:
     """The linear map values -> sample(nodes, values, points) as a dense matrix."""
-    nodes = np.asarray(nodes, dtype=float)
-    pts = np.asarray(points, dtype=float).ravel()
-    base, weights = _cubic_stencil(nodes, pts)
-    out = np.zeros((pts.size, nodes.size))
-    rows = np.arange(pts.size)
-    for c, w in enumerate(weights):
-        out[rows, base + c] = w
+    base, weights = cubic_stencil(nodes, np.asarray(points, dtype=float).ravel())
+    out = np.zeros((base.size, np.asarray(nodes).size))
+    out[np.arange(base.size), base + np.arange(4)[:, None]] = weights
     return out
 
 

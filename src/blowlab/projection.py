@@ -233,7 +233,12 @@ class ScaleTables(NamedTuple):
     proj_scale: np.ndarray
 
 
-@table_cache(maxsize=8)
+# trajectories that start at one s0 with one ds meet the same step times,
+# and a cache that holds them all builds each table once per process: an
+# ensemble round of the benchmark (46 trajectories from s0 = 20 at ds =
+# 0.01) meets 591 to 646 of them over seeds 1-10, a shoot search 327; at
+# J = 17 an entry holds 3.6 KB of arrays, so a full cache 3.7 MB
+@table_cache(maxsize=1024)
 def scale_tables(s: float, params: ModelParams) -> ScaleTables:
     """Build, once per scale time and model, the state-independent tables.
 
@@ -473,8 +478,10 @@ def remainder_source(
     w = np.array([1.0, 1.0, 1.0, bprime])
     coef = w.dot(proj.jets[:4])
     coef[:n_modes] = -w.dot(proj.inc[:4])
-    # h_0..h_J at the inner nodes, which follow the Gauss nodes in the frame's table
-    out = (coef * tab.iexp).dot(z_frame(params).htab[:, DEFAULT_QUAD_ORDER:])
+    # h_0..h_J at the inner nodes, which follow the Gauss nodes in the frame's
+    # table: a product with the whole table, whose rows are contiguous, costs
+    # less than one with its strided inner block, and gives the same values
+    out = (coef * tab.iexp).dot(z_frame(params).htab)[DEFAULT_QUAD_ORDER:]
     if proj.zinc is not None:
         out += w.dot(proj.zinc)
     return out

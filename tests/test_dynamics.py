@@ -21,7 +21,7 @@ from blowlab.dynamics import (
 from blowlab import dynamics
 from blowlab.config import ConfigError, RunConfig
 from blowlab.grid import (
-    GridFunction, band, derivative, laplacian_compact, uniform_grid, upwind_gradient,
+    GridFunction, band, derivative, laplacian_compact, sample, uniform_grid, upwind_gradient,
 )
 from blowlab.hermite import SpectralDecomposition, eval_scaled_hermite, hermite_series
 from blowlab.operators import drift_values, modulation_values, nonlinear_values, residual_values
@@ -381,8 +381,11 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
 # step size or on the model
 FLOW_CACHES = (
     scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._outer_step,
-    dynamics._half_exp_of, _legendre_rule, _projector,
+    dynamics._half_exp_of, _legendre_rule, _projector, dynamics._overlap,
 )
+# the two keyed on a step time, and the most distinct times one ensemble
+# round of the benchmark gives each over seeds 1-10: scale times, step ends
+STEP_TIME_CACHES = {scale_tables: 646, dynamics._overlap: 319}
 
 
 def _same(a, b) -> bool:
@@ -454,13 +457,31 @@ def test_trajectory_does_not_depend_on_cache_history(params3):
     assert _same(cold.final_state.dec.remainder.values, warm.final_state.dec.remainder.values)
 
 
+def _table_bytes(value) -> int:
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    return sum(map(_table_bytes, value)) if isinstance(value, tuple) else 0
+
+
 def test_flow_caches_stay_bounded(params3, opts):
     st = init_state(np.array([0.1, 0.1, -0.1, 0.05]), DELTA, B0, S0, params3, opts)
     run(st, S0 + 0.2, DELTA, B0, params3, ds=0.01, opts=opts)  # 40 scale times
     for cache in FLOW_CACHES:
         info = cache.cache_info()
-        assert info.maxsize is not None and info.maxsize <= 21
-        assert info.currsize <= info.maxsize
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        if cache not in STEP_TIME_CACHES:
+            assert info.maxsize <= 21, cache.__name__
+    # a step-time cache holds every time an ensemble round meets, and its
+    # largest entries, the overlap's over all 257 outer nodes at s0 = 2,
+    # fill it with at most 6 MB
+    for cache, entry in (
+        (scale_tables, scale_tables(S0, params3)),
+        (dynamics._overlap, dynamics._overlap(2.0, opts.n_nodes, params3.k)),
+    ):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize >= STEP_TIME_CACHES[cache], cache.__name__
+        assert maxsize * _table_bytes(entry) <= 6e6, cache.__name__
+    assert dynamics._overlap(2.0, opts.n_nodes, params3.k).span == slice(0, opts.n_nodes)
     # e^{hL/2} holds every step size of a run at ds = 0.01, the quarters up
     # to MAX_DS and a last step cut short at s_max
     assert dynamics._half_exp_of.cache_info().maxsize >= round(dynamics.MAX_DS / 0.0025) + 1
@@ -475,7 +496,7 @@ def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad
     st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
     membership(st, DELTA, B0, params3, opts)
     projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
-    for cache in (z_frame, dynamics._outer_step, dynamics._half_exp_of):
+    for cache in (z_frame, dynamics._outer_step, dynamics._half_exp_of, dynamics._overlap):
         assert cache.cache_info().currsize == 0, cache.__name__
     # the step tables have one owner each: a step, and then a run, build
     # one z-frame and one outer step table between them
@@ -484,6 +505,42 @@ def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad
     for cache in (z_frame, dynamics._outer_step):
         info = cache.cache_info()
         assert (info.misses, info.currsize) == (1, 1), cache.__name__
+
+
+def test_a_second_trajectory_builds_no_step_time_table(params3, opts):
+    # trajectories from one s0 at one ds meet the same step times, so the
+    # second builds nothing the first built, and is the first bit for bit
+    seed = np.array([0.2, -0.1, 0.15, 0.05])
+
+    def traj():
+        st = init_state(seed, DELTA, B0, S0, params3, opts)
+        return run(st, S0 + 0.3, DELTA, B0, params3, ds=0.01, opts=opts)
+
+    for cache in FLOW_CACHES:
+        cache.cache_clear()
+    first = traj()
+    built = [cache.cache_info().misses for cache in STEP_TIME_CACHES]
+    assert all(built)
+    second = traj()
+    assert [cache.cache_info().misses for cache in STEP_TIME_CACHES] == built
+    for key, arr in first.arrays().items():
+        assert _same(arr, second.arrays()[key]), key
+    for part in ("inner", "b"):
+        assert _same(getattr(first.final_state, part), getattr(second.final_state, part))
+    assert _same(first.final_state.dec.remainder.values, second.final_state.dec.remainder.values)
+
+
+@pytest.mark.parametrize("s", [2.0, 20.0, 20.0025, 24.3, 45.0])
+def test_the_overlap_copy_is_grid_sample(params3, opts, s):
+    # the cached stencil applies grid.sample's arithmetic in its order
+    flow = dynamics._flow(opts, params3)
+    z = float(scale_factor(s, params3.k)) * flow.nodes
+    inside = np.flatnonzero(np.abs(z) <= dynamics.Z_OVERLAP)
+    overlap = dynamics._overlap(s, opts.n_nodes, params3.k)
+    assert overlap.span == slice(inside[0], inside[-1] + 1)
+    inner = np.random.default_rng(7).standard_normal(inner_nodes().size)
+    want = sample(inner_nodes(), inner, z[overlap.span])
+    assert _same(dynamics.apply_stencil(overlap.stencil, inner), want)
 
 
 @pytest.mark.parametrize("n, k", [(6, 2), (7, 2), (13, 2), (129, 2), (201, 2), (257, 2), (385, 3)])

@@ -34,6 +34,7 @@ TABLES = {
     "dynamics._flow": lambda: dynamics._flow(dynamics.FlowOptions(), _P3),
     "dynamics._outer_step": lambda: dynamics._outer_step(257, 2),
     "dynamics._half_exp_of": lambda: dynamics._half_exp_of(0.01, _P3),
+    "dynamics._overlap": lambda: dynamics._overlap(20.0, 257, 2),
     "direct._w_band": lambda: direct._w_band(_Y.tobytes(), _P3),
 }
 
@@ -68,7 +69,7 @@ def test_every_cache_is_bounded_and_hands_out_read_only_tables():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
         })
     others = {"dynamics._bound_names", "params.alpha_consts"}
-    assert set(caches) == set(TABLES) | others and len(caches) == 14
+    assert set(caches) == set(TABLES) | others and len(caches) == 15
     assert all(cache.cache_info().maxsize is not None for cache in caches.values())
 
 

@@ -97,6 +97,36 @@ def test_search_full_system_defaults_short(params3):
     assert all(v > 0 for v in cert.final_margins.values())
 
 
+def test_search_with_warm_caches_writes_the_cold_search_bytes(params3, tmp_path):
+    # a second search in one process reads every table the first built; its
+    # certificate and survivor CSV are the first's, byte for byte
+    import importlib
+    import pkgutil
+
+    import blowlab
+    from blowlab.projection import scale_tables
+    from blowlab.serialize import save_json, write_trajectory_csv
+
+    for info in pkgutil.iter_modules(blowlab.__path__):
+        module = importlib.import_module(f"blowlab.{info.name}")
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
+                obj.cache_clear()
+    cfg = _cfg(params3, delta=1.0, horizon=5.0)
+    written, built = [], []
+    for label in ("cold", "warm"):
+        _, cert = search(cfg, params3)
+        paths = (
+            save_json(cert.to_dict(), tmp_path / f"{label}.json"),
+            write_trajectory_csv(cert.survivor.record, params3, tmp_path / f"{label}.csv"),
+        )
+        written.append([path.read_bytes() for path in paths])
+        built.append(scale_tables.cache_info().misses)
+    assert cert.n_trajectories > 1
+    assert written[0] == written[1]
+    assert built[0] > 0 and built[1] == built[0]  # the warm search built no scale table
+
+
 def test_search_failure_on_tiny_box(params3):
     # a tiny box around a known-exiting point cannot contain a survivor
     flow = FlowOptions()
