@@ -10,5 +10,5 @@ from .hermite import (  # noqa: F401
     gauss_rule,
     recompose,
 )
-from .dynamics import FlowOptions, SimState, init_state, membership, run, step  # noqa: F401
-from .shooting import ShootConfig, exit_map, gamma_map, search  # noqa: F401
+from .dynamics import FlowOptions, SimState, gamma_map, init_state, membership, run, step  # noqa: F401
+from .shooting import ShootConfig, exit_map, search  # noqa: F401

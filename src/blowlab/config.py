@@ -124,10 +124,6 @@ class RunConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        return cls.from_dict(load_object(path, "config"))
-
 
 def load_object(path: str, what: str) -> dict:
     """The JSON object in the file at path; what names it in the error if it is none."""

@@ -23,13 +23,14 @@ one Lawson RK4 scheme but by different mechanisms:
   weighted sup |q_-|_s looks, far outside the weight.
 
 Every layer of a step reads one context, built once per FlowOptions and
-model (_flow). A stage (_stage) visits each node set once: the jets of q_+;
-the Gauss and the inner nodes together, whose operators and tables sit at
-fixed z and are built once per process (projection.z_frame), the inner
-remainder handed over as its values array; and the outer nodes,
-where the remainder's upwinded transport and derivative are one banded
-product (_outer_step, probed from the grid kernels by grid.probed_band,
-as the direct w-run's band is) and the sources one pass (_outer_sources).
+model (_flow) with the outer grid's step tables. A stage (_stage) visits
+each node set once: the jets of q_+; the Gauss and the inner nodes
+together, whose operators and tables sit at fixed z and are built once per
+process (projection.z_frame), the inner remainder handed over as its
+values array; and the outer nodes, where the remainder's upwinded
+transport and derivative are one banded product (the context's band,
+probed from the grid kernels by grid.probed_band, as the direct w-run's
+band is) and the sources one pass (_outer_sources).
 There q_+, dq_+/dy and the sources' tracked content are power series in y
 from projection.scale_tables' conversion table, summed with the monomials
 of the flow context: no table a stage reads at the outer nodes depends on
@@ -50,12 +51,12 @@ identity on the modes and b, where the scheme is classical RK4. Stability
 therefore bounds the step by the outer transport alone, at RK4's ceiling
 for a lone transport (grid.RK4_TRANSPORT_ALONE_CFL), independent of s: the
 flow takes one Lawson step per span of at most MAX_DS, and refuses a grid
-whose ceiling falls below MAX_DS (_flow). run() ends its steps on a grid of
-quarter output intervals: within MAX_DS, each step grows as far as a free
-error estimate of the last one allows (the stage at a step's end, which the
-next step starts from, against its fourth stage), but never below one
-output interval from a sample. The samples inside a step are read off a
-cubic Hermite interpolant of the step's end states and derivatives.
+whose ceiling falls below it (_check_outer_grid). run() ends its steps at
+whole quarter output intervals: within MAX_DS, each step grows as far as a
+free error estimate of the last one allows (the stage at a step's end,
+which the next step starts from, against its fourth stage), but never
+below one output interval from a sample. The samples inside a step are
+read off the cubic Hermite interpolant of its end states and derivatives.
 
 The modulation rate b' is solved at every stage so dq_{2k}/ds = 0; the
 neutral mode therefore stays exactly zero along trajectories.
@@ -292,9 +293,9 @@ def init_state(
 class _Flow(NamedTuple):
     """The s-independent context of the flow for one FlowOptions and model.
 
-    Its slices name the parts of the flow's state vector x; b is x[-1]. The
-    large tables only a step reads (the z-frame, _outer_step and e^{hL/2})
-    keep caches of their own, so membership's context builds none of them.
+    Its slices name the parts of the flow's state vector x; b is x[-1]. It
+    holds the outer grid's arrays and step tables; the z-frame and e^{hL/2},
+    keyed on the model alone, keep caches of their own.
     """
 
     params: ModelParams
@@ -303,36 +304,64 @@ class _Flow(NamedTuple):
     nodes: np.ndarray
     h: float
     pw: NodePowers  # the nodes' powers that the pointwise sources use
-    yM: np.ndarray  # |y|^M, the seminorm's weight
     lam: np.ndarray  # 1 - n/2k, the tracked modes' linear rates
     ddy: np.ndarray  # d/dy on basis coefficients, as d/dy H_n = n H_{n-1}
     mono: np.ndarray  # y^j at the nodes, j = 0..M_floor
+    cols: np.ndarray  # the band of [1 - (y/2k) d/dy upwinded; d/dy], as grid.probed_band's
+    weights: np.ndarray
+    sine: np.ndarray  # the orthogonal DST-I of the interior nodes, its own inverse
+    mu: np.ndarray  # the eigenvalues of D0 on the interior, one per sine
+    line: np.ndarray  # sines of D0's steady state for a unit value at each edge
     modes: slice  # x = (modes | outer remainder | inner remainder | b)
     outer: slice
     inner: slice
+
+
+def _check_outer_grid(opts: FlowOptions, params: ModelParams) -> None:
+    """Refuse an outer grid whose transport's RK4 ceiling falls below MAX_DS, the flow's step."""
+    # the most nodes whose ceiling, RK4_TRANSPORT_ALONE_CFL h 2k / Y_MAX with
+    # h = 2 Y_MAX / (n_nodes - 1), reaches MAX_DS
+    limit = 1 + int(4.0 * params.k * RK4_TRANSPORT_ALONE_CFL / MAX_DS + 1e-9)
+    if opts.n_nodes > limit:
+        raise ValueError(
+            f"{opts.n_nodes} outer nodes put the transport's RK4 ceiling below MAX_DS = "
+            f"{MAX_DS}: at k = {params.k} the flow takes at most {limit} nodes")
 
 
 @table_cache(maxsize=8)
 def _flow(opts: FlowOptions, params: ModelParams) -> _Flow:
     """Build, once per process, the flow's context for opts and one model.
 
-    Raises ValueError when the outer transport's RK4 ceiling on opts' grid
-    falls below MAX_DS, the step the flow takes.
+    The band is grid.probed_band of the stage's upwinded transport and
+    derivative. S_ij = sqrt(2/(m+1)) sin(pi i j/(m+1)), i, j = 1..m, over
+    the m = n_nodes - 2 interior nodes, diagonalizes the 3-point interior
+    stencil with zero edge values. An edge value enters the interior's
+    first or last row with weight 1/h^2; D0's steady state for a unit value
+    at one edge and zero at the other is the straight line between them,
+    whose sines are -S e_1 / (h^2 mu) or -S e_m / (h^2 mu).
     """
+    _check_outer_grid(opts, params)
     nodes = opts.nodes()
     k, n, n_nodes = params.k, params.n_modes, opts.n_nodes
-    # the most nodes whose ceiling, RK4_TRANSPORT_ALONE_CFL h 2k / Y_MAX with
-    # h = 2 Y_MAX / (n_nodes - 1), reaches MAX_DS
-    limit = 1 + int(4.0 * k * RK4_TRANSPORT_ALONE_CFL / MAX_DS + 1e-9)
-    if n_nodes > limit:
-        raise ValueError(f"{n_nodes} outer nodes put the transport's RK4 ceiling below MAX_DS = "
-                         f"{MAX_DS}: at k = {k} the flow takes at most {limit} nodes")
+    h = nodes[1] - nodes[0]
+    wind = nodes[:, None] / (2.0 * k)
+    cols, weights = probed_band([
+        lambda f: f - wind * upwind_gradient(f, h, wind[:, 0]), lambda f: derivative(f, h),
+    ], n_nodes)
+    m = n_nodes - 2
+    j = np.arange(1, m + 1)
+    arg = np.multiply.outer(j, j)
+    arg %= 2 * (m + 1)  # keeps the sine's argument below 2 pi
+    sine = arg * (np.pi / (m + 1))
+    np.sin(sine, out=sine)
+    sine *= math.sqrt(2.0 / (m + 1))
+    mu = -4.0 / (h * h) * np.sin(0.5 * np.pi / (m + 1) * j) ** 2
     return _Flow(
         params=params, quad=opts.quad(), linear_only=opts.linear_only,
-        nodes=nodes, h=nodes[1] - nodes[0],
-        pw=node_powers(nodes, k), yM=np.abs(nodes) ** params.M,
+        nodes=nodes, h=h, pw=node_powers(nodes, k),
         lam=1.0 - np.arange(n) / (2.0 * k), ddy=np.diag(np.arange(1.0, n), -1),
         mono=np.vander(nodes, n, increasing=True).T,
+        cols=cols, weights=weights, sine=sine, mu=mu, line=sine[[0, -1]] / (-h * h * mu),
         modes=slice(0, n), outer=slice(n, n + n_nodes),
         inner=slice(n + n_nodes, n + n_nodes + Z_NODES),
     )
@@ -363,8 +392,7 @@ def _stage(x: np.ndarray, s: float, flow: _Flow) -> np.ndarray:
     dx = np.empty_like(x)
     # remainder transport: upwinded, it stays stable without the damping of
     # the diffusion, which is integrated apart
-    band = _outer_step(flow.nodes.size, params.k)
-    Ls_rem, drem = np.einsum("ijn,jn->in", band.weights, x[flow.outer][band.cols])
+    Ls_rem, drem = np.einsum("ijn,jn->in", flow.weights, x[flow.outer][flow.cols])
     if flow.linear_only:
         dx[flow.modes], dx[flow.outer], dx[flow.inner.start:] = flow.lam * modes, Ls_rem, 0.0
         return dx
@@ -456,64 +484,24 @@ def _half_exp(h: float, flow: _Flow) -> np.ndarray:
     return _half_exp_of(float(f"{h:.12g}"), flow.params)
 
 
-class _OuterStep(NamedTuple):
-    """The outer grid's tables that only a step reads (_outer_step)."""
-
-    cols: np.ndarray  # the band of [1 - (y/2k) d/dy upwinded; d/dy], as grid.probed_band's
-    weights: np.ndarray
-    sine: np.ndarray  # the orthogonal DST-I of the interior nodes, its own inverse
-    mu: np.ndarray  # the eigenvalues of D0 on the interior, one per sine
-    line: np.ndarray  # sines of D0's steady state for a unit value at each edge
-
-
-@table_cache(maxsize=8)
-def _outer_step(n_nodes: int, k: int) -> _OuterStep:
-    """The stage's band and D0's basis on the outer grid of n_nodes nodes, once per process.
-
-    The band is grid.probed_band of the stage's upwinded transport and
-    derivative. S_ij = sqrt(2/(m+1)) sin(pi i j/(m+1)), i, j = 1..m, over
-    the m = n_nodes - 2 interior nodes, diagonalizes the 3-point interior
-    stencil with zero edge values. An edge value enters the interior's
-    first or last row with weight 1/h^2; D0's steady state for a unit value
-    at one edge and zero at the other is the straight line between them,
-    whose sines are -S e_1 / (h^2 mu) or -S e_m / (h^2 mu). Only a step
-    reads these, so membership's flow context does not build them.
-    """
-    nodes = uniform_grid(Y_MAX, n_nodes)
-    h = nodes[1] - nodes[0]  # the flow context's h
-    wind = nodes[:, None] / (2.0 * k)
-    cols, weights = probed_band([
-        lambda f: f - wind * upwind_gradient(f, h, wind[:, 0]), lambda f: derivative(f, h),
-    ], n_nodes)
-    m = n_nodes - 2
-    j = np.arange(1, m + 1)
-    arg = np.multiply.outer(j, j)
-    arg %= 2 * (m + 1)  # keeps the sine's argument below 2 pi
-    sine = arg * (np.pi / (m + 1))
-    np.sin(sine, out=sine)
-    sine *= math.sqrt(2.0 / (m + 1))
-    mu = -4.0 / (h * h) * np.sin(0.5 * np.pi / (m + 1) * j) ** 2
-    return _OuterStep(cols, weights, sine=sine, mu=mu, line=sine[[0, -1]] / (-h * h * mu))
-
-
 def _diffusion_time(sa: float, sb: float, k: int) -> float:
     """c = int_sa^sb I^{-2}(s) ds, with I^{-2}(s) = e^{-r s} and r = 1 - 1/k."""
     r = 1.0 - 1.0 / k
     return -math.exp(-r * sa) * math.expm1(-r * (sb - sa)) / r
 
 
-def _diffuse(v: np.ndarray, c: float, basis: _OuterStep) -> np.ndarray:
-    """e^{c D0} on outer node values v, one vector per row.
+def _diffuse(v: np.ndarray, c: float, flow: _Flow) -> np.ndarray:
+    """e^{c D0} on outer node values v, one vector per row, by flow's sine basis.
 
     D0 keeps the edge values, and the interior relaxes towards its steady
     state, the straight line between them, by e^{c mu} per sine of the
     DST-I, which is its own inverse: the edge values enter as the affine
     term (e^{c mu} - 1)/mu times their columns of D0.
     """
-    a = v[..., 1:-1].dot(basis.sine)
-    a += np.expm1(c * basis.mu) * (a - v[..., :: v.shape[-1] - 1].dot(basis.line))
+    a = v[..., 1:-1].dot(flow.sine)
+    a += np.expm1(c * flow.mu) * (a - v[..., :: v.shape[-1] - 1].dot(flow.line))
     out = v.copy()
-    out[..., 1:-1] = a.dot(basis.sine)
+    out[..., 1:-1] = a.dot(flow.sine)
     return out
 
 
@@ -534,14 +522,13 @@ def _lawson_step(
     h = s1 - s0
     sm = s0 + 0.5 * h
     E = _half_exp(h, flow)
-    basis = _outer_step(flow.nodes.size, flow.params.k)
 
     def half(u: np.ndarray, v: np.ndarray, sa: float, sb: float) -> np.ndarray:
         """The propagator from sa to sb, a half step, on u and v, as two rows."""
         rows = np.array((u, v))
         rows[:, flow.inner] = rows[:, flow.inner].dot(E.T)
         c = _diffusion_time(sa, sb, flow.params.k)
-        rows[:, flow.outer] = _diffuse(rows[:, flow.outer], c, basis)
+        rows[:, flow.outer] = _diffuse(rows[:, flow.outer], c, flow)
         return rows
 
     X, K = half(x0, k1, s0, sm)
@@ -703,14 +690,15 @@ def membership(
 ) -> MembershipReport:
     """Check every shrinking-set bound; margins are bound minus attained value.
 
-    A NaN margin counts as violated, and makes worst_margin NaN.
+    It reads the state alone and builds no table; of opts, only a grid the
+    flow refuses is refused (_check_outer_grid). A NaN margin counts as
+    violated, and makes worst_margin NaN.
     """
+    _check_outer_grid(opts, params)
     I = float(scale_factor(state.s, params.k))
     mode_bound = I ** (-delta)
     sem = remainder_seminorm(
-        state.dec.remainder, state.s, params,
-        floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR,
-        nodes_pow_M=_flow(opts, params).yM, I=I,
+        state.dec.remainder, state.s, params, floor=SEM_FLOOR, rel_floor=SEM_REL_FLOOR, I=I,
     )
     # the margins in _bound_names' order; the neutral mode's bound is I^{-2 delta}
     q = np.abs(state.dec.modes).tolist()

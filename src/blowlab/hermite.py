@@ -222,8 +222,7 @@ def recompose(dec: SpectralDecomposition, params: ModelParams) -> GridFunction:
 
 def remainder_seminorm(
     rem: GridFunction, s: float, params: ModelParams,
-    floor: float = 0.0, rel_floor: float = 0.0, nodes_pow_M: np.ndarray | None = None,
-    I: float | None = None,
+    floor: float = 0.0, rel_floor: float = 0.0, I: float | None = None,
 ) -> float:
     """Grid sup of |q_-| / (I^{-M} + |y|^M + floor + rel_floor * max|q_-|).
 
@@ -233,16 +232,14 @@ def remainder_seminorm(
     plus a cushion proportional to the remainder's own amplitude, which
     biases genuine readings by at most ~rel_floor while ignoring content the
     Gaussian weight cannot see. floor = 0 keeps the pure definition for the
-    norm contracts. nodes_pow_M, when given, is the cached |y|^M at rem's
-    nodes, and I the scale factor I(s).
+    norm contracts. The weight |y|^M is formed at rem's own nodes; I, when
+    given, is the scale factor I(s).
     """
     if I is None:
         I = float(scale_factor(s, params.k))
     vals = np.abs(rem.values)
     cushion = floor + rel_floor * float(vals.max()) if vals.size else floor
-    if nodes_pow_M is None:
-        nodes_pow_M = np.abs(rem.nodes) ** params.M
-    denom = I ** (-params.M) + nodes_pow_M + cushion
+    denom = I ** (-params.M) + np.abs(rem.nodes) ** params.M + cushion
     return float((vals / denom).max())
 
 

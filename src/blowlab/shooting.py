@@ -48,7 +48,6 @@ __all__ = [
     "ExitMapResult",
     "SurvivorCertificate",
     "SearchFailureError",
-    "gamma_map",
     "exit_map",
     "model_point",
     "search",

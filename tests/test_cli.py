@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blowlab.cli import COMMANDS, _seeded_w_run, build_parser, run_experiment
-from blowlab.config import DIRECT_N_NODES, DIRECT_Y_MAX, ConfigError, RunConfig
+from blowlab.config import DIRECT_N_NODES, DIRECT_Y_MAX, ConfigError, RunConfig, load_object
 from blowlab.dynamics import FlowOptions, init_state, run
 from blowlab.grid import uniform_grid
 from blowlab.params import eval_profile, scale_factor
@@ -114,11 +114,11 @@ def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  \"p\": 3.0,\n  oops\n}\n")
     with pytest.raises(ConfigError, match="line 3"):
-        RunConfig.from_file(str(bad))
+        RunConfig.from_dict(load_object(str(bad), "config"))
 
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"p": 2.5, "k": 2, "horizon": 1.0}))
-    cfg = RunConfig.from_file(str(good))
+    cfg = RunConfig.from_dict(load_object(str(good), "config"))
     assert cfg.p == 2.5
 
 

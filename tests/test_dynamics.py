@@ -188,6 +188,17 @@ def test_membership_reports_the_recorded_seminorm(params3, opts):
     assert rep.margins["qminus"] == float(scale_factor(final.s, 2)) ** -DELTA - want
 
 
+def test_membership_reads_the_weight_at_the_state_s_own_nodes(params3):
+    # membership weighs the remainder at the state's nodes, not at those of
+    # opts: a state on a 129-node grid gets one report with or without them
+    coarse = FlowOptions(n_nodes=129)
+    st = init_state(np.array([0.1, -0.2, 0.15, 0.05]), DELTA, B0, S0, params3, coarse)
+    final = run(st, S0 + 0.05, DELTA, B0, params3, ds=0.01, opts=coarse).final_state
+    rep = membership(final, DELTA, B0, params3)
+    assert rep.qminus_seminorm > 0.0
+    assert rep == membership(final, DELTA, B0, params3, coarse)
+
+
 def test_membership_monotone_in_delta(params3, opts):
     amp = float(scale_factor(S0, 2)) ** -DELTA
     modes = np.zeros(6)
@@ -380,8 +391,7 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
 # every cache a flow step reads that depends on s, on the outer grid, on the
 # step size or on the model
 FLOW_CACHES = (
-    scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._outer_step,
-    dynamics._half_exp_of, _legendre_rule, _projector, dynamics._overlap,
+    scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._half_exp_of, _legendre_rule, _projector, dynamics._overlap,
 )
 # the two keyed on a step time, and the most distinct times one ensemble
 # round of the benchmark gives each over seeds 1-10: scale times, step ends
@@ -419,15 +429,14 @@ def test_outer_tables_equal_the_routines_they_replace(params3, opts, s):
     b = 1.3
     assert all(_same(x, y) for x, y in zip(flow.pw, node_powers(nodes, 2)))
     assert _same(1.0 / (params3.p - 1.0 + b * flow.pw.y2k), eval_profile(nodes, b, params3)[1])
-    assert _same(flow.yM, np.abs(nodes) ** params3.M)
     assert _same(flow.lam, 1.0 - np.arange(n) / 4.0)
     want = np.array([nodes**j for j in range(n)])
     assert np.all(np.abs(flow.mono - want) <= 1e-15 * np.abs(want))
     # one cached copy serves every caller, so none may write to it
     assert not any(
         a.flags.writeable for a in (
-            flow.nodes, *flow.pw, flow.yM, flow.lam, flow.mono,
-            *dynamics._outer_step(flow.nodes.size, 2),
+            flow.nodes, *flow.pw, flow.lam, flow.mono,
+            flow.cols, flow.weights, flow.sine, flow.mu, flow.line,
         )
     )
     assert dynamics._flow(opts, params3) is flow
@@ -490,19 +499,20 @@ def test_flow_caches_stay_bounded(params3, opts):
 def test_membership_and_a_zero_remainder_build_no_step_table(params3, opts, quad96):
     # the benchmark's set-ups call membership, and projected_sources on a
     # zero remainder, each in a fresh copy of the modules that keeps its own
-    # caches: neither call may build the large tables only a step reads
+    # caches: neither call may build the flow context or a table only a
+    # step reads
     for cache in FLOW_CACHES:
         cache.cache_clear()
     st = init_state(np.array([0.1, 0.0, 0.0, 0.0]), DELTA, B0, S0, params3, opts)
     membership(st, DELTA, B0, params3, opts)
     projected_sources(st.dec.modes, st.dec.remainder, B0, S0, params3, quad96)
-    for cache in (z_frame, dynamics._outer_step, dynamics._half_exp_of, dynamics._overlap):
+    for cache in (z_frame, dynamics._flow, dynamics._half_exp_of, dynamics._overlap):
         assert cache.cache_info().currsize == 0, cache.__name__
     # the step tables have one owner each: a step, and then a run, build
-    # one z-frame and one outer step table between them
+    # one z-frame and one flow context between them
     st = step(st, 0.01, params3, opts)
     run(st, S0 + 0.1, DELTA, B0, params3, ds=0.01, opts=opts)
-    for cache in (z_frame, dynamics._outer_step):
+    for cache in (z_frame, dynamics._flow):
         info = cache.cache_info()
         assert (info.misses, info.currsize) == (1, 1), cache.__name__
 
@@ -550,7 +560,8 @@ def test_the_outer_band_is_the_dense_band(n, k):
     nodes = uniform_grid(dynamics.Y_MAX, n)
     h, wind, eye = nodes[1] - nodes[0], nodes / (2.0 * k), np.eye(n)
     dense = [eye - wind[:, None] * upwind_gradient(eye, h, wind), derivative(eye, h)]
-    cols, weights = dynamics._outer_step(n, k)[:2]
+    flow = dynamics._flow(FlowOptions(n_nodes=n), make_params(3.0, k))
+    cols, weights = flow.cols, flow.weights
     assert cols.tobytes() == band(np.abs(dense[0]) + np.abs(dense[1]))[0].tobytes()
     assert weights.tobytes() == np.stack([A[np.arange(n), cols] for A in dense]).tobytes()
     assert cols.shape == (5, n) and weights.shape == (2, 5, n)
@@ -841,7 +852,7 @@ def test_outer_diffusion_propagator_is_the_exponential(params3, opts):
     assert u[0] != 0.0 and u[-1] != 0.0
 
     def P(c, v):
-        return dynamics._diffuse(v, c, dynamics._outer_step(flow.nodes.size, 2))
+        return dynamics._diffuse(v, c, flow)
 
     cs = [0.0] + [dynamics._diffusion_time(s, s + 0.0375, 2) for s in (20.0, 25.0)]
     for c in cs:

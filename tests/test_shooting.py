@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from blowlab import shooting
-from blowlab.dynamics import ExitInfo, FlowOptions, TrajectoryRecord, TrajectorySample, init_state
+from blowlab.dynamics import (
+    ExitInfo, FlowOptions, TrajectoryRecord, TrajectorySample, gamma_map, init_state,
+)
 from blowlab.params import alpha_consts, scale_factor
 from blowlab.shooting import (
     MODEL_MARGIN,
@@ -12,7 +14,6 @@ from blowlab.shooting import (
     SearchFailureError,
     ShootConfig,
     exit_map,
-    gamma_map,
     model_point,
     search,
 )
