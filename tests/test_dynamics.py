@@ -391,7 +391,8 @@ def test_inner_remainder_stays_weight_scaled_late(params3, opts):
 # every cache a flow step reads that depends on s, on the outer grid, on the
 # step size or on the model
 FLOW_CACHES = (
-    scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._half_exp_of, _legendre_rule, _projector, dynamics._overlap,
+    scale_tables, z_frame, alpha_consts, dynamics._flow, dynamics._half_exp_of,
+    _legendre_rule, _projector, dynamics._overlap,
 )
 # the two keyed on a step time, and the most distinct times one ensemble
 # round of the benchmark gives each over seeds 1-10: scale times, step ends
